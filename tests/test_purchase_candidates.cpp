@@ -1,14 +1,19 @@
-// Tests for p2p/owner_index: the incrementally-maintained chunk→owner
-// bitmaps behind the purchase fast path. The load-bearing property is
-// exact equivalence — the indexed purchase phase must reproduce the naive
-// neighbor-scan trace transaction for transaction — plus the mirror
-// invariant (index bits == buffer contents) across seeding, purchases,
-// window advances, and churn join/leave.
+// Tests for the purchase phase's candidate resolution. The load-bearing
+// property is exact equivalence — the indexed purchase phase must
+// reproduce the naive neighbor-scan trace transaction for transaction —
+// plus the mirror invariant (index bits == buffer contents) across
+// seeding, purchases, window advances, and churn join/leave. Each market
+// configuration is also pinned by an FNV-1a hash of its full trace and
+// final balances, so the markets stay fixed once the naive scan is gone.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string_view>
 
 #include "p2p/owner_index.hpp"
 #include "p2p/protocol.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace creditflow::p2p {
 namespace {
@@ -88,7 +93,35 @@ RunOutcome run_market(ProtocolConfig cfg, double horizon) {
   return {proto.trace().records(), proto.balance_snapshot()};
 }
 
-void expect_identical_markets(const ProtocolConfig& cfg, double horizon) {
+/// Fold one value's bytes into a running FNV-1a hash.
+template <typename T>
+std::uint64_t mix(std::uint64_t h, T value) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  return util::fnv1a64(std::string_view(bytes, sizeof(T)), h);
+}
+
+/// FNV-1a over every trace record (time, buyer, seller, chunk, price) and
+/// the final balances, continuing from `h`.
+std::uint64_t hash_outcome(const RunOutcome& run, std::uint64_t h) {
+  for (const TransactionRecord& r : run.records) {
+    h = mix(h, r.time);
+    h = mix(h, r.buyer);
+    h = mix(h, r.seller);
+    h = mix(h, r.chunk);
+    h = mix(h, r.price);
+  }
+  for (const double b : run.balances) h = mix(h, b);
+  return h;
+}
+
+constexpr std::uint64_t kHashBasis = 0xcbf29ce484222325ULL;
+
+/// Runs `cfg` indexed and naive, requires identical markets, and folds the
+/// market into the running hash `h`.
+std::uint64_t expect_identical_markets(const ProtocolConfig& cfg,
+                                       double horizon,
+                                       std::uint64_t h = kHashBasis) {
   ProtocolConfig indexed = cfg;
   indexed.use_owner_index = true;
   ProtocolConfig naive = cfg;
@@ -97,32 +130,39 @@ void expect_identical_markets(const ProtocolConfig& cfg, double horizon) {
   const RunOutcome a = run_market(indexed, horizon);
   const RunOutcome b = run_market(naive, horizon);
 
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
+  EXPECT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size() && i < b.records.size();
+       ++i) {
     EXPECT_EQ(a.records[i].time, b.records[i].time) << "record " << i;
-    ASSERT_EQ(a.records[i].buyer, b.records[i].buyer) << "record " << i;
-    ASSERT_EQ(a.records[i].seller, b.records[i].seller) << "record " << i;
-    ASSERT_EQ(a.records[i].chunk, b.records[i].chunk) << "record " << i;
-    ASSERT_EQ(a.records[i].price, b.records[i].price) << "record " << i;
+    EXPECT_EQ(a.records[i].buyer, b.records[i].buyer) << "record " << i;
+    EXPECT_EQ(a.records[i].seller, b.records[i].seller) << "record " << i;
+    EXPECT_EQ(a.records[i].chunk, b.records[i].chunk) << "record " << i;
+    EXPECT_EQ(a.records[i].price, b.records[i].price) << "record " << i;
+    if (::testing::Test::HasFailure()) break;
   }
   EXPECT_EQ(a.balances, b.balances);
+  return hash_outcome(a, h);
 }
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanAcrossSeeds) {
+  std::uint64_t h = kHashBasis;
   for (const std::uint64_t seed : {1ull, 17ull, 2012ull}) {
-    expect_identical_markets(base_config(seed), 60.0);
+    h = expect_identical_markets(base_config(seed), 60.0, h);
   }
+  EXPECT_EQ(h, 0xf3b84ec2d12c1b11ULL);
 }
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanUnderChurn) {
+  std::uint64_t h = kHashBasis;
   for (const std::uint64_t seed : {3ull, 99ull}) {
     auto cfg = base_config(seed);
     cfg.churn.enabled = true;
     cfg.churn.arrival_rate = 0.8;
     cfg.churn.mean_lifespan = 40.0;
     cfg.churn.join_links = 6;
-    expect_identical_markets(cfg, 120.0);
+    h = expect_identical_markets(cfg, 120.0, h);
   }
+  EXPECT_EQ(h, 0xa696957b4ed78b55ULL);
 }
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanFillWeighted) {
@@ -130,22 +170,20 @@ TEST(OwnerIndexEquivalence, MatchesNaiveScanFillWeighted) {
   cfg.seller_choice = ProtocolConfig::SellerChoice::kFillWeighted;
   cfg.pricing.kind = econ::PricingKind::kPoisson;
   cfg.pricing.poisson_mean = 1.0;
-  expect_identical_markets(cfg, 60.0);
+  EXPECT_EQ(expect_identical_markets(cfg, 60.0), 0x248c5f428b852814ULL);
 }
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanCheapestAsk) {
   auto cfg = base_config(11);
   cfg.seller_choice = ProtocolConfig::SellerChoice::kCheapestAsk;
   cfg.pricing.kind = econ::PricingKind::kPerSeller;
-  expect_identical_markets(cfg, 60.0);
+  EXPECT_EQ(expect_identical_markets(cfg, 60.0), 0xbcba93ae237199aaULL);
 }
 
 /// The hub-buyer regime the single-word fast path cannot cover: a dense
 /// overlay whose mean degree exceeds 64, so most buyers carry more than 64
-/// budgeted neighbors and the purchase phase takes the generic multi-word
-/// path. This is the pinned oracle for the planned two-word (≤128
-/// neighbor) specialization — it must land trace-for-trace against these
-/// markets.
+/// budgeted neighbors and the purchase phase takes the two-word or generic
+/// multi-word masks.
 ProtocolConfig hub_config(std::uint64_t seed) {
   auto cfg = base_config(seed);
   // The bootstrap generator caps hub degrees near 4·sqrt(n)+8, so pushing
@@ -173,9 +211,11 @@ void expect_has_hub_buyers(const ProtocolConfig& cfg) {
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanAtHubDegrees) {
   expect_has_hub_buyers(hub_config(1));
+  std::uint64_t h = kHashBasis;
   for (const std::uint64_t seed : {1ull, 29ull}) {
-    expect_identical_markets(hub_config(seed), 60.0);
+    h = expect_identical_markets(hub_config(seed), 60.0, h);
   }
+  EXPECT_EQ(h, 0x93278770207d5574ULL);
 }
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanAtHubDegreesSupplyLimited) {
@@ -189,7 +229,7 @@ TEST(OwnerIndexEquivalence, MatchesNaiveScanAtHubDegreesSupplyLimited) {
   cfg.max_purchase_attempts = 96;
   cfg.base_spend_rate = 7.2;
   expect_has_hub_buyers(cfg);
-  expect_identical_markets(cfg, 80.0);
+  EXPECT_EQ(expect_identical_markets(cfg, 80.0), 0xb46c5293425af860ULL);
 }
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanAtHubDegreesUnderChurn) {
@@ -201,7 +241,7 @@ TEST(OwnerIndexEquivalence, MatchesNaiveScanAtHubDegreesUnderChurn) {
   cfg.churn.arrival_rate = 1.0;
   cfg.churn.mean_lifespan = 40.0;
   cfg.churn.join_links = 70;  // arrivals become hubs immediately
-  expect_identical_markets(cfg, 100.0);
+  EXPECT_EQ(expect_identical_markets(cfg, 100.0), 0x07a681895c547595ULL);
 }
 
 TEST(OwnerIndexEquivalence, MatchesNaiveScanSupplyLimited) {
@@ -217,7 +257,7 @@ TEST(OwnerIndexEquivalence, MatchesNaiveScanSupplyLimited) {
   cfg.tax.enabled = true;
   cfg.tax.rate = 0.15;
   cfg.tax.threshold = 30.0;
-  expect_identical_markets(cfg, 80.0);
+  EXPECT_EQ(expect_identical_markets(cfg, 80.0), 0x375376352e13e421ULL);
 }
 
 TEST(OwnerIndexInvariant, MirrorsEveryBufferAfterChurnHeavyRun) {
