@@ -202,14 +202,13 @@ BENCHMARK(BM_SimulationCoreScale)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(10);
 
-// Shared scaffolding for the purchase-phase comparisons: warm the market,
-// run one simulated round per benchmark iteration, and report the
-// purchase-phase wall time per round — the hot-path readout the
-// owner-index speedup is judged on (rounds == benchmark iterations here).
+// Shared scaffolding for the purchase-phase benches: warm the market, run
+// one simulated round per benchmark iteration, and report the
+// purchase-phase wall time per round — the hot-path readout
+// (rounds == benchmark iterations here).
 void run_purchase_phase_benchmark(benchmark::State& state,
                                   p2p::ProtocolConfig cfg) {
   cfg.overlay_mean_degree = static_cast<double>(state.range(0));
-  cfg.use_owner_index = state.range(1) != 0;
   sim::Simulator simulator;
   p2p::StreamingProtocol proto(cfg, simulator);
   proto.start();
@@ -227,10 +226,8 @@ void run_purchase_phase_benchmark(benchmark::State& state,
       static_cast<double>(state.iterations());
 }
 
-// The purchase-phase hot path: owner-index fast path vs the naive
-// O(window × degree) neighbor rescan, across overlay degree. Both runs are
-// bit-identical markets (same seed, same trades) — only the candidate
-// resolution differs — so the time delta is purely the seller-scan cost.
+// The purchase-phase hot path across overlay degree: candidate masks built
+// from the neighbors' ownership rows, one seller pick per wanted chunk.
 void BM_PurchasePhase(benchmark::State& state) {
   p2p::ProtocolConfig cfg;
   cfg.initial_peers = 500;
@@ -240,20 +237,16 @@ void BM_PurchasePhase(benchmark::State& state) {
   run_purchase_phase_benchmark(state, cfg);
 }
 BENCHMARK(BM_PurchasePhase)
-    ->ArgNames({"degree", "index"})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({64, 0})
-    ->Args({64, 1})
+    ->ArgNames({"degree"})
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-// The same comparison in a supply-limited market (upload capacity below the
-// stream rate, the paper's saturated Sec. V-C regime, with a long playback
-// window): buyers carry long shopping lists and most scans find no seller
-// with budget left, which is exactly where the naive O(window × degree)
-// rescan blows up.
+// The same in a supply-limited market (upload capacity below the stream
+// rate, the paper's saturated Sec. V-C regime, with a long playback
+// window): buyers carry long shopping lists, sellers drain mid-phase, and
+// the 96-chunk window takes the generic mask width.
 void BM_PurchasePhaseBacklogged(benchmark::State& state) {
   p2p::ProtocolConfig cfg;
   cfg.initial_peers = 500;
@@ -268,11 +261,9 @@ void BM_PurchasePhaseBacklogged(benchmark::State& state) {
   run_purchase_phase_benchmark(state, cfg);
 }
 BENCHMARK(BM_PurchasePhaseBacklogged)
-    ->ArgNames({"degree", "index"})
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({64, 0})
-    ->Args({64, 1})
+    ->ArgNames({"degree"})
+    ->Arg(32)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 // The PR-8 order-book purchase path, end to end: every round posts /

@@ -27,7 +27,8 @@ creditflow::core::MarketReport run_design(bool careless) {
   if (careless) {
     cfg.protocol.initial_credits = 200;
     cfg.protocol.upload_capacity = 8.0;
-    cfg.protocol.weight_sellers_by_fill = true;
+    cfg.protocol.seller_choice =
+        p2p::ProtocolConfig::SellerChoice::kFillWeighted;
     cfg.protocol.deficit_seeding = false;
     cfg.protocol.reserve_credits = 0.0;
     cfg.protocol.pricing.kind = econ::PricingKind::kPoisson;

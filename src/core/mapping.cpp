@@ -63,7 +63,7 @@ JacksonMapping mapping_from_trace(const p2p::StreamingProtocol& protocol,
                                   double now) {
   const auto& trace = protocol.trace();
   CF_EXPECTS_MSG(trace.enabled(), "transaction trace was not enabled");
-  CF_EXPECTS_MSG(trace.count() > 0, "no transactions recorded");
+  CF_EXPECTS_MSG(!trace.pair_flows().empty(), "no transactions recorded");
 
   const auto alive = protocol.alive_peers();
   CF_EXPECTS(alive.size() >= 2);

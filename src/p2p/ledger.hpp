@@ -42,8 +42,6 @@ class CreditLedger {
     if (balance_[from] < amount) return false;
     balance_[from] -= amount;
     balance_[to] += amount;
-    ++transfers_;
-    volume_ += amount;
     return true;
   }
 
@@ -77,9 +75,6 @@ class CreditLedger {
   [[nodiscard]] Credits treasury() const { return treasury_; }
   [[nodiscard]] Credits total_minted() const { return minted_; }
   [[nodiscard]] Credits total_burned() const { return burned_; }
-  /// Lifetime transfer count / volume (for rate accounting).
-  [[nodiscard]] std::uint64_t transfer_count() const { return transfers_; }
-  [[nodiscard]] Credits transfer_volume() const { return volume_; }
 
   /// Sum of all balances (O(n)); excludes bonded stake.
   [[nodiscard]] Credits circulating() const;
@@ -101,8 +96,6 @@ class CreditLedger {
   Credits treasury_ = 0;
   Credits minted_ = 0;
   Credits burned_ = 0;
-  std::uint64_t transfers_ = 0;
-  Credits volume_ = 0;
 };
 
 }  // namespace creditflow::p2p

@@ -9,7 +9,9 @@ PeerTable::PeerTable(std::size_t max_peers, std::size_t window_chunks)
       join_time_(max_peers, 0.0),
       depart_time_(max_peers,
                    std::numeric_limits<double>::infinity()),
-      buffer_words_(max_peers * BufferMap::words_for(window_chunks), 0),
+      window_(window_chunks),
+      words_(BufferMap::words_for(window_chunks)),
+      buffer_words_(max_peers * words_, 0),
       credits_earned_(max_peers, 0),
       credits_spent_(max_peers, 0),
       chunks_downloaded_(max_peers, 0),
@@ -21,10 +23,9 @@ PeerTable::PeerTable(std::size_t max_peers, std::size_t window_chunks)
       activations_(max_peers, 0) {
   CF_EXPECTS(max_peers > 0);
   CF_EXPECTS(window_chunks > 0);
-  const std::size_t words = BufferMap::words_for(window_chunks);
   buffers_.reserve(max_peers);
   for (std::size_t i = 0; i < max_peers; ++i) {
-    buffers_.emplace_back(window_chunks, buffer_words_.data() + i * words);
+    buffers_.emplace_back(window_chunks, buffer_words_.data() + i * words_);
   }
 }
 

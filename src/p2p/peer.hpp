@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "p2p/chunk.hpp"
@@ -100,6 +101,15 @@ class PeerTable {
   [[nodiscard]] BufferMap& buffer(PeerId i) { return buffers_[i]; }
   [[nodiscard]] const BufferMap& buffer(PeerId i) const { return buffers_[i]; }
 
+  /// Chunks per window (every slot's BufferMap capacity).
+  [[nodiscard]] std::size_t window() const { return window_; }
+  /// Slot i's ownership bitmap: its BufferMap's words in the arena. Bit
+  /// `chunk % window()` is set <=> the slot holds that chunk of its current
+  /// window. The purchase phase ANDs these rows against its wanted chunks.
+  [[nodiscard]] std::span<const std::uint64_t> owned(PeerId i) const {
+    return {buffer_words_.data() + i * words_, words_};
+  }
+
   [[nodiscard]] std::uint64_t& credits_earned(PeerId i) {
     return credits_earned_[i];
   }
@@ -178,6 +188,8 @@ class PeerTable {
   std::vector<double> base_spend_rate_;
   std::vector<double> join_time_;
   std::vector<double> depart_time_;
+  std::size_t window_;
+  std::size_t words_;  ///< arena words per slot
   /// One arena of BufferMap words for the whole table, packed in slot
   /// order; sized once and never resized (buffers_ hold raw pointers in).
   std::vector<std::uint64_t> buffer_words_;

@@ -1,10 +1,8 @@
 #include "p2p/protocol.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "graph/generators.hpp"
 #include "util/assert.hpp"
@@ -26,23 +24,6 @@ std::size_t protocol_edge_cells(std::size_t max_peers, double mean_degree,
       std::max(mean_degree, 2.0 * static_cast<double>(join_links));
   return max_peers *
          static_cast<std::size_t>(std::ceil(per_peer)) * 2;
-}
-
-/// Index of the `n`-th (0-based) set bit across `words`; requires that many
-/// set bits to exist.
-std::size_t nth_set_bit(const std::uint64_t* words, std::size_t num_words,
-                        std::size_t n) {
-  for (std::size_t w = 0; w < num_words; ++w) {
-    const auto c = static_cast<std::size_t>(std::popcount(words[w]));
-    if (n < c) {
-      std::uint64_t m = words[w];
-      for (; n > 0; --n) m &= m - 1;
-      return w * 64 + static_cast<std::size_t>(std::countr_zero(m));
-    }
-    n -= c;
-  }
-  CF_ENSURES_MSG(false, "nth_set_bit: fewer set bits than requested");
-  return 0;  // unreachable
 }
 
 /// Samples scope duration (µs) into a histogram, but only while the tracer
@@ -81,7 +62,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
       overlay_(cfg_.max_peers,
                protocol_edge_cells(cfg_.max_peers, cfg_.overlay_mean_degree,
                                    cfg_.churn.join_links)),
-      owner_index_(cfg_.max_peers, std::max<std::size_t>(cfg_.window_chunks, 1)),
       peers_(cfg_.max_peers, std::max<std::size_t>(cfg_.window_chunks, 1)),
       pricing_(econ::make_pricing(cfg_.pricing)),
       spending_(make_spending_policy(cfg_.spending)),
@@ -121,9 +101,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
     if (st.collude_fraction > 0.0) colluder_scratch_.reserve(cfg_.max_peers);
     if (st.staked_fraction > 0.0) staked_scratch_.reserve(cfg_.max_peers);
   }
-  if (cfg_.weight_sellers_by_fill) {
-    cfg_.seller_choice = ProtocolConfig::SellerChoice::kFillWeighted;
-  }
   if (cfg_.injection.enabled) {
     CF_EXPECTS(cfg_.injection.interval_seconds > 0.0);
     CF_EXPECTS(cfg_.injection.credits_per_peer > 0);
@@ -155,9 +132,10 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   churn_arrivals_dropped_ = metrics_.counter_cell("churn.arrivals_dropped");
   churn_departures_ = metrics_.counter_cell("churn.departures");
   churn_credits_taken_ = metrics_.counter_cell("churn.credits_taken");
-  phase_one_word_ct_ = metrics_.counter_cell("purchase.phase_one_word");
-  phase_two_word_ct_ = metrics_.counter_cell("purchase.phase_two_word");
-  phase_generic_ct_ = metrics_.counter_cell("purchase.phase_generic");
+  phase_width_ct_[PurchaseCandidates::kDynamicWords] =
+      metrics_.counter_cell("purchase.phase_generic");
+  phase_width_ct_[1] = metrics_.counter_cell("purchase.phase_one_word");
+  phase_width_ct_[2] = metrics_.counter_cell("purchase.phase_two_word");
   overlay_edges_dropped_ = metrics_.counter_cell("overlay.edges_dropped");
   whitewash_resets_ = metrics_.counter_cell("strat.whitewash_resets");
   whitewash_minted_ = metrics_.counter_cell("strat.whitewash_minted");
@@ -256,15 +234,11 @@ Credits StreamingProtocol::activate_peer(PeerId id, double now, bool initial) {
   const ChunkId base = head - cfg_.window_chunks;
   BufferMap& buffer = peers_.buffer(id);
   buffer.reset(base);
-  owner_index_.on_clear(id);
   // Warm start: join holding most of the current window, as a peer that has
   // been streaming for a while (or bootstrapped quickly) would.
   if (cfg_.warm_start_fill > 0.0) {
     for (ChunkId c = base; c < head; ++c) {
-      if (rng_.bernoulli(cfg_.warm_start_fill)) {
-        buffer.set(c);
-        owner_index_.on_gain(id, c);
-      }
+      if (rng_.bernoulli(cfg_.warm_start_fill)) buffer.set(c);
     }
   }
   const Credits grant = rejoin_grant(activation);
@@ -386,7 +360,9 @@ void StreamingProtocol::handle_departure(PeerId id, double now) {
   *churn_credits_taken_ += taken;
   tax_.forget_peer(id);
   overlay_.leave(id);
-  owner_index_.on_clear(id);
+  // Nothing reads a dead slot's window, but an empty ownership row keeps a
+  // stale neighbor-list entry from ever yielding a purchase candidate.
+  peers_.buffer(id).reset(peers_.buffer(id).base());
   peers_.set_alive(id, false);
   if (book_ != nullptr) {
     // Seller churn expires its resting ask immediately — no ghost supply.
@@ -426,10 +402,7 @@ void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
       if (k == 0 && staked_priority && !staked_scratch_.empty()) {
         const PeerId bonded =
             staked_scratch_[rng_.uniform_index(staked_scratch_.size())];
-        if (peers_.buffer(bonded).set(c)) {
-          owner_index_.on_gain(bonded, c);
-          ++peers_.chunks_seeded(bonded);
-        }
+        if (peers_.buffer(bonded).set(c)) ++peers_.chunks_seeded(bonded);
         continue;
       }
       // Deficit-based seeding: the source prefers starving peers — sample a
@@ -447,10 +420,7 @@ void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
           }
         }
       }
-      if (peers_.buffer(target).set(c)) {
-        owner_index_.on_gain(target, c);
-        ++peers_.chunks_seeded(target);
-      }
+      if (peers_.buffer(target).set(c)) ++peers_.chunks_seeded(target);
     }
   }
 }
@@ -467,10 +437,7 @@ void StreamingProtocol::run_round(double now) {
   const auto active = overlay_.active_peers();
   round_order_.assign(active.begin(), active.end());
   for (PeerId id : round_order_) {
-    BufferMap& buffer = peers_.buffer(id);
-    const ChunkId old_base = buffer.base();
-    buffer.advance(window_base);
-    owner_index_.on_advance(id, old_base, window_base);
+    peers_.buffer(id).advance(window_base);
     upload_budget_[id] = peers_.upload_capacity(id) * cfg_.round_seconds;
   }
   // Mirror the overlay's edge-drop count into the registry (pure readout;
@@ -787,14 +754,143 @@ bool StreamingProtocol::book_cross(PeerId buyer, ChunkId chunk,
   return true;
 }
 
+template <std::size_t Words>
+bool StreamingProtocol::pick_seller(ChunkId chunk, PeerId& seller) {
+  using Choice = ProtocolConfig::SellerChoice;
+  const auto sellers = candidates_.sellers<Words>(chunk);
+  switch (cfg_.seller_choice) {
+    case Choice::kFillWeighted:
+      // Weight by the seller's buffer fill: concentrates demand on
+      // chunk-rich (typically wealthy) peers — the rich-get-richer
+      // ablation.
+      seller_ids_.clear();
+      seller_weights_.clear();
+      sellers.for_each([this](PeerId candidate) {
+        seller_ids_.push_back(candidate);
+        seller_weights_.push_back(
+            static_cast<double>(peers_.buffer(candidate).count()) + 1.0);
+      });
+      if (seller_ids_.empty()) return false;
+      seller = seller_ids_[rng_.discrete(seller_weights_)];
+      return true;
+    case Choice::kCheapestAsk: {
+      // Procurement auction: the cheapest ask wins, ties to the earliest
+      // neighbor in list order.
+      bool found = false;
+      econ::Credits best = 0;
+      sellers.for_each([&](PeerId candidate) {
+        const econ::Credits ask = pricing_->price(candidate, chunk);
+        if (!found || ask < best) {
+          found = true;
+          best = ask;
+          seller = candidate;
+        }
+      });
+      return found;
+    }
+    case Choice::kAvailabilityUniform:
+      break;
+  }
+  // Availability-driven routing (the paper's transfer probabilities):
+  // uniform among the neighbors that own the chunk and still have upload
+  // budget. Capacity shapes income only through saturation (the budget
+  // filter), so λ_i is wealth-independent — the Jackson structure.
+  const std::size_t num_sellers = sellers.count();
+  if (num_sellers == 0) return false;
+  seller = sellers.nth(uniform_pick(num_sellers));
+  return true;
+}
+
+template <std::size_t Words>
+void StreamingProtocol::buy_missing(PeerId buyer_id,
+                                    std::span<const ChunkId> missing,
+                                    std::span<const PeerId> neighbors,
+                                    std::size_t purchase_cap, double budget,
+                                    double now) {
+  const bool book_mode = book_ != nullptr;
+  BufferMap& buyer_buffer = peers_.buffer(buyer_id);
+  std::size_t purchased = 0;
+  for (const ChunkId chunk : missing) {
+    if (purchased >= purchase_cap) break;
+    if (budget <= 0.0) break;
+    PeerId seller_id = 0;
+    econ::Credits price = 0;
+    // Order-book market: cross the resting asks instead of picking a
+    // seller directly; the transacted price is the ask's.
+    const bool have_seller =
+        book_mode ? book_cross(buyer_id, chunk, neighbors, seller_id, price)
+                  : pick_seller<Words>(chunk, seller_id);
+    if (!have_seller) {
+      ++peers_.failed_availability(buyer_id);
+      continue;
+    }
+    if (!book_mode) price = pricing_->price(seller_id, chunk);
+
+    if (static_cast<double>(price) > budget) {
+      ++peers_.failed_affordability(buyer_id);
+      continue;  // cheaper chunks later in the window may still fit
+    }
+    if (price > 0 && !ledger_.transfer(buyer_id, seller_id, price)) {
+      ++peers_.failed_affordability(buyer_id);
+      ++*liquidity_failures_;
+      continue;
+    }
+
+    // Delivery.
+    const bool fresh = buyer_buffer.set(chunk);
+    CF_ENSURES_MSG(fresh, "purchased a chunk already held");
+    upload_budget_[seller_id] -= 1.0;
+    if (book_mode) {
+      // Partial fill: one unit off the resting ask (it expires in place
+      // when it drains). A seller whose upload budget ran out mid-round
+      // loses its whole ask — no capacity left to back it.
+      ++*book_fills_;
+      *book_volume_ += price;
+      ++book_sold_[seller_id];
+      (void)book_->fill_one(seller_id);
+      if (upload_budget_[seller_id] < 1.0 && book_->cancel_ask(seller_id)) {
+        ++*book_asks_expired_;
+      }
+      if (book_->has_bid(buyer_id) && price <= book_->bid_limit(buyer_id)) {
+        book_->on_bid_matched(buyer_id);
+        ++*book_bids_matched_;
+      }
+    } else if (upload_budget_[seller_id] < 1.0) {
+      candidates_.remove(seller_id, missing);
+    }
+    budget -= static_cast<double>(price);
+    ++purchased;
+
+    peers_.credits_spent(buyer_id) += price;
+    peers_.credits_earned(seller_id) += price;
+    ++peers_.chunks_downloaded(buyer_id);
+    ++peers_.chunks_uploaded(seller_id);
+    trace_.record(now, buyer_id, seller_id, chunk, price);
+    ++*tx_count_;
+    *tx_volume_ += price;
+
+    // Income taxation above the wealth threshold (Sec. VI-C).
+    if (cfg_.tax.enabled && price > 0) {
+      const auto due =
+          tax_.on_income(seller_id, price, ledger_.balance(seller_id));
+      if (due > 0) {
+        const auto collected = ledger_.collect_tax(seller_id, due);
+        CF_ENSURES_MSG(collected == due,
+                       "tax engine asked for more than the balance");
+        *tax_collected_ += collected;
+      }
+    }
+  }
+}
+
 void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   const ScopedLatencySample latency(buyer_latency_hist_);
   if (!peers_.alive(buyer_id)) return;  // departed mid-round
-  BufferMap& buyer_buffer = peers_.buffer(buyer_id);
+  const BufferMap& buyer_buffer = peers_.buffer(buyer_id);
 
-  double budget = spending_->round_budget(peers_.base_spend_rate(buyer_id),
-                                          ledger_.balance(buyer_id),
-                                          cfg_.round_seconds);
+  const double budget = spending_->round_budget(
+      peers_.base_spend_rate(buyer_id), ledger_.balance(buyer_id),
+      cfg_.round_seconds);
   if (budget <= 0.0) return;
 
   buyer_buffer.missing_into(missing_scratch_);
@@ -825,374 +921,33 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
     purchase_cap = std::max<std::size_t>(1, keep_pace);
   }
 
-  // Resolve each wanted chunk's sellers up front through the owner index
-  // (word-wide AND walks over the neighbors' ownership bitmaps) instead of
-  // rescanning every neighbor per chunk. Sound within one buyer phase:
-  // sellers' ownership and aliveness cannot change until the phase ends
-  // (only this buyer gains chunks, and churn events never interleave with a
-  // round), and upload budgets only *decrease*, which the re-check in the
-  // loop below mirrors exactly.
-  const bool book_mode = book_ != nullptr;
-  if (cfg_.use_owner_index && !book_mode) {
-    build_purchase_candidates(neighbors, missing, buyer_buffer.base());
-  }
-
-  std::size_t purchased = 0;
-  for (ChunkId chunk : missing) {
-    if (purchased >= purchase_cap) break;
-    if (budget < 1.0 && budget <= 0.0) break;
-    // Collect neighbor sellers that hold the chunk and still have upload
-    // budget this round; weight by their availability (buffer fill).
-    // Availability-driven routing (the paper's transfer probabilities):
-    // uniform among the neighbors that own the chunk and still have
-    // upload budget. Capacity shapes income only through saturation (the
-    // budget filter), so λ_i is wealth-independent — the Jackson
-    // structure. The fill-weighted variant instead concentrates demand on
-    // chunk-rich (typically wealthy) peers: the rich-get-richer ablation.
-    const bool fill_weighted =
-        cfg_.seller_choice == ProtocolConfig::SellerChoice::kFillWeighted;
-    PeerId seller_id = 0;
-    bool have_seller = false;
-    econ::Credits book_price = 0;
-    if (book_mode) {
-      // Order-book market: cross the resting asks instead of picking a
-      // seller directly; the transacted price is the ask's, resolved here.
-      have_seller = book_cross(buyer_id, chunk, neighbors, seller_id,
-                               book_price);
-    } else if (cfg_.use_owner_index && phase_single_word_) {
-      // Single-word phase (the dominant configuration): the whole
-      // candidate set is one word, so count/pick/walk need no word loop.
-      // Identical candidate sets and picks as the generic path below.
-      const std::uint64_t mask = slot_masks_[phase_slot(chunk)];
-      if (mask != 0) {
-        have_seller = true;
-        if (cfg_.seller_choice ==
-            ProtocolConfig::SellerChoice::kCheapestAsk) {
-          econ::Credits best = std::numeric_limits<econ::Credits>::max();
-          std::uint64_t m = mask;
-          while (m != 0) {
-            const PeerId candidate =
-                eligible_[static_cast<std::size_t>(std::countr_zero(m))];
-            m &= m - 1;
-            const econ::Credits ask = pricing_->price(candidate, chunk);
-            if (ask < best) {
-              best = ask;
-              seller_id = candidate;
-            }
-          }
-        } else if (fill_weighted) {
-          seller_ids_.clear();
-          seller_weights_.clear();
-          std::uint64_t m = mask;
-          while (m != 0) {
-            const PeerId candidate =
-                eligible_[static_cast<std::size_t>(std::countr_zero(m))];
-            m &= m - 1;
-            seller_ids_.push_back(candidate);
-            seller_weights_.push_back(
-                static_cast<double>(peers_.buffer(candidate).count()) + 1.0);
-          }
-          seller_id = seller_ids_[rng_.discrete(seller_weights_)];
-        } else {
-          const auto num_sellers =
-              static_cast<std::size_t>(std::popcount(mask));
-          std::uint64_t m = mask;
-          for (std::size_t skip = uniform_pick(num_sellers); skip > 0;
-               --skip) {
-            m &= m - 1;
-          }
-          seller_id =
-              eligible_[static_cast<std::size_t>(std::countr_zero(m))];
-        }
-      }
-    } else if (cfg_.use_owner_index && phase_two_word_) {
-      // Two-word phase (hub buyers: 65..128 budgeted neighbors): the
-      // candidate mask is exactly two words, so count and pick run
-      // unrolled — no per-word loop, no nth_set_bit call. Candidate sets,
-      // RNG draws and picks are identical to the generic path below.
-      const std::uint64_t* mask = slot_masks_.data() + phase_slot(chunk) * 2;
-      const std::uint64_t m0 = mask[0];
-      const std::uint64_t m1 = mask[1];
-      const auto c0 = static_cast<std::size_t>(std::popcount(m0));
-      const std::size_t num_sellers =
-          c0 + static_cast<std::size_t>(std::popcount(m1));
-      if (num_sellers > 0) {
-        have_seller = true;
-        if (cfg_.seller_choice ==
-            ProtocolConfig::SellerChoice::kCheapestAsk) {
-          econ::Credits best = std::numeric_limits<econ::Credits>::max();
-          for (std::size_t w = 0; w < 2; ++w) {
-            std::uint64_t m = mask[w];
-            while (m != 0) {
-              const PeerId candidate = eligible_[
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-              m &= m - 1;
-              const econ::Credits ask = pricing_->price(candidate, chunk);
-              if (ask < best) {
-                best = ask;
-                seller_id = candidate;
-              }
-            }
-          }
-        } else if (fill_weighted) {
-          seller_ids_.clear();
-          seller_weights_.clear();
-          for (std::size_t w = 0; w < 2; ++w) {
-            std::uint64_t m = mask[w];
-            while (m != 0) {
-              const PeerId candidate = eligible_[
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-              m &= m - 1;
-              seller_ids_.push_back(candidate);
-              seller_weights_.push_back(
-                  static_cast<double>(peers_.buffer(candidate).count()) +
-                  1.0);
-            }
-          }
-          seller_id = seller_ids_[rng_.discrete(seller_weights_)];
-        } else {
-          // The nth set bit across (m0, m1), in ascending (neighbor-list)
-          // order — the same select nth_set_bit performs, without the
-          // word scan.
-          std::size_t n = uniform_pick(num_sellers);
-          std::uint64_t m = m0;
-          std::size_t word_base = 0;
-          if (n >= c0) {
-            n -= c0;
-            m = m1;
-            word_base = 64;
-          }
-          for (; n > 0; --n) m &= m - 1;
-          seller_id = eligible_[
-              word_base + static_cast<std::size_t>(std::countr_zero(m))];
-        }
-      }
-    } else if (cfg_.use_owner_index) {
-      // The slot's candidate mask is already budget-correct (drained
-      // sellers were cleared the moment they drained), so the candidate
-      // count is a popcount and the uniform pick an nth-set-bit select.
-      const std::uint64_t* mask =
-          slot_masks_.data() + phase_slot(chunk) * eligible_words_;
-      std::size_t num_sellers = 0;
-      for (std::size_t w = 0; w < eligible_words_; ++w) {
-        num_sellers += static_cast<std::size_t>(std::popcount(mask[w]));
-      }
-      if (num_sellers > 0) {
-        have_seller = true;
-        if (cfg_.seller_choice ==
-            ProtocolConfig::SellerChoice::kCheapestAsk) {
-          // Procurement auction: cheapest ask wins, ties broken by scan
-          // order — ascending bit position is neighbor-list order.
-          econ::Credits best = std::numeric_limits<econ::Credits>::max();
-          for (std::size_t w = 0; w < eligible_words_; ++w) {
-            std::uint64_t m = mask[w];
-            while (m != 0) {
-              const PeerId candidate = eligible_[
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-              m &= m - 1;
-              const econ::Credits ask = pricing_->price(candidate, chunk);
-              if (ask < best) {
-                best = ask;
-                seller_id = candidate;
-              }
-            }
-          }
-        } else if (fill_weighted) {
-          seller_ids_.clear();
-          seller_weights_.clear();
-          for (std::size_t w = 0; w < eligible_words_; ++w) {
-            std::uint64_t m = mask[w];
-            while (m != 0) {
-              const PeerId candidate = eligible_[
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-              m &= m - 1;
-              seller_ids_.push_back(candidate);
-              seller_weights_.push_back(
-                  static_cast<double>(peers_.buffer(candidate).count()) +
-                  1.0);
-            }
-          }
-          seller_id = seller_ids_[rng_.discrete(seller_weights_)];
-        } else {
-          seller_id = eligible_[nth_set_bit(mask, eligible_words_,
-                                            uniform_pick(num_sellers))];
-        }
-      }
-    } else {
-      // Reference path: the original O(degree) per-chunk neighbor scan.
-      // Kept for the equivalence tests and the perf benches; must stay
-      // trace-identical to the indexed path.
-      seller_ids_.clear();
-      seller_weights_.clear();
-      for (PeerId nbr : neighbors) {
-        if (!peers_.alive(nbr) || upload_budget_[nbr] < 1.0) continue;
-        const BufferMap& nbr_buffer = peers_.buffer(nbr);
-        if (!nbr_buffer.has(chunk)) continue;
-        seller_ids_.push_back(nbr);
-        if (fill_weighted) {
-          seller_weights_.push_back(
-              static_cast<double>(nbr_buffer.count()) + 1.0);
-        }
-      }
-      if (!seller_ids_.empty()) {
-        have_seller = true;
-        if (cfg_.seller_choice ==
-            ProtocolConfig::SellerChoice::kCheapestAsk) {
-          econ::Credits best = std::numeric_limits<econ::Credits>::max();
-          for (const PeerId candidate : seller_ids_) {
-            const econ::Credits ask = pricing_->price(candidate, chunk);
-            if (ask < best) {
-              best = ask;
-              seller_id = candidate;
-            }
-          }
-        } else if (fill_weighted) {
-          seller_id = seller_ids_[rng_.discrete(seller_weights_)];
-        } else {
-          seller_id = seller_ids_[uniform_pick(seller_ids_.size())];
-        }
-      }
-    }
-    if (!have_seller) {
-      ++peers_.failed_availability(buyer_id);
-      continue;
-    }
-    const econ::Credits price =
-        book_mode ? book_price : pricing_->price(seller_id, chunk);
-
-    if (static_cast<double>(price) > budget) {
-      ++peers_.failed_affordability(buyer_id);
-      continue;  // cheaper chunks later in the window may still fit
-    }
-    if (price > 0 && !ledger_.transfer(buyer_id, seller_id, price)) {
-      ++peers_.failed_affordability(buyer_id);
-      ++*liquidity_failures_;
-      continue;
-    }
-
-    // Delivery.
-    const bool fresh = buyer_buffer.set(chunk);
-    CF_ENSURES_MSG(fresh, "purchased a chunk already held");
-    owner_index_.on_gain(buyer_id, chunk);
-    upload_budget_[seller_id] -= 1.0;
-    if (book_mode) {
-      // Partial fill: one unit off the resting ask (it expires in place
-      // when it drains). A seller whose upload budget ran out mid-round
-      // loses its whole ask — no capacity left to back it.
-      ++*book_fills_;
-      *book_volume_ += price;
-      ++book_sold_[seller_id];
-      (void)book_->fill_one(seller_id);
-      if (upload_budget_[seller_id] < 1.0 && book_->cancel_ask(seller_id)) {
-        ++*book_asks_expired_;
-      }
-      if (book_->has_bid(buyer_id) && price <= book_->bid_limit(buyer_id)) {
-        book_->on_bid_matched(buyer_id);
-        ++*book_bids_matched_;
-      }
-    } else if (cfg_.use_owner_index && upload_budget_[seller_id] < 1.0) {
-      remove_drained_seller(seller_id, missing);
-    }
-    budget -= static_cast<double>(price);
-    ++purchased;
-
-    peers_.credits_spent(buyer_id) += price;
-    peers_.credits_earned(seller_id) += price;
-    ++peers_.chunks_downloaded(buyer_id);
-    ++peers_.chunks_uploaded(seller_id);
-    trace_.record(now, buyer_id, seller_id, chunk, price);
-    ++*tx_count_;
-    *tx_volume_ += price;
-
-    // Income taxation above the wealth threshold (Sec. VI-C).
-    if (cfg_.tax.enabled && price > 0) {
-      const auto due =
-          tax_.on_income(seller_id, price, ledger_.balance(seller_id));
-      if (due > 0) {
-        const auto collected = ledger_.collect_tax(seller_id, due);
-        CF_ENSURES_MSG(collected == due,
-                       "tax engine asked for more than the balance");
-        *tax_collected_ += collected;
-      }
-    }
-  }
-}
-
-void StreamingProtocol::build_purchase_candidates(
-    std::span<const PeerId> neighbors, std::span<const ChunkId> wanted,
-    ChunkId window_base) {
-  phase_base_ = window_base;
-  phase_base_slot_ = owner_index_.slot(window_base);
-  // Hoisted per-seller filter: a seller that entered the phase without
-  // upload budget can never regain it mid-phase (budgets only drain;
-  // mid-phase drains are handled by remove_drained_seller). No aliveness
-  // check: a departed peer holds no overlay edges — it cannot appear in a
-  // neighbor list — and its ownership bitmap is cleared on departure, so
-  // even a stale entry could never contribute a candidate bit. The filter
-  // therefore touches only the dense budget array, never the scattered
-  // per-peer state.
-  eligible_.clear();
-  for (const PeerId nbr : neighbors) {
-    if (upload_budget_[nbr] >= 1.0) {
-      eligible_.push_back(nbr);
-    }
-  }
-  eligible_words_ = (eligible_.size() + 63) / 64;
-  const std::size_t needed = cfg_.window_chunks * eligible_words_;
-  if (slot_masks_.size() < needed) slot_masks_.resize(needed);
-
-  candidates_hist_->add(eligible_.size());
-  phase_single_word_ =
-      owner_index_.words_per_peer() == 1 && eligible_words_ == 1;
-  phase_two_word_ = !phase_single_word_ && eligible_words_ == 2;
-  if (phase_single_word_) {
-    ++*phase_one_word_ct_;
-  } else if (phase_two_word_) {
-    ++*phase_two_word_ct_;
-  } else {
-    ++*phase_generic_ct_;
-  }
-  if (phase_single_word_) {
-    // Dominant configuration (window ≤ 64 chunks, ≤ 64 budgeted
-    // neighbors): every mask is one word, so the scatter loop runs without
-    // the generic path's per-word indexing. Same candidate sets, same
-    // neighbor-order bit layout — outcomes are bit-identical.
-    std::uint64_t miss = 0;
-    for (const ChunkId c : wanted) {
-      const std::size_t s = phase_slot(c);
-      miss |= std::uint64_t{1} << s;
-      slot_masks_[s] = 0;
-    }
-    for (std::size_t j = 0; j < eligible_.size(); ++j) {
-      std::uint64_t m = owner_index_.owned(eligible_[j])[0] & miss;
-      const std::uint64_t bit = std::uint64_t{1} << j;
-      while (m != 0) {
-        slot_masks_[static_cast<std::size_t>(std::countr_zero(m))] |= bit;
-        m &= m - 1;
-      }
-    }
+  if (book_ != nullptr) {
+    // The order book keeps its own per-chunk scan (book_cross): it also
+    // filters on resting asks, and never reads the candidate masks.
+    buy_missing<PurchaseCandidates::kDynamicWords>(
+        buyer_id, missing, neighbors, purchase_cap, budget, now);
     return;
   }
-
-  missing_mask_.assign(owner_index_.words_per_peer(), 0);
-  for (const ChunkId c : wanted) {
-    const std::size_t s = phase_slot(c);
-    missing_mask_[s / 64] |= std::uint64_t{1} << (s % 64);
-    std::uint64_t* row = slot_masks_.data() + s * eligible_words_;
-    std::fill_n(row, eligible_words_, std::uint64_t{0});
-  }
-  for (std::size_t j = 0; j < eligible_.size(); ++j) {
-    const auto words = owner_index_.owned(eligible_[j]);
-    const std::uint64_t bit = std::uint64_t{1} << (j & 63);
-    const std::size_t word_j = j >> 6;
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t m = words[w] & missing_mask_[w];
-      while (m != 0) {
-        const auto s = w * 64 + static_cast<std::size_t>(std::countr_zero(m));
-        m &= m - 1;
-        slot_masks_[s * eligible_words_ + word_j] |= bit;
-      }
-    }
+  // Resolve each wanted chunk's sellers up front: one AND walk over the
+  // neighbors' ownership rows instead of a neighbor rescan per chunk. Sound
+  // within one buyer phase: sellers' ownership and aliveness cannot change
+  // until the phase ends (only this buyer gains chunks, and churn events
+  // never interleave with a round), and upload budgets only *decrease* — a
+  // seller leaves every mask the moment it drains.
+  candidates_.build(peers_, neighbors, upload_budget_, missing,
+                    buyer_buffer.base());
+  candidates_hist_->add(candidates_.eligible().size());
+  ++*phase_width_ct_[candidates_.width()];
+  switch (candidates_.width()) {
+    case 1:
+      buy_missing<1>(buyer_id, missing, neighbors, purchase_cap, budget, now);
+      break;
+    case 2:
+      buy_missing<2>(buyer_id, missing, neighbors, purchase_cap, budget, now);
+      break;
+    default:
+      buy_missing<PurchaseCandidates::kDynamicWords>(
+          buyer_id, missing, neighbors, purchase_cap, budget, now);
   }
 }
 
@@ -1202,24 +957,6 @@ std::size_t StreamingProtocol::uniform_pick(std::size_t num_candidates) {
       u <= 1.0 ? 0 : static_cast<std::size_t>(std::ceil(u)) - 1;
   if (pick >= num_candidates) pick = num_candidates - 1;
   return pick;
-}
-
-void StreamingProtocol::remove_drained_seller(
-    PeerId seller, std::span<const ChunkId> wanted) {
-  // Rare (a seller drains at most once per buyer phase), so a linear scan
-  // for its bit position is fine.
-  std::size_t j = 0;
-  while (j < eligible_.size() && eligible_[j] != seller) ++j;
-  if (j == eligible_.size()) return;
-  const std::uint64_t clear = ~(std::uint64_t{1} << (j & 63));
-  if (phase_single_word_) {
-    for (const ChunkId c : wanted) slot_masks_[phase_slot(c)] &= clear;
-    return;
-  }
-  const std::size_t word_j = j >> 6;
-  for (const ChunkId c : wanted) {
-    slot_masks_[phase_slot(c) * eligible_words_ + word_j] &= clear;
-  }
 }
 
 std::vector<double> StreamingProtocol::balance_snapshot() const {

@@ -20,6 +20,7 @@
 //    (Sec. VI-E, the open-network market).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -29,8 +30,8 @@
 #include "market/order_book.hpp"
 #include "p2p/ledger.hpp"
 #include "p2p/overlay.hpp"
-#include "p2p/owner_index.hpp"
 #include "p2p/peer.hpp"
+#include "p2p/purchase_candidates.hpp"
 #include "p2p/spending.hpp"
 #include "p2p/trace.hpp"
 #include "sim/metrics.hpp"
@@ -82,14 +83,8 @@ struct ProtocolConfig {
   std::size_t seed_fanout = 6;     ///< free copies of each fresh chunk
 
   /// Target mean degree of the bootstrap scale-free overlay (and the knob
-  /// that sizes the purchase phase's per-chunk seller scans).
+  /// that sizes the purchase phase's candidate sets).
   double overlay_mean_degree = 20.0;
-
-  /// Resolve purchase candidates through the incrementally-maintained
-  /// chunk→owner bitmap index (word-wide AND walks) instead of rescanning
-  /// every neighbor per chunk. Both paths produce bit-identical markets —
-  /// the flag exists so tests and perf benches can compare them.
-  bool use_owner_index = true;
 
   /// Mean chunks/sec a peer can serve. The ratio to stream_rate is the
   /// system's capacity headroom: at ~1.25x the swarm is supply-limited and
@@ -135,10 +130,6 @@ struct ProtocolConfig {
   ///    paper defers to future work.
   enum class SellerChoice { kAvailabilityUniform, kFillWeighted, kCheapestAsk };
   SellerChoice seller_choice = SellerChoice::kAvailabilityUniform;
-
-  /// Back-compat convenience used by older configs/tests: true selects
-  /// kFillWeighted at construction time.
-  bool weight_sellers_by_fill = false;
 
   /// How purchases clear:
   ///  * kDirect — the paper's market: the buyer picks a seller per
@@ -249,7 +240,8 @@ class StreamingProtocol {
   }
   [[nodiscard]] std::size_t num_alive() const { return overlay_.num_active(); }
   [[nodiscard]] const econ::TaxationEngine& taxation() const { return tax_; }
-  [[nodiscard]] const OwnerIndex& owner_index() const { return owner_index_; }
+  /// The live per-slot state (ownership rows included), read-only.
+  [[nodiscard]] const PeerTable& peer_table() const { return peers_; }
   [[nodiscard]] TransactionTrace& trace() { return trace_; }
   [[nodiscard]] const TransactionTrace& trace() const { return trace_; }
   /// The live order book; nullptr unless market_mode == kOrderBook.
@@ -344,27 +336,17 @@ class StreamingProtocol {
   void run_round(double now);
   void seed_new_chunks(double now, ChunkId head);
   void peer_purchase_phase(PeerId buyer_id, double now);
-  /// Fill the per-slot candidate bitmasks for this buyer: bit j of slot s
-  /// set ⟺ eligible_[j] owns the wanted chunk at slot s. eligible_ holds
-  /// the buyer's alive, upload-budgeted neighbors in neighbor-list order
-  /// (the tie-break order the seller choice depends on), so ascending bit
-  /// position IS neighbor order.
-  void build_purchase_candidates(std::span<const PeerId> neighbors,
-                                 std::span<const ChunkId> wanted,
-                                 ChunkId window_base);
-  /// OwnerIndex::slot without the per-chunk hardware divide: all chunks a
-  /// phase touches sit in [phase_base_, phase_base_ + window), so one
-  /// wrapping add from the base slot (computed once per phase) suffices.
-  [[nodiscard]] std::size_t phase_slot(ChunkId c) const {
-    std::size_t s =
-        phase_base_slot_ + static_cast<std::size_t>(c - phase_base_);
-    if (s >= cfg_.window_chunks) s -= cfg_.window_chunks;
-    return s;
-  }
-  /// A seller's upload budget dropped below 1 mid-phase: clear its bit
-  /// from every wanted slot so later chunks in this phase skip it (the
-  /// indexed equivalent of the naive scan's per-chunk budget check).
-  void remove_drained_seller(PeerId seller, std::span<const ChunkId> wanted);
+  /// One buyer's purchases over `missing`. Words = candidates_.width(),
+  /// chosen once per buyer (order-book markets cross the book instead).
+  template <std::size_t Words>
+  void buy_missing(PeerId buyer_id, std::span<const ChunkId> missing,
+                   std::span<const PeerId> neighbors,
+                   std::size_t purchase_cap, double budget, double now);
+  /// Pick a seller for wanted chunk `chunk` among this phase's candidates
+  /// per cfg_.seller_choice; false when no neighbor owns it with upload
+  /// budget left.
+  template <std::size_t Words>
+  bool pick_seller(ChunkId chunk, PeerId& seller);
   /// Order-book round opening: every participating seller posts (or
   /// replaces) its ask — quantity from this round's upload budget, price
   /// from the ask-pricing policy (adaptive repricing on its cadence).
@@ -383,7 +365,7 @@ class StreamingProtocol {
   /// Rng::discrete over k all-ones weights draws one uniform() and returns
   /// the first i with u*k - (i+1) <= 0, i.e. ceil(u*k) - 1 (0 when
   /// u*k <= 1) — computed here with the identical RNG draw and identical
-  /// pick, so both purchase paths stay bit-for-bit equal to the discrete()
+  /// pick, so the market stays bit-for-bit equal to the discrete()
   /// formulation without materializing weights or walking the cumsum.
   [[nodiscard]] std::size_t uniform_pick(std::size_t num_candidates);
   void schedule_next_arrival();
@@ -407,8 +389,7 @@ class StreamingProtocol {
   util::Rng rng_;
   CreditLedger ledger_;
   Overlay overlay_;
-  OwnerIndex owner_index_;  ///< mirrors every peer buffer, always live
-  PeerTable peers_;         ///< SoA per-peer state, arena-backed buffers
+  PeerTable peers_;  ///< SoA per-peer state, arena-backed buffers
   std::unique_ptr<econ::PricingScheme> pricing_;
   std::unique_ptr<SpendingPolicy> spending_;
   econ::TaxationEngine tax_;
@@ -432,14 +413,8 @@ class StreamingProtocol {
   std::vector<PeerId> round_order_;
   std::vector<double> seller_weights_;
   std::vector<PeerId> seller_ids_;
-  // Per-buyer-phase scratch for the indexed path: the wanted-chunk mask,
-  // the buyer's eligible neighbors (alive + upload budget, in
-  // neighbor-list order), and one bitmask over those neighbors per window
-  // slot (row-major, eligible_words_ words per slot).
-  std::vector<std::uint64_t> missing_mask_;
-  std::vector<PeerId> eligible_;
-  std::vector<std::uint64_t> slot_masks_;
-  std::size_t eligible_words_ = 0;
+  /// The current buyer phase's seller candidates (rebuilt per buyer).
+  PurchaseCandidates candidates_;
   std::vector<ChunkId> missing_scratch_;
   /// Buyer's neighbor list, materialized once per purchase phase from the
   /// overlay's edge-pool chain (allocation-free at high-water capacity).
@@ -452,23 +427,16 @@ class StreamingProtocol {
   /// Cached cfg_.strat.enabled(): the single branch every strategy hook
   /// sits behind in the default (all-honest) path.
   bool strat_enabled_ = false;
-  ChunkId phase_base_ = 0;          ///< current phase's window base
-  std::size_t phase_base_slot_ = 0; ///< its ring slot (one divide per phase)
-  /// Current phase fits the single-word fast path: the window is ≤ 64
-  /// chunks AND the buyer has 1..64 budgeted neighbors, so every candidate
-  /// mask is exactly one word (set by build_purchase_candidates).
-  bool phase_single_word_ = false;
-  /// Current phase fits the two-word fast path: 65..128 budgeted neighbors
-  /// (eligible_words_ == 2), the hub-buyer regime. Each slot's candidate
-  /// mask is exactly two words, so count/pick run unrolled instead of
-  /// through the generic per-word loops. Mutually exclusive with
-  /// phase_single_word_ (also set by build_purchase_candidates).
-  bool phase_two_word_ = false;
 
   // Hot-loop counter cells cached once (stable for the registry lifetime)
   // so per-event accounting skips the by-name map lookup — and the
   // std::string construction that goes with it, which heap-allocates for
   // names beyond the small-string buffer.
+  //
+  // The trade count: market.transactions counts chunks delivered by a
+  // purchase (direct or order book; price-0 chunks included) and
+  // market.volume sums their prices. Collusion washes are not trades
+  // (strat.collusion_*), nor is free seeding (PeerState::chunks_seeded).
   std::uint64_t* tx_count_ = nullptr;
   std::uint64_t* tx_volume_ = nullptr;
   std::uint64_t* liquidity_failures_ = nullptr;
@@ -480,11 +448,10 @@ class StreamingProtocol {
   std::uint64_t* churn_arrivals_dropped_ = nullptr;
   std::uint64_t* churn_departures_ = nullptr;
   std::uint64_t* churn_credits_taken_ = nullptr;
-  // Purchase-path dispatch counters: how many buyer phases resolved
-  // through each candidate-mask width (the fast-path hit/miss readout).
-  std::uint64_t* phase_one_word_ct_ = nullptr;
-  std::uint64_t* phase_two_word_ct_ = nullptr;
-  std::uint64_t* phase_generic_ct_ = nullptr;
+  // Purchase-path dispatch counters, indexed by PurchaseCandidates::width():
+  // how many buyer phases resolved through each candidate-mask width
+  // (purchase.phase_generic / phase_one_word / phase_two_word).
+  std::array<std::uint64_t*, 3> phase_width_ct_{};
   // Pool-exhaustion readout: the overlay's edge-drop count mirrored into
   // the registry each round, so capacity pressure lands in run telemetry
   // instead of only a warn-once stderr line.

@@ -15,11 +15,4 @@ void TransactionTrace::record_full(double time, PeerId buyer, PeerId seller,
   }
 }
 
-void TransactionTrace::clear() {
-  records_.clear();
-  pair_flows_.clear();
-  count_ = 0;
-  volume_ = 0;
-}
-
 }  // namespace creditflow::p2p

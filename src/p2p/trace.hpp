@@ -23,7 +23,8 @@ struct TransactionRecord {
 ///
 /// Full logging is O(#transactions) memory, so it is off by default and
 /// enabled for analysis runs; pair aggregation alone is cheap and always on
-/// once the trace is enabled.
+/// once the trace is enabled. Trade counts live in the protocol's metrics
+/// (market.transactions / market.volume), not here.
 class TransactionTrace {
  public:
   TransactionTrace() = default;
@@ -34,11 +35,9 @@ class TransactionTrace {
   void set_keep_records(bool keep);
 
   /// Inline: called once per transaction on the hot path; the disabled
-  /// case (the default) must cost two counter bumps, not a function call.
+  /// case (the default) must cost one branch, not a function call.
   void record(double time, PeerId buyer, PeerId seller, std::uint64_t chunk,
               Credits price) {
-    ++count_;
-    volume_ += price;
     if (enabled_) record_full(time, buyer, seller, chunk, price);
   }
 
@@ -50,14 +49,10 @@ class TransactionTrace {
       const {
     return pair_flows_;
   }
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] Credits volume() const { return volume_; }
 
   static std::uint64_t pair_key(PeerId buyer, PeerId seller) {
     return (static_cast<std::uint64_t>(buyer) << 32) | seller;
   }
-
-  void clear();
 
  private:
   void record_full(double time, PeerId buyer, PeerId seller,
@@ -67,8 +62,6 @@ class TransactionTrace {
   bool keep_records_ = false;
   std::vector<TransactionRecord> records_;
   std::unordered_map<std::uint64_t, Credits> pair_flows_;
-  std::uint64_t count_ = 0;
-  Credits volume_ = 0;
 };
 
 }  // namespace creditflow::p2p

@@ -108,8 +108,6 @@ TEST(CreditLedger, TransferMovesCredits) {
   EXPECT_TRUE(ledger.transfer(0, 1, 4));
   EXPECT_EQ(ledger.balance(0), 6u);
   EXPECT_EQ(ledger.balance(1), 4u);
-  EXPECT_EQ(ledger.transfer_count(), 1u);
-  EXPECT_EQ(ledger.transfer_volume(), 4u);
   EXPECT_TRUE(ledger.audit());
 }
 

@@ -47,14 +47,6 @@ TEST(AuctionSellerChoice, RunsAndPaysLowerAveragePrices) {
   EXPECT_LT(auction_price, uniform_price);
 }
 
-TEST(AuctionSellerChoice, LegacyFillWeightedFlagMapsToEnum) {
-  auto cfg = base_config();
-  cfg.protocol.weight_sellers_by_fill = true;
-  core::CreditMarket market(cfg);
-  const auto report = market.run();
-  EXPECT_TRUE(report.ledger_conserved);
-}
-
 TEST(CreditInjection, GrowsMoneySupplyAndIsAudited) {
   auto cfg = base_config();
   cfg.protocol.injection.enabled = true;

@@ -146,12 +146,12 @@ TEST(Protocol, TraceRecordsFlows) {
   proto.trace().set_enabled(true);
   proto.start();
   sim.run_until(50.0);
-  EXPECT_GT(proto.trace().count(), 0u);
+  EXPECT_GT(proto.metrics().counter("market.transactions"), 0u);
   EXPECT_FALSE(proto.trace().pair_flows().empty());
-  // Pair flows sum to total volume.
+  // Pair flows sum to the market's total volume.
   Credits total = 0;
   for (const auto& [k, v] : proto.trace().pair_flows()) total += v;
-  EXPECT_EQ(total, proto.trace().volume());
+  EXPECT_EQ(total, proto.metrics().counter("market.volume"));
 }
 
 TEST(Protocol, CondensedRegimeProducesInequality) {
@@ -168,7 +168,7 @@ TEST(Protocol, CondensedRegimeProducesInequality) {
     if (condensed) {
       cfg.initial_credits = 200;
       cfg.upload_capacity = 8.0;
-      cfg.weight_sellers_by_fill = true;
+      cfg.seller_choice = ProtocolConfig::SellerChoice::kFillWeighted;
       cfg.pricing.kind = econ::PricingKind::kPoisson;
       cfg.pricing.poisson_mean = 1.0;
     } else {

@@ -201,6 +201,39 @@ TEST(StrategyLayer, CollusionLoopsConserveTheLedger) {
   EXPECT_TRUE(report.ledger_conserved);
 }
 
+TEST(StrategyLayer, TradeCountIsPurchasesOnlyWithCollusionApart) {
+  // market.transactions / market.volume count chunks delivered by a
+  // purchase — price-0 chunks included (Poisson prices), collusion washes
+  // excluded. In a closed market every purchase stays in a live peer's
+  // counters, so the per-peer sums reconcile exactly.
+  p2p::ProtocolConfig cfg;
+  cfg.initial_peers = 60;
+  cfg.max_peers = 60;
+  cfg.initial_credits = 40;
+  cfg.seed = 55;
+  cfg.pricing.kind = econ::PricingKind::kPoisson;
+  cfg.pricing.poisson_mean = 1.0;
+  cfg.strat.collude_fraction = 0.3;
+  cfg.strat.collude_clique = 3;
+  cfg.strat.collude_amount = 2;
+  sim::Simulator sim;
+  p2p::StreamingProtocol proto(cfg, sim);
+  proto.start();
+  sim.run_until(150.0);
+  std::uint64_t downloaded = 0;
+  std::uint64_t spent = 0;
+  for (p2p::PeerId id = 0; id < cfg.max_peers; ++id) {
+    const p2p::PeerState peer = proto.peer(id);
+    downloaded += peer.chunks_downloaded;
+    spent += peer.credits_spent;
+  }
+  auto& metrics = proto.metrics();
+  EXPECT_GT(metrics.counter("strat.collusion_volume"), 0u);
+  EXPECT_EQ(downloaded, metrics.counter("market.transactions"));
+  EXPECT_EQ(spent, metrics.counter("market.volume") +
+                       metrics.counter("strat.collusion_volume"));
+}
+
 // Satellite 4: strategic departure under taxation + order-book. The
 // whitewasher's exit path must cancel its resting ask (counted in
 // book_asks_expired) and the re-mint cycle must keep the audit green with
