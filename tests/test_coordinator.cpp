@@ -8,6 +8,7 @@
 // run of the same spec, with exactly one record per RunKey.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -151,6 +152,7 @@ class RawClient {
     EXPECT_TRUE(socket_.send_all(std::string("HELLO ") +
                                  kSweepProtocolVersion + "\n"));
     const std::string header = read_line();
+    header_ = header;
     long long lease_ms = 0;
     std::size_t spec_len = 0;
     std::size_t sweep_len = 0;
@@ -168,10 +170,14 @@ class RawClient {
               util::IoStatus::kOk);
     EXPECT_EQ(reader_.read_exact(sweep_text, sweep_len, 5.0),
               util::IoStatus::kOk);
+    payload_ = spec_text + sweep_text;
     return SweepPlan(ScenarioSpec::parse(spec_text),
                      SweepSpec::parse(sweep_text));
   }
 
+  /// The raw PLAN header line and the payload that followed it.
+  [[nodiscard]] const std::string& header() const { return header_; }
+  [[nodiscard]] const std::string& payload() const { return payload_; }
   /// The session token the coordinator issued in PLAN.
   [[nodiscard]] const std::string& token() const { return token_; }
   /// The series cadence announced in PLAN.
@@ -237,6 +243,14 @@ class RawClient {
   /// Abrupt disconnect — the "kill -9 mid-run" a dead worker looks like.
   void vanish() { socket_.close(); }
 
+  /// True once the coordinator has closed its end (EOF or reset) with no
+  /// further reply line.
+  bool closed_by_peer() {
+    std::string line;
+    const util::IoStatus status = reader_.read_line(line, 5.0);
+    return status == util::IoStatus::kEof || status == util::IoStatus::kError;
+  }
+
  private:
   std::string read_line() {
     std::string line;
@@ -246,9 +260,54 @@ class RawClient {
 
   util::Socket socket_;
   util::SocketReader reader_;
+  std::string header_;
+  std::string payload_;
   std::string token_;
   std::size_t series_every_ = 0;
 };
+
+/// One HTTP request on a fresh status-endpoint connection; the coordinator
+/// closes after the body, so this returns the whole response.
+std::string http_get(std::uint16_t port, const std::string& request_line) {
+  util::Socket s = util::Socket::connect("127.0.0.1", port, 5.0);
+  EXPECT_TRUE(s.send_all(request_line + "\r\n\r\n"));
+  std::string response;
+  while (s.recv_some(response, 5.0) == util::IoStatus::kOk) {
+  }
+  return response;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Replace every value that follows `prefix` in `text` (up to the next
+/// `,`, `}`, `"` or newline) with `#` — masks the clock- and
+/// descriptor-dependent fields of a transcript.
+std::string mask_after(std::string text, const std::string& prefix) {
+  for (auto at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at + 1)) {
+    const auto begin = at + prefix.size();
+    const auto end = std::min(text.find_first_of(",}\"\n", begin),
+                              text.size());
+    text.replace(begin, end - begin, 1, '#');
+  }
+  return text;
+}
+
+/// Replace every occurrence of `from` in `text` with `to`.
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+  for (auto at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
 
 /// Compute the honest run record a correct worker would deliver for
 /// `run_index` of `plan`.
@@ -344,6 +403,192 @@ TEST(Coordinator, Fig11ChurnSweepMatchesThePinnedGoldenHashes) {
   EXPECT_EQ(util::fnv1a64(sink.runs_csv()), 0xc27d93ece3617262ULL);
 }
 
+// ---- Wire and journal transcript -----------------------------------------
+
+TEST(Coordinator, WireAndJournalTranscriptArePinned) {
+  // Every reply line of a scripted session, the journal it writes, and the
+  // shape of /status and /metrics, byte for byte (session tokens, clock
+  // readings and descriptors masked). One-run leases keep the grants
+  // independent of timing; a zero drain lets run() return the moment the
+  // last result lands.
+  const auto dir = scratch_dir("transcript");
+  const std::string journal = (dir / "sweep.journal").string();
+  Coordinator::Options options;
+  options.lease_batch_max = 1;
+  options.cache_dir = (dir / "cache").string();
+  options.journal_path = journal;
+  options.status_port = 0;
+  options.drain_seconds = 0.0;
+  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
+  ServeThread serve(coordinator);
+
+  const std::string spec_text = tiny_base().serialize();
+  const std::string sweep_text = tiny_sweep().serialize();
+  const auto expect_plan_header = [&](const RawClient& client) {
+    EXPECT_EQ(client.token().find_first_not_of("0123456789abcdef"),
+              std::string::npos)
+        << client.token();
+    EXPECT_EQ(client.header(), "PLAN 30000 " +
+                                   std::to_string(spec_text.size()) + " " +
+                                   std::to_string(sweep_text.size()) + " 0 " +
+                                   client.token());
+    EXPECT_EQ(client.payload(), spec_text + sweep_text);
+  };
+
+  RawClient a(coordinator.port());
+  const SweepPlan plan = a.handshake();
+  expect_plan_header(a);
+  EXPECT_EQ(a.request("NEXT"), "RUN 0");
+
+  // The live snapshot while `a` holds run 0.
+  const std::string status = http_get(coordinator.status_port(),
+                                      "GET /status HTTP/1.0");
+  const auto status_split = status.find("\r\n\r\n");
+  ASSERT_NE(status_split, std::string::npos) << status;
+  const std::string status_body = status.substr(status_split + 4);
+  EXPECT_EQ(status.substr(0, status_split),
+            "HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+            "Content-Length: " +
+                std::to_string(status_body.size()) +
+                "\r\nConnection: close");
+  EXPECT_EQ(
+      mask_after(mask_after(mask_after(status_body, "\"elapsed_seconds\":"),
+                            "\"fd\":"),
+                 "\"last_heartbeat_age_seconds\":"),
+      "{\"plan_runs\":8,\"completed\":0,\"pending\":7,\"leased\":1,"
+      "\"orphaned_leases\":0,\"executed\":0,\"cache_hits\":0,"
+      "\"requeued\":0,\"duplicates\":0,\"workers_seen\":1,"
+      "\"leases_resumed\":0,\"journal_orphans\":0,\"done\":false,"
+      "\"elapsed_seconds\":#,\"eta_seconds\":null,"
+      "\"lease_wall_ms\":{\"count\":0,\"mean\":0,\"p50\":0,\"p90\":0,"
+      "\"max\":0},\"workers\":[{\"fd\":#,\"completed\":0,"
+      "\"active_leases\":1,\"throughput_runs_per_s\":0,"
+      "\"last_heartbeat_age_seconds\":#}]}");
+
+  const std::string metrics = http_get(coordinator.status_port(),
+                                       "GET /metrics HTTP/1.0");
+  const auto metrics_split = metrics.find("\r\n\r\n");
+  ASSERT_NE(metrics_split, std::string::npos) << metrics;
+  const std::string metrics_body = metrics.substr(metrics_split + 4);
+  EXPECT_EQ(metrics.substr(0, metrics_split),
+            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n"
+            "Content-Length: " +
+                std::to_string(metrics_body.size()) +
+                "\r\nConnection: close");
+  EXPECT_EQ(mask_after(mask_after(metrics_body,
+                                  "\ncreditflow_sweep_elapsed_seconds "),
+                       "fd=\""),
+            R"(# HELP creditflow_sweep_plan_runs Total runs in the sweep plan.
+# TYPE creditflow_sweep_plan_runs gauge
+creditflow_sweep_plan_runs 8
+# HELP creditflow_sweep_completed_runs Runs completed (executed or cache hits).
+# TYPE creditflow_sweep_completed_runs gauge
+creditflow_sweep_completed_runs 0
+# HELP creditflow_sweep_pending_runs Runs queued and not yet leased.
+# TYPE creditflow_sweep_pending_runs gauge
+creditflow_sweep_pending_runs 7
+# HELP creditflow_sweep_leased_runs Runs currently leased to workers.
+# TYPE creditflow_sweep_leased_runs gauge
+creditflow_sweep_leased_runs 1
+# HELP creditflow_sweep_executed_runs Runs freshly executed by workers.
+# TYPE creditflow_sweep_executed_runs gauge
+creditflow_sweep_executed_runs 0
+# HELP creditflow_sweep_cache_hits Runs answered from the run store.
+# TYPE creditflow_sweep_cache_hits gauge
+creditflow_sweep_cache_hits 0
+# HELP creditflow_sweep_requeued_runs Leases revoked after worker silence.
+# TYPE creditflow_sweep_requeued_runs gauge
+creditflow_sweep_requeued_runs 0
+# HELP creditflow_sweep_duplicate_results Results delivered for already-done runs.
+# TYPE creditflow_sweep_duplicate_results gauge
+creditflow_sweep_duplicate_results 0
+# HELP creditflow_sweep_workers_seen Distinct workers that ever joined.
+# TYPE creditflow_sweep_workers_seen gauge
+creditflow_sweep_workers_seen 1
+# HELP creditflow_sweep_leases_resumed Leases reclaimed via the RESUME handshake.
+# TYPE creditflow_sweep_leases_resumed gauge
+creditflow_sweep_leases_resumed 0
+# HELP creditflow_sweep_journal_orphans Orphaned leases re-created from the journal.
+# TYPE creditflow_sweep_journal_orphans gauge
+creditflow_sweep_journal_orphans 0
+# HELP creditflow_sweep_done 1 when every planned run is complete.
+# TYPE creditflow_sweep_done gauge
+creditflow_sweep_done 0
+# HELP creditflow_sweep_elapsed_seconds Wall time since the coordinator started.
+# TYPE creditflow_sweep_elapsed_seconds gauge
+creditflow_sweep_elapsed_seconds #
+# HELP creditflow_sweep_lease_wall_ms_p50 Median lease wall time in milliseconds.
+# TYPE creditflow_sweep_lease_wall_ms_p50 gauge
+creditflow_sweep_lease_wall_ms_p50 0
+# HELP creditflow_sweep_lease_wall_ms_p90 90th-percentile lease wall time (ms).
+# TYPE creditflow_sweep_lease_wall_ms_p90 gauge
+creditflow_sweep_lease_wall_ms_p90 0
+# HELP creditflow_sweep_worker_completed_runs Runs completed per connected worker.
+# TYPE creditflow_sweep_worker_completed_runs gauge
+creditflow_sweep_worker_completed_runs{fd="#"} 0
+)");
+
+  const std::string record0 = honest_record(plan, 0);
+  EXPECT_EQ(a.deliver(record0), "OK");
+  EXPECT_EQ(a.deliver(record0), "DUP");
+  EXPECT_EQ(a.request("PING"), "PONG");
+  EXPECT_EQ(a.request("RESUME 0123456789abcdef"), "RESUMED 0");
+  EXPECT_EQ(a.request("BOGUS"), "ERR unknown message");
+  EXPECT_TRUE(a.closed_by_peer());
+
+  {
+    RawClient no_hello(coordinator.port());
+    EXPECT_EQ(no_hello.request("NEXT"),
+              std::string("ERR expected HELLO ") + kSweepProtocolVersion);
+    EXPECT_TRUE(no_hello.closed_by_peer());
+  }
+  {
+    RawClient empty_result(coordinator.port());
+    (void)empty_result.handshake();
+    expect_plan_header(empty_result);
+    EXPECT_EQ(empty_result.request("RESULT 0 0"), "ERR bad RESULT length");
+    EXPECT_TRUE(empty_result.closed_by_peer());
+  }
+  {
+    RawClient forger(coordinator.port());
+    (void)forger.handshake();
+    RunResult forged = plan.labelled_result(1);
+    forged.metrics = {{"converged_gini", 0.0}};
+    EXPECT_EQ(forger.deliver(serialize_run_record(plan.key(2), forged)),
+              "ERR run key does not match the plan");
+    EXPECT_TRUE(forger.closed_by_peer());
+  }
+
+  // A fresh session finishes the sweep one lease at a time.
+  RawClient b(coordinator.port());
+  (void)b.handshake();
+  expect_plan_header(b);
+  EXPECT_NE(b.token(), a.token());
+  for (std::size_t idx = 1; idx < plan.size(); ++idx) {
+    EXPECT_EQ(b.request("NEXT"), "RUN " + std::to_string(idx));
+    EXPECT_EQ(b.deliver(honest_record(plan, idx)), "OK");
+  }
+  const auto results = serve.join();
+  expect_identical(render(tiny_base(), tiny_sweep(), results),
+                   render(tiny_base(), tiny_sweep(),
+                          reference_results(tiny_base(), tiny_sweep())));
+
+  std::string expected_journal =
+      "{\"ev\":\"plan\",\"fingerprint\":\"" +
+      RunKey::of(spec_text + sweep_text, plan.size()).hex() +
+      "\",\"runs\":8}\n";
+  for (std::size_t idx = 0; idx < plan.size(); ++idx) {
+    expected_journal += "{\"ev\":\"grant\",\"run\":" + std::to_string(idx) +
+                        ",\"session\":\"" + (idx == 0 ? "A" : "B") +
+                        "\"}\n{\"ev\":\"done\",\"run\":" +
+                        std::to_string(idx) + ",\"key\":\"" +
+                        plan.key(idx).hex() + "\"}\n";
+  }
+  EXPECT_EQ(replace_all(replace_all(read_file(journal), a.token(), "A"),
+                        b.token(), "B"),
+            expected_journal);
+}
+
 // ---- Live status endpoint ------------------------------------------------
 
 TEST(Coordinator, StatusEndpointServesLiveAndDrainedState) {
@@ -355,15 +600,8 @@ TEST(Coordinator, StatusEndpointServesLiveAndDrainedState) {
   ASSERT_NE(coordinator.status_port(), coordinator.port());
   ServeThread serve(coordinator);
 
-  // One HTTP request per connection; the coordinator closes after the body.
   const auto fetch = [&](const std::string& request_line) {
-    util::Socket s =
-        util::Socket::connect("127.0.0.1", coordinator.status_port(), 5.0);
-    EXPECT_TRUE(s.send_all(request_line + "\r\n\r\n"));
-    std::string response;
-    while (s.recv_some(response, 5.0) == util::IoStatus::kOk) {
-    }
-    return response;
+    return http_get(coordinator.status_port(), request_line);
   };
   const auto has = [](const std::string& haystack, const std::string& needle) {
     return haystack.find(needle) != std::string::npos;
@@ -839,18 +1077,11 @@ TEST(Coordinator, RemoteSeriesFilesAreByteIdenticalToLocalExecution) {
   (void)serve.join();
   EXPECT_TRUE(report.completed) << report.error;
 
-  const auto slurp = [](const std::filesystem::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in) << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-  };
   for (std::size_t idx = 0; idx < plan.size(); ++idx) {
     const std::string suffix = ".run" + std::to_string(idx) + ".csv";
-    const std::string local = slurp(dir / ("local" + suffix));
+    const std::string local = read_file(dir / ("local" + suffix));
     EXPECT_FALSE(local.empty()) << idx;
-    EXPECT_EQ(slurp(dir / ("dist" + suffix)), local) << idx;
+    EXPECT_EQ(read_file(dir / ("dist" + suffix)), local) << idx;
   }
 }
 
