@@ -469,13 +469,14 @@ int run_coordinator_sweep(const creditflow::scenario::ScenarioSpec& spec,
   scenario::ResultSink sink;
   sink.set_expected_replications(seeds);
   auto results = coordinator.run();
-  std::cerr << "[coordinator] executed=" << coordinator.executed()
-            << " cache_hits=" << coordinator.cache_hits()
-            << " requeued=" << coordinator.requeued()
-            << " duplicates=" << coordinator.duplicates()
-            << " resumed=" << coordinator.leases_resumed()
-            << " orphans=" << coordinator.journal_orphans()
-            << " workers=" << coordinator.workers_seen() << "\n";
+  const scenario::SweepStatus status = coordinator.status();
+  std::cerr << "[coordinator] executed=" << status.executed
+            << " cache_hits=" << status.cache_hits
+            << " requeued=" << status.requeued
+            << " duplicates=" << status.duplicates
+            << " resumed=" << status.leases_resumed
+            << " orphans=" << status.journal_orphans
+            << " workers=" << status.workers_seen << "\n";
 
   sink.add_all(std::move(results));
   return emit_sweep_outputs(sink, "sweep results — " + spec.name, cli.out);

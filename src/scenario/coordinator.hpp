@@ -31,13 +31,16 @@
 //     whose TCP connection drops reconnects and sends RESUME <token> to
 //     reclaim its outstanding leases (and deliver results computed while
 //     disconnected) instead of forfeiting them. A disconnected session's
-//     leases are therefore held for Options::resume_grace_seconds before
-//     being requeued.
+//     leases are therefore held for a 2 s resume grace (capped at the
+//     lease timeout) before being requeued.
 //   * Batched adaptive leases — NEXT grants up to Options::lease_batch_max
-//     run indices at once, sized per worker from the throughput the
-//     serving loop already tracks for /status: fast workers amortize
-//     round-trips over bigger batches, stragglers shrink toward one run
-//     so their failure forfeits little.
+//     run indices at once, sized per worker from its measured throughput:
+//     fast workers amortize round-trips over bigger batches, stragglers
+//     shrink toward one run so their failure forfeits little.
+//
+// The lease policy is LeaseScheduler (lease_scheduler.hpp), which does no
+// I/O; run() is the poll loop that feeds it protocol events and writes the
+// store, the journal and the replies around it.
 //
 // Wire protocol v2 (newline-delimited ASCII; payloads length-prefixed):
 //
@@ -81,11 +84,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "scenario/executor.hpp"
+#include "scenario/lease_scheduler.hpp"
 #include "scenario/plan.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
@@ -95,15 +98,6 @@ namespace creditflow::scenario {
 /// The protocol version token exchanged in HELLO; bumped whenever the wire
 /// format changes incompatibly. v2: RESUME, batched RUN, series payloads.
 inline constexpr const char* kSweepProtocolVersion = "creditflow-sweep-2";
-
-/// Thrown out of Coordinator::run() when Options::abort_after_executed
-/// fires — the deterministic stand-in for a SIGKILL in crash-recovery
-/// tests (the coordinator stops serving with leases outstanding and
-/// results unmerged, exactly like a killed process).
-class CoordinatorAborted : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// Serves a SweepPlan to socket workers and merges their results.
 class Coordinator {
@@ -117,19 +111,13 @@ class Coordinator {
 
     /// A lease not refreshed by any traffic from its worker within this
     /// window is revoked and re-queued for the next NEXT request. Workers
-    /// heartbeat at a fraction of this (announced in PLAN), so only a
+    /// heartbeat at a quarter of this (announced in PLAN), so only a
     /// dead, wedged, or partitioned worker ever times out.
     double lease_timeout_seconds = 30.0;
 
     /// After the last run completes, keep answering stragglers (NEXT →
     /// DONE, RESULT → DUP) for at most this long before closing up.
     double drain_seconds = 1.0;
-
-    /// How long a disconnected session's leases wait for a RESUME before
-    /// being requeued (capped by the remaining lease timeout). Long
-    /// enough for a reconnect with backoff, short enough that a genuinely
-    /// dead worker delays the fleet by at most this much.
-    double resume_grace_seconds = 2.0;
 
     /// Ceiling on run indices granted per NEXT. The actual batch is sized
     /// per worker from its measured throughput (fresh and slow workers
@@ -159,8 +147,9 @@ class Coordinator {
     std::string series_out_prefix;
 
     /// Called for each completed run — cache hits first (telemetry
-    /// .from_cache set), then fresh completions in arrival order. Runs on
-    /// the coordinator's serving thread; progress reporting only.
+    /// .from_cache set), then fresh completions in arrival order, stored
+    /// and journalled but not yet acknowledged. Runs on the coordinator's
+    /// serving thread; progress reporting only (an exception ends run()).
     std::function<void(const RunResult&)> on_result;
 
     /// Live status endpoint: when >= 0, bind a second listener on the same
@@ -171,12 +160,6 @@ class Coordinator {
     /// drain_seconds window (no early exit when the last worker leaves), so
     /// a final scrape can still observe completed == plan_runs.
     int status_port = -1;
-
-    /// Crash injection for recovery tests: throw CoordinatorAborted out of
-    /// run() once this many fresh completions have been recorded (state on
-    /// disk, connections dropped on destruction — a process kill without
-    /// the process). 0 disables.
-    std::size_t abort_after_executed = 0;
   };
 
   /// Binds and listens immediately (so workers can connect before run()),
@@ -200,34 +183,12 @@ class Coordinator {
   /// ThreadPoolExecutor run of the plan would produce. Callable once.
   [[nodiscard]] std::vector<RunResult> run();
 
-  /// Runs answered by the cache / completed by workers in run().
-  [[nodiscard]] std::size_t cache_hits() const { return cache_hits_; }
-  [[nodiscard]] std::size_t executed() const { return executed_; }
-  /// Leases revoked (timeout, or disconnect past the resume grace) and
-  /// re-queued.
-  [[nodiscard]] std::size_t requeued() const { return requeued_; }
-  /// Deliveries discarded because the run was already complete.
-  [[nodiscard]] std::size_t duplicates() const { return duplicates_; }
-  /// Distinct connections that completed the HELLO handshake.
-  [[nodiscard]] std::size_t workers_seen() const { return workers_seen_; }
-  /// Leases reclaimed by workers through the RESUME handshake.
-  [[nodiscard]] std::size_t leases_resumed() const { return leases_resumed_; }
-  /// Orphaned leases re-created from a resumed journal.
-  [[nodiscard]] std::size_t journal_orphans() const {
-    return journal_orphans_;
-  }
+  /// The sweep's progress and counters now: the snapshot /status serves.
+  [[nodiscard]] SweepStatus status() const;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-
-  std::size_t cache_hits_ = 0;
-  std::size_t executed_ = 0;
-  std::size_t requeued_ = 0;
-  std::size_t duplicates_ = 0;
-  std::size_t workers_seen_ = 0;
-  std::size_t leases_resumed_ = 0;
-  std::size_t journal_orphans_ = 0;
 };
 
 }  // namespace creditflow::scenario

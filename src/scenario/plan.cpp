@@ -1,6 +1,7 @@
 #include "scenario/plan.hpp"
 
 #include <cstdio>
+#include <utility>
 
 #include "scenario/executor.hpp"
 #include "util/assert.hpp"
@@ -72,6 +73,16 @@ RunResult SweepPlan::labelled_result(std::size_t run_index) const {
   for (std::size_t k = 0; k < sweep_.axes.size(); ++k) {
     result.params.emplace_back(sweep_.axes[k].param, values[k]);
   }
+  return result;
+}
+
+RunResult SweepPlan::labelled_result(std::size_t run_index,
+                                     RunResult outcome) const {
+  RunResult result = labelled_result(run_index);
+  result.seed = outcome.seed;
+  result.metrics = std::move(outcome.metrics);
+  result.telemetry = outcome.telemetry;
+  result.error = std::move(outcome.error);
   return result;
 }
 

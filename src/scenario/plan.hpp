@@ -71,8 +71,12 @@ class SweepPlan {
 
   /// A RunResult shell with all plan-derived metadata filled in —
   /// run/point/seed indices, axis params, derived seed — and no outcome.
-  /// Executors execute into it; cache hits merge stored outcomes into it.
+  /// Executors execute into it.
   [[nodiscard]] RunResult labelled_result(std::size_t run_index) const;
+  /// The same shell carrying `outcome`'s seed, metrics, telemetry and
+  /// error: a stored or delivered result re-labelled with this plan.
+  [[nodiscard]] RunResult labelled_result(std::size_t run_index,
+                                          RunResult outcome) const;
 
   /// Every run index, in order.
   [[nodiscard]] std::vector<std::size_t> all_runs() const;

@@ -57,12 +57,8 @@ std::vector<RunResult> SweepRunner::run() {
       // Re-label with the *current* plan's metadata: after a grid widens,
       // the cached run's indices may no longer match, but its key — and
       // therefore its metrics, seed, and telemetry — still do.
-      RunResult hit = plan.labelled_result(run_index);
-      hit.seed = cached->seed;
-      hit.metrics = cached->metrics;
-      hit.telemetry = cached->telemetry;
+      RunResult hit = plan.labelled_result(run_index, *cached);
       hit.telemetry.from_cache = true;
-      hit.error = cached->error;
       ++cache_hits_;
       if (options_.on_result) options_.on_result(hit);
       results.push_back(std::move(hit));

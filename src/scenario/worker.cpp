@@ -22,9 +22,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Default root of the per-session backoff jitter streams when the caller
-/// leaves WorkerOptions::backoff_seed at 0.
-constexpr std::uint64_t kDefaultBackoffSeed = 0xbacc0ff5eedULL;
+/// Session timing: a reply may take kIoTimeoutSeconds; the first connect
+/// (workers may start before the coordinator binds) and each reconnect
+/// retry within their windows, then the lease timeout takes over. Retries
+/// and WAITs back off on util::Backoff's default schedule (0.05 s doubling
+/// to 1 s), jittered per session from kBackoffSeed.
+constexpr double kIoTimeoutSeconds = 60.0;
+constexpr double kConnectWindowSeconds = 10.0;
+constexpr double kReconnectWindowSeconds = 30.0;
+constexpr std::uint64_t kBackoffSeed = 0xbacc0ff5eedULL;
 
 struct SessionOutcome {
   std::size_t executed = 0;
@@ -67,19 +73,11 @@ class Session {
         options_(options),
         executor_(executor),
         callback_mutex_(callback_mutex),
-        sweep_done_(sweep_done) {
-    const std::uint64_t root =
-        options.backoff_seed != 0 ? options.backoff_seed
-                                  : kDefaultBackoffSeed;
-    util::Backoff::Options schedule;
-    schedule.initial_seconds = options.wait_sleep_seconds;
-    schedule.max_seconds =
-        std::max(options.backoff_max_seconds, options.wait_sleep_seconds);
-    schedule.seed = util::derive_seed(root, session_index * 2);
-    connect_backoff_ = util::Backoff(schedule);
-    schedule.seed = util::derive_seed(root, session_index * 2 + 1);
-    wait_backoff_ = util::Backoff(schedule);
-  }
+        sweep_done_(sweep_done),
+        connect_backoff_(
+            {.seed = util::derive_seed(kBackoffSeed, session_index * 2)}),
+        wait_backoff_({.seed = util::derive_seed(kBackoffSeed,
+                                                 session_index * 2 + 1)}) {}
 
   SessionOutcome run();
 
@@ -123,8 +121,7 @@ class Session {
 bool Session::io_request(const std::string& message, std::string& reply) {
   const std::lock_guard<std::mutex> lock(io_mutex_);
   if (!socket_.send_all(message) ||
-      reader_->read_line(reply, options_.io_timeout_seconds) !=
-          util::IoStatus::kOk) {
+      reader_->read_line(reply, kIoTimeoutSeconds) != util::IoStatus::kOk) {
     broken_.store(true);
     return false;
   }
@@ -140,12 +137,11 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
     return false;
   }
   reader_.emplace(socket_);
-  const double io_timeout = options_.io_timeout_seconds;
 
   std::string line;
   if (!socket_.send_all(std::string("HELLO ") + kSweepProtocolVersion +
                         "\n") ||
-      reader_->read_line(line, io_timeout) != util::IoStatus::kOk) {
+      reader_->read_line(line, kIoTimeoutSeconds) != util::IoStatus::kOk) {
     return false;  // connection-level failure: retry within the window
   }
   if (line.rfind("PLAN ", 0) != 0) {
@@ -164,9 +160,9 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
   const std::string token(end + 1);
   std::string spec_text;
   std::string sweep_text;
-  if (reader_->read_exact(spec_text, spec_len, io_timeout) !=
+  if (reader_->read_exact(spec_text, spec_len, kIoTimeoutSeconds) !=
           util::IoStatus::kOk ||
-      reader_->read_exact(sweep_text, sweep_len, io_timeout) !=
+      reader_->read_exact(sweep_text, sweep_len, kIoTimeoutSeconds) !=
           util::IoStatus::kOk) {
     return false;
   }
@@ -196,7 +192,7 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
   }
   std::string resumed;
   if (!socket_.send_all("RESUME " + token_ + "\n") ||
-      reader_->read_line(resumed, io_timeout) != util::IoStatus::kOk) {
+      reader_->read_line(resumed, kIoTimeoutSeconds) != util::IoStatus::kOk) {
     return false;
   }
   if (resumed.rfind("RESUMED ", 0) != 0) {
@@ -230,8 +226,8 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
 }
 
 bool Session::establish(bool resuming) {
-  const double window = resuming ? options_.reconnect_window_seconds
-                                 : options_.connect_timeout_seconds;
+  const double window =
+      resuming ? kReconnectWindowSeconds : kConnectWindowSeconds;
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(window));
@@ -261,10 +257,9 @@ bool Session::establish(bool resuming) {
 }
 
 void Session::start_heartbeat() {
+  // A quarter of the lease timeout the coordinator announced in PLAN.
   const double heartbeat =
-      options_.heartbeat_seconds > 0.0
-          ? options_.heartbeat_seconds
-          : std::clamp(static_cast<double>(lease_ms_) / 4000.0, 0.05, 5.0);
+      std::clamp(static_cast<double>(lease_ms_) / 4000.0, 0.05, 5.0);
   heartbeat_thread_ = std::thread([this, heartbeat] {
     auto next_beat =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -282,7 +277,7 @@ void Session::start_heartbeat() {
       if (stop_.load() || broken_.load()) continue;
       std::string pong;
       if (!socket_.send_all("PING\n") ||
-          reader_->read_line(pong, options_.io_timeout_seconds) !=
+          reader_->read_line(pong, kIoTimeoutSeconds) !=
               util::IoStatus::kOk ||
           pong != "PONG") {
         broken_.store(true);
@@ -396,10 +391,6 @@ SessionOutcome Session::run() {
 
   while (outcome_.error.empty() && !outcome_.saw_done) {
     if (broken_.load()) {
-      if (!options_.reconnect) {
-        outcome_.error = "lost the coordinator mid-session";
-        break;
-      }
       ++outcome_.reconnects;
       if (!establish(true)) break;
       broken_.store(false);

@@ -8,16 +8,16 @@
 // for a lease batch, execute the granted runs through a
 // scenario::Executor, and stream each finished run record (plus its series
 // CSV when the coordinator asked for one) back. A background heartbeat per
-// session keeps leases alive across long runs.
+// session (a quarter of the lease timeout) keeps leases alive across runs.
 //
 // Fault tolerance: a session that loses its connection does not abandon
 // its work — it reconnects with capped exponential backoff (seeded
 // jitter), replays the handshake, verifies it is still the same plan, and
 // sends RESUME <token> to reclaim the leases (and redeliver any result
 // computed while disconnected) that the coordinator held in its orphan
-// grace window. Only when the coordinator stays gone past the reconnect
-// window does the session report failure; the coordinator's lease timeout
-// then requeues its runs for the surviving fleet.
+// grace window. Only when the coordinator stays gone past the 30 s
+// reconnect window does the session report failure; the coordinator's
+// lease timeout then requeues its runs for the surviving fleet.
 //
 // Workers carry no sweep-specific state of their own — any machine with
 // the binary joins a sweep knowing only HOST:PORT, and the coordinator's
@@ -44,35 +44,6 @@ struct WorkerOptions {
   /// ThreadPoolExecutor (each session executes its leased runs inline,
   /// one at a time). Not owned; must outlive run_worker.
   Executor* executor = nullptr;
-
-  /// Heartbeat period while executing; 0 → a quarter of the lease timeout
-  /// the coordinator announces in PLAN. Tests inject large values to
-  /// provoke lease-timeout stealing.
-  double heartbeat_seconds = 0.0;
-
-  /// First delay of the WAIT/connect backoff schedule (doubles per retry,
-  /// jittered, capped at backoff_max_seconds; resets on success).
-  double wait_sleep_seconds = 0.05;
-  /// Ceiling of the backoff schedule.
-  double backoff_max_seconds = 1.0;
-  /// Seed of the jitter stream (mixed with the session index, so sessions
-  /// never retry in lockstep). 0 → a fixed default.
-  std::uint64_t backoff_seed = 0;
-
-  /// Deadline for any single protocol reply.
-  double io_timeout_seconds = 60.0;
-
-  /// Total window for the initial connect, retried with backoff until it
-  /// succeeds — lets workers start before the coordinator finishes
-  /// binding.
-  double connect_timeout_seconds = 10.0;
-
-  /// Reconnect-and-RESUME after a lost connection instead of failing the
-  /// session. Disable to reproduce protocol-v1 forfeit behaviour (tests).
-  bool reconnect = true;
-  /// Total window for each reconnect (backoff-retried); past it the
-  /// session gives up and the coordinator's lease timeout takes over.
-  double reconnect_window_seconds = 30.0;
 
   /// Called after each run this worker computed and the coordinator
   /// accepted (serialized across sessions; progress reporting only).

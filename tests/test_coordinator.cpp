@@ -1,11 +1,13 @@
 // Tests for the work-stealing sweep coordinator and its socket workers:
 // the determinism-under-chaos contract. An in-process coordinator serves a
 // plan to worker threads over loopback TCP, and in every scenario — clean
-// multi-worker execution, a warm RunStore, a worker killed mid-run, a
-// worker whose heartbeats stall past the lease timeout, duplicate and
-// corrupt deliveries — the merged run-record set and the aggregate
-// CSV/JSON must be byte-identical to a single-process ThreadPoolExecutor
-// run of the same spec, with exactly one record per RunKey.
+// multi-worker execution, a warm RunStore, a connection dropped holding a
+// lease, duplicate and corrupt deliveries, a coordinator crash and resume
+// — the merged run-record set and the aggregate CSV/JSON must be
+// byte-identical to a single-process ThreadPoolExecutor run of the same
+// spec, with exactly one record per RunKey. The lease policy itself (dead
+// and stalled workers, the resume grace, batching) is tested on virtual
+// time in test_lease_scheduler.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,13 +233,19 @@ class RawClient {
     return batch.empty() ? 0 : batch.front();
   }
 
-  /// Deliver a pre-serialized run record (plus an optional series blob);
-  /// returns the coordinator's reply (OK / DUP / ERR ...).
-  std::string deliver(const std::string& record,
-                      const std::string& series = "") {
+  /// Send a pre-serialized run record (plus an optional series blob)
+  /// without waiting for the reply.
+  void send_result(const std::string& record,
+                   const std::string& series = "") {
     EXPECT_TRUE(socket_.send_all("RESULT " + std::to_string(record.size()) +
                                  " " + std::to_string(series.size()) + "\n" +
                                  record + series));
+  }
+
+  /// send_result(), then return the coordinator's reply (OK / DUP / ERR).
+  std::string deliver(const std::string& record,
+                      const std::string& series = "") {
+    send_result(record, series);
     return read_line();
   }
 
@@ -352,10 +361,11 @@ TEST(Coordinator, MultiWorkerRunIsByteIdenticalToThreadPool) {
   EXPECT_TRUE(report_a.completed) << report_a.error;
   EXPECT_TRUE(report_b.completed) << report_b.error;
   EXPECT_EQ(report_a.runs_executed + report_b.runs_executed, 8u);
-  EXPECT_EQ(coordinator.executed(), 8u);
-  EXPECT_EQ(coordinator.cache_hits(), 0u);
-  EXPECT_EQ(coordinator.duplicates(), 0u);
-  EXPECT_EQ(coordinator.workers_seen(), 3u);  // three sessions connected
+  const SweepStatus status = coordinator.status();
+  EXPECT_EQ(status.executed, 8u);
+  EXPECT_EQ(status.cache_hits, 0u);
+  EXPECT_EQ(status.duplicates, 0u);
+  EXPECT_EQ(status.workers_seen, 3u);  // three sessions connected
 
   ASSERT_EQ(results.size(), reference.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -594,7 +604,9 @@ creditflow_sweep_worker_completed_runs{fd="#"} 0
 TEST(Coordinator, StatusEndpointServesLiveAndDrainedState) {
   Coordinator::Options options;
   options.status_port = 0;  // ephemeral second listener
-  options.drain_seconds = 5.0;
+  // The final scrape follows the worker's DONE by milliseconds; the
+  // window only has to outlast that.
+  options.drain_seconds = 0.5;
   Coordinator coordinator(tiny_base(), tiny_sweep(), options);
   ASSERT_NE(coordinator.status_port(), 0);
   ASSERT_NE(coordinator.status_port(), coordinator.port());
@@ -668,8 +680,8 @@ TEST(Coordinator, WarmRunStoreExecutesZeroRuns) {
     worker.join();
     const auto results = serve.join();
     EXPECT_TRUE(report.completed) << report.error;
-    executed = coordinator.executed();
-    hits = coordinator.cache_hits();
+    executed = coordinator.status().executed;
+    hits = coordinator.status().cache_hits;
     return results;
   };
 
@@ -698,41 +710,6 @@ TEST(Coordinator, WarmRunStoreExecutesZeroRuns) {
 
 // ---- Fault injection -----------------------------------------------------
 
-TEST(CoordinatorFaults, AbruptWorkerDeathMidRunRequeuesItsLease) {
-  const auto reference = reference_results(tiny_base(), tiny_sweep());
-
-  Coordinator::Options options;
-  options.lease_timeout_seconds = 60.0;  // death is detected, not timed out
-  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
-  ServeThread serve(coordinator);
-
-  // The victim takes a lease and dies without a word — exactly what the
-  // coordinator sees when a worker process is SIGKILLed mid-run.
-  {
-    RawClient victim(coordinator.port());
-    (void)victim.handshake();
-    const std::size_t leased = victim.lease();
-    EXPECT_LT(leased, 8u);
-    victim.vanish();
-  }
-
-  // A healthy worker then completes the whole sweep, including the
-  // re-queued run.
-  WorkerReport report;
-  std::thread worker([&] {
-    report = run_worker("127.0.0.1", coordinator.port(), WorkerOptions{});
-  });
-  worker.join();
-  const auto results = serve.join();
-
-  EXPECT_TRUE(report.completed) << report.error;
-  EXPECT_EQ(report.runs_executed, 8u);
-  EXPECT_GE(coordinator.requeued(), 1u);
-  EXPECT_EQ(coordinator.executed(), 8u);
-  expect_identical(render(tiny_base(), tiny_sweep(), results),
-                   render(tiny_base(), tiny_sweep(), reference));
-}
-
 /// Executor decorator that stalls before computing — a worker too slow for
 /// its lease.
 class SlowExecutor final : public Executor {
@@ -752,48 +729,6 @@ class SlowExecutor final : public Executor {
   double delay_;
   ThreadPoolExecutor inner_;
 };
-
-TEST(CoordinatorFaults, StalledHeartbeatLosesTheLeaseAndTheRunIsStolen) {
-  const auto reference = reference_results(tiny_base(), tiny_sweep());
-
-  Coordinator::Options options;
-  options.lease_timeout_seconds = 0.3;
-  options.drain_seconds = 5.0;  // outlive the slow worker's late delivery
-  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
-  ServeThread serve(coordinator);
-
-  // The laggard: heartbeats effectively disabled, every run stalled well
-  // past the lease timeout. Its leases expire mid-run; its deliveries
-  // arrive after the thief's and must be discarded as duplicates.
-  SlowExecutor slow(1.0);
-  WorkerOptions slow_options;
-  slow_options.sessions = 1;
-  slow_options.executor = &slow;
-  slow_options.heartbeat_seconds = 1000.0;
-  WorkerReport slow_report;
-  std::thread laggard([&] {
-    slow_report = run_worker("127.0.0.1", coordinator.port(), slow_options);
-  });
-
-  // Give the laggard time to take its first lease and stall, then unleash
-  // a healthy heartbeating worker that steals the expired lease.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  WorkerReport fast_report;
-  std::thread healthy([&] {
-    fast_report = run_worker("127.0.0.1", coordinator.port(), WorkerOptions{});
-  });
-
-  laggard.join();
-  healthy.join();
-  const auto results = serve.join();
-
-  EXPECT_TRUE(fast_report.completed) << fast_report.error;
-  EXPECT_GE(coordinator.requeued(), 1u);   // the stalled lease was revoked
-  EXPECT_GE(coordinator.duplicates(), 1u); // the late twin was discarded
-  EXPECT_EQ(coordinator.executed(), 8u);   // …and exactly 8 runs recorded
-  expect_identical(render(tiny_base(), tiny_sweep(), results),
-                   render(tiny_base(), tiny_sweep(), reference));
-}
 
 TEST(CoordinatorFaults, DuplicateDeliveryOfAStoredKeyIsDiscarded) {
   const auto reference = reference_results(tiny_base(), tiny_sweep());
@@ -820,8 +755,8 @@ TEST(CoordinatorFaults, DuplicateDeliveryOfAStoredKeyIsDiscarded) {
   const auto results = serve.join();
 
   EXPECT_TRUE(report.completed) << report.error;
-  EXPECT_EQ(coordinator.duplicates(), 1u);
-  EXPECT_EQ(coordinator.executed(), 8u);
+  EXPECT_EQ(coordinator.status().duplicates, 1u);
+  EXPECT_EQ(coordinator.status().executed, 8u);
   expect_identical(render(tiny_base(), tiny_sweep(), results),
                    render(tiny_base(), tiny_sweep(), reference));
 }
@@ -829,7 +764,11 @@ TEST(CoordinatorFaults, DuplicateDeliveryOfAStoredKeyIsDiscarded) {
 TEST(CoordinatorFaults, MismatchedRunKeyIsRejectedNotRecorded) {
   const auto reference = reference_results(tiny_base(), tiny_sweep());
 
-  Coordinator coordinator(tiny_base(), tiny_sweep(), Coordinator::Options{});
+  // The saboteur's connection closes holding a lease. With a short lease
+  // (which also caps the resume grace) that run requeues within 0.5 s.
+  Coordinator::Options options;
+  options.lease_timeout_seconds = 0.5;
+  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
   ServeThread serve(coordinator);
 
   {
@@ -856,6 +795,7 @@ TEST(CoordinatorFaults, MismatchedRunKeyIsRejectedNotRecorded) {
 
   EXPECT_TRUE(report.completed) << report.error;
   EXPECT_EQ(report.runs_executed, 8u);  // the forgery contributed nothing
+  EXPECT_GE(coordinator.status().requeued, 1u);  // the saboteur's lease
   expect_identical(render(tiny_base(), tiny_sweep(), results),
                    render(tiny_base(), tiny_sweep(), reference));
 }
@@ -865,9 +805,7 @@ TEST(CoordinatorFaults, MismatchedRunKeyIsRejectedNotRecorded) {
 TEST(CoordinatorResume, VanishedSessionReclaimsItsLeaseViaResume) {
   const auto reference = reference_results(tiny_base(), tiny_sweep());
 
-  Coordinator::Options options;
-  options.resume_grace_seconds = 30.0;  // reclaim must beat the requeue
-  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
+  Coordinator coordinator(tiny_base(), tiny_sweep(), Coordinator::Options{});
   ServeThread serve(coordinator);
 
   // A session takes a lease, computes the run, and loses its connection
@@ -904,9 +842,10 @@ TEST(CoordinatorResume, VanishedSessionReclaimsItsLeaseViaResume) {
   const auto results = serve.join();
 
   EXPECT_TRUE(report.completed) << report.error;
-  EXPECT_EQ(coordinator.leases_resumed(), 1u);
-  EXPECT_EQ(coordinator.requeued(), 0u);  // nothing was forfeited
-  EXPECT_EQ(coordinator.executed(), 8u);
+  const SweepStatus status = coordinator.status();
+  EXPECT_EQ(status.leases_resumed, 1u);
+  EXPECT_EQ(status.requeued, 0u);  // nothing was forfeited
+  EXPECT_EQ(status.executed, 8u);
   expect_identical(render(tiny_base(), tiny_sweep(), results),
                    render(tiny_base(), tiny_sweep(), reference));
 }
@@ -928,7 +867,7 @@ TEST(CoordinatorResume, UnknownTokenResumesNothing) {
   worker.join();
   (void)serve.join();
   EXPECT_TRUE(report.completed) << report.error;
-  EXPECT_EQ(coordinator.leases_resumed(), 0u);
+  EXPECT_EQ(coordinator.status().leases_resumed, 0u);
 }
 
 TEST(Coordinator, AdaptiveLeaseBatchGrowsWithMeasuredThroughput) {
@@ -965,11 +904,11 @@ TEST(Coordinator, AdaptiveLeaseBatchGrowsWithMeasuredThroughput) {
 }
 
 TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
-  // The tentpole contract end to end: a coordinator crash-injected (the
-  // deterministic SIGKILL stand-in) after 3 completions, restarted with
-  // --resume on the same journal + cache, must finish the sweep executing
-  // only the missing runs — and land on the *same pinned golden hashes*
-  // the single-process engine and the uninterrupted distributed sweep do.
+  // The tentpole contract end to end: a coordinator that dies after 3
+  // completions, restarted with --resume on the same journal + cache, must
+  // finish the sweep executing only the missing runs — and land on the
+  // *same pinned golden hashes* the single-process engine and the
+  // uninterrupted distributed sweep do.
   const ScenarioSpec* preset =
       ScenarioRegistry::builtin().find("fig11_churn");
   ASSERT_NE(preset, nullptr);
@@ -985,25 +924,41 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
   const std::string journal = (dir / "sweep.journal").string();
   const std::string cache = (dir / "cache").string();
 
-  // Phase 1: crash after the third fresh completion, worker attached.
+  // Phase 1: a session holds four leases and the coordinator dies on its
+  // third completion — after the store and journal writes, before the
+  // ack, exactly the window a SIGKILL leaves.
+  std::string token;
+  std::size_t orphan = 0;
+  std::string orphan_record;
   {
     Coordinator::Options options;
     options.cache_dir = cache;
     options.journal_path = journal;
-    options.abort_after_executed = 3;
+    std::size_t fresh = 0;
+    options.on_result = [&fresh](const RunResult&) {
+      if (++fresh == 3) {
+        throw std::runtime_error("injected crash after 3 executed runs");
+      }
+    };
     Coordinator coordinator(spec, sweep, options);
     ServeThread serve(coordinator);
-    WorkerOptions worker_options;
-    worker_options.reconnect = false;  // this worker dies with the crash
-    WorkerReport report;
-    std::thread worker([&] {
-      report = run_worker("127.0.0.1", coordinator.port(), worker_options);
-    });
+    RawClient client(coordinator.port());
+    const SweepPlan plan = client.handshake();
+    token = client.token();
+    std::vector<std::size_t> held;
+    while (held.size() < 4) {
+      for (const std::size_t idx : client.lease_batch()) held.push_back(idx);
+    }
+    EXPECT_EQ(client.deliver(honest_record(plan, held[0])), "OK");
+    EXPECT_EQ(client.deliver(honest_record(plan, held[1])), "OK");
+    client.send_result(honest_record(plan, held[2]));
+    // The dying coordinator drops the connection instead of acking.
+    EXPECT_TRUE(client.closed_by_peer());
     const std::string error = serve.join_error();
     EXPECT_NE(error.find("injected crash"), std::string::npos) << error;
-    worker.join();
-    EXPECT_FALSE(report.completed);
-    EXPECT_EQ(coordinator.executed(), 3u);
+    EXPECT_EQ(coordinator.status().executed, 3u);
+    orphan = held[3];
+    orphan_record = honest_record(plan, orphan);
   }
 
   // A *fresh* coordinator must refuse the stale journal loudly...
@@ -1015,14 +970,23 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
   }
 
   // ...and a resumed one recalls the 3 completed runs, re-creates the
-  // orphaned leases, and executes exactly the 5 missing ones.
+  // orphaned lease under its original session, and executes exactly the 5
+  // missing runs.
   Coordinator::Options options;
   options.cache_dir = cache;
   options.journal_path = journal;
   options.resume = true;
-  options.resume_grace_seconds = 0.2;  // phase 1's worker is not coming back
   Coordinator coordinator(spec, sweep, options);
   ServeThread serve(coordinator);
+  {
+    // Phase 1's session outlived its coordinator: it reclaims the lease it
+    // still holds and delivers the run.
+    RawClient returned(coordinator.port());
+    (void)returned.handshake();
+    EXPECT_EQ(returned.resume(token), std::vector<std::size_t>{orphan});
+    EXPECT_EQ(returned.deliver(orphan_record), "OK");
+    returned.vanish();
+  }
   WorkerReport report;
   std::thread worker([&] {
     report = run_worker("127.0.0.1", coordinator.port(), WorkerOptions{});
@@ -1031,9 +995,12 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
   const auto results = serve.join();
 
   EXPECT_TRUE(report.completed) << report.error;
-  EXPECT_EQ(coordinator.cache_hits(), 3u);
-  EXPECT_EQ(coordinator.executed(), 5u);
-  EXPECT_GE(coordinator.journal_orphans(), 1u);  // phase 1 died mid-lease
+  EXPECT_EQ(report.runs_executed, 4u);
+  const SweepStatus status = coordinator.status();
+  EXPECT_EQ(status.cache_hits, 3u);
+  EXPECT_EQ(status.executed, 5u);
+  EXPECT_EQ(status.journal_orphans, 1u);  // phase 1's undelivered lease
+  EXPECT_EQ(status.leases_resumed, 1u);
   ASSERT_EQ(results.size(), 8u);
 
   ResultSink sink;
@@ -1090,11 +1057,15 @@ TEST(Coordinator, RemoteSeriesFilesAreByteIdenticalToLocalExecution) {
 TEST(Coordinator, StarvedSessionsReportWaitRetries) {
   // One run, two sessions: whichever session leases it stalls in a slow
   // executor while the other polls NEXT → WAIT through the backoff
-  // schedule until DONE. The retries surface in the worker report.
+  // schedule until DONE. The retries surface in the worker report. The
+  // run outlasts its lease timeout, so only the session's heartbeat keeps
+  // the lease from being revoked.
   SweepSpec one_run;
   one_run.axes.push_back(SweepAxis::parse("credits=30"));
   one_run.seeds = 1;
-  Coordinator coordinator(tiny_base(), one_run, Coordinator::Options{});
+  Coordinator::Options coordinator_options;
+  coordinator_options.lease_timeout_seconds = 0.3;
+  Coordinator coordinator(tiny_base(), one_run, coordinator_options);
   ServeThread serve(coordinator);
 
   SlowExecutor slow(0.5);
@@ -1111,6 +1082,7 @@ TEST(Coordinator, StarvedSessionsReportWaitRetries) {
   EXPECT_TRUE(report.completed) << report.error;
   EXPECT_EQ(report.runs_executed, 1u);
   EXPECT_GE(report.wait_retries, 1u);
+  EXPECT_EQ(coordinator.status().requeued, 0u);
 }
 
 }  // namespace

@@ -216,8 +216,8 @@ TEST(Journal, DoneEventWithoutAStoreRecordIsReExecuted) {
   serve.join();
 
   EXPECT_TRUE(report.completed) << report.error;
-  EXPECT_EQ(coordinator.cache_hits(), 0u);
-  EXPECT_EQ(coordinator.executed(), plan.size());  // run 0 included
+  EXPECT_EQ(coordinator.status().cache_hits, 0u);
+  EXPECT_EQ(coordinator.status().executed, plan.size());  // run 0 included
   ASSERT_EQ(results.size(), plan.size());
   for (const auto& r : results) {
     EXPECT_TRUE(r.error.empty()) << r.run_index << ": " << r.error;
