@@ -184,6 +184,7 @@ class Coordinator {
   [[nodiscard]] std::vector<RunResult> run();
 
   /// The sweep's progress and counters now: the snapshot /status serves.
+  /// Not synchronized with run(); call it before run() or after it returns.
   [[nodiscard]] SweepStatus status() const;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 
 #include "util/assert.hpp"
 #include "util/logging.hpp"

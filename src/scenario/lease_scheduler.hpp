@@ -73,9 +73,9 @@ class LeaseScheduler {
   void heard_from(int worker, double now);
   /// `worker` disconnected: orphan its leases for the resume grace.
   void leave(int worker, double now);
-  /// Lease `worker`, on behalf of `session`, about the runs it completes
-  /// in a quarter of the lease timeout (0.25–2 s), 1 to batch_max; empty
-  /// → nothing grantable.
+  /// Lease `worker`, for `session`, about the runs it completes in a
+  /// quarter of the lease timeout (0.25–2 s, well inside a lease), 1 to
+  /// batch_max; empty → nothing grantable.
   [[nodiscard]] std::vector<std::size_t> grant(int worker,
                                                const std::string& session,
                                                double now);
