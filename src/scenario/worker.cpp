@@ -257,7 +257,6 @@ bool Session::establish(bool resuming) {
 }
 
 void Session::start_heartbeat() {
-  // A quarter of the lease timeout the coordinator announced in PLAN.
   const double heartbeat =
       std::clamp(static_cast<double>(lease_ms_) / 4000.0, 0.05, 5.0);
   heartbeat_thread_ = std::thread([this, heartbeat] {
