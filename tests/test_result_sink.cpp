@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "scenario/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace creditflow::scenario {
 namespace {
@@ -168,6 +171,45 @@ TEST(ResultSinkStreaming, FailedRunsFoldLikeBatch) {
   ASSERT_EQ(rows[0].errors.size(), 1u);
   EXPECT_EQ(rows[0].errors[0], "boom 1");
   EXPECT_EQ(rows[1].errors[0], "boom 4");
+}
+
+// Byte pin on the renderers' failure paths, which no golden row reaches:
+// point 0 has one failed run (its error needs CSV quoting and JSON
+// escaping) and a metric that is NaN in every run; every run of point 1
+// failed, so the aggregate CSV pads its metric columns and the runs CSV
+// pads every row of that point. Added in reverse run order.
+TEST(ResultSinkStreaming, FailuresAndNanRenderPinnedBytes) {
+  std::vector<RunResult> results;
+  for (std::size_t i = 0; i < 6; ++i) {
+    RunResult r;
+    r.run_index = i;
+    r.point_index = i / 3;
+    r.seed_index = i % 3;
+    r.seed = 1000 + i;
+    r.params = {{"x", 0.25 + static_cast<double>(i / 3)}};
+    r.telemetry.rounds = 10 + i;
+    if (i == 1) {
+      r.error = "boom, \"quoted\"\nsecond line";
+    } else if (i >= 3) {
+      r.error = "point failed " + std::to_string(i);
+    } else {
+      r.metrics = {{"m", static_cast<double>(i) * 1.5 + 0.125},
+                   {"rate", std::nan("")}};
+    }
+    results.push_back(std::move(r));
+  }
+  ResultSink sink;
+  for (auto it = results.rbegin(); it != results.rend(); ++it) {
+    sink.add(*it);
+  }
+  const std::uint64_t csv = util::fnv1a64(sink.aggregate_csv());
+  const std::uint64_t json = util::fnv1a64(sink.aggregate_json());
+  const std::uint64_t runs = util::fnv1a64(sink.runs_csv());
+  EXPECT_TRUE(csv == 0x1422c2a2c6cd4486ULL && json == 0x0a9feb96c710948aULL &&
+              runs == 0xa7888f23836176fbULL)
+      << std::hex << "0x" << csv << "ULL, 0x" << json << "ULL, 0x" << runs
+      << "ULL\n"
+      << sink.aggregate_csv() << sink.aggregate_json() << sink.runs_csv();
 }
 
 TEST(ResultSinkStreaming, OverfullPointWithDeclaredReplicationsThrows) {
