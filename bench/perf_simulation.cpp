@@ -52,24 +52,6 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop);
 
-void BM_EventQueueWithCancellation(benchmark::State& state) {
-  sim::EventQueue q;
-  util::Rng rng(2);
-  std::vector<sim::EventId> ids;
-  for (auto _ : state) {
-    ids.clear();
-    for (int i = 0; i < 64; ++i) {
-      ids.push_back(q.schedule(rng.uniform(0.0, 1000.0), [](double) {}));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 2) q.cancel(ids[i]);
-    while (!q.empty()) {
-      auto f = q.pop();
-      benchmark::DoNotOptimize(f.time);
-    }
-  }
-}
-BENCHMARK(BM_EventQueueWithCancellation);
-
 void BM_ScaleFreeGeneration(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(3);

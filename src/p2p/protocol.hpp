@@ -260,10 +260,9 @@ class StreamingProtocol {
   [[nodiscard]] const BookRoundStats& book_round_stats() const {
     return book_stats_;
   }
-  /// Mutable for gauge/series writers. Safe to clear() while the protocol
-  /// is live: the registry zeroes counter cells in place, so the hot
-  /// loop's cached cell pointers stay valid (counters restart from zero).
-  [[nodiscard]] sim::MetricsRegistry& metrics() { return metrics_; }
+  [[nodiscard]] const sim::MetricsRegistry& metrics() const {
+    return metrics_;
+  }
 
   /// The slot's behavioral strategy (kHonest everywhere when strat is off).
   [[nodiscard]] strategy::Strategy strategy_of(PeerId id) const {

@@ -6,21 +6,7 @@
 
 namespace creditflow::sim {
 
-namespace {
-
-constexpr EventId make_id(std::uint32_t slot, std::uint32_t generation) {
-  return (static_cast<EventId>(generation) << 32) | slot;
-}
-constexpr std::uint32_t id_slot(EventId id) {
-  return static_cast<std::uint32_t>(id);
-}
-constexpr std::uint32_t id_generation(EventId id) {
-  return static_cast<std::uint32_t>(id >> 32);
-}
-
-}  // namespace
-
-EventId EventQueue::schedule(double t, Callback cb) {
+void EventQueue::schedule(double t, Callback cb) {
   CF_EXPECTS_MSG(cb != nullptr, "null event callback");
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -30,67 +16,23 @@ EventId EventQueue::schedule(double t, Callback cb) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  slots_[slot].callback = std::move(cb);
-  heap_.push_back(Entry{t, next_seq_++, slot, slots_[slot].generation});
+  slots_[slot] = std::move(cb);
+  heap_.push_back(Entry{t, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_;
-  return make_id(slot, slots_[slot].generation);
-}
-
-bool EventQueue::cancel(EventId id) {
-  const std::uint32_t slot = id_slot(id);
-  if (slot >= slots_.size()) return false;
-  if (slots_[slot].generation != id_generation(id)) return false;
-  if (slots_[slot].callback == nullptr) return false;  // never scheduled
-  retire(slot);
-  --live_;
-  return true;
-}
-
-void EventQueue::retire(std::uint32_t slot) {
-  slots_[slot].callback = nullptr;
-  ++slots_[slot].generation;  // invalidates the id and any heap tombstone
-  free_slots_.push_back(slot);
-}
-
-void EventQueue::skip_dead() {
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
 }
 
 double EventQueue::next_time() const {
   CF_EXPECTS(!empty());
-  // Cleaning tombstones mutates only bookkeeping, never logical state; the
-  // earliest *live* entry is what callers are asking about.
-  auto* self = const_cast<EventQueue*>(this);
-  self->skip_dead();
   return heap_.front().time;
 }
 
 EventQueue::Fired EventQueue::pop() {
   CF_EXPECTS(!empty());
-  skip_dead();
-  CF_ENSURES(!heap_.empty());
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Entry e = heap_.back();
   heap_.pop_back();
-  Fired fired{e.time, make_id(e.slot, e.generation),
-              std::move(slots_[e.slot].callback)};
-  retire(e.slot);
-  --live_;
-  return fired;
-}
-
-void EventQueue::clear() {
-  // Retire (rather than destroy) the slots so ids handed out before the
-  // clear stay stale forever instead of aliasing later events.
-  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (!(slots_[slot].callback == nullptr)) retire(slot);
-  }
-  heap_.clear();
-  live_ = 0;
+  free_slots_.push_back(e.slot);
+  return Fired{e.time, std::move(slots_[e.slot])};
 }
 
 }  // namespace creditflow::sim

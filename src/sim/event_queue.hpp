@@ -1,14 +1,14 @@
 // CreditFlow: discrete-event core — a binary-heap event queue with stable
-// FIFO ordering among simultaneous events and O(1) cancellation.
+// FIFO ordering among simultaneous events.
 //
-// The queue is allocation-free in steady state: callbacks live in
-// generation-tagged slots that are recycled through a free list the moment
-// their event fires or is cancelled (so memory is bounded by the *peak*
-// number of pending events, not the lifetime event count), and the callback
-// type stores captures inline (util::FixedFunction) instead of spilling
-// non-trivial captures to the heap the way std::function does. A simulated
-// round that schedules as many events as it retires therefore runs without
-// a single heap allocation once vector capacities have warmed up.
+// The queue is allocation-free in steady state: callbacks live in slots
+// that are recycled through a free list the moment their event fires (so
+// memory is bounded by the *peak* number of pending events, not the
+// lifetime event count), and the callback type stores captures inline
+// (util::FixedFunction) instead of spilling non-trivial captures to the
+// heap the way std::function does. A simulated round that schedules as many
+// events as it retires therefore runs without a single heap allocation once
+// vector capacities have warmed up.
 #pragma once
 
 #include <cstdint>
@@ -18,17 +18,7 @@
 
 namespace creditflow::sim {
 
-/// Opaque handle identifying a scheduled event (for cancellation). Encodes
-/// (slot, generation); a handle goes stale — and cancel() returns false —
-/// the moment its event fires or is cancelled, even after the underlying
-/// slot has been recycled for a newer event.
-using EventId = std::uint64_t;
-
 /// Priority queue of (time, sequence)-ordered callbacks.
-///
-/// Cancellation tombstones the heap entry (the slot's generation is bumped,
-/// so the entry no longer matches) and recycles the slot immediately; pop
-/// skips stale entries lazily. `size()` reports *live* events.
 class EventQueue {
  public:
   /// Inline-storage callback: receives the fire time. 64 bytes covers every
@@ -39,40 +29,29 @@ class EventQueue {
 
   EventQueue() = default;
 
-  /// Schedule `cb` at absolute time `t`; returns a cancellable id.
-  /// Events at equal times fire in scheduling order.
-  EventId schedule(double t, Callback cb);
+  /// Schedule `cb` at absolute time `t`. Events at equal times fire in
+  /// scheduling order.
+  void schedule(double t, Callback cb);
 
-  /// Cancel a pending event; returns false when the id already fired,
-  /// was already cancelled, or never existed.
-  bool cancel(EventId id);
-
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_; }
-  /// Time of the earliest live event; requires !empty().
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  /// Time of the earliest event; requires !empty().
   [[nodiscard]] double next_time() const;
 
-  /// Pop and return the earliest live event; requires !empty().
+  /// Pop and return the earliest event; requires !empty().
   struct Fired {
     double time;
-    EventId id;
     Callback callback;
   };
   [[nodiscard]] Fired pop();
 
-  /// Drop every pending event.
-  void clear();
-
  private:
-  struct Slot {
-    Callback callback;
-    std::uint32_t generation = 0;  ///< bumped on fire/cancel
-  };
+  /// Heap entries stay 24 bytes and point at their callback's slot, so a
+  /// sift moves the entry, never the 80-byte callback.
   struct Entry {
     double time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t generation;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -81,19 +60,10 @@ class EventQueue {
     }
   };
 
-  [[nodiscard]] bool entry_live(const Entry& e) const {
-    return slots_[e.slot].generation == e.generation;
-  }
-  /// Retire a live slot: destroy its callback, invalidate outstanding
-  /// handles/heap entries, and make the slot reusable.
-  void retire(std::uint32_t slot);
-  void skip_dead();
-
   std::vector<Entry> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Callback> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
 };
 
 }  // namespace creditflow::sim

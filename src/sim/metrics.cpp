@@ -1,12 +1,6 @@
 #include "sim/metrics.hpp"
 
-#include "util/assert.hpp"
-
 namespace creditflow::sim {
-
-void MetricsRegistry::increment(const std::string& counter, std::uint64_t by) {
-  counters_[counter] += by;
-}
 
 std::uint64_t MetricsRegistry::counter(const std::string& name) const {
   const auto it = counters_.find(name);
@@ -15,19 +9,6 @@ std::uint64_t MetricsRegistry::counter(const std::string& name) const {
 
 std::uint64_t* MetricsRegistry::counter_cell(const std::string& name) {
   return &counters_[name];
-}
-
-void MetricsRegistry::set_gauge(const std::string& gauge, double value) {
-  gauges_[gauge] = value;
-}
-
-double MetricsRegistry::gauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
-double* MetricsRegistry::gauge_cell(const std::string& name) {
-  return &gauges_[name];
 }
 
 util::Log2Histogram* MetricsRegistry::histogram_cell(
@@ -39,49 +20,6 @@ const util::Log2Histogram* MetricsRegistry::histogram(
     const std::string& name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> MetricsRegistry::histogram_names() const {
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, _] : histograms_) names.push_back(name);
-  return names;
-}
-
-void MetricsRegistry::record(const std::string& series, double t,
-                             double value) {
-  auto it = series_.find(series);
-  if (it == series_.end()) {
-    it = series_.emplace(series, util::TimeSeries(series)).first;
-  }
-  it->second.add(t, value);
-}
-
-const util::TimeSeries& MetricsRegistry::series(const std::string& name) const {
-  const auto it = series_.find(name);
-  CF_EXPECTS_MSG(it != series_.end(), "unknown series: " + name);
-  return it->second;
-}
-
-bool MetricsRegistry::has_series(const std::string& name) const {
-  return series_.find(name) != series_.end();
-}
-
-std::vector<std::string> MetricsRegistry::series_names() const {
-  std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, _] : series_) names.push_back(name);
-  return names;
-}
-
-void MetricsRegistry::clear() {
-  // Counter/gauge/histogram nodes are kept (values zeroed in place) so
-  // cached cell pointers survive a clear; see counter_cell's lifetime
-  // contract.
-  for (auto& [name, value] : counters_) value = 0;
-  for (auto& [name, value] : gauges_) value = 0.0;
-  for (auto& [name, hist] : histograms_) hist.reset();
-  series_.clear();
 }
 
 }  // namespace creditflow::sim

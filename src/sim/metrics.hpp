@@ -1,11 +1,10 @@
-// CreditFlow: metrics recorder — named counters, gauges and time series
+// CreditFlow: metrics recorder — named counters and log2 histograms
 // collected during simulation runs and exported to reports/benches.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "util/stats.hpp"
 
@@ -13,56 +12,34 @@ namespace creditflow::sim {
 
 /// Central metrics sink for a simulation run.
 ///
-/// Counters accumulate monotonically; gauges hold a latest value; series
-/// record (time, value) samples. Lookup is by name; creating on first use.
+/// Counters accumulate monotonically; histograms bucket samples by log2.
+/// Writers look a cell up by name once (creating it on first use) and then
+/// write through the cached pointer; readers look up by name.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
 
-  void increment(const std::string& counter, std::uint64_t by = 1);
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
 
   /// Stable pointer to a counter's cell (created zeroed on first use).
   /// Counter cells live as long as the registry itself: std::map nodes
-  /// don't move, and clear() resets counter values in place instead of
-  /// deallocating the nodes, so a cached cell pointer can never dangle.
-  /// Hot loops cache it to skip the per-increment name lookup (and the
-  /// std::string construction that goes with it).
+  /// don't move, so a cached cell pointer can never dangle. Hot loops
+  /// cache it to skip the per-increment name lookup (and the std::string
+  /// construction that goes with it).
   [[nodiscard]] std::uint64_t* counter_cell(const std::string& name);
 
-  void set_gauge(const std::string& gauge, double value);
-  [[nodiscard]] double gauge(const std::string& name) const;
-  /// Stable pointer to a gauge's cell (created zeroed on first use), under
-  /// the same lifetime contract as counter_cell: nodes never move and
-  /// clear() zeroes in place, so hot-loop writers cache the pointer once.
-  [[nodiscard]] double* gauge_cell(const std::string& name);
-
   /// Stable pointer to a log2-bucket histogram cell (created empty on
-  /// first use). Same lifetime contract as counter_cell: the node never
-  /// moves and clear() resets it in place, so cached cells never dangle —
-  /// and Log2Histogram::add allocates nothing, keeping histogram updates
-  /// legal on the allocation-free round path.
+  /// first use). Same lifetime contract as counter_cell — and
+  /// Log2Histogram::add allocates nothing, keeping histogram updates legal
+  /// on the allocation-free round path.
   [[nodiscard]] util::Log2Histogram* histogram_cell(const std::string& name);
   /// Read-only lookup; nullptr when the histogram was never created.
   [[nodiscard]] const util::Log2Histogram* histogram(
       const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> histogram_names() const;
-
-  void record(const std::string& series, double t, double value);
-  [[nodiscard]] const util::TimeSeries& series(const std::string& name) const;
-  [[nodiscard]] bool has_series(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> series_names() const;
-
-  /// Reset everything: counters, gauges and histograms are zeroed *in
-  /// place* (their cells — and any cached cell pointers — stay valid),
-  /// series are removed.
-  void clear();
 
  private:
   std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
   std::map<std::string, util::Log2Histogram> histograms_;
-  std::map<std::string, util::TimeSeries> series_;
 };
 
 }  // namespace creditflow::sim

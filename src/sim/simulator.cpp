@@ -7,17 +7,15 @@
 
 namespace creditflow::sim {
 
-EventId Simulator::schedule_at(double t, EventQueue::Callback cb) {
+void Simulator::schedule_at(double t, EventQueue::Callback cb) {
   CF_EXPECTS_MSG(t >= now_, "cannot schedule into the past");
-  return queue_.schedule(t, std::move(cb));
+  queue_.schedule(t, std::move(cb));
 }
 
-EventId Simulator::schedule_after(double delay, EventQueue::Callback cb) {
+void Simulator::schedule_after(double delay, EventQueue::Callback cb) {
   CF_EXPECTS(delay >= 0.0);
-  return queue_.schedule(now_ + delay, std::move(cb));
+  queue_.schedule(now_ + delay, std::move(cb));
 }
-
-bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 namespace {
 
@@ -71,17 +69,6 @@ std::uint64_t Simulator::run_until(double horizon) {
   }
   now_ = horizon;
   return executed;
-}
-
-bool Simulator::step(double horizon) {
-  if (queue_.empty() || queue_.next_time() > horizon) return false;
-  auto fired = queue_.pop();
-  now_ = fired.time;
-  {
-    const util::TraceSpan span("dispatch", "sim");
-    fired.callback(fired.time);
-  }
-  return true;
 }
 
 }  // namespace creditflow::sim

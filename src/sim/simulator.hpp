@@ -22,11 +22,9 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Schedule at an absolute time >= now().
-  EventId schedule_at(double t, EventQueue::Callback cb);
+  void schedule_at(double t, EventQueue::Callback cb);
   /// Schedule `delay` seconds from now (delay >= 0).
-  EventId schedule_after(double delay, EventQueue::Callback cb);
-  /// Cancel a pending event.
-  bool cancel(EventId id);
+  void schedule_after(double delay, EventQueue::Callback cb);
 
   /// Register a periodic task firing every `interval` starting at
   /// `first_at`; runs until the horizon or until cancelled via the returned
@@ -49,9 +47,6 @@ class Simulator {
   /// Run until the queue drains or time would exceed `horizon`; the clock is
   /// left at min(horizon, last-event time). Returns events executed.
   std::uint64_t run_until(double horizon);
-
-  /// Execute a single event if one is pending within the horizon.
-  bool step(double horizon);
 
  private:
   EventQueue queue_;

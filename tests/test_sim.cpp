@@ -38,83 +38,28 @@ TEST(EventQueue, FifoAmongSimultaneous) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, CancelPreventsFiring) {
-  EventQueue q;
-  bool fired = false;
-  const auto id = q.schedule(1.0, [&](double) { fired = true; });
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.cancel(id));  // double cancel
-}
-
-TEST(EventQueue, CancelledEventsSkippedOnPop) {
+TEST(EventQueue, RecycledSlotsKeepEachEventsCallback) {
+  // A pop frees its callback slot and the next schedule reuses it; every
+  // heap entry must still reach its own callback, in (time, seq) order.
   EventQueue q;
   std::vector<int> fired;
-  const auto a = q.schedule(1.0, [&](double) { fired.push_back(1); });
+  const auto fire_next = [&q] {
+    auto f = q.pop();
+    f.callback(f.time);
+  };
+  q.schedule(1.0, [&](double) { fired.push_back(1); });
+  q.schedule(3.0, [&](double) { fired.push_back(3); });
+  fire_next();
   q.schedule(2.0, [&](double) { fired.push_back(2); });
-  q.cancel(a);
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
-  auto f = q.pop();
-  f.callback(f.time);
-  EXPECT_EQ(fired, (std::vector<int>{2}));
+  q.schedule(3.0, [&](double) { fired.push_back(4); });
+  EXPECT_EQ(q.size(), 3u);
+  while (!q.empty()) fire_next();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(EventQueue, NullCallbackRejected) {
   EventQueue q;
   EXPECT_THROW(q.schedule(0.0, nullptr), util::PreconditionError);
-}
-
-TEST(EventQueue, StaleIdsStayStaleAcrossSlotReuse) {
-  // Slots are recycled after fire/cancel; an old handle must never reach
-  // the newer event that now occupies its slot.
-  EventQueue q;
-  int fired_a = 0;
-  int fired_b = 0;
-  const auto a = q.schedule(1.0, [&](double) { ++fired_a; });
-  auto f = q.pop();
-  f.callback(f.time);
-  EXPECT_EQ(fired_a, 1);
-  // The next schedule reuses a's slot (single-slot queue).
-  const auto b = q.schedule(2.0, [&](double) { ++fired_b; });
-  EXPECT_NE(a, b);
-  EXPECT_FALSE(q.cancel(a));  // stale handle: no effect on b
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.cancel(b));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.cancel(b));
-}
-
-TEST(EventQueue, SlotReuseBoundsMemoryNotCorrectness) {
-  // A long fire/reschedule chain keeps recycling one slot: ids remain
-  // unique and cancellable, ordering and FIFO semantics hold throughout.
-  EventQueue q;
-  std::vector<EventId> seen;
-  int fired = 0;
-  for (int i = 0; i < 1000; ++i) {
-    const auto id = q.schedule(static_cast<double>(i), [&](double) {
-      ++fired;
-    });
-    for (const auto old : seen) EXPECT_NE(old, id);
-    if (i % 16 == 0) seen.push_back(id);
-    auto f = q.pop();
-    f.callback(f.time);
-  }
-  EXPECT_EQ(fired, 1000);
-  for (const auto old : seen) EXPECT_FALSE(q.cancel(old));
-}
-
-TEST(EventQueue, ClearInvalidatesOutstandingIds) {
-  EventQueue q;
-  bool fired = false;
-  const auto id = q.schedule(1.0, [&](double) { fired = true; });
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.cancel(id));
-  // A post-clear event reusing the slot is untouched by the stale handle.
-  q.schedule(1.0, [&](double) { fired = true; });
-  EXPECT_FALSE(q.cancel(id));
-  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueue, MoveOnlyCapturesAreSupported) {
@@ -181,82 +126,16 @@ TEST(Simulator, PeriodicCancelStops) {
   EXPECT_EQ(count, 3);  // fired at 1, 2, 3
 }
 
-TEST(Simulator, CancelScheduledEvent) {
-  Simulator sim;
-  bool fired = false;
-  const auto id = sim.schedule_at(2.0, [&](double) { fired = true; });
-  EXPECT_TRUE(sim.cancel(id));
-  sim.run_until(5.0);
-  EXPECT_FALSE(fired);
-}
-
-TEST(Simulator, StepExecutesSingleEvent) {
-  Simulator sim;
-  int count = 0;
-  sim.schedule_at(1.0, [&](double) { ++count; });
-  sim.schedule_at(2.0, [&](double) { ++count; });
-  EXPECT_TRUE(sim.step(10.0));
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(sim.step(10.0));
-  EXPECT_FALSE(sim.step(10.0));
-  EXPECT_EQ(count, 2);
-}
-
 TEST(Metrics, CountersAccumulate) {
   MetricsRegistry m;
-  m.increment("a");
-  m.increment("a", 4);
+  std::uint64_t* cell = m.counter_cell("a");
+  *cell += 1;
+  *cell += 4;
   EXPECT_EQ(m.counter("a"), 5u);
   EXPECT_EQ(m.counter("missing"), 0u);
-}
-
-TEST(Metrics, GaugesHoldLatest) {
-  MetricsRegistry m;
-  m.set_gauge("g", 1.5);
-  m.set_gauge("g", 2.5);
-  EXPECT_DOUBLE_EQ(m.gauge("g"), 2.5);
-  EXPECT_DOUBLE_EQ(m.gauge("missing"), 0.0);
-}
-
-TEST(Metrics, SeriesRecording) {
-  MetricsRegistry m;
-  m.record("s", 0.0, 1.0);
-  m.record("s", 1.0, 2.0);
-  EXPECT_TRUE(m.has_series("s"));
-  EXPECT_EQ(m.series("s").size(), 2u);
-  EXPECT_THROW((void)m.series("missing"), util::PreconditionError);
-  EXPECT_EQ(m.series_names(), (std::vector<std::string>{"s"}));
-}
-
-TEST(Metrics, ClearResetsEverything) {
-  MetricsRegistry m;
-  m.increment("c");
-  m.set_gauge("g", 1.0);
-  m.record("s", 0.0, 0.0);
-  m.clear();
-  EXPECT_EQ(m.counter("c"), 0u);
-  EXPECT_FALSE(m.has_series("s"));
-}
-
-// Regression: hot loops cache counter_cell pointers across the registry's
-// lifetime; clear() must zero the cells in place, never deallocate them
-// (the old clear() dropped the map nodes, leaving cached pointers
-// dangling — writes through them were a use-after-free that only a
-// sanitizer would notice).
-TEST(Metrics, CounterCellsSurviveClear) {
-  MetricsRegistry m;
-  std::uint64_t* cell = m.counter_cell("hot.counter");
-  *cell += 7;
-  EXPECT_EQ(m.counter("hot.counter"), 7u);
-
-  m.clear();
-  EXPECT_EQ(m.counter("hot.counter"), 0u);
-  // The same cell is still the counter's storage: writes through the old
-  // pointer stay visible to name-based reads, and the registry hands back
-  // the identical address.
-  *cell += 3;
-  EXPECT_EQ(m.counter("hot.counter"), 3u);
-  EXPECT_EQ(m.counter_cell("hot.counter"), cell);
+  // The cell is the counter's storage for the registry's lifetime.
+  (void)m.counter_cell("b");
+  EXPECT_EQ(m.counter_cell("a"), cell);
 }
 
 TEST(Metrics, HistogramCellsRecordAndReadBack) {
@@ -271,31 +150,6 @@ TEST(Metrics, HistogramCellsRecordAndReadBack) {
   EXPECT_EQ(read, h);
   EXPECT_EQ(read->count(), 2u);
   EXPECT_DOUBLE_EQ(read->sum(), 300.0);
-  EXPECT_EQ(m.histogram_names(),
-            (std::vector<std::string>{"purchase.latency_us"}));
-}
-
-// Same cell-stability contract as counters: the protocol caches histogram
-// and gauge cell pointers at start(); clear() must zero in place.
-TEST(Metrics, HistogramAndGaugeCellsSurviveClear) {
-  MetricsRegistry m;
-  util::Log2Histogram* h = m.histogram_cell("hot.hist");
-  double* g = m.gauge_cell("hot.gauge");
-  h->add(64);
-  *g = 9.0;
-
-  m.clear();
-  ASSERT_NE(m.histogram("hot.hist"), nullptr);
-  EXPECT_TRUE(m.histogram("hot.hist")->empty());
-  EXPECT_DOUBLE_EQ(m.gauge("hot.gauge"), 0.0);
-  // Old pointers remain the live storage after clear().
-  h->add(5);
-  *g = 2.5;
-  EXPECT_EQ(m.histogram("hot.hist")->count(), 1u);
-  EXPECT_EQ(m.histogram("hot.hist")->min(), 5u);
-  EXPECT_DOUBLE_EQ(m.gauge("hot.gauge"), 2.5);
-  EXPECT_EQ(m.histogram_cell("hot.hist"), h);
-  EXPECT_EQ(m.gauge_cell("hot.gauge"), g);
 }
 
 }  // namespace
