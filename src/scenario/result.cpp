@@ -29,170 +29,45 @@ std::string csv_quote(const std::string& s) {
 }  // namespace
 
 void ResultSink::add(RunResult result) {
-  fold_add(result);
-  if (store_runs_) {
-    // Run-index order is restored lazily (ensure_sorted) so runs_csv and
-    // the batch reference never depend on completion order, while adds
-    // stay O(1) even for interleaved shard merges.
-    if (!runs_.empty() && result.run_index < runs_.back().run_index) {
-      sorted_ = false;
-    }
-    runs_.push_back(std::move(result));
+  const std::size_t run = result.run_index;
+  if (have_run_.size() <= run) have_run_.resize(run + 1, false);
+  CF_EXPECTS_MSG(!have_run_[run],
+                 "duplicate result for run " + std::to_string(run));
+  if (point_runs_.size() <= result.point_index) {
+    point_runs_.resize(result.point_index + 1, 0);
   }
-  ++added_;
+  std::size_t& held = point_runs_[result.point_index];
+  CF_EXPECTS_MSG(expected_replications_ == 0 || held < expected_replications_,
+                 "run arrived for a grid point that already received its "
+                 "declared replication count");
+  have_run_[run] = true;
+  ++held;
+  // Run-index order is restored lazily (ensure_sorted) so the renderings
+  // never depend on completion order, while adds stay O(1) even for
+  // interleaved shard merges.
+  if (!runs_.empty() && run < runs_.back().run_index) sorted_ = false;
+  runs_.push_back(std::move(result));
 }
 
 void ResultSink::add_all(std::vector<RunResult> results) {
   for (auto& r : results) add(std::move(r));
 }
 
-void ResultSink::set_expected_replications(std::size_t runs_per_point) {
-  expected_replications_ = runs_per_point;
-  // Points that were already complete when the expectation arrived
-  // finalize now; late expectation-setting is otherwise equivalent.
-  if (expected_replications_ > 0) {
-    for (PointFold& fold : fold_) {
-      if (fold.seen && !fold.finalized &&
-          fold.pending.size() >= expected_replications_) {
-        finalize_point(fold);
-      }
-    }
-  }
-}
-
-void ResultSink::set_store_runs(bool enabled) {
-  CF_EXPECTS_MSG(added_ == 0,
-                 "set_store_runs must be chosen before the first add()");
-  store_runs_ = enabled;
-}
-
 const std::vector<RunResult>& ResultSink::runs() const {
-  CF_EXPECTS_MSG(store_runs_, "runs() requires run retention (store_runs)");
   ensure_sorted();
   return runs_;
 }
 
 void ResultSink::ensure_sorted() const {
   if (sorted_) return;
-  std::stable_sort(runs_.begin(), runs_.end(),
-                   [](const RunResult& a, const RunResult& b) {
-                     return a.run_index < b.run_index;
-                   });
+  std::sort(runs_.begin(), runs_.end(),
+            [](const RunResult& a, const RunResult& b) {
+              return a.run_index < b.run_index;
+            });
   sorted_ = true;
 }
 
-void ResultSink::fold_add(const RunResult& result) {
-  if (fold_.size() <= result.point_index) {
-    fold_.resize(result.point_index + 1);
-  }
-  PointFold& fold = fold_[result.point_index];
-  CF_EXPECTS_MSG(!fold.finalized,
-                 "run arrived for a grid point that already received its "
-                 "declared replication count");
-  if (!fold.seen) {
-    fold.seen = true;
-    fold.params = result.params;  // identical across a point's runs
-  }
-  PendingRun pending;
-  pending.run_index = result.run_index;
-  pending.metrics = result.metrics;
-  pending.error = result.error;
-  fold.pending.push_back(std::move(pending));
-  if (expected_replications_ > 0 &&
-      fold.pending.size() == expected_replications_) {
-    finalize_point(fold);
-  }
-}
-
-ResultSink::FoldedStats ResultSink::fold_pending(
-    const std::vector<PendingRun>& pending) {
-  // Replications fold in run-index order, walked through a sorted pointer
-  // view so the per-run data is never copied (stable for duplicates,
-  // matching the batch scan's stable sort of the full run list —
-  // `pending` is in insertion order, as runs_ is).
-  std::vector<const PendingRun*> ordered;
-  ordered.reserve(pending.size());
-  for (const PendingRun& run : pending) ordered.push_back(&run);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const PendingRun* a, const PendingRun* b) {
-                     return a->run_index < b->run_index;
-                   });
-  FoldedStats stats;
-  for (const PendingRun* run : ordered) {
-    if (!run->error.empty()) {
-      ++stats.failures;
-      stats.errors.push_back(run->error);
-      continue;
-    }
-    ++stats.seeds;
-    if (stats.metrics.empty()) {
-      for (const auto& [name, value] : run->metrics) {
-        MetricStat stat;
-        stat.mean = value;  // temporarily the running sum
-        stat.n = 1;
-        stats.metrics.emplace_back(name, stat);
-      }
-      continue;
-    }
-    CF_EXPECTS_MSG(stats.metrics.size() == run->metrics.size(),
-                   "runs of one grid point disagree on their metric set");
-    for (std::size_t k = 0; k < run->metrics.size(); ++k) {
-      stats.metrics[k].second.mean += run->metrics[k].second;
-      ++stats.metrics[k].second.n;
-    }
-  }
-  for (auto& [name, stat] : stats.metrics) {
-    stat.mean /= static_cast<double>(stat.n);
-  }
-  if (stats.seeds >= 2) {
-    for (std::size_t k = 0; k < stats.metrics.size(); ++k) {
-      double sq = 0.0;
-      for (const PendingRun* run : ordered) {
-        if (!run->error.empty()) continue;
-        const double d =
-            run->metrics[k].second - stats.metrics[k].second.mean;
-        sq += d * d;
-      }
-      MetricStat& stat = stats.metrics[k].second;
-      stat.stddev = std::sqrt(sq / static_cast<double>(stat.n - 1));
-      stat.ci95 = 1.96 * stat.stddev / std::sqrt(static_cast<double>(stat.n));
-    }
-  }
-  return stats;
-}
-
-void ResultSink::finalize_point(PointFold& point) {
-  point.stats = fold_pending(point.pending);
-  point.finalized = true;
-  point.pending.clear();
-  point.pending.shrink_to_fit();
-}
-
 std::vector<AggregateRow> ResultSink::aggregate() const {
-  std::vector<AggregateRow> rows;
-  for (std::size_t p = 0; p < fold_.size(); ++p) {
-    const PointFold& fold = fold_[p];
-    if (!fold.seen) continue;
-    // Open points fold on demand (no mutation, so later adds stay
-    // possible); complete points render their stored stats.
-    FoldedStats on_demand;
-    if (!fold.finalized) on_demand = fold_pending(fold.pending);
-    const FoldedStats& stats = fold.finalized ? fold.stats : on_demand;
-    AggregateRow row;
-    row.point_index = p;
-    row.params = fold.params;
-    row.seeds = stats.seeds;
-    row.failures = stats.failures;
-    row.metrics = stats.metrics;
-    row.errors = stats.errors;
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<AggregateRow> ResultSink::aggregate_from_runs() const {
-  CF_EXPECTS_MSG(store_runs_,
-                 "aggregate_from_runs() requires run retention (store_runs)");
   ensure_sorted();
   std::vector<AggregateRow> rows;
   for (const RunResult& run : runs_) {
@@ -259,8 +134,6 @@ std::vector<AggregateRow> ResultSink::aggregate_from_runs() const {
 }
 
 std::string ResultSink::runs_csv() const {
-  CF_EXPECTS_MSG(store_runs_,
-                 "runs_csv() requires run retention (store_runs)");
   ensure_sorted();
   // Metric columns come from the first successful run (errored runs carry
   // no metrics and are padded to the same width).

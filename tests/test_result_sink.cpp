@@ -1,8 +1,6 @@
-// Streaming-aggregation regression tests: the ResultSink's incremental
-// fold must reproduce the batch re-scan of the sorted run list bit for bit
-// — including under interleaved shard-merge arrival order, declared
-// replication counts (eager per-point finalization), and metrics-only mode
-// with raw-run retention disabled.
+// ResultSink tests: aggregation and rendering are independent of arrival
+// order (shard-merge interleaving), failed runs and NaN metrics render
+// pinned bytes, and a duplicate run or an over-full grid point is rejected.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -73,16 +71,9 @@ void expect_rows_bitwise_equal(const std::vector<AggregateRow>& a,
   }
 }
 
-TEST(ResultSinkStreaming, FoldEqualsBatchOnMultiSeedSweep) {
-  const auto results = tiny_results();
-  ResultSink sink;
-  sink.add_all(results);
-  expect_rows_bitwise_equal(sink.aggregate(), sink.aggregate_from_runs());
-}
-
 TEST(ResultSinkStreaming, InterleavedShardMergeOrderFoldsIdentically) {
   // Feed one sink in run order and one in the order a 3-shard merge
-  // delivers (strided, shard by shard) — the fold must erase the arrival
+  // delivers (strided, shard by shard) — the sink must erase the arrival
   // order entirely, down to the rendered bytes.
   const auto results = tiny_results();
   ResultSink in_order;
@@ -96,55 +87,16 @@ TEST(ResultSinkStreaming, InterleavedShardMergeOrderFoldsIdentically) {
     }
   }
 
-  expect_rows_bitwise_equal(interleaved.aggregate(),
-                            in_order.aggregate_from_runs());
+  expect_rows_bitwise_equal(interleaved.aggregate(), in_order.aggregate());
   EXPECT_EQ(interleaved.aggregate_csv(), in_order.aggregate_csv());
   EXPECT_EQ(interleaved.aggregate_json(), in_order.aggregate_json());
   EXPECT_EQ(interleaved.runs_csv(), in_order.runs_csv());
 }
 
-TEST(ResultSinkStreaming, ExpectedReplicationsFinalizeEagerly) {
-  // With the replication count declared, points fold down (and render)
-  // identically whether declared before the adds, after them, or never.
-  const auto results = tiny_results();
-  ResultSink declared;
-  declared.set_expected_replications(3);
-  declared.add_all(results);
-
-  ResultSink declared_late;
-  declared_late.add_all(results);
-  declared_late.set_expected_replications(3);
-
-  ResultSink undeclared;
-  undeclared.add_all(results);
-
-  EXPECT_EQ(declared.aggregate_csv(), undeclared.aggregate_csv());
-  EXPECT_EQ(declared_late.aggregate_csv(), undeclared.aggregate_csv());
-  expect_rows_bitwise_equal(declared.aggregate(),
-                            undeclared.aggregate_from_runs());
-}
-
-TEST(ResultSinkStreaming, MetricsOnlyModeDropsRunsButAggregatesIdentically) {
-  const auto results = tiny_results();
-  ResultSink reference;
-  reference.add_all(results);
-
-  ResultSink folded;
-  folded.set_store_runs(false);
-  folded.set_expected_replications(3);
-  folded.add_all(results);
-
-  EXPECT_EQ(folded.size(), results.size());
-  EXPECT_EQ(folded.aggregate_csv(), reference.aggregate_csv());
-  EXPECT_EQ(folded.aggregate_json(), reference.aggregate_json());
-  EXPECT_THROW((void)folded.runs_csv(), util::PreconditionError);
-  EXPECT_THROW((void)folded.runs(), util::PreconditionError);
-}
-
 TEST(ResultSinkStreaming, FailedRunsFoldLikeBatch) {
   // Synthetic mix of failures and successes across two points, added in
-  // reverse order: failure counts, error strings, and stats must all land
-  // exactly where the batch scan puts them.
+  // reverse order: failed runs are counted and explained, and only the
+  // successful runs enter the statistics.
   std::vector<RunResult> results;
   for (std::size_t i = 0; i < 6; ++i) {
     RunResult r;
@@ -164,13 +116,23 @@ TEST(ResultSinkStreaming, FailedRunsFoldLikeBatch) {
     sink.add(*it);
   }
   const auto rows = sink.aggregate();
-  expect_rows_bitwise_equal(rows, sink.aggregate_from_runs());
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].seeds, 2u);
   EXPECT_EQ(rows[0].failures, 1u);
   ASSERT_EQ(rows[0].errors.size(), 1u);
   EXPECT_EQ(rows[0].errors[0], "boom 1");
   EXPECT_EQ(rows[1].errors[0], "boom 4");
+  // Point 0 averages runs 0 and 2 (m = 0, 3), point 1 runs 3 and 5
+  // (m = 4.5, 7.5): both have mean ± 1.5, so sd = sqrt(4.5).
+  for (const AggregateRow& row : rows) {
+    ASSERT_EQ(row.metrics.size(), 1u);
+    const MetricStat& m = row.metrics[0].second;
+    EXPECT_EQ(m.n, 2u);
+    EXPECT_DOUBLE_EQ(m.stddev, std::sqrt(4.5));
+    EXPECT_DOUBLE_EQ(m.ci95, 1.96 * std::sqrt(4.5) / std::sqrt(2.0));
+  }
+  EXPECT_DOUBLE_EQ(rows[0].metrics[0].second.mean, 1.5);
+  EXPECT_DOUBLE_EQ(rows[1].metrics[0].second.mean, 6.0);
 }
 
 // Byte pin on the renderers' failure paths, which no golden row reaches:
@@ -223,6 +185,18 @@ TEST(ResultSinkStreaming, OverfullPointWithDeclaredReplicationsThrows) {
   RunResult extra = r;
   extra.run_index = 1;
   EXPECT_THROW(sink.add(extra), util::PreconditionError);
+}
+
+TEST(ResultSinkStreaming, DuplicateRunIndexIsRejected) {
+  // A record file merged twice must fail, not double-count its runs.
+  ResultSink sink;
+  RunResult r;
+  r.run_index = 0;
+  r.point_index = 0;
+  r.metrics = {{"m", 1.0}};
+  sink.add(r);
+  EXPECT_THROW(sink.add(r), util::PreconditionError);
+  EXPECT_EQ(sink.size(), 1u);
 }
 
 }  // namespace
