@@ -153,14 +153,6 @@ double parse_double(const char* s, const char* argv0) {
   return v;
 }
 
-void apply_or_die(creditflow::scenario::ScenarioSpec& spec,
-                  const std::string& key, double value, const char* argv0) {
-  if (!spec.set(key, value)) {
-    std::cerr << "unknown parameter: " << key << "\n";
-    usage(argv0);
-  }
-}
-
 creditflow::scenario::ScenarioSpec load_scenario(const std::string& name) {
   using creditflow::scenario::ScenarioRegistry;
   using creditflow::scenario::ScenarioSpec;
@@ -611,9 +603,14 @@ int main(int argc, char** argv) {
       if (i + more >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Legacy flags write through the same typed checks as --set, and a
+    // rejected value fails the same way: exit 2, one diagnostic line.
     auto set_param = [&](const std::string& key, double value) {
       spec_overridden = true;
-      apply_or_die(spec, key, value, argv[0]);
+      if (const auto err = spec.set_checked(key, value)) {
+        std::cerr << arg << ": " << *err << "\n";
+        std::exit(2);
+      }
     };
     if (arg == "--scenario") {
       if (spec_overridden) {

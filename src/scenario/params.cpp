@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <sstream>
+#include <string>
 
 #include "util/math.hpp"
 
@@ -62,7 +62,7 @@ const std::vector<ParamDesc>& table() {
        [](MarketConfig& c, double v) {
          c.protocol.seed = static_cast<std::uint64_t>(v);
        },
-       Kind::kCount},
+       Kind::kSeed},
 
       // Run shape.
       {"horizon", "simulated seconds",
@@ -475,45 +475,41 @@ std::string_view resolve_alias(std::string_view key) {
 }  // namespace
 
 std::string ParamDesc::check(double value) const {
-  std::ostringstream err;
-  err << key << ": ";
+  const bool integral = value == std::floor(value);
+  std::string rule;  // what a well-formed value is; empty when it is one
   if (!std::isfinite(value)) {
-    err << "value must be finite, got " << util::format_double(value);
-    return err.str();
+    rule = "value must be finite";
+  } else {
+    switch (kind) {
+      case Kind::kReal:
+        break;
+      case Kind::kCount:
+        if (value < 0.0 || !integral || value > kMaxCount) {
+          rule = "count must be a non-negative integer";
+        }
+        break;
+      case Kind::kSeed:
+        if (value < 0.0 || !integral || value >= 0x1p64) {
+          rule = "seed must be an integer in [0, 2^64)";
+        }
+        break;
+      case Kind::kFraction:
+        if (value < 0.0 || value > 1.0) rule = "fraction must be in [0, 1]";
+        break;
+      case Kind::kBool:
+        if (value != 0.0 && value != 1.0) rule = "flag must be 0 or 1";
+        break;
+      case Kind::kEnum:
+        if (value < 0.0 || !integral || value > enum_max) {
+          rule = "code must be an integer in [0, " +
+                 std::to_string(static_cast<int>(enum_max)) + "]";
+        }
+        break;
+    }
   }
-  switch (kind) {
-    case Kind::kReal:
-      return {};
-    case Kind::kCount:
-      if (value < 0.0 || value != std::floor(value) || value > kMaxCount) {
-        err << "count must be a non-negative integer, got "
-            << util::format_double(value);
-        return err.str();
-      }
-      return {};
-    case Kind::kFraction:
-      if (value < 0.0 || value > 1.0) {
-        err << "fraction must be in [0, 1], got "
-            << util::format_double(value);
-        return err.str();
-      }
-      return {};
-    case Kind::kBool:
-      if (value != 0.0 && value != 1.0) {
-        err << "flag must be 0 or 1, got " << util::format_double(value);
-        return err.str();
-      }
-      return {};
-    case Kind::kEnum:
-      if (value != std::floor(value) || value < 0.0 || value > enum_max) {
-        err << "code must be an integer in [0, "
-            << static_cast<int>(enum_max) << "], got "
-            << util::format_double(value);
-        return err.str();
-      }
-      return {};
-  }
-  return {};
+  if (rule.empty()) return {};
+  return std::string(key) + ": " + rule + ", got " +
+         util::format_double(value);
 }
 
 const std::vector<ParamDesc>& param_table() { return table(); }
@@ -524,13 +520,6 @@ const ParamDesc* find_param(std::string_view key) {
     if (desc.key == resolved) return &desc;
   }
   return nullptr;
-}
-
-bool apply_param(core::MarketConfig& cfg, std::string_view key, double value) {
-  const ParamDesc* desc = find_param(key);
-  if (desc == nullptr) return false;
-  desc->set(cfg, value);
-  return true;
 }
 
 std::optional<std::string> set_param_checked(core::MarketConfig& cfg,

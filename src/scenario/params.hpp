@@ -26,6 +26,7 @@ struct ParamDesc {
   enum class Kind : std::uint8_t {
     kReal,      ///< any finite double
     kCount,     ///< finite integer-valued, >= 0 (unsigned field behind it)
+    kSeed,      ///< finite integer-valued, in [0, 2^64): a 64-bit RNG seed
     kFraction,  ///< finite, in [0, 1]
     kBool,      ///< exactly 0 or 1
     kEnum,      ///< integer-valued code in [0, enum_max]
@@ -53,11 +54,7 @@ struct ParamDesc {
 /// descriptor; nullptr for unknown keys.
 [[nodiscard]] const ParamDesc* find_param(std::string_view key);
 
-/// Set one named parameter. Returns false (config untouched) for unknown
-/// keys. Performs no value validation — see set_param_checked.
-bool apply_param(core::MarketConfig& cfg, std::string_view key, double value);
-
-/// Validate-then-set: returns a one-line diagnostic for unknown keys or
+/// Validate-then-set, the one writer of a named parameter: returns a one-line diagnostic for unknown keys or
 /// malformed values (config untouched), nullopt on success.
 [[nodiscard]] std::optional<std::string> set_param_checked(
     core::MarketConfig& cfg, std::string_view key, double value);

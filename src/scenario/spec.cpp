@@ -32,14 +32,6 @@ core::MarketConfig ScenarioSpec::materialize() const {
   return cfg;
 }
 
-bool ScenarioSpec::set(std::string_view key, double value) {
-  if (key == "warmup") {
-    warmup_fraction = value;
-    return true;
-  }
-  return apply_param(config, key, value);
-}
-
 std::optional<std::string> ScenarioSpec::set_checked(std::string_view key,
                                                      double value) {
   if (key == "warmup") {
@@ -103,8 +95,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     CF_EXPECTS_MSG(end != value_str.c_str() && *end == '\0',
                    "bad numeric value for " + std::string(key) + ": " +
                        value_str);
-    CF_EXPECTS_MSG(spec.set(key, value),
-                   "unknown scenario parameter: " + std::string(key));
+    const auto err = spec.set_checked(key, value);
+    CF_EXPECTS_MSG(!err, *err);
   }
   spec.description = std::move(description);
   return spec;

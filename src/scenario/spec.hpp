@@ -38,20 +38,18 @@ struct ScenarioSpec {
   [[nodiscard]] core::MarketConfig materialize() const;
 
   /// Set one parameter by key; `warmup` addresses warmup_fraction, all
-  /// other keys resolve through the scenario parameter table. Returns
-  /// false for unknown keys.
-  bool set(std::string_view key, double value);
-  /// Validate-then-set flavor: returns a one-line diagnostic for unknown
-  /// keys or malformed values (spec untouched), nullopt on success.
+  /// other keys resolve through the scenario parameter table. Returns a
+  /// one-line diagnostic for unknown keys or malformed values (spec
+  /// untouched), nullopt on success.
   [[nodiscard]] std::optional<std::string> set_checked(std::string_view key,
                                                        double value);
-  /// Read one parameter by key (same namespace as set()).
+  /// Read one parameter by key (same namespace as set_checked()).
   [[nodiscard]] std::optional<double> get(std::string_view key) const;
 
   /// Full text form; parse(serialize()) reproduces the spec exactly.
   [[nodiscard]] std::string serialize() const;
   /// Parse the text form; throws util::PreconditionError on malformed
-  /// input or unknown keys.
+  /// input, unknown keys or values the parameter's kind rejects.
   [[nodiscard]] static ScenarioSpec parse(const std::string& text);
 };
 

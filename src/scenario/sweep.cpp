@@ -160,8 +160,8 @@ ScenarioSpec SweepSpec::instantiate(const ScenarioSpec& base,
   ScenarioSpec spec = base;
   const auto values = point(point_index);
   for (std::size_t k = 0; k < axes.size(); ++k) {
-    CF_EXPECTS_MSG(spec.set(axes[k].param, values[k]),
-                   "unknown sweep parameter: " + axes[k].param);
+    const auto err = spec.set_checked(axes[k].param, values[k]);
+    CF_EXPECTS_MSG(!err, "bad sweep value: " + *err);
   }
   // Per-run stream derivation AFTER the axes apply, so an axis may sweep
   // the base seed itself and still get decorrelated replications.

@@ -384,8 +384,8 @@ TEST(Coordinator, Fig11ChurnSweepMatchesThePinnedGoldenHashes) {
       ScenarioRegistry::builtin().find("fig11_churn");
   ASSERT_NE(preset, nullptr);
   ScenarioSpec spec = *preset;
-  spec.set("horizon", 400.0);
-  spec.set("snapshot_interval", 100.0);
+  ASSERT_EQ(spec.set_checked("horizon", 400.0), std::nullopt);
+  ASSERT_EQ(spec.set_checked("snapshot_interval", 100.0), std::nullopt);
   SweepSpec sweep;
   sweep.axes.push_back(SweepAxis::parse("churn.arrival_rate=1,2"));
   sweep.axes.push_back(SweepAxis::parse("churn.mean_lifespan=100,200"));
@@ -913,8 +913,8 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
       ScenarioRegistry::builtin().find("fig11_churn");
   ASSERT_NE(preset, nullptr);
   ScenarioSpec spec = *preset;
-  spec.set("horizon", 400.0);
-  spec.set("snapshot_interval", 100.0);
+  ASSERT_EQ(spec.set_checked("horizon", 400.0), std::nullopt);
+  ASSERT_EQ(spec.set_checked("snapshot_interval", 100.0), std::nullopt);
   SweepSpec sweep;
   sweep.axes.push_back(SweepAxis::parse("churn.arrival_rate=1,2"));
   sweep.axes.push_back(SweepAxis::parse("churn.mean_lifespan=100,200"));

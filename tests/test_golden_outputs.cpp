@@ -74,8 +74,9 @@ ScenarioSpec base_spec(const GoldenCell& cell, SweepSpec* sweep) {
     return {};
   }
   ScenarioSpec spec = *preset;
-  spec.set("horizon", cell.horizon);
-  spec.set("snapshot_interval", cell.horizon / 4.0);
+  EXPECT_EQ(spec.set_checked("horizon", cell.horizon), std::nullopt);
+  EXPECT_EQ(spec.set_checked("snapshot_interval", cell.horizon / 4.0),
+            std::nullopt);
   for (const std::string& text : cell.overrides) {
     SweepAxis axis = SweepAxis::parse(text);
     if (axis.values.size() == 1) {

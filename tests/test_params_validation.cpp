@@ -32,6 +32,20 @@ TEST(ParamValidation, CountRejectsNegativeAndFractional) {
   EXPECT_EQ(spec.config.protocol.initial_peers, 64u);
 }
 
+TEST(ParamValidation, SeedTakesAny64BitInteger) {
+  // Per-run seeds are derived 64-bit values, so an instantiated spec's
+  // text must load back: the seed is not bounded like a population count.
+  ScenarioSpec spec;
+  EXPECT_EQ(check_error(spec, "seed", 1.1162342245156262e19), "");
+  EXPECT_EQ(check_error(spec, "seed", -1.0),
+            "seed: seed must be an integer in [0, 2^64), got -1");
+  EXPECT_EQ(check_error(spec, "seed", 0x1p64),
+            "seed: seed must be an integer in [0, 2^64), got "
+            "1.8446744073709552e+19");
+  EXPECT_EQ(check_error(spec, "seed", 2012.0), "");
+  EXPECT_EQ(spec.config.protocol.seed, 2012u);
+}
+
 TEST(ParamValidation, FractionRejectsOutOfRange) {
   ScenarioSpec spec;
   EXPECT_EQ(check_error(spec, "book.seller_fraction", 1.5),
@@ -112,6 +126,23 @@ TEST(ParamValidation, RejectedSetLeavesTheSpecUntouched) {
   (void)spec.set_checked("tax.rate", 2.0);
   (void)spec.set_checked("warmup", 9.0);
   EXPECT_EQ(spec.serialize(), before);
+}
+
+TEST(ParamValidation, SpecFileValuesAreChecked) {
+  // A spec file writes through the same typed checks as --set: a negative
+  // count must not wrap to a huge unsigned, a warmup must be a fraction.
+  try {
+    (void)ScenarioSpec::parse("scenario bad\ncredits = -3\n");
+    FAIL() << "expected PreconditionError";
+  } catch (const util::PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(
+        what.find("credits: count must be a non-negative integer, got -3"),
+        std::string::npos)
+        << what;
+  }
+  EXPECT_THROW((void)ScenarioSpec::parse("warmup = 2\n"),
+               util::PreconditionError);
 }
 
 TEST(SweepAxisValidation, MalformedValuesFailAtParseTime) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "core/market.hpp"
 #include "scenario/scenario.hpp"
@@ -11,50 +12,53 @@
 namespace creditflow::scenario {
 namespace {
 
-TEST(Params, ApplyAndReadRoundTrip) {
+TEST(Params, SetAndReadRoundTrip) {
   core::MarketConfig cfg;
-  EXPECT_TRUE(apply_param(cfg, "credits", 250));
+  EXPECT_EQ(set_param_checked(cfg, "credits", 250), std::nullopt);
   EXPECT_EQ(cfg.protocol.initial_credits, 250u);
   EXPECT_DOUBLE_EQ(read_param(cfg, "credits").value(), 250.0);
 
-  EXPECT_TRUE(apply_param(cfg, "tax.rate", 0.15));
+  EXPECT_EQ(set_param_checked(cfg, "tax.rate", 0.15), std::nullopt);
   EXPECT_DOUBLE_EQ(cfg.protocol.tax.rate, 0.15);
-  EXPECT_TRUE(apply_param(cfg, "churn.enabled", 1));
+  EXPECT_EQ(set_param_checked(cfg, "churn.enabled", 1), std::nullopt);
   EXPECT_TRUE(cfg.protocol.churn.enabled);
 }
 
 TEST(Params, AliasesResolve) {
   core::MarketConfig cfg;
-  EXPECT_TRUE(apply_param(cfg, "c", 77));
+  EXPECT_EQ(set_param_checked(cfg, "c", 77), std::nullopt);
   EXPECT_EQ(cfg.protocol.initial_credits, 77u);
-  EXPECT_TRUE(apply_param(cfg, "n", 321));
+  EXPECT_EQ(set_param_checked(cfg, "n", 321), std::nullopt);
   EXPECT_EQ(cfg.protocol.initial_peers, 321u);
 }
 
 TEST(Params, UnknownKeyRejectedUntouched) {
   core::MarketConfig cfg;
   const auto before = cfg.protocol.initial_credits;
-  EXPECT_FALSE(apply_param(cfg, "no_such_knob", 1.0));
+  EXPECT_EQ(set_param_checked(cfg, "no_such_knob", 1.0),
+            "unknown parameter: no_such_knob");
   EXPECT_EQ(cfg.protocol.initial_credits, before);
   EXPECT_FALSE(read_param(cfg, "no_such_knob").has_value());
 }
 
 TEST(Params, PeersRaisesMaxPeersButExplicitMaxWins) {
   core::MarketConfig cfg;
-  EXPECT_TRUE(apply_param(cfg, "peers", 5000));
+  EXPECT_EQ(set_param_checked(cfg, "peers", 5000), std::nullopt);
   EXPECT_EQ(cfg.protocol.initial_peers, 5000u);
   EXPECT_GE(cfg.protocol.max_peers, 5000u);
-  EXPECT_TRUE(apply_param(cfg, "max_peers", 6000));
+  EXPECT_EQ(set_param_checked(cfg, "max_peers", 6000), std::nullopt);
   EXPECT_EQ(cfg.protocol.max_peers, 6000u);
 }
 
 TEST(Params, TableCoversEveryKeyBothWays) {
-  // Every table entry must be readable and writable through its own key.
+  // Every table entry must be readable and writable through its own key,
+  // and every default value must pass its kind's check.
   core::MarketConfig cfg;
   for (const auto& desc : param_table()) {
     const auto value = read_param(cfg, desc.key);
     ASSERT_TRUE(value.has_value()) << desc.key;
-    EXPECT_TRUE(apply_param(cfg, desc.key, *value)) << desc.key;
+    EXPECT_EQ(set_param_checked(cfg, desc.key, *value), std::nullopt)
+        << desc.key;
   }
 }
 
@@ -77,9 +81,10 @@ TEST(ScenarioSpec, SerializeParseRoundTrip) {
 TEST(ScenarioSpec, RoundTripPreservesUglyDoubles) {
   ScenarioSpec spec;
   spec.name = "precision";
-  ASSERT_TRUE(spec.set("tax.rate", 0.1));
-  ASSERT_TRUE(spec.set("snapshot_interval", 15000.0 / 30.0));
-  ASSERT_TRUE(spec.set("base_spend_rate", 1.0 / 3.0));
+  ASSERT_EQ(spec.set_checked("tax.rate", 0.1), std::nullopt);
+  ASSERT_EQ(spec.set_checked("snapshot_interval", 15000.0 / 30.0),
+            std::nullopt);
+  ASSERT_EQ(spec.set_checked("base_spend_rate", 1.0 / 3.0), std::nullopt);
   const ScenarioSpec parsed = ScenarioSpec::parse(spec.serialize());
   EXPECT_EQ(parsed.config.protocol.tax.rate, 0.1);
   EXPECT_EQ(parsed.config.snapshot_interval, 15000.0 / 30.0);
