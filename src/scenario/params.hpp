@@ -54,8 +54,9 @@ struct ParamDesc {
 /// descriptor; nullptr for unknown keys.
 [[nodiscard]] const ParamDesc* find_param(std::string_view key);
 
-/// Validate-then-set, the one writer of a named parameter: returns a one-line diagnostic for unknown keys or
-/// malformed values (config untouched), nullopt on success.
+/// Validate-then-set, the one writer of a named parameter: returns a
+/// one-line diagnostic for unknown keys or malformed values (config
+/// untouched), nullopt on success.
 [[nodiscard]] std::optional<std::string> set_param_checked(
     core::MarketConfig& cfg, std::string_view key, double value);
 

@@ -66,20 +66,13 @@ SweepAxis SweepAxis::parse(const std::string& text) {
     }
   }
   CF_ENSURES(!axis.values.empty());
-  // Validate every instantiated value against the parameter's kind up
+  // Validate every instantiated value through the parameter setter up
   // front, so a malformed axis dies with one diagnostic at parse time
-  // instead of wrapping through a cast mid-sweep. `warmup` is a fraction
-  // (see ScenarioSpec::set_checked).
-  const ParamDesc* desc = find_param(axis.param);
+  // instead of failing each run that carries it.
+  ScenarioSpec scratch;
   for (const double v : axis.values) {
-    if (desc != nullptr) {
-      const std::string err = desc->check(v);
-      CF_EXPECTS_MSG(err.empty(), "bad sweep value: " + err);
-    } else {
-      CF_EXPECTS_MSG(v >= 0.0 && v <= 1.0,
-                     "bad sweep value: warmup: fraction must be in [0, 1], "
-                     "got " + util::format_double(v));
-    }
+    const auto err = scratch.set_checked(axis.param, v);
+    CF_EXPECTS_MSG(!err, "bad sweep value: " + *err);
   }
   return axis;
 }
