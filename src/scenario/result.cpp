@@ -60,10 +60,10 @@ const std::vector<RunResult>& ResultSink::runs() const {
 
 void ResultSink::ensure_sorted() const {
   if (sorted_) return;
-  std::sort(runs_.begin(), runs_.end(),
-            [](const RunResult& a, const RunResult& b) {
-              return a.run_index < b.run_index;
-            });
+  std::stable_sort(runs_.begin(), runs_.end(),
+                   [](const RunResult& a, const RunResult& b) {
+                     return a.run_index < b.run_index;
+                   });
   sorted_ = true;
 }
 
