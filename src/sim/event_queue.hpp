@@ -46,8 +46,8 @@ class EventQueue {
   [[nodiscard]] Fired pop();
 
  private:
-  /// Heap entries stay 24 bytes and point at their callback's slot, so a
-  /// sift moves the entry, never the 80-byte callback.
+  /// Heap entries are 24 bytes and name their callback's slot, so a sift
+  /// moves the entry, never the 80-byte callback.
   struct Entry {
     double time;
     std::uint64_t seq;
