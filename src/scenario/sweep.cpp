@@ -69,9 +69,9 @@ SweepAxis SweepAxis::parse(const std::string& text) {
   // Validate every instantiated value through the parameter setter up
   // front, so a malformed axis dies with one diagnostic at parse time
   // instead of failing each run that carries it.
-  ScenarioSpec scratch;
+  ScenarioSpec trial;
   for (const double v : axis.values) {
-    const auto err = scratch.set_checked(axis.param, v);
+    const auto err = trial.set_checked(axis.param, v);
     CF_EXPECTS_MSG(!err, "bad sweep value: " + *err);
   }
   return axis;
