@@ -57,6 +57,27 @@ TEST(CreditMarket, SeedChangesOutcome) {
   EXPECT_NE(a.run().transactions, b.run().transactions);
 }
 
+TEST(CreditMarket, SnapshotAtARoundTimeSeesTheStateBeforeThatRound) {
+  // Snapshots and rounds share their times (every 25th second is both).
+  // Equal-time events fire in scheduling order across the market and the
+  // protocol, so the snapshot at t precedes the round at t and reads the
+  // state round t - 1 left behind.
+  auto cfg = small_market();
+  cfg.series_every_rounds = 1;
+  CreditMarket market(cfg);
+  const auto report = market.run();
+  const auto& rows = market.series()->rows();
+  ASSERT_EQ(rows.size(), 300u);
+  ASSERT_EQ(report.gini_balances.size(), 12u);
+  for (std::size_t k = 0; k < report.gini_balances.size(); ++k) {
+    const auto t = static_cast<std::size_t>(report.gini_balances.time_at(k));
+    const double gini = report.gini_balances.value_at(k);
+    ASSERT_EQ(rows[t - 2].round, t - 1);
+    EXPECT_EQ(gini, rows[t - 2].gini_balances) << "snapshot at t=" << t;
+    EXPECT_NE(gini, rows[t - 1].gini_balances) << "snapshot at t=" << t;
+  }
+}
+
 TEST(CreditMarket, ReportSummaryAndTable) {
   CreditMarket market(small_market());
   const auto report = market.run();
