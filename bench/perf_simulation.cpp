@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks for the simulation substrate: event
-// queue throughput, protocol round cost (end-to-end and purchase-phase),
+// calendar throughput, protocol round cost (end-to-end and purchase-phase),
 // topology generation and buffer-map operations.
 //
 // The end-to-end readouts (round_us_per_round + peak_rss_bytes in
@@ -18,7 +18,6 @@
 #include "graph/generators.hpp"
 #include "p2p/chunk.hpp"
 #include "p2p/protocol.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -37,20 +36,27 @@ double peak_rss_bytes() {
 #endif
 }
 
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  sim::EventQueue q;
+/// Receives calendar events and does nothing, so the bench below times the
+/// calendar alone.
+struct NoOpAgent : sim::Simulator::Agent {
+  void on_event(std::uint8_t, std::uint32_t, double) override {}
+};
+
+// One batch: 64 events at random times, then run the calendar dry.
+void BM_CalendarScheduleAndRun(benchmark::State& state) {
+  sim::Simulator simulator;
+  NoOpAgent agent;
+  const auto id = simulator.attach(agent);
   util::Rng rng(1);
   for (auto _ : state) {
+    const double base = simulator.now();
     for (int i = 0; i < 64; ++i) {
-      q.schedule(rng.uniform(0.0, 1000.0), [](double) {});
+      simulator.schedule(base + rng.uniform(0.0, 1000.0), id, 0);
     }
-    while (!q.empty()) {
-      auto f = q.pop();
-      benchmark::DoNotOptimize(f.time);
-    }
+    benchmark::DoNotOptimize(simulator.run_until(base + 1000.0));
   }
 }
-BENCHMARK(BM_EventQueueScheduleAndPop);
+BENCHMARK(BM_CalendarScheduleAndRun);
 
 void BM_ScaleFreeGeneration(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -87,7 +93,7 @@ BENCHMARK(BM_BufferMapAdvance);
 
 // One simulated round per benchmark iteration, measured end to end: window
 // advance, seeding, purchase phase, taxation/churn bookkeeping, and the
-// event queue's fire/reschedule cycle. round_us_per_round is the wall time
+// calendar's fire/reschedule cycle. round_us_per_round is the wall time
 // of the whole loop (measured around run_until, rounds == iterations) —
 // the number the allocation-free-core work is judged on —
 // phase_us_per_round its purchase-phase share.

@@ -18,6 +18,19 @@ CreditMarket::CreditMarket(MarketConfig config) : cfg_(std::move(config)) {
   if (cfg_.enable_trace) protocol_->trace().set_enabled(true);
 }
 
+void CreditMarket::on_event(std::uint8_t kind, std::uint32_t /*arg*/,
+                            double t) {
+  switch (kind) {
+    case kSnapshot:
+      take_snapshot(t, *report_);
+      sim_.schedule(t + cfg_.snapshot_interval, agent_, kSnapshot);
+      return;
+    case kRateWindowOpen:
+      protocol_->begin_rate_window();
+      return;
+  }
+}
+
 void CreditMarket::take_snapshot(double t, MarketReport& report) {
   std::vector<double>& balances = snapshot_balances_;
   protocol_->balance_snapshot(balances);
@@ -59,14 +72,14 @@ MarketReport CreditMarket::run() {
     });
   }
   protocol_->start();
-  sim_.schedule_periodic(
-      sim_.now() + cfg_.snapshot_interval, cfg_.snapshot_interval,
-      [this, &report](double t) { take_snapshot(t, report); });
+  agent_ = sim_.attach(*this);
+  report_ = &report;
+  sim_.schedule(sim_.now() + cfg_.snapshot_interval, agent_, kSnapshot);
   if (cfg_.rate_window_start >= 0.0) {
-    sim_.schedule_at(cfg_.rate_window_start,
-                     [this](double) { protocol_->begin_rate_window(); });
+    sim_.schedule(cfg_.rate_window_start, agent_, kRateWindowOpen);
   }
   sim_.run_until(cfg_.horizon);
+  report_ = nullptr;
 
   // Final state.
   report.horizon = cfg_.horizon;

@@ -39,7 +39,8 @@ struct MarketConfig {
 };
 
 /// One market = one simulator + one protocol instance + metrics collection.
-class CreditMarket {
+/// The market is the calendar agent for snapshots and the rate window.
+class CreditMarket : private sim::Simulator::Agent {
  public:
   explicit CreditMarket(MarketConfig config);
 
@@ -68,10 +69,14 @@ class CreditMarket {
   [[nodiscard]] JacksonMapping prescriptive_mapping() const;
 
  private:
+  enum Event : std::uint8_t { kSnapshot, kRateWindowOpen };
+  void on_event(std::uint8_t kind, std::uint32_t arg, double t) override;
   void take_snapshot(double t, MarketReport& report);
 
   MarketConfig cfg_;
   sim::Simulator sim_;
+  sim::Simulator::AgentId agent_ = 0;
+  MarketReport* report_ = nullptr;  ///< the report run() is filling
   std::unique_ptr<p2p::StreamingProtocol> protocol_;
   // Periodic-snapshot scratch, reused across samples so the metrics cadence
   // allocates nothing once the buffers have warmed up.

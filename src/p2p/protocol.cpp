@@ -121,6 +121,7 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
     book_sold_.assign(cfg_.max_peers, 0);
   }
   upload_budget_.assign(cfg_.max_peers, 0.0);
+  round_order_.reserve(cfg_.max_peers);  // churn may fill every slot
   tx_count_ = metrics_.counter_cell("market.transactions");
   tx_volume_ = metrics_.counter_cell("market.volume");
   liquidity_failures_ = metrics_.counter_cell("market.liquidity_failures");
@@ -159,20 +160,35 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
 }
 
 StreamingProtocol::~StreamingProtocol() {
-  *alive_token_ = false;
-  // PeriodicHandle::cancel only flips a shared flag, so this is safe even
-  // when the simulator was destroyed before the protocol.
-  for (auto& handle : periodic_handles_) handle.cancel();
+  if (started_) sim_.detach(agent_);
 }
 
-sim::EventQueue::Callback StreamingProtocol::guard(
-    std::function<void(double)> cb) const {
-  return [token = std::weak_ptr<bool>(alive_token_),
-          cb = std::move(cb)](double t) {
-    const auto alive = token.lock();
-    if (!alive || !*alive) return;
-    cb(t);
-  };
+void StreamingProtocol::on_event(std::uint8_t kind, std::uint32_t arg,
+                                 double t) {
+  switch (kind) {
+    case kRound:
+      run_round(t);
+      sim_.schedule(t + cfg_.round_seconds, agent_, kRound);
+      return;
+    case kInjection: {
+      const util::TraceSpan span("inject", "phase");
+      for (PeerId id : overlay_.active_peers()) {
+        ledger_.mint(id, cfg_.injection.credits_per_peer);
+      }
+      ++*injection_rounds_;
+      *injection_minted_ +=
+          cfg_.injection.credits_per_peer * overlay_.num_active();
+      sim_.schedule(t + cfg_.injection.interval_seconds, agent_, kInjection);
+      return;
+    }
+    case kArrival:
+      handle_arrival(t);
+      schedule_next_arrival();
+      return;
+    case kDeparture:
+      if (peers_.alive(arg)) handle_departure(arg);
+      return;
+  }
 }
 
 PeerState StreamingProtocol::peer(PeerId id) const {
@@ -213,7 +229,7 @@ Credits StreamingProtocol::rejoin_grant(std::uint32_t activation) const {
   return cfg_.initial_credits;
 }
 
-Credits StreamingProtocol::activate_peer(PeerId id, double now, bool initial) {
+Credits StreamingProtocol::activate_peer(PeerId id, double now) {
   peers_.set_alive(id, true);
   const std::uint32_t activation = peers_.bump_activations(id);
   peers_.set_strategy(id, strat_enabled_ ? strategy::assign(id, cfg_.strat)
@@ -259,12 +275,12 @@ Credits StreamingProtocol::activate_peer(PeerId id, double now, bool initial) {
     book_posted_[id] = 0;
     book_sold_[id] = 0;
   }
-  (void)initial;
   return grant;
 }
 
 void StreamingProtocol::start() {
   CF_EXPECTS_MSG(!started_, "protocol already started");
+  agent_ = sim_.attach(*this);
   started_ = true;
 
   // Static bootstrap overlay: scale-free with the paper's exponent; the
@@ -275,45 +291,31 @@ void StreamingProtocol::start() {
   auto bootstrap = graph::scale_free(cfg_.initial_peers, sf, rng_);
   overlay_.init_from_graph(bootstrap);
   for (PeerId id = 0; id < cfg_.initial_peers; ++id) {
-    activate_peer(id, sim_.now(), /*initial=*/true);
+    activate_peer(id, sim_.now());
     // Under churn the bootstrap cohort is mortal too, so the population
     // settles at arrival_rate × mean_lifespan rather than stacking the
     // immortal initial peers on top of the churning ones.
-    if (cfg_.churn.enabled) {
-      const double lifespan =
-          rng_.exponential(1.0 / cfg_.churn.mean_lifespan);
-      peers_.set_depart_time(id, sim_.now() + lifespan);
-      sim_.schedule_after(lifespan, guard([this, id](double t) {
-                            if (peers_.alive(id)) handle_departure(id, t);
-                          }));
-    }
+    if (cfg_.churn.enabled) schedule_departure(id, sim_.now());
   }
 
-  periodic_handles_.push_back(sim_.schedule_periodic(
-      sim_.now() + cfg_.round_seconds, cfg_.round_seconds,
-      guard([this](double t) { run_round(t); })));
+  sim_.schedule(sim_.now() + cfg_.round_seconds, agent_, kRound);
   if (cfg_.churn.enabled) schedule_next_arrival();
   if (cfg_.injection.enabled) {
-    periodic_handles_.push_back(sim_.schedule_periodic(
-        sim_.now() + cfg_.injection.interval_seconds,
-        cfg_.injection.interval_seconds, guard([this](double) {
-          const util::TraceSpan span("inject", "phase");
-          for (PeerId id : overlay_.active_peers()) {
-            ledger_.mint(id, cfg_.injection.credits_per_peer);
-          }
-          ++*injection_rounds_;
-          *injection_minted_ +=
-              cfg_.injection.credits_per_peer * overlay_.num_active();
-        })));
+    sim_.schedule(sim_.now() + cfg_.injection.interval_seconds, agent_,
+                  kInjection);
   }
 }
 
 void StreamingProtocol::schedule_next_arrival() {
   const double dt = rng_.exponential(cfg_.churn.arrival_rate);
-  sim_.schedule_after(dt, guard([this](double t) {
-                        handle_arrival(t);
-                        schedule_next_arrival();
-                      }));
+  sim_.schedule(sim_.now() + dt, agent_, kArrival);
+}
+
+void StreamingProtocol::schedule_departure(PeerId id, double now) {
+  const double depart =
+      now + rng_.exponential(1.0 / cfg_.churn.mean_lifespan);
+  peers_.set_depart_time(id, depart);
+  sim_.schedule(depart, agent_, kDeparture, id);
 }
 
 void StreamingProtocol::handle_arrival(double now) {
@@ -333,21 +335,15 @@ void StreamingProtocol::handle_arrival(double now) {
     return;
   }
   const PeerId id = *slot;
-  activate_peer(id, now, /*initial=*/false);
+  activate_peer(id, now);
   overlay_.join(id, cfg_.churn.join_links, rng_);
   ++*churn_arrivals_;
-
-  const double lifespan = rng_.exponential(1.0 / cfg_.churn.mean_lifespan);
-  peers_.set_depart_time(id, now + lifespan);
-  sim_.schedule_after(lifespan, guard([this, id](double t) {
-                        if (peers_.alive(id)) handle_departure(id, t);
-                      }));
+  schedule_departure(id, now);
 }
 
-void StreamingProtocol::handle_departure(PeerId id, double now) {
+void StreamingProtocol::handle_departure(PeerId id) {
   const util::TraceSpan span("churn.departure", "churn", "peer", id);
   CF_EXPECTS(peers_.alive(id));
-  (void)now;
   if (strat_enabled_ && ledger_.staked(id) > 0) {
     // Bond resolution precedes the exit burn: the slashed share moves to
     // the treasury, the remainder is released to the balance and leaves
@@ -600,8 +596,8 @@ void StreamingProtocol::strategy_whitewash_round(double now) {
     // the balance forfeited at departure.
     if (rejoin_grant(peers_.activations(id) + 1) <= bal) continue;
     *whitewash_burned_ += bal;
-    handle_departure(id, now);
-    const Credits granted = activate_peer(id, now, /*initial=*/false);
+    handle_departure(id);
+    const Credits granted = activate_peer(id, now);
     overlay_.join(id, cfg_.churn.join_links, rng_);
     *whitewash_minted_ += granted;
     ++*whitewash_resets_;

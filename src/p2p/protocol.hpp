@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -206,12 +207,15 @@ struct ProtocolConfig {
 };
 
 /// The protocol engine. Construct, call start(), then drive the Simulator.
-class StreamingProtocol {
+/// It is the calendar agent for rounds, injection ticks, arrivals and
+/// departures.
+class StreamingProtocol : private sim::Simulator::Agent {
  public:
   StreamingProtocol(ProtocolConfig config, sim::Simulator& simulator);
 
-  /// Cancels every callback the protocol scheduled: the simulator may
-  /// outlive the protocol and keep running without touching freed state.
+  /// Detaches from the simulator. The simulator must outlive the protocol
+  /// and may keep running after it: the protocol's pending events then pop
+  /// as no-ops.
   ~StreamingProtocol();
 
   StreamingProtocol(const StreamingProtocol&) = delete;
@@ -233,7 +237,7 @@ class StreamingProtocol {
   ///
   /// LIFETIME: aliases the overlay's dense active array; invalidated by any
   /// churn event (join/leave) and by protocol destruction. Safe to hold for
-  /// the duration of one callback at a fixed simulation time — churn never
+  /// the duration of one event at a fixed simulation time — churn never
   /// interleaves with an executing event — but never across events.
   [[nodiscard]] std::span<const PeerId> alive_span() const {
     return overlay_.active_peers();
@@ -326,11 +330,10 @@ class StreamingProtocol {
   }
 
  private:
-  /// Wrap a callback so it no-ops once this protocol is destroyed. Every
-  /// lambda handed to the simulator goes through this: the simulator owns
-  /// its queue entries by value, so a raw `this` capture would dangle.
-  [[nodiscard]] sim::EventQueue::Callback guard(
-      std::function<void(double)> cb) const;
+  /// The protocol's calendar kinds; a departure's arg is its peer. Rounds
+  /// and injection ticks reschedule themselves after their body runs.
+  enum Event : std::uint8_t { kRound, kInjection, kArrival, kDeparture };
+  void on_event(std::uint8_t kind, std::uint32_t arg, double t) override;
 
   void run_round(double now);
   void seed_new_chunks(double now, ChunkId head);
@@ -368,11 +371,14 @@ class StreamingProtocol {
   /// formulation without materializing weights or walking the cumsum.
   [[nodiscard]] std::size_t uniform_pick(std::size_t num_candidates);
   void schedule_next_arrival();
+  /// Draw a lifespan for the peer just activated in `id` and put its
+  /// departure on the calendar.
+  void schedule_departure(PeerId id, double now);
   void handle_arrival(double now);
-  void handle_departure(PeerId id, double now);
+  void handle_departure(PeerId id);
   /// (Re)activate a slot; returns the credits minted into it (the
   /// rejoin-mint policy decides how much a recycled slot still gets).
-  Credits activate_peer(PeerId id, double now, bool initial);
+  Credits activate_peer(PeerId id, double now);
   /// Credits the rejoin-mint policy grants a slot's `activation`-th
   /// activation (1-based; activation 1 always gets the full endowment).
   [[nodiscard]] Credits rejoin_grant(std::uint32_t activation) const;
@@ -385,6 +391,7 @@ class StreamingProtocol {
 
   ProtocolConfig cfg_;
   sim::Simulator& sim_;
+  sim::Simulator::AgentId agent_ = 0;  ///< valid once started_
   util::Rng rng_;
   CreditLedger ledger_;
   Overlay overlay_;
@@ -475,7 +482,7 @@ class StreamingProtocol {
   std::uint64_t* book_bids_expired_ = nullptr;
 
   // Histogram cells (stable for the registry lifetime, allocation-free
-  // add): budgeted-candidate-set sizes per buyer phase, event-queue depth
+  // add): budgeted-candidate-set sizes per buyer phase, calendar depth
   // sampled each round, and — only while the tracer is enabled, to keep
   // the steady-state hot path free of per-buyer clock reads — per-buyer
   // purchase-phase latency in microseconds.
@@ -486,12 +493,6 @@ class StreamingProtocol {
   // Trailing spend-rate window (begin_rate_window / windowed_spend_rates).
   std::vector<std::uint64_t> spent_marker_;
   double marker_time_ = -1.0;
-
-  // Teardown safety: callbacks hold a weak_ptr to this token and no-op once
-  // it expires; periodic tasks are additionally cancelled so they stop
-  // rescheduling themselves into a simulator that outlives the protocol.
-  std::shared_ptr<bool> alive_token_ = std::make_shared<bool>(true);
-  std::vector<sim::Simulator::PeriodicHandle> periodic_handles_;
 
   std::uint64_t rounds_ = 0;
   double purchase_phase_seconds_ = 0.0;

@@ -3,16 +3,16 @@
 //
 // Global operator new/delete are replaced with counting versions for this
 // whole test binary; the test warms a market past the point where every
-// scratch buffer, event-queue slot, and metric cell has reached its
+// scratch buffer, the event calendar, and every metric cell has reached its
 // steady-state capacity, then asserts the allocation counter does not move
 // across a block of further rounds. This pins the tentpole property of the
 // allocation-free core end to end — window advance, seeding, the purchase
-// phase, taxation, and the event queue's fire/reschedule cycle — not just
-// one subsystem. Membership churn gets its own burst test: the overlay's
+// phase, taxation, and the calendar's fire/reschedule cycle — not just one
+// subsystem. Membership churn is covered twice: the overlay's
 // fixed-capacity edge pool makes join/leave heap-silent, so a warmed
-// overlay must absorb sustained join/leave bursts at zero allocations.
-// (The protocol's churn *events* still allocate one std::function per
-// scheduled departure — simulator bookkeeping, not market state.)
+// overlay must absorb sustained join/leave bursts at zero allocations, and
+// churn markets must run their arrival and departure events at zero
+// allocations too (a pending departure is a 24-byte calendar record).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -177,9 +177,8 @@ TEST(AllocationFreeCore, StrategyLayerSteadyStateDoesNotAllocate) {
   // washing credit, and staked seeders locking/revalidating bonds — the
   // warmed round loop still never touches the heap. The colluder/staked
   // scratch vectors are reserved at construction; whitewash resets reuse
-  // the churn path's pooled overlay slots. (Whitewash cycles do schedule
-  // departure events only under timed churn, which is off here — the
-  // strategy reset path itself is event-free.)
+  // the churn path's pooled overlay slots. (A whitewash reset schedules no
+  // event: under timed churn the slot keeps its pending departure.)
   p2p::ProtocolConfig cfg;
   cfg.initial_peers = 300;
   cfg.max_peers = 300;
@@ -196,6 +195,34 @@ TEST(AllocationFreeCore, StrategyLayerSteadyStateDoesNotAllocate) {
   cfg.strat.revalidate_rounds = 8;
   EXPECT_EQ(allocations_during_rounds(cfg, 100.0, 50.0), 0u)
       << "the strategy-enabled round loop allocated";
+}
+
+TEST(AllocationFreeCore, ChurnRoundLoopDoesNotAllocate) {
+  // The fig11 open market: Poisson arrivals recycle slots, every alive peer
+  // holds one pending departure on the calendar, and the population
+  // wanders to new highs well after warm-up. Neither the round's scratch
+  // nor the calendar may grow with it.
+  p2p::ProtocolConfig churn;
+  churn.initial_peers = 500;
+  churn.max_peers = 2048;
+  churn.churn.enabled = true;
+  churn.churn.arrival_rate = 2.0;
+  churn.churn.mean_lifespan = 250.0;
+
+  p2p::ProtocolConfig fig11 = churn;
+  fig11.seed = 2012;
+  fig11.heterogeneity.spend_rate_cv = 0.3;
+  EXPECT_EQ(allocations_during_rounds(fig11, 2000.0, 500.0), 0u)
+      << "the churn round loop allocated";
+
+  // Whitewashers add identity resets on top: a reset departs and
+  // re-activates a slot inside the round, inheriting its pending departure.
+  p2p::ProtocolConfig whitewash = churn;
+  whitewash.seed = 2013;
+  whitewash.strat.whitewash_fraction = 0.2;
+  whitewash.strat.whitewash_threshold = 10.0;
+  EXPECT_EQ(allocations_during_rounds(whitewash, 2000.0, 1000.0), 0u)
+      << "the whitewashing churn round loop allocated";
 }
 
 TEST(AllocationFreeCore, TracingEnabledSteadyStateDoesNotAllocate) {

@@ -132,7 +132,7 @@ const std::vector<GoldenCell>& cells() {
   static const std::vector<GoldenCell> kCells = {
       // The churn-heavy case: join/leave on the dense active-peer array,
       // the free-slot scan, span-based seeding/taxation/snapshot walks and
-      // the recycled event-queue slots.
+      // the calendar's arrival and departure events.
       {"fig11_churn", "fig11_churn",
        {"churn.arrival_rate=1,2", "churn.mean_lifespan=100,200"}, 400.0, 2,
        0xbd9622db89f1920bULL, 0x1d7620dbf7cda782ULL, 0xc27d93ece3617262ULL},

@@ -228,10 +228,10 @@ TEST(Protocol, DynamicSpendingReducesInequalityVsFixed) {
 }
 
 TEST(Protocol, SimulatorMayOutliveProtocol) {
-  // The protocol schedules rounds, churn arrivals/departures, and injection
-  // ticks that capture `this`. Destroying the protocol mid-run must leave
-  // the simulator free to keep draining its queue without touching freed
-  // state, and the self-rescheduling periodic tasks must stop re-arming.
+  // The protocol is the calendar agent for rounds, churn arrivals and
+  // departures, and injection ticks. Destroying it mid-run detaches it:
+  // the simulator keeps draining its calendar without touching freed
+  // state, and the kinds that reschedule themselves stop re-arming.
   sim::Simulator sim;
   {
     ProtocolConfig cfg = small_config();
@@ -245,10 +245,10 @@ TEST(Protocol, SimulatorMayOutliveProtocol) {
     sim.run_until(50.0);
     EXPECT_GT(proto.rounds_run(), 0u);
   }
-  // Pending rounds/arrivals/departures fire as guarded no-ops, and the
-  // cancelled periodic tasks stop re-arming — so the queue must fully
-  // drain once the longest one-shot churn timer has fired (exponential
-  // lifespans scheduled before t=50 are all far below 2000 for this seed).
+  // Pending rounds/arrivals/departures pop as no-ops and nothing re-arms,
+  // so the calendar must fully drain once the longest pending departure
+  // has popped (exponential lifespans scheduled before t=50 are all far
+  // below 2000 for this seed).
   sim.run_until(2000.0);
   EXPECT_EQ(sim.pending_events(), 0u);
 }

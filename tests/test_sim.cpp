@@ -1,10 +1,9 @@
-// Tests for sim/event_queue, sim/simulator, sim/metrics.
+// Tests for sim/simulator (the typed event calendar) and sim/metrics.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "util/assert.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -12,118 +11,111 @@
 namespace creditflow::sim {
 namespace {
 
-TEST(EventQueue, OrdersByTime) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.schedule(3.0, [&](double) { fired.push_back(3); });
-  q.schedule(1.0, [&](double) { fired.push_back(1); });
-  q.schedule(2.0, [&](double) { fired.push_back(2); });
-  while (!q.empty()) {
-    auto f = q.pop();
-    f.callback(f.time);
-  }
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
+/// Logs every event it receives. Kind kTick reschedules itself `every`
+/// seconds after each firing when `every` > 0, the way the protocol's
+/// round does.
+struct Recorder : Simulator::Agent {
+  static constexpr std::uint8_t kTick = 7;
 
-TEST(EventQueue, FifoAmongSimultaneous) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(1.0, [&fired, i](double) { fired.push_back(i); });
-  }
-  while (!q.empty()) {
-    auto f = q.pop();
-    f.callback(f.time);
-  }
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RecycledSlotsKeepEachEventsCallback) {
-  // A pop frees its callback slot and the next schedule reuses it; every
-  // heap entry must still reach its own callback, in (time, seq) order.
-  EventQueue q;
-  std::vector<int> fired;
-  const auto fire_next = [&q] {
-    auto f = q.pop();
-    f.callback(f.time);
+  struct Fired {
+    double t;
+    int agent;
+    std::uint8_t kind;
+    std::uint32_t arg;
+    bool operator==(const Fired&) const = default;
   };
-  q.schedule(1.0, [&](double) { fired.push_back(1); });
-  q.schedule(3.0, [&](double) { fired.push_back(3); });
-  fire_next();
-  q.schedule(2.0, [&](double) { fired.push_back(2); });
-  q.schedule(3.0, [&](double) { fired.push_back(4); });
-  EXPECT_EQ(q.size(), 3u);
-  while (!q.empty()) fire_next();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
-}
 
-TEST(EventQueue, NullCallbackRejected) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule(0.0, nullptr), util::PreconditionError);
-}
+  Recorder(Simulator& s, int tag, std::vector<Fired>& log, double every = 0.0)
+      : sim(s), tag(tag), log(log), every(every), id(s.attach(*this)) {}
 
-TEST(EventQueue, MoveOnlyCapturesAreSupported) {
-  // The inline-storage callback type must accept move-only captures —
-  // std::function forces copyability, which the old queue required.
-  EventQueue q;
-  auto payload = std::make_unique<int>(42);
-  int seen = 0;
-  q.schedule(1.0, [p = std::move(payload), &seen](double) { seen = *p; });
-  auto f = q.pop();
-  f.callback(f.time);
-  EXPECT_EQ(seen, 42);
-}
+  void on_event(std::uint8_t kind, std::uint32_t arg, double t) override {
+    log.push_back(Fired{t, tag, kind, arg});
+    if (kind == kTick && every > 0.0) sim.schedule(t + every, id, kTick);
+  }
 
-TEST(Simulator, RunsToHorizonAndAdvancesClock) {
+  Simulator& sim;
+  int tag;
+  std::vector<Fired>& log;
+  double every;
+  Simulator::AgentId id;
+};
+
+using Log = std::vector<Recorder::Fired>;
+
+TEST(Simulator, FiresByTimeThenInSchedulingOrderAcrossAgentsAndKinds) {
   Simulator sim;
-  int count = 0;
-  sim.schedule_at(1.0, [&](double) { ++count; });
-  sim.schedule_at(5.0, [&](double) { ++count; });
-  sim.schedule_at(100.0, [&](double) { ++count; });
-  const auto executed = sim.run_until(10.0);
-  EXPECT_EQ(executed, 2u);
-  EXPECT_EQ(count, 2);
+  Log log;
+  Recorder a(sim, 0, log);
+  Recorder b(sim, 1, log);
+  sim.schedule(3.0, a.id, 1, 30);
+  sim.schedule(2.0, b.id, 2, 20);
+  sim.schedule(2.0, a.id, 3, 21);
+  sim.schedule(1.0, b.id, 1, 10);
+  sim.schedule(2.0, b.id, 1, 22);
+  sim.schedule(2.0, a.id, 2, 23);
+  EXPECT_EQ(sim.run_until(10.0), 6u);
+  EXPECT_EQ(log, (Log{{1.0, 1, 1, 10},
+                      {2.0, 1, 2, 20},
+                      {2.0, 0, 3, 21},
+                      {2.0, 1, 1, 22},
+                      {2.0, 0, 2, 23},
+                      {3.0, 0, 1, 30}}));
+}
+
+TEST(Simulator, RunsToHorizonAndLeavesTheClockThere) {
+  Simulator sim;
+  Log log;
+  Recorder a(sim, 0, log);
+  sim.schedule(1.0, a.id, 0);
+  sim.schedule(5.0, a.id, 0);
+  sim.schedule(100.0, a.id, 0);
+  EXPECT_EQ(sim.run_until(10.0), 2u);
+  EXPECT_EQ(log.size(), 2u);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);
   // The 100.0 event is still pending.
   EXPECT_EQ(sim.pending_events(), 1u);
 }
 
-TEST(Simulator, CallbacksScheduleMoreWork) {
+TEST(Simulator, SelfReschedulingKindFiresAtInterval) {
   Simulator sim;
+  Log log;
+  Recorder a(sim, 0, log, /*every=*/2.0);
+  sim.schedule(1.0, a.id, Recorder::kTick);
+  sim.run_until(7.5);
   std::vector<double> times;
-  std::function<void(double)> chain = [&](double t) {
-    times.push_back(t);
-    if (times.size() < 4) sim.schedule_after(1.0, chain);
-  };
-  sim.schedule_at(0.5, chain);
-  sim.run_until(100.0);
-  EXPECT_EQ(times, (std::vector<double>{0.5, 1.5, 2.5, 3.5}));
+  for (const auto& f : log) times.push_back(f.t);
+  EXPECT_EQ(times, (std::vector<double>{1.0, 3.0, 5.0, 7.0}));
+  EXPECT_EQ(sim.pending_events(), 1u);  // the tick at 9.0
 }
 
 TEST(Simulator, SchedulingIntoPastThrows) {
   Simulator sim;
-  sim.schedule_at(1.0, [](double) {});
+  Log log;
+  Recorder a(sim, 0, log);
+  sim.schedule(1.0, a.id, 0);
   sim.run_until(5.0);
-  EXPECT_THROW(sim.schedule_at(2.0, [](double) {}),
-               util::PreconditionError);
+  EXPECT_THROW(sim.schedule(2.0, a.id, 0), util::PreconditionError);
 }
 
-TEST(Simulator, PeriodicFiresAtInterval) {
+TEST(Simulator, DetachedAgentsEventsPopAsNoOps) {
   Simulator sim;
-  std::vector<double> times;
-  sim.schedule_periodic(1.0, 2.0, [&](double t) { times.push_back(t); });
-  sim.run_until(7.5);
-  EXPECT_EQ(times, (std::vector<double>{1.0, 3.0, 5.0, 7.0}));
-}
-
-TEST(Simulator, PeriodicCancelStops) {
-  Simulator sim;
-  int count = 0;
-  auto handle =
-      sim.schedule_periodic(1.0, 1.0, [&](double) { ++count; });
-  sim.schedule_at(3.5, [&](double) { handle.cancel(); });
+  Log log;
+  Recorder gone(sim, 0, log, /*every=*/1.0);
+  Recorder kept(sim, 1, log);
+  sim.schedule(1.0, gone.id, Recorder::kTick);
+  sim.schedule(2.5, gone.id, 4, 99);
+  sim.schedule(3.0, kept.id, 5, 7);
+  sim.run_until(1.5);
+  EXPECT_EQ(log, (Log{{1.0, 0, Recorder::kTick, 0}}));
+  sim.detach(gone.id);
+  // The tick re-armed at 2.0 and the one-shot at 2.5 stay on the calendar
+  // until they pop.
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.run_until(2.6), 2u);
+  EXPECT_EQ(sim.pending_events(), 1u);
   sim.run_until(10.0);
-  EXPECT_EQ(count, 3);  // fired at 1, 2, 3
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(log, (Log{{1.0, 0, Recorder::kTick, 0}, {3.0, 1, 5, 7}}));
 }
 
 TEST(Metrics, CountersAccumulate) {
