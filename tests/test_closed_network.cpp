@@ -65,8 +65,9 @@ TEST(ClosedNetwork, MatchesBruteForceSymmetric) {
   const BruteForce ref(u, m);
   for (std::size_t i = 0; i < u.size(); ++i) {
     EXPECT_NEAR(net.expected_wealth(i), ref.expected[i], 1e-10);
+    const auto pmf = net.marginal(i);
     for (std::uint64_t b = 0; b <= m; ++b) {
-      EXPECT_NEAR(net.marginal_pmf(i, b), ref.marginals[i][b], 1e-10)
+      EXPECT_NEAR(pmf[b], ref.marginals[i][b], 1e-10)
           << "queue " << i << " b " << b;
     }
   }
@@ -79,8 +80,9 @@ TEST(ClosedNetwork, MatchesBruteForceAsymmetric) {
   const BruteForce ref(u, m);
   for (std::size_t i = 0; i < u.size(); ++i) {
     EXPECT_NEAR(net.expected_wealth(i), ref.expected[i], 1e-10);
+    const auto pmf = net.marginal(i);
     for (std::uint64_t b = 0; b <= m; ++b) {
-      EXPECT_NEAR(net.marginal_pmf(i, b), ref.marginals[i][b], 1e-10);
+      EXPECT_NEAR(pmf[b], ref.marginals[i][b], 1e-10);
     }
   }
 }
@@ -163,7 +165,7 @@ TEST(ClosedNetwork, ZeroUtilizationQueueHoldsNothing) {
   const std::vector<double> u = {1.0, 0.0, 0.5};
   const ClosedNetwork net(u, 20);
   EXPECT_DOUBLE_EQ(net.expected_wealth(1), 0.0);
-  EXPECT_DOUBLE_EQ(net.marginal_pmf(1, 0), 1.0);
+  EXPECT_DOUBLE_EQ(net.marginal(1)[0], 1.0);
   EXPECT_DOUBLE_EQ(net.empty_probability(1), 1.0);
 }
 
@@ -247,6 +249,7 @@ TEST(ApproxEq8, MatchesPaperFormulaPointwise) {
   // Eq. (8): Q{B=b} = ((N-1)/N)^M C(M,b) e^{-b ln(N-1)}.
   const std::size_t n = 7;
   const std::uint64_t m = 12;
+  const auto pmf = approx_marginal_eq8(n, m);
   for (std::uint64_t b = 0; b <= m; ++b) {
     double binom = 1.0;
     for (std::uint64_t k = 0; k < b; ++k) {
@@ -256,7 +259,7 @@ TEST(ApproxEq8, MatchesPaperFormulaPointwise) {
         std::pow(static_cast<double>(n - 1) / n, static_cast<double>(m)) *
         binom *
         std::exp(-static_cast<double>(b) * std::log(static_cast<double>(n - 1)));
-    EXPECT_NEAR(approx_pmf_eq8(n, m, b), paper, 1e-10);
+    EXPECT_NEAR(pmf[b], paper, 1e-10);
   }
 }
 

@@ -27,6 +27,9 @@ TEST(OpenNetwork, TandemTrafficEquations) {
   EXPECT_NEAR(net.solution().lambda[0], 0.6, 1e-12);
   EXPECT_NEAR(net.solution().lambda[1], 0.6, 1e-12);
   EXPECT_TRUE(net.solution().stable);
+  // Each queue is M/M/1 at rho = 0.6: E[B] = rho/(1-rho) = 1.5.
+  EXPECT_NEAR(net.expected_wealth(0), 1.5, 1e-12);
+  EXPECT_NEAR(net.expected_wealth(1), 1.5, 1e-12);
 }
 
 TEST(OpenNetwork, FeedbackLoopAmplifiesTraffic) {

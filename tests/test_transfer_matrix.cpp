@@ -60,12 +60,15 @@ TEST(TransferMatrix, ReducibleChainDetected) {
 TEST(TransferMatrix, LeftMultiplyMatchesDense) {
   util::Rng rng(3);
   const auto g = graph::erdos_renyi(20, 0.3, rng);
-  const auto p = TransferMatrix::random_from_graph(g, rng);
-  const std::vector<double> x(20, 1.0 / 20.0);
+  const auto p = TransferMatrix::uniform_from_graph(g, 0.1);
+  std::vector<double> x(20);
+  for (std::size_t i = 0; i < 20; ++i) x[i] = (i + 1) / 210.0;
   const auto sparse = p.left_multiply(x);
-  const auto dense = p.to_dense().left_multiply(x);
-  for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_NEAR(sparse[i], dense[i], 1e-14);
+  const auto d = p.to_dense();
+  for (std::size_t j = 0; j < 20; ++j) {
+    double dense = 0.0;
+    for (std::size_t i = 0; i < 20; ++i) dense += x[i] * d.at(i, j);
+    EXPECT_NEAR(sparse[j], dense, 1e-14);
   }
 }
 
