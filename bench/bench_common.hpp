@@ -1,5 +1,5 @@
-// Shared helpers for the figure benches: environment-based scaling, market
-// construction shortcuts, and table emission.
+// Shared helpers for the figure benches: environment-based scaling, sweep
+// runner options, and table emission.
 //
 // Every fig*_ binary regenerates one figure of the paper's evaluation as an
 // aligned console table (and CSV when CREDITFLOW_CSV_DIR is set). Simulated
@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "core/market.hpp"
 #include "econ/gini.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "util/table.hpp"
 
@@ -71,35 +71,6 @@ inline void emit(const util::ConsoleTable& table, const std::string& name) {
     std::cout << "[csv] " << *path << "\n";
   }
   std::cout << "\n";
-}
-
-/// The paper's baseline simulation scenario (Sec. VI): scale-free overlay,
-/// uniform pricing at 1 credit/chunk, symmetric capabilities.
-inline core::MarketConfig paper_baseline(std::size_t peers,
-                                         std::uint64_t credits,
-                                         double horizon) {
-  core::MarketConfig cfg;
-  cfg.protocol.initial_peers = peers;
-  cfg.protocol.max_peers = peers;
-  cfg.protocol.initial_credits = credits;
-  cfg.protocol.seed = 2012;
-  cfg.horizon = horizon * time_scale();
-  cfg.snapshot_interval = std::max(50.0, cfg.horizon / 40.0);
-  return cfg;
-}
-
-/// Asymmetric-utilization variant: heterogeneous *spending* rates μ_i^s
-/// (lognormal, CV 0.3). Utilization u_i = λ_i/μ_i then varies across peers
-/// exactly as in the paper's model — frugal (low-μ, high-u) peers accumulate
-/// credits — while income stays capacity-capped so the market remains
-/// functional. (Income-side heterogeneity instead drives the market to the
-/// total-condensation regime of Fig. 1; see EXPERIMENTS.md.)
-inline core::MarketConfig paper_asymmetric(std::size_t peers,
-                                           std::uint64_t credits,
-                                           double horizon) {
-  auto cfg = paper_baseline(peers, credits, horizon);
-  cfg.protocol.heterogeneity.spend_rate_cv = 0.3;
-  return cfg;
 }
 
 }  // namespace creditflow::bench

@@ -42,7 +42,8 @@ int main() {
     row.emplace_back(econ::gini_from_pmf(
         queueing::approx_marginal_eq8(100, c * 100)));
 
-    core::MarketConfig cfg = bench::paper_baseline(100, c, 8000.0);
+    core::MarketConfig cfg =
+        scenario::paper_market(100, c, 8000.0 * bench::time_scale());
     core::CreditMarket market(cfg);
     const auto report = market.run();
     row.emplace_back(report.converged_gini());

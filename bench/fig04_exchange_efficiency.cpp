@@ -36,7 +36,8 @@ int main() {
     // market cannot represent fractional c, so small c values snap to 1.
     const auto sim_credits =
         std::max<std::uint64_t>(1, static_cast<std::uint64_t>(c + 0.5));
-    core::MarketConfig cfg = bench::paper_baseline(300, sim_credits, 3000.0);
+    core::MarketConfig cfg = scenario::paper_market(
+        300, sim_credits, 3000.0 * bench::time_scale());
     core::CreditMarket market(cfg);
     const auto report = market.run();
     const double active =

@@ -40,7 +40,7 @@ int main() {
   const double horizon = 40000.0 * bench::time_scale();
 
   // --- Protocol simulation -------------------------------------------------
-  core::MarketConfig cfg = bench::paper_baseline(peers, c, 40000.0);
+  core::MarketConfig cfg = scenario::paper_market(peers, c, horizon);
   cfg.snapshot_interval = cfg.horizon / 8.0;
 
   std::vector<std::pair<double, std::vector<double>>> curves;

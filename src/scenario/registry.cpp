@@ -6,23 +6,28 @@
 
 namespace creditflow::scenario {
 
+core::MarketConfig paper_market(std::size_t peers, std::uint64_t credits,
+                                double horizon) {
+  core::MarketConfig cfg;
+  cfg.protocol.initial_peers = peers;
+  cfg.protocol.max_peers = peers;
+  cfg.protocol.initial_credits = credits;
+  cfg.protocol.seed = 2012;
+  cfg.horizon = horizon;
+  cfg.snapshot_interval = std::max(50.0, horizon / 40.0);
+  return cfg;
+}
+
 namespace {
 
-/// The paper's baseline market (Sec. VI): scale-free overlay, uniform
-/// 1-credit pricing, symmetric capabilities — what bench_common's
-/// paper_baseline builds, as a spec.
+/// paper_market() as a named spec.
 ScenarioSpec paper_baseline(std::string name, std::string description,
                             std::size_t peers, std::uint64_t credits,
                             double horizon) {
   ScenarioSpec spec;
   spec.name = std::move(name);
   spec.description = std::move(description);
-  spec.config.protocol.initial_peers = peers;
-  spec.config.protocol.max_peers = peers;
-  spec.config.protocol.initial_credits = credits;
-  spec.config.protocol.seed = 2012;
-  spec.config.horizon = horizon;
-  spec.config.snapshot_interval = std::max(50.0, horizon / 40.0);
+  spec.config = paper_market(peers, credits, horizon);
   return spec;
 }
 

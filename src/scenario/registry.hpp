@@ -15,6 +15,14 @@
 
 namespace creditflow::scenario {
 
+/// The paper's baseline market (Sec. VI): scale-free overlay, uniform
+/// 1-credit pricing, symmetric capabilities, seed 2012, and a snapshot every
+/// horizon/40 seconds (at least 50). The presets build on it, and so do the
+/// analytical figure benches that run a market directly.
+[[nodiscard]] core::MarketConfig paper_market(std::size_t peers,
+                                              std::uint64_t credits,
+                                              double horizon);
+
 /// Name → ScenarioSpec map with ordered listing.
 class ScenarioRegistry {
  public:
