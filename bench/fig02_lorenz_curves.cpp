@@ -6,8 +6,8 @@
 //   * the paper's Eq. (8) multinomial approximation (a Binomial(M, 1/N)
 //     marginal), which is what the figure in the paper plots, and
 //   * the exact product-form marginal (Buzen), which is geometric-like and
-//     markedly more skewed — the approximation error discussed in
-//     DESIGN.md §2.
+//     markedly more skewed — the approximation error explained in
+//     src/queueing/approx.hpp.
 #include "bench_common.hpp"
 #include "econ/lorenz.hpp"
 #include "queueing/approx.hpp"

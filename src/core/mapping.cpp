@@ -19,46 +19,6 @@ std::unordered_map<p2p::PeerId, std::uint32_t> dense_index(
 
 }  // namespace
 
-JacksonMapping mapping_from_market(const p2p::StreamingProtocol& protocol) {
-  const auto alive = protocol.alive_peers();
-  CF_EXPECTS_MSG(alive.size() >= 2, "need at least two alive peers");
-  const auto index = dense_index(alive);
-  const std::size_t n = alive.size();
-
-  JacksonMapping m;
-  m.transfer = queueing::TransferMatrix(n);
-  m.service_rates.resize(n);
-  std::vector<p2p::PeerId> nbrs;
-  for (std::uint32_t k = 0; k < n; ++k) {
-    const auto& peer = protocol.peer(alive[k]);
-    m.service_rates[k] = peer.base_spend_rate;
-    std::vector<queueing::RoutingEntry> row;
-    protocol.overlay().neighbors_into(alive[k], nbrs);
-    std::vector<std::uint32_t> dense_nbrs;
-    dense_nbrs.reserve(nbrs.size());
-    for (auto nb : nbrs) {
-      const auto it = index.find(nb);
-      if (it != index.end()) dense_nbrs.push_back(it->second);
-    }
-    if (dense_nbrs.empty()) {
-      row.push_back({k, 1.0});
-    } else {
-      const double share = 1.0 / static_cast<double>(dense_nbrs.size());
-      for (auto j : dense_nbrs) row.push_back({j, share});
-    }
-    m.transfer.set_row(k, std::move(row));
-  }
-
-  const auto eq = queueing::solve_equilibrium(m.transfer);
-  m.arrival_rates = eq.lambda;
-  m.utilization =
-      queueing::normalized_utilization(m.arrival_rates, m.service_rates);
-  m.total_credits = protocol.ledger().circulating();
-  m.average_wealth =
-      static_cast<double>(m.total_credits) / static_cast<double>(n);
-  return m;
-}
-
 JacksonMapping mapping_from_trace(const p2p::StreamingProtocol& protocol,
                                   double now) {
   const auto& trace = protocol.trace();

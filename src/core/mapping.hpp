@@ -11,11 +11,9 @@
 //   credit spending rate μ_i         service rate μ_i
 //   income earning rate λ_i          arrival rate λ_i
 //
-// Two constructions are provided: the *prescriptive* mapping derived from a
-// market configuration (what the model says the market should do), and the
-// *empirical* mapping estimated from a recorded protocol trace (what the
-// simulated market actually did). Comparing the two is how the benches
-// validate the model against the protocol.
+// The mapping is *empirical*: it is estimated from a recorded protocol trace
+// (what the simulated market actually did), and core/analyzer.hpp feeds it
+// to the queueing model to predict the market's Gini and efficiency.
 #pragma once
 
 #include <vector>
@@ -39,12 +37,6 @@ struct JacksonMapping {
     return service_rates.size();
   }
 };
-
-/// Prescriptive mapping: uniform routing over the current overlay
-/// neighborhoods (the streaming case of Sec. V-C), λ from the equilibrium
-/// λP = λ, μ from the configured nominal spending rates.
-[[nodiscard]] JacksonMapping mapping_from_market(
-    const p2p::StreamingProtocol& protocol);
 
 /// Empirical mapping estimated from the protocol's transaction trace:
 /// p_ij = share of i's payments that went to j; λ_i = credits earned per

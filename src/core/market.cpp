@@ -130,8 +130,4 @@ JacksonMapping CreditMarket::empirical_mapping() const {
   return mapping_from_trace(*protocol_, sim_.now());
 }
 
-JacksonMapping CreditMarket::prescriptive_mapping() const {
-  return mapping_from_market(*protocol_);
-}
-
 }  // namespace creditflow::core

@@ -65,9 +65,6 @@ class CreditMarket : private sim::Simulator::Agent {
   /// Empirical Table I mapping from the recorded trace (requires
   /// enable_trace and a completed run).
   [[nodiscard]] JacksonMapping empirical_mapping() const;
-  /// Prescriptive Table I mapping from the current market state.
-  [[nodiscard]] JacksonMapping prescriptive_mapping() const;
-
  private:
   enum Event : std::uint8_t { kSnapshot, kRateWindowOpen };
   void on_event(std::uint8_t kind, std::uint32_t arg, double t) override;

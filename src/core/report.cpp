@@ -19,16 +19,4 @@ std::string MarketReport::summary() const {
   return oss.str();
 }
 
-util::ConsoleTable MarketReport::gini_table(const std::string& title) const {
-  util::ConsoleTable table(title);
-  table.set_header({"time_s", "gini_balances", "mean_balance",
-                    "buffer_fill", "alive"});
-  for (std::size_t i = 0; i < gini_balances.size(); ++i) {
-    table.add_row({gini_balances.time_at(i), gini_balances.value_at(i),
-                   mean_balance.value_at(i), mean_buffer_fill.value_at(i),
-                   alive_peers.value_at(i)});
-  }
-  return table;
-}
-
 }  // namespace creditflow::core

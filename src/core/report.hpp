@@ -9,7 +9,6 @@
 #include "econ/wealth.hpp"
 #include "strategy/strategy.hpp"
 #include "util/stats.hpp"
-#include "util/table.hpp"
 
 namespace creditflow::core {
 
@@ -75,9 +74,6 @@ struct MarketReport {
 
   /// One-line summary for logs/examples.
   [[nodiscard]] std::string summary() const;
-
-  /// Render the Gini evolution as a table (used by several figure benches).
-  [[nodiscard]] util::ConsoleTable gini_table(const std::string& title) const;
 };
 
 }  // namespace creditflow::core

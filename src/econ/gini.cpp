@@ -66,11 +66,4 @@ double gini_from_pmf(std::span<const double> pmf) {
   return std::clamp(e_abs_diff / (2.0 * normalized_mean), 0.0, 1.0);
 }
 
-double gini_u64(std::span<const unsigned long long> wealth) {
-  std::vector<double> w(wealth.size());
-  for (std::size_t i = 0; i < wealth.size(); ++i)
-    w[i] = static_cast<double>(wealth[i]);
-  return gini(w);
-}
-
 }  // namespace creditflow::econ

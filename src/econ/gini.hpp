@@ -27,7 +27,4 @@ namespace creditflow::econ {
 /// Requires positive mean. PMF need not be normalized.
 [[nodiscard]] double gini_from_pmf(std::span<const double> pmf);
 
-/// Convenience overload for integer wealth samples.
-[[nodiscard]] double gini_u64(std::span<const unsigned long long> wealth);
-
 }  // namespace creditflow::econ

@@ -28,42 +28,6 @@ double LorenzCurve::share_at(double x) const {
   return y0 + (y1 - y0) * (x - x0) / (x1 - x0);
 }
 
-LorenzCurve lorenz_from_samples(std::span<const double> wealth) {
-  LorenzCurve curve;
-  std::vector<double> scratch;
-  lorenz_from_samples(wealth, scratch, curve);
-  return curve;
-}
-
-void lorenz_from_samples(std::span<const double> wealth,
-                         std::vector<double>& scratch, LorenzCurve& out) {
-  CF_EXPECTS(!wealth.empty());
-  scratch.assign(wealth.begin(), wealth.end());
-  double total = 0.0;
-  for (double w : scratch) {
-    CF_EXPECTS_MSG(w >= 0.0, "wealth values must be non-negative");
-    total += w;
-  }
-  CF_EXPECTS_MSG(total > 0.0, "total wealth must be positive");
-  std::sort(scratch.begin(), scratch.end());
-
-  const std::size_t n = scratch.size();
-  out.population_share.clear();
-  out.wealth_share.clear();
-  out.population_share.reserve(n + 1);
-  out.wealth_share.reserve(n + 1);
-  out.population_share.push_back(0.0);
-  out.wealth_share.push_back(0.0);
-  double cum = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    cum += scratch[k];
-    out.population_share.push_back(static_cast<double>(k + 1) /
-                                   static_cast<double>(n));
-    out.wealth_share.push_back(cum / total);
-  }
-  out.wealth_share.back() = 1.0;  // absorb rounding
-}
-
 LorenzCurve lorenz_from_pmf(std::span<const double> pmf) {
   CF_EXPECTS(!pmf.empty());
   double mass = 0.0;

@@ -20,17 +20,6 @@ struct LorenzCurve {
   [[nodiscard]] double share_at(double x) const;
 };
 
-/// Lorenz curve of a finite sample of wealth values (each >= 0, positive sum).
-[[nodiscard]] LorenzCurve lorenz_from_samples(std::span<const double> wealth);
-
-/// Scratch-reusing flavor: the sample is copied into `scratch` and sorted
-/// there, and the curve is built into `out` (reusing its vectors), so
-/// repeated curve extraction performs no allocation once the buffers have
-/// warmed up. The resulting curve is bit-identical to
-/// lorenz_from_samples(wealth).
-void lorenz_from_samples(std::span<const double> wealth,
-                         std::vector<double>& scratch, LorenzCurve& out);
-
 /// Lorenz curve of a *distribution*: each peer's wealth is an i.i.d. draw
 /// from pmf over {0,1,...} (pmf need not be normalized; positive mean
 /// required). This is the construction used for the paper's Fig. 2, applied

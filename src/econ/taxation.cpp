@@ -44,6 +44,4 @@ void TaxationEngine::forget_peer(std::uint32_t peer) {
   fractional_debt_.erase(peer);
 }
 
-void TaxationEngine::deposit(std::uint64_t credits) { treasury_ += credits; }
-
 }  // namespace creditflow::econ

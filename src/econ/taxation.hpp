@@ -54,10 +54,6 @@ class TaxationEngine {
   /// Forget a departed peer's fractional liability (open networks).
   void forget_peer(std::uint32_t peer);
 
-  /// Credits the treasury directly (used when a departing peer's residual
-  /// balance is recycled instead of leaving the system — optional rule).
-  void deposit(std::uint64_t credits);
-
  private:
   TaxPolicy policy_;
   std::uint64_t treasury_ = 0;

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "util/assert.hpp"
-#include "util/stats.hpp"
 
 namespace creditflow::graph {
 
@@ -17,33 +16,6 @@ Graph erdos_renyi(std::size_t n, double p, util::Rng& rng) {
       if (rng.bernoulli(p)) g.add_edge(u, v);
     }
   }
-  return g;
-}
-
-Graph ring_lattice(std::size_t n, std::size_t half_k) {
-  CF_EXPECTS(n >= 2);
-  CF_EXPECTS(half_k >= 1 && half_k < n);
-  Graph g(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t j = 1; j <= half_k; ++j) {
-      const auto v = static_cast<NodeId>((u + j) % n);
-      g.add_edge(u, v);
-    }
-  }
-  return g;
-}
-
-Graph complete(std::size_t n) {
-  Graph g(n);
-  for (NodeId u = 0; u < n; ++u)
-    for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
-  return g;
-}
-
-Graph star(std::size_t n) {
-  CF_EXPECTS(n >= 2);
-  Graph g(n);
-  for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
   return g;
 }
 
@@ -149,47 +121,6 @@ Graph scale_free(std::size_t n, const ScaleFreeParams& params,
   return g;
 }
 
-Graph barabasi_albert(std::size_t n, std::size_t m, util::Rng& rng) {
-  CF_EXPECTS(m >= 1);
-  CF_EXPECTS(n > m);
-  Graph g(n);
-  // Seed clique of m+1 nodes.
-  for (NodeId u = 0; u <= m; ++u)
-    for (NodeId v = u + 1; v <= m; ++v) g.add_edge(u, v);
-
-  // Repeated-endpoint list gives degree-proportional sampling in O(1).
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(2 * n * m);
-  for (NodeId u = 0; u <= m; ++u)
-    for (NodeId v : g.neighbors(u)) {
-      (void)v;
-      endpoints.push_back(u);
-    }
-
-  for (NodeId u = static_cast<NodeId>(m + 1); u < n; ++u) {
-    std::size_t added = 0;
-    std::size_t attempts = 0;
-    while (added < m && attempts < 50 * m) {
-      const NodeId target = endpoints[rng.uniform_index(endpoints.size())];
-      ++attempts;
-      if (g.add_edge(u, target)) {
-        endpoints.push_back(u);
-        endpoints.push_back(target);
-        ++added;
-      }
-    }
-    // Degenerate fallback: connect to sequential nodes.
-    for (NodeId v = 0; added < m && v < u; ++v) {
-      if (g.add_edge(u, v)) {
-        endpoints.push_back(u);
-        endpoints.push_back(v);
-        ++added;
-      }
-    }
-  }
-  return g;
-}
-
 void make_connected(Graph& g, util::Rng& rng) {
   if (g.num_nodes() <= 1) return;
   auto labels = connected_components(g);
@@ -214,44 +145,6 @@ void make_connected(Graph& g, util::Rng& rng) {
         members[giant][rng.uniform_index(members[giant].size())];
     g.add_edge(u, v);
   }
-}
-
-DegreeStats degree_stats(const Graph& g) {
-  DegreeStats out;
-  if (g.num_nodes() == 0) return out;
-  util::RunningStats rs;
-  std::size_t max_deg = 0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    rs.add(static_cast<double>(g.degree(u)));
-    max_deg = std::max(max_deg, g.degree(u));
-  }
-  out.mean = rs.mean();
-  out.min = rs.min();
-  out.max = rs.max();
-  out.cv = rs.cv();
-
-  // Least-squares slope of log(count) vs log(degree), over non-empty degrees.
-  std::vector<std::size_t> counts(max_deg + 1, 0);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) ++counts[g.degree(u)];
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  std::size_t m = 0;
-  for (std::size_t d = 1; d <= max_deg; ++d) {
-    if (counts[d] == 0) continue;
-    const double x = std::log(static_cast<double>(d));
-    const double y = std::log(static_cast<double>(counts[d]));
-    sx += x;
-    sy += y;
-    sxx += x * x;
-    sxy += x * y;
-    ++m;
-  }
-  if (m >= 2) {
-    const double denom = static_cast<double>(m) * sxx - sx * sx;
-    if (std::abs(denom) > 1e-12) {
-      out.loglog_slope = (static_cast<double>(m) * sxy - sx * sy) / denom;
-    }
-  }
-  return out;
 }
 
 }  // namespace creditflow::graph

@@ -2,8 +2,7 @@
 //
 // The paper's simulations use scale-free overlays with degree distribution
 // P(D) ∝ D^-k, k = 2.5, and mean degree 20 (Sec. VI). We provide that
-// generator plus the standard reference topologies used in tests and
-// ablations.
+// generator plus Erdős–Rényi G(n, p).
 #pragma once
 
 #include <cstdint>
@@ -16,15 +15,6 @@ namespace creditflow::graph {
 
 /// Erdős–Rényi G(n, p).
 [[nodiscard]] Graph erdos_renyi(std::size_t n, double p, util::Rng& rng);
-
-/// Ring lattice where each node links to `half_k` neighbors on each side.
-[[nodiscard]] Graph ring_lattice(std::size_t n, std::size_t half_k);
-
-/// Complete graph K_n.
-[[nodiscard]] Graph complete(std::size_t n);
-
-/// Star: node 0 is the hub.
-[[nodiscard]] Graph star(std::size_t n);
 
 /// Parameters for the scale-free overlay generator.
 struct ScaleFreeParams {
@@ -45,24 +35,8 @@ struct ScaleFreeParams {
 [[nodiscard]] Graph scale_free(std::size_t n, const ScaleFreeParams& params,
                                util::Rng& rng);
 
-/// Barabási–Albert preferential attachment with m links per new node;
-/// used for ablations and for the churn join rule.
-[[nodiscard]] Graph barabasi_albert(std::size_t n, std::size_t m,
-                                    util::Rng& rng);
-
 /// Link all components into one (adds the minimum number of edges, choosing
 /// random endpoints). No-op on a connected graph.
 void make_connected(Graph& g, util::Rng& rng);
-
-/// Degree-distribution summary used by tests and the topology report.
-struct DegreeStats {
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double cv = 0.0;             ///< coefficient of variation
-  double loglog_slope = 0.0;   ///< slope of log-count vs log-degree fit
-};
-
-[[nodiscard]] DegreeStats degree_stats(const Graph& g);
 
 }  // namespace creditflow::graph

@@ -42,11 +42,6 @@ double Graph::mean_degree() const {
          static_cast<double>(adj_.size());
 }
 
-bool is_connected(const Graph& g) {
-  if (g.num_nodes() == 0) return true;
-  return giant_component_size(g) == g.num_nodes();
-}
-
 std::vector<std::uint32_t> connected_components(const Graph& g) {
   const std::size_t n = g.num_nodes();
   constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
@@ -70,17 +65,6 @@ std::vector<std::uint32_t> connected_components(const Graph& g) {
     ++next_label;
   }
   return label;
-}
-
-std::size_t giant_component_size(const Graph& g) {
-  if (g.num_nodes() == 0) return 0;
-  const auto labels = connected_components(g);
-  std::vector<std::size_t> sizes;
-  for (auto l : labels) {
-    if (l >= sizes.size()) sizes.resize(l + 1, 0);
-    ++sizes[l];
-  }
-  return *std::max_element(sizes.begin(), sizes.end());
 }
 
 }  // namespace creditflow::graph

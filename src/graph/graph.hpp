@@ -36,13 +36,7 @@ class Graph {
   std::size_t num_edges_ = 0;
 };
 
-/// Connectivity via BFS from node 0; an empty graph counts as connected.
-[[nodiscard]] bool is_connected(const Graph& g);
-
 /// Component label per node (labels are 0-based, dense).
 [[nodiscard]] std::vector<std::uint32_t> connected_components(const Graph& g);
-
-/// Number of nodes in the largest connected component.
-[[nodiscard]] std::size_t giant_component_size(const Graph& g);
 
 }  // namespace creditflow::graph

@@ -42,15 +42,6 @@ Credits CreditLedger::lock_stake(PeerId peer, Credits target) {
   return take;
 }
 
-Credits CreditLedger::release_stake(PeerId peer) {
-  CF_EXPECTS(peer < balance_.size());
-  const Credits amount = staked_[peer];
-  staked_[peer] = 0;
-  staked_total_ -= amount;
-  balance_[peer] += amount;
-  return amount;
-}
-
 Credits CreditLedger::slash_stake(PeerId peer, double fraction) {
   CF_EXPECTS(peer < balance_.size());
   CF_EXPECTS(fraction >= 0.0 && fraction <= 1.0);
@@ -84,13 +75,6 @@ Credits CreditLedger::circulating() const {
 
 bool CreditLedger::audit() const {
   return circulating() + staked_total_ + treasury_ == minted_ - burned_;
-}
-
-std::vector<double> CreditLedger::snapshot(
-    std::span<const PeerId> alive) const {
-  std::vector<double> out;
-  snapshot(alive, out);
-  return out;
 }
 
 void CreditLedger::snapshot(std::span<const PeerId> alive,

@@ -53,8 +53,6 @@ class CreditLedger {
   /// Top the peer's stake up toward `target` from its balance (clamped to
   /// what the balance covers); returns the amount actually locked.
   Credits lock_stake(PeerId peer, Credits target);
-  /// Return the peer's whole stake to its balance; returns the amount.
-  Credits release_stake(PeerId peer);
   /// Forfeit `fraction` (rounded) of the peer's stake to the treasury and
   /// release the remainder to its balance; returns the slashed amount.
   Credits slash_stake(PeerId peer, double fraction);
@@ -82,11 +80,9 @@ class CreditLedger {
   /// circulating + total_staked + treasury == minted − burned.
   [[nodiscard]] bool audit() const;
 
-  /// Balances as doubles for the econ metrics, restricted to `alive` slots.
-  [[nodiscard]] std::vector<double> snapshot(
-      std::span<const PeerId> alive) const;
-  /// snapshot() into a caller-owned buffer (cleared first) — the
-  /// allocation-free flavor for periodic sampling.
+  /// Balances as doubles for the econ metrics, restricted to `alive` slots,
+  /// into a caller-owned buffer (cleared first) so periodic sampling does
+  /// not allocate.
   void snapshot(std::span<const PeerId> alive, std::vector<double>& out) const;
 
  private:

@@ -266,12 +266,4 @@ void Overlay::remove_directed(std::uint32_t from, std::uint32_t to) {
   --degree_[from];
 }
 
-double Overlay::mean_degree() const {
-  if (active_list_.empty()) return 0.0;
-  std::size_t total = 0;
-  for (std::uint32_t p : active_list_) total += degree_[p];
-  return static_cast<double>(total) /
-         static_cast<double>(active_list_.size());
-}
-
 }  // namespace creditflow::p2p

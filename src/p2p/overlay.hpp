@@ -115,8 +115,6 @@ class Overlay {
   /// (and, loudly, when the edge pool is exhausted).
   bool add_edge(std::uint32_t a, std::uint32_t b);
 
-  [[nodiscard]] double mean_degree() const;
-
   /// Pool introspection (tests and capacity planning).
   [[nodiscard]] std::size_t edge_cell_capacity() const { return cells_.size(); }
   [[nodiscard]] std::size_t edge_cells_in_use() const { return cells_in_use_; }

@@ -7,35 +7,6 @@
 
 namespace creditflow::queueing {
 
-std::vector<double> approx_marginal_eq6(std::span<const double> utilization,
-                                        std::size_t i,
-                                        std::uint64_t total_credits) {
-  CF_EXPECTS(i < utilization.size());
-  const std::size_t n = utilization.size();
-  double s = 0.0;
-  for (double u : utilization) {
-    CF_EXPECTS(u >= 0.0);
-    s += u;
-  }
-  CF_EXPECTS_MSG(s > 0.0, "all utilizations are zero");
-  const double ui = utilization[i];
-  std::vector<double> pmf(total_credits + 1, 0.0);
-  if (n == 1 || ui >= s) {
-    pmf[total_credits] = 1.0;  // a single (or dominating) peer holds all
-    return pmf;
-  }
-  if (ui == 0.0) {
-    pmf[0] = 1.0;
-    return pmf;
-  }
-  // Binomial(M, ui/S) in log-space.
-  const double p = ui / s;
-  for (std::uint64_t b = 0; b <= total_credits; ++b) {
-    pmf[b] = std::exp(util::log_binomial_pmf(total_credits, b, p));
-  }
-  return pmf;
-}
-
 std::vector<double> approx_marginal_eq8(std::size_t num_peers,
                                         std::uint64_t total_credits) {
   CF_EXPECTS(num_peers >= 2);
@@ -45,14 +16,6 @@ std::vector<double> approx_marginal_eq8(std::size_t num_peers,
     pmf[b] = std::exp(util::log_binomial_pmf(total_credits, b, p));
   }
   return pmf;
-}
-
-double approx_pmf_eq8(std::size_t num_peers, std::uint64_t total_credits,
-                      std::uint64_t b) {
-  CF_EXPECTS(num_peers >= 2);
-  if (b > total_credits) return 0.0;
-  const double p = 1.0 / static_cast<double>(num_peers);
-  return std::exp(util::log_binomial_pmf(total_credits, b, p));
 }
 
 double efficiency_eq9(double average_wealth) {

@@ -11,31 +11,20 @@
 //
 // These differ from the exact marginals of ClosedNetwork (the approximation
 // weights states by multinomial coefficients; the exact law weights each
-// composition by ∏ u_i^{b_i} alone). Both are exposed so benches can show
-// the approximation error — see DESIGN.md §2.
+// composition by ∏ u_i^{b_i} alone). Eq. (8) and Eq. (9) are implemented
+// here; fig02 and fig03 print the Eq. (8) marginal next to the exact one to
+// show the approximation error.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace creditflow::queueing {
-
-/// Eq. (6): approximate marginal PMF of peer i's wealth (length M+1).
-/// Requires u_i >= 0 with Σu > u_i > 0 unless N == 1.
-[[nodiscard]] std::vector<double> approx_marginal_eq6(
-    std::span<const double> utilization, std::size_t i,
-    std::uint64_t total_credits);
 
 /// Eq. (8): symmetric-utilization marginal, Binomial(M, 1/N) (length M+1).
 [[nodiscard]] std::vector<double> approx_marginal_eq8(std::size_t num_peers,
                                                       std::uint64_t
                                                           total_credits);
-
-/// Eq. (8) evaluated at a single point.
-[[nodiscard]] double approx_pmf_eq8(std::size_t num_peers,
-                                    std::uint64_t total_credits,
-                                    std::uint64_t b);
 
 /// Eq. (9): large-N content-exchange efficiency 1 - e^{-c} as a function of
 /// the average wealth c = M/N.

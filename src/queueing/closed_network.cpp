@@ -56,13 +56,6 @@ double ClosedNetwork::tail_probability(std::size_t i, std::uint64_t b) const {
   return std::exp(log_tail);
 }
 
-double ClosedNetwork::marginal_pmf(std::size_t i, std::uint64_t b) const {
-  CF_EXPECTS(i < u_.size());
-  if (b > m_) return 0.0;
-  const double p = tail_probability(i, b) - tail_probability(i, b + 1);
-  return std::max(p, 0.0);
-}
-
 std::vector<double> ClosedNetwork::marginal(std::size_t i) const {
   CF_EXPECTS(i < u_.size());
   std::vector<double> pmf(m_ + 1, 0.0);

@@ -34,8 +34,6 @@ class ClosedNetwork {
 
   /// P(B_i >= b) = u_i^b G(M-b)/G(M)  (0 for b > M).
   [[nodiscard]] double tail_probability(std::size_t i, std::uint64_t b) const;
-  /// P(B_i = b), exact marginal of peer i's credit holding.
-  [[nodiscard]] double marginal_pmf(std::size_t i, std::uint64_t b) const;
   /// Full marginal PMF vector for peer i (length M+1; sums to 1).
   [[nodiscard]] std::vector<double> marginal(std::size_t i) const;
   /// Expected credits at peer i; Σ_i expected_wealth(i) = M.

@@ -33,16 +33,6 @@ double normalization_of(const std::function<double(double)>& density) {
 
 }  // namespace
 
-double threshold_integrand_at(const std::function<double(double)>& density,
-                              double z) {
-  CF_EXPECTS(z >= 0.0 && z < 1.0);
-  const double mass = normalization_of(density);
-  const auto f = [&](double w) {
-    return w / (1.0 - z * w) * density(w) / mass;
-  };
-  return integrate_unit_interval(f);
-}
-
 CondensationAnalysis analyze_condensation_density(
     const std::function<double(double)>& density, double average_wealth) {
   CF_EXPECTS(average_wealth >= 0.0);

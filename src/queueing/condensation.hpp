@@ -53,9 +53,4 @@ struct EmpiricalOptions {
     std::span<const double> utilization, double average_wealth,
     const EmpiricalOptions& opts = {});
 
-/// The threshold integral at a fixed z (used by tests and benches to show
-/// the divergence behaviour explicitly).
-[[nodiscard]] double threshold_integrand_at(
-    const std::function<double(double)>& density, double z);
-
 }  // namespace creditflow::queueing

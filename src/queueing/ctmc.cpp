@@ -1,8 +1,5 @@
 #include "queueing/ctmc.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/assert.hpp"
 
 namespace creditflow::queueing {
@@ -10,18 +7,14 @@ namespace creditflow::queueing {
 namespace {
 
 /// Build per-row alias tables and target lists from a transfer matrix.
-/// When `exit_probability` is non-null, row deficits (1 - Σp_ij) are
-/// appended as an extra "exit" slot whose index equals targets.size().
 void build_routing(const TransferMatrix& p,
                    std::vector<util::AliasTable>& tables,
-                   std::vector<std::vector<std::uint32_t>>& targets,
-                   std::vector<double>* exit_probability) {
+                   std::vector<std::vector<std::uint32_t>>& targets) {
   const std::size_t n = p.size();
   tables.clear();
   targets.clear();
   tables.reserve(n);
   targets.reserve(n);
-  if (exit_probability) exit_probability->assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<double> weights;
     std::vector<std::uint32_t> tos;
@@ -29,13 +22,7 @@ void build_routing(const TransferMatrix& p,
       weights.push_back(e.probability);
       tos.push_back(e.to);
     }
-    const double deficit = std::max(0.0, 1.0 - p.row_sum(i));
-    if (exit_probability && deficit > 1e-12) {
-      (*exit_probability)[i] = deficit;
-      weights.push_back(deficit);
-      // exit encoded as index == tos.size() at sample time
-    }
-    CF_EXPECTS_MSG(!weights.empty(), "row with no routing and no exit");
+    CF_EXPECTS_MSG(!weights.empty(), "row with no routing");
     tables.emplace_back(std::span<const double>(weights));
     targets.push_back(std::move(tos));
   }
@@ -55,7 +42,7 @@ ClosedCtmcSimulator::ClosedCtmcSimulator(TransferMatrix routing,
   CF_EXPECTS(cfg_.horizon > 0.0 && cfg_.snapshot_interval > 0.0);
   for (double mu : cfg_.service_rates) CF_EXPECTS(mu > 0.0);
 
-  build_routing(p_, routing_tables_, routing_targets_, nullptr);
+  build_routing(p_, routing_tables_, routing_targets_);
   credits_ = cfg_.initial_credits;
   departures_.assign(n, 0);
   total_ = 0;
@@ -131,99 +118,6 @@ std::vector<double> ClosedCtmcSimulator::average_spend_rates() const {
     rates[i] = static_cast<double>(departures_[i]) / time_;
   }
   return rates;
-}
-
-OpenCtmcSimulator::OpenCtmcSimulator(TransferMatrix routing,
-                                     OpenCtmcConfig config)
-    : p_(std::move(routing)), cfg_(std::move(config)), rng_(cfg_.seed) {
-  const std::size_t n = p_.size();
-  CF_EXPECTS(n > 0);
-  CF_EXPECTS(cfg_.service_rates.size() == n);
-  CF_EXPECTS(cfg_.external_arrival_rates.size() == n);
-  CF_EXPECTS(cfg_.initial_credits.size() == n);
-  CF_EXPECTS_MSG(p_.is_substochastic(1e-9), "routing rows exceed 1");
-  CF_EXPECTS(cfg_.horizon > 0.0 && cfg_.snapshot_interval > 0.0);
-  for (double mu : cfg_.service_rates) CF_EXPECTS(mu > 0.0);
-  for (double g : cfg_.external_arrival_rates) CF_EXPECTS(g >= 0.0);
-
-  build_routing(p_, routing_tables_, routing_targets_, &exit_probability_);
-  credits_ = cfg_.initial_credits;
-  departures_.assign(n, 0);
-
-  // Event index space: [0, n) service completions, [n, 2n) external arrivals.
-  active_.resize(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    set_queue_rate(i);
-    active_.set(n + i, cfg_.external_arrival_rates[i]);
-  }
-}
-
-void OpenCtmcSimulator::set_queue_rate(std::size_t i) {
-  active_.set(i, credits_[i] > 0 ? cfg_.service_rates[i] : 0.0);
-}
-
-std::uint64_t OpenCtmcSimulator::run(
-    const std::function<void(const CtmcSnapshot&)>& observer) {
-  const std::size_t n = credits_.size();
-  std::uint64_t jumps = 0;
-  double next_snapshot = cfg_.snapshot_interval;
-  std::vector<std::uint64_t> departures_at_last_snap(n, 0);
-
-  auto emit_snapshot = [&](double at) {
-    if (!observer) return;
-    std::vector<double> rates(n, 0.0);
-    const double dt = at - (next_snapshot - cfg_.snapshot_interval);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto delta = departures_[i] - departures_at_last_snap[i];
-      rates[i] = dt > 0.0 ? static_cast<double>(delta) / dt : 0.0;
-      departures_at_last_snap[i] = departures_[i];
-    }
-    CtmcSnapshot snap;
-    snap.time = at;
-    snap.credits = credits_;
-    snap.spend_rate = rates;
-    observer(snap);
-  };
-
-  while (time_ < cfg_.horizon) {
-    const double total_rate = active_.total();
-    if (total_rate <= 0.0) break;
-    const double dt = rng_.exponential(total_rate);
-    const double event_time = time_ + dt;
-    while (event_time >= next_snapshot && next_snapshot <= cfg_.horizon) {
-      emit_snapshot(next_snapshot);
-      next_snapshot += cfg_.snapshot_interval;
-    }
-    if (event_time > cfg_.horizon) {
-      time_ = cfg_.horizon;
-      break;
-    }
-    time_ = event_time;
-
-    const std::size_t idx = active_.sample(rng_);
-    if (idx >= n) {
-      // External arrival into queue idx - n.
-      const std::size_t j = idx - n;
-      ++credits_[j];
-      if (credits_[j] == 1) set_queue_rate(j);
-    } else {
-      const std::size_t i = idx;
-      const std::size_t pick = routing_tables_[i].sample(rng_);
-      CF_ENSURES(credits_[i] > 0);
-      --credits_[i];
-      ++departures_[i];
-      if (credits_[i] == 0) set_queue_rate(i);
-      if (pick < routing_targets_[i].size()) {
-        const std::size_t j = routing_targets_[i][pick];
-        ++credits_[j];
-        if (credits_[j] == 1) set_queue_rate(j);
-      }
-      // else: job exits the system
-    }
-    ++jumps;
-  }
-  if (next_snapshot <= cfg_.horizon + 1e-9) emit_snapshot(cfg_.horizon);
-  return jumps;
 }
 
 }  // namespace creditflow::queueing

@@ -64,41 +64,4 @@ class ClosedCtmcSimulator {
   util::Rng rng_;
 };
 
-/// Configuration of an open-network CTMC run (jobs enter and leave).
-struct OpenCtmcConfig {
-  std::vector<double> service_rates;           ///< μ_i > 0
-  std::vector<double> external_arrival_rates;  ///< γ_i >= 0
-  std::vector<std::uint64_t> initial_credits;
-  double horizon = 1000.0;
-  double snapshot_interval = 10.0;
-  std::uint64_t seed = 1;
-};
-
-/// Open Jackson network simulator. Routing rows may sum to < 1; the deficit
-/// is the probability that a departing job leaves the system.
-class OpenCtmcSimulator {
- public:
-  OpenCtmcSimulator(TransferMatrix routing, OpenCtmcConfig config);
-
-  std::uint64_t run(const std::function<void(const CtmcSnapshot&)>& observer);
-
-  [[nodiscard]] std::span<const std::uint64_t> credits() const {
-    return credits_;
-  }
-
- private:
-  void set_queue_rate(std::size_t i);
-
-  TransferMatrix p_;
-  OpenCtmcConfig cfg_;
-  std::vector<util::AliasTable> routing_tables_;   // includes "exit" slot
-  std::vector<std::vector<std::uint32_t>> routing_targets_;
-  std::vector<double> exit_probability_;
-  util::FenwickSampler active_;  // n service events + n arrival events
-  std::vector<std::uint64_t> credits_;
-  std::vector<std::uint64_t> departures_;
-  double time_ = 0.0;
-  util::Rng rng_;
-};
-
 }  // namespace creditflow::queueing

@@ -90,17 +90,4 @@ std::vector<double> normalized_utilization(std::span<const double> lambda,
   return u;
 }
 
-double critical_scaling(std::span<const double> lambda,
-                        std::span<const double> mu) {
-  CF_EXPECTS(lambda.size() == mu.size());
-  CF_EXPECTS(!lambda.empty());
-  double max_ratio = 0.0;
-  for (std::size_t i = 0; i < lambda.size(); ++i) {
-    CF_EXPECTS(mu[i] > 0.0);
-    max_ratio = std::max(max_ratio, lambda[i] / mu[i]);
-  }
-  CF_EXPECTS_MSG(max_ratio > 0.0, "all arrival rates are zero");
-  return 1.0 / max_ratio;
-}
-
 }  // namespace creditflow::queueing

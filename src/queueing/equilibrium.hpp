@@ -52,10 +52,4 @@ struct EquilibriumResult {
 [[nodiscard]] std::vector<double> normalized_utilization(
     std::span<const double> lambda, std::span<const double> mu);
 
-/// The paper's long-run feasibility assumption μ_i ≥ λ_i for all i, checked
-/// after scaling λ so that the most loaded queue is exactly critical. Returns
-/// the scaling factor α such that α·λ_i ≤ μ_i with equality at the argmax.
-[[nodiscard]] double critical_scaling(std::span<const double> lambda,
-                                      std::span<const double> mu);
-
 }  // namespace creditflow::queueing

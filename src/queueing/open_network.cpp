@@ -47,13 +47,6 @@ OpenNetwork::OpenNetwork(TransferMatrix routing,
   }
 }
 
-double OpenNetwork::marginal_pmf(std::size_t i, std::uint64_t b) const {
-  CF_EXPECTS(i < gamma_.size());
-  const double rho = sol_.rho[i];
-  CF_EXPECTS_MSG(rho < 1.0, "queue is unstable; no stationary marginal");
-  return (1.0 - rho) * std::pow(rho, static_cast<double>(b));
-}
-
 double OpenNetwork::expected_wealth(std::size_t i) const {
   CF_EXPECTS(i < gamma_.size());
   const double rho = sol_.rho[i];

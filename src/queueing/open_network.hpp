@@ -31,9 +31,6 @@ class OpenNetwork {
   /// Solve λ = γ + λP (direct dense solve).
   [[nodiscard]] const OpenNetworkSolution& solution() const { return sol_; }
 
-  /// Stationary marginal of queue i: geometric P(B_i=b) = (1-ρ)ρ^b.
-  /// Requires stability of queue i.
-  [[nodiscard]] double marginal_pmf(std::size_t i, std::uint64_t b) const;
   /// E[B_i] = ρ/(1-ρ); requires stability of queue i.
   [[nodiscard]] double expected_wealth(std::size_t i) const;
   /// P(B_i = 0) = 1 - ρ_i.

@@ -135,77 +135,4 @@ TransferMatrix TransferMatrix::uniform_from_graph(const graph::Graph& g,
   return p;
 }
 
-TransferMatrix TransferMatrix::weighted_from_graph(
-    const graph::Graph& g, std::span<const double> weight, double self_prob) {
-  CF_EXPECTS(weight.size() == g.num_nodes());
-  CF_EXPECTS(self_prob >= 0.0 && self_prob < 1.0);
-  TransferMatrix p(g.num_nodes());
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    std::vector<RoutingEntry> row;
-    const auto nbrs = g.neighbors(u);
-    double total = 0.0;
-    for (auto v : nbrs) {
-      CF_EXPECTS_MSG(weight[v] >= 0.0, "negative routing weight");
-      total += weight[v];
-    }
-    if (nbrs.empty() || total <= 0.0) {
-      row.push_back({u, 1.0});
-    } else {
-      if (self_prob > 0.0) row.push_back({u, self_prob});
-      for (auto v : nbrs) {
-        const double share = (1.0 - self_prob) * weight[v] / total;
-        if (share > 0.0) row.push_back({v, share});
-      }
-    }
-    p.set_row(u, std::move(row));
-  }
-  return p;
-}
-
-TransferMatrix TransferMatrix::random_from_graph(const graph::Graph& g,
-                                                 util::Rng& rng,
-                                                 double self_prob) {
-  CF_EXPECTS(self_prob >= 0.0 && self_prob < 1.0);
-  TransferMatrix p(g.num_nodes());
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    std::vector<RoutingEntry> row;
-    const auto nbrs = g.neighbors(u);
-    if (nbrs.empty()) {
-      row.push_back({u, 1.0});
-    } else {
-      std::vector<double> w(nbrs.size());
-      double total = 0.0;
-      for (auto& wi : w) {
-        wi = rng.exponential(1.0);
-        total += wi;
-      }
-      if (self_prob > 0.0) row.push_back({u, self_prob});
-      for (std::size_t j = 0; j < nbrs.size(); ++j) {
-        row.push_back({nbrs[j], (1.0 - self_prob) * w[j] / total});
-      }
-    }
-    p.set_row(u, std::move(row));
-  }
-  return p;
-}
-
-TransferMatrix TransferMatrix::from_dense(const util::Matrix& m,
-                                          double drop_below) {
-  CF_EXPECTS(m.rows() == m.cols());
-  CF_EXPECTS(drop_below >= 0.0);
-  TransferMatrix p(m.rows());
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    std::vector<RoutingEntry> row;
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      const double v = m.at(i, j);
-      CF_EXPECTS_MSG(v >= 0.0, "negative matrix entry");
-      if (v > drop_below) {
-        row.push_back({static_cast<std::uint32_t>(j), v});
-      }
-    }
-    p.set_row(i, std::move(row));
-  }
-  return p;
-}
-
 }  // namespace creditflow::queueing

@@ -11,7 +11,6 @@
 
 #include "graph/graph.hpp"
 #include "util/math.hpp"
-#include "util/rng.hpp"
 
 namespace creditflow::queueing {
 
@@ -61,22 +60,6 @@ class TransferMatrix {
   /// Isolated nodes get p_ii = 1.
   [[nodiscard]] static TransferMatrix uniform_from_graph(const graph::Graph& g,
                                                          double self_prob = 0.0);
-
-  /// Routing proportional to per-node weights over neighbors (e.g., chunk
-  /// availability or attractiveness): p_ij ∝ weight[j] for j ∈ N(i).
-  [[nodiscard]] static TransferMatrix weighted_from_graph(
-      const graph::Graph& g, std::span<const double> weight,
-      double self_prob = 0.0);
-
-  /// Random row-stochastic matrix over graph edges (Dirichlet-like via
-  /// exponential weights); used for randomized property tests.
-  [[nodiscard]] static TransferMatrix random_from_graph(const graph::Graph& g,
-                                                        util::Rng& rng,
-                                                        double self_prob = 0.0);
-
-  /// Dense constructor from a row-major matrix (validates shape).
-  [[nodiscard]] static TransferMatrix from_dense(const util::Matrix& m,
-                                                 double drop_below = 0.0);
 
  private:
   std::vector<std::vector<RoutingEntry>> rows_;

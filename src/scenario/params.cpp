@@ -535,11 +535,4 @@ std::optional<std::string> set_param_checked(core::MarketConfig& cfg,
   return std::nullopt;
 }
 
-std::optional<double> read_param(const core::MarketConfig& cfg,
-                                 std::string_view key) {
-  const ParamDesc* desc = find_param(key);
-  if (desc == nullptr) return std::nullopt;
-  return desc->get(cfg);
-}
-
 }  // namespace creditflow::scenario

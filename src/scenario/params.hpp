@@ -60,8 +60,4 @@ struct ParamDesc {
 [[nodiscard]] std::optional<std::string> set_param_checked(
     core::MarketConfig& cfg, std::string_view key, double value);
 
-/// Read one named parameter; nullopt for unknown keys.
-[[nodiscard]] std::optional<double> read_param(const core::MarketConfig& cfg,
-                                               std::string_view key);
-
 }  // namespace creditflow::scenario

@@ -312,10 +312,6 @@ ScenarioSpec ScenarioRegistry::get(std::string_view name) const {
   return *spec;
 }
 
-bool ScenarioRegistry::contains(std::string_view name) const {
-  return find(name) != nullptr;
-}
-
 std::vector<std::string> ScenarioRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(specs_.size());

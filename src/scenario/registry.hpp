@@ -34,7 +34,6 @@ class ScenarioRegistry {
   [[nodiscard]] const ScenarioSpec* find(std::string_view name) const;
   /// Lookup a copy; throws util::PreconditionError when absent.
   [[nodiscard]] ScenarioSpec get(std::string_view name) const;
-  [[nodiscard]] bool contains(std::string_view name) const;
 
   /// Names in registration order.
   [[nodiscard]] std::vector<std::string> names() const;

@@ -45,11 +45,6 @@ std::optional<std::string> ScenarioSpec::set_checked(std::string_view key,
   return set_param_checked(config, key, value);
 }
 
-std::optional<double> ScenarioSpec::get(std::string_view key) const {
-  if (key == "warmup") return warmup_fraction;
-  return read_param(config, key);
-}
-
 std::string ScenarioSpec::serialize() const {
   std::ostringstream out;
   out << "scenario " << name << "\n";

@@ -43,8 +43,6 @@ struct ScenarioSpec {
   /// untouched), nullopt on success.
   [[nodiscard]] std::optional<std::string> set_checked(std::string_view key,
                                                        double value);
-  /// Read one parameter by key (same namespace as set_checked()).
-  [[nodiscard]] std::optional<double> get(std::string_view key) const;
 
   /// Full text form; parse(serialize()) reproduces the spec exactly.
   [[nodiscard]] std::string serialize() const;

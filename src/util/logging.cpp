@@ -1,6 +1,5 @@
 #include "util/logging.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -8,14 +7,6 @@
 namespace creditflow::util {
 
 namespace {
-
-std::atomic<int>& level_storage() {
-  static std::atomic<int> level = [] {
-    const char* env = std::getenv("CREDITFLOW_LOG");
-    return static_cast<int>(env ? parse_log_level(env) : LogLevel::kWarn);
-  }();
-  return level;
-}
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -32,11 +23,11 @@ const char* level_name(LogLevel level) {
 }  // namespace
 
 LogLevel log_level() {
-  return static_cast<LogLevel>(level_storage().load(std::memory_order_relaxed));
-}
-
-void set_log_level(LogLevel level) {
-  level_storage().store(static_cast<int>(level), std::memory_order_relaxed);
+  static const LogLevel level = [] {
+    const char* env = std::getenv("CREDITFLOW_LOG");
+    return env ? parse_log_level(env) : LogLevel::kWarn;
+  }();
+  return level;
 }
 
 LogLevel parse_log_level(const std::string& name) {

@@ -12,8 +12,6 @@ enum class LogLevel : int { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 /// Global log level (initialized once from the environment).
 [[nodiscard]] LogLevel log_level();
-/// Override the global log level programmatically (e.g., in tests).
-void set_log_level(LogLevel level);
 /// Parse a level name; unknown names yield kWarn.
 [[nodiscard]] LogLevel parse_log_level(const std::string& name);
 

@@ -32,15 +32,6 @@ double log_add_exp(double a, double b) {
   return hi + std::log1p(std::exp(lo - hi));
 }
 
-double log_sum_exp(std::span<const double> xs) {
-  double hi = kNegInf;
-  for (double x : xs) hi = std::max(hi, x);
-  if (hi == kNegInf) return kNegInf;
-  double sum = 0.0;
-  for (double x : xs) sum += std::exp(x - hi);
-  return hi + std::log(sum);
-}
-
 double log_binomial(std::uint64_t n, std::uint64_t k) {
   CF_EXPECTS(k <= n);
   return std::lgamma(static_cast<double>(n) + 1.0) -
@@ -55,16 +46,6 @@ double log_binomial_pmf(std::uint64_t n, std::uint64_t k, double p) {
   if (p == 1.0) return k == n ? 0.0 : kNegInf;
   return log_binomial(n, k) + static_cast<double>(k) * std::log(p) +
          static_cast<double>(n - k) * std::log1p(-p);
-}
-
-std::vector<double> linspace(double lo, double hi, std::size_t n) {
-  CF_EXPECTS(n >= 2);
-  std::vector<double> out(n);
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = lo + static_cast<double>(i) * step;
-  out.back() = hi;
-  return out;
 }
 
 namespace {
@@ -159,42 +140,6 @@ double& Matrix::at(std::size_t r, std::size_t c) {
 double Matrix::at(std::size_t r, std::size_t c) const {
   CF_EXPECTS(r < rows_ && c < cols_);
   return data_[r * cols_ + c];
-}
-
-std::span<const double> Matrix::row(std::size_t r) const {
-  CF_EXPECTS(r < rows_);
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::vector<double> Matrix::left_multiply(std::span<const double> x) const {
-  CF_EXPECTS(x.size() == rows_);
-  std::vector<double> y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    const double* row_ptr = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += xr * row_ptr[c];
-  }
-  return y;
-}
-
-std::vector<double> Matrix::right_multiply(std::span<const double> x) const {
-  CF_EXPECTS(x.size() == cols_);
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row_ptr[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
-  return t;
 }
 
 std::vector<double> solve_linear(Matrix a, std::vector<double> b) {

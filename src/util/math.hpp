@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -26,9 +25,6 @@ inline constexpr double kPosInf = std::numeric_limits<double>::infinity();
 /// log(exp(a) + exp(b)) without overflow; handles -inf identities.
 [[nodiscard]] double log_add_exp(double a, double b);
 
-/// log(sum_i exp(x_i)); returns -inf for empty input.
-[[nodiscard]] double log_sum_exp(std::span<const double> xs);
-
 /// log(n choose k) via lgamma; requires 0 <= k <= n.
 [[nodiscard]] double log_binomial(std::uint64_t n, std::uint64_t k);
 
@@ -36,9 +32,6 @@ inline constexpr double kPosInf = std::numeric_limits<double>::infinity();
 /// Requires p in (0,1) unless k pins the degenerate case.
 [[nodiscard]] double log_binomial_pmf(std::uint64_t n, std::uint64_t k,
                                       double p);
-
-/// n evenly spaced points from lo to hi inclusive; requires n >= 2.
-[[nodiscard]] std::vector<double> linspace(double lo, double hi, std::size_t n);
 
 /// Adaptive Simpson quadrature of f over [a, b] to the given absolute
 /// tolerance. `max_depth` bounds recursion.
@@ -71,15 +64,6 @@ class Matrix {
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] double& at(std::size_t r, std::size_t c);
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-  [[nodiscard]] std::span<const double> row(std::size_t r) const;
-
-  /// y = x * A (row-vector times matrix); requires x.size() == rows().
-  [[nodiscard]] std::vector<double> left_multiply(
-      std::span<const double> x) const;
-  /// y = A * x; requires x.size() == cols().
-  [[nodiscard]] std::vector<double> right_multiply(
-      std::span<const double> x) const;
-  [[nodiscard]] Matrix transposed() const;
 
  private:
   std::size_t rows_ = 0;

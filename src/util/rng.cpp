@@ -17,18 +17,9 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-Rng Rng::split() { return Rng(next_u64() ^ 0xd1b54a32d192ed03ULL); }
-
 double Rng::uniform(double lo, double hi) {
   CF_EXPECTS(lo < hi);
   return lo + (hi - lo) * uniform();
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  CF_EXPECTS(lo <= hi);
-  const auto span =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // hi-lo < 2^63, safe
-  return lo + static_cast<std::int64_t>(uniform_index(span));
 }
 
 double Rng::exponential(double rate) {
@@ -61,47 +52,6 @@ double Rng::lognormal_mean_cv(double mean, double cv) {
   const double sigma2 = std::log1p(cv * cv);
   const double mu = std::log(mean) - 0.5 * sigma2;
   return std::exp(normal(mu, std::sqrt(sigma2)));
-}
-
-std::uint64_t Rng::poisson(double mean) {
-  CF_EXPECTS(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  if (mean < 30.0) {
-    // Inversion by sequential search.
-    const double l = std::exp(-mean);
-    double p = 1.0;
-    std::uint64_t k = 0;
-    do {
-      ++k;
-      p *= uniform();
-    } while (p > l);
-    return k - 1;
-  }
-  // Atkinson-style normal approximation with rejection for large means.
-  const double c = 0.767 - 3.36 / mean;
-  const double beta = 3.14159265358979323846 / std::sqrt(3.0 * mean);
-  const double alpha = beta * mean;
-  const double k = std::log(c) - mean - std::log(beta);
-  while (true) {
-    const double u = uniform();
-    if (u <= 0.0 || u >= 1.0) continue;
-    const double x = (alpha - std::log((1.0 - u) / u)) / beta;
-    const double n = std::floor(x + 0.5);
-    if (n < 0.0) continue;
-    const double v = uniform();
-    if (v <= 0.0) continue;
-    const double y = alpha - beta * x;
-    const double lhs = y + std::log(v / ((1.0 + std::exp(y)) * (1.0 + std::exp(y))));
-    const double rhs = k + n * std::log(mean) - std::lgamma(n + 1.0);
-    if (lhs <= rhs) return static_cast<std::uint64_t>(n);
-  }
-}
-
-std::uint64_t Rng::geometric(double p) {
-  CF_EXPECTS(p > 0.0 && p <= 1.0);
-  if (p == 1.0) return 0;
-  const double u = uniform();
-  return static_cast<std::uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
 }
 
 double Rng::power_law(double alpha, double xmin, double xmax) {
@@ -220,11 +170,6 @@ void FenwickSampler::set(std::size_t i, double w) {
   for (std::size_t j = i + 1; j < tree_.size(); j += j & (~j + 1)) {
     tree_[j] += delta;
   }
-}
-
-double FenwickSampler::get(std::size_t i) const {
-  CF_EXPECTS(i < weights_.size());
-  return weights_[i];
 }
 
 double FenwickSampler::total() const {

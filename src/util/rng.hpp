@@ -101,9 +101,6 @@ class Rng {
     return result;
   }
 
-  /// Derive an independent generator (distinct logical stream).
-  [[nodiscard]] Rng split();
-
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform() {
     // 53 random bits into [0,1).
@@ -129,8 +126,6 @@ class Rng {
     }
     return static_cast<std::uint64_t>(m >> 64);
   }
-  /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
-  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Bernoulli trial with success probability p in [0, 1].
   [[nodiscard]] bool bernoulli(double p) {
     CF_EXPECTS(p >= 0.0 && p <= 1.0);
@@ -144,11 +139,6 @@ class Rng {
   /// Log-normal such that the *mean* of the variate is `mean` and the
   /// coefficient of variation is `cv`; requires mean > 0, cv >= 0.
   [[nodiscard]] double lognormal_mean_cv(double mean, double cv);
-  /// Poisson with the given mean >= 0 (inversion for small, PTRD-style
-  /// normal-approximation rejection for large means).
-  [[nodiscard]] std::uint64_t poisson(double mean);
-  /// Geometric on {0,1,2,...} with success probability p in (0, 1].
-  [[nodiscard]] std::uint64_t geometric(double p);
   /// Pareto/power-law sample: continuous density f(x) ∝ x^-alpha on
   /// [xmin, xmax]; requires alpha > 1, 0 < xmin < xmax.
   [[nodiscard]] double power_law(double alpha, double xmin, double xmax);
@@ -212,7 +202,6 @@ class FenwickSampler {
 
   /// Set weight of index i (>= 0).
   void set(std::size_t i, double w);
-  [[nodiscard]] double get(std::size_t i) const;
   /// Sum of all weights.
   [[nodiscard]] double total() const;
   /// Sample index i with probability weight_i / total(); requires total()>0.
@@ -222,7 +211,7 @@ class FenwickSampler {
   [[nodiscard]] std::size_t upper_bound(double x) const;
 
   std::vector<double> tree_;     // 1-based Fenwick prefix sums
-  std::vector<double> weights_;  // raw weights for get()/set deltas
+  std::vector<double> weights_;  // raw weights for set() deltas
 };
 
 }  // namespace creditflow::util

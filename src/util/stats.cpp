@@ -7,103 +7,6 @@
 
 namespace creditflow::util {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void RunningStats::reset() { *this = RunningStats{}; }
-
-double RunningStats::mean() const { return n_ == 0 ? 0.0 : mean_; }
-
-double RunningStats::variance() const {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const { return n_ == 0 ? 0.0 : min_; }
-
-double RunningStats::max() const { return n_ == 0 ? 0.0 : max_; }
-
-double RunningStats::cv() const {
-  const double m = mean();
-  return m == 0.0 ? 0.0 : stddev() / m;
-}
-
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-  CF_EXPECTS(alpha > 0.0 && alpha <= 1.0);
-}
-
-void Ewma::add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ += alpha_ * (x - value_);
-  }
-}
-
-void Ewma::reset() {
-  value_ = 0.0;
-  initialized_ = false;
-}
-
-double quantile(std::span<const double> data, double q) {
-  CF_EXPECTS(!data.empty());
-  CF_EXPECTS(q >= 0.0 && q <= 1.0);
-  std::vector<double> sorted(data.begin(), data.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const auto hi = static_cast<std::size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-std::vector<double> quantiles(std::span<const double> data,
-                              std::span<const double> qs) {
-  CF_EXPECTS(!data.empty());
-  std::vector<double> sorted(data.begin(), data.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (double q : qs) {
-    CF_EXPECTS(q >= 0.0 && q <= 1.0);
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(pos));
-    const auto hi = static_cast<std::size_t>(std::ceil(pos));
-    const double frac = pos - static_cast<double>(lo);
-    out.push_back(sorted[lo] + frac * (sorted[hi] - sorted[lo]));
-  }
-  return out;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0.0) {
   CF_EXPECTS(lo < hi);
@@ -120,11 +23,6 @@ void Histogram::add(double x, double weight) {
   total_ += weight;
 }
 
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0.0);
-  total_ = 0.0;
-}
-
 double Histogram::bin_width() const {
   return (hi_ - lo_) / static_cast<double>(counts_.size());
 }
@@ -132,11 +30,6 @@ double Histogram::bin_width() const {
 double Histogram::count(std::size_t bin) const {
   CF_EXPECTS(bin < counts_.size());
   return counts_[bin];
-}
-
-double Histogram::center(std::size_t bin) const {
-  CF_EXPECTS(bin < counts_.size());
-  return lo_ + (static_cast<double>(bin) + 0.5) * bin_width();
 }
 
 std::vector<double> Histogram::density() const {
@@ -151,11 +44,6 @@ void TimeSeries::add(double t, double v) {
   CF_EXPECTS_MSG(t_.empty() || t >= t_.back(), "time must be non-decreasing");
   t_.push_back(t);
   v_.push_back(v);
-}
-
-void TimeSeries::clear() {
-  t_.clear();
-  v_.clear();
 }
 
 double TimeSeries::time_at(std::size_t i) const {
@@ -187,23 +75,6 @@ double TimeSeries::tail_mean(double fraction) const {
     }
   }
   return n == 0 ? v_.back() : sum / static_cast<double>(n);
-}
-
-void Log2Histogram::reset() {
-  counts_.fill(0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0;
-  max_ = 0;
-}
-
-void Log2Histogram::merge(const Log2Histogram& other) {
-  if (other.count_ == 0) return;
-  for (std::size_t b = 0; b < kBuckets; ++b) counts_[b] += other.counts_[b];
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
 }
 
 std::uint64_t Log2Histogram::bucket_lo(std::size_t bucket) {

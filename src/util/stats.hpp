@@ -12,60 +12,6 @@
 
 namespace creditflow::util {
 
-/// Welford online mean/variance accumulator.
-class RunningStats {
- public:
-  void add(double x);
-  /// Merge another accumulator (parallel Welford combination).
-  void merge(const RunningStats& other);
-  void reset();
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] bool empty() const { return n_ == 0; }
-  [[nodiscard]] double mean() const;
-  /// Population variance (n denominator); 0 for fewer than 2 samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double sum() const { return mean_ * static_cast<double>(n_); }
-  /// Coefficient of variation (stddev/mean); 0 when mean is 0.
-  [[nodiscard]] double cv() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Exponentially weighted moving average with configurable smoothing.
-class Ewma {
- public:
-  /// alpha in (0, 1]: weight of the newest observation.
-  explicit Ewma(double alpha);
-
-  void add(double x);
-  void reset();
-  [[nodiscard]] bool initialized() const { return initialized_; }
-  /// Current smoothed value; 0 before the first observation.
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
-
-/// Quantile of a sample (linear interpolation between order statistics).
-/// q in [0,1]; requires non-empty data. Does not modify the input.
-[[nodiscard]] double quantile(std::span<const double> data, double q);
-
-/// All requested quantiles with a single sort.
-[[nodiscard]] std::vector<double> quantiles(std::span<const double> data,
-                                            std::span<const double> qs);
-
 /// Fixed-width binned histogram over [lo, hi); out-of-range samples are
 /// clamped into the edge bins so mass is never silently dropped.
 class Histogram {
@@ -73,7 +19,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x, double weight = 1.0);
-  void reset();
 
   [[nodiscard]] std::size_t bins() const { return counts_.size(); }
   [[nodiscard]] double lo() const { return lo_; }
@@ -81,8 +26,6 @@ class Histogram {
   [[nodiscard]] double bin_width() const;
   [[nodiscard]] double count(std::size_t bin) const;
   [[nodiscard]] double total() const { return total_; }
-  /// Midpoint of a bin.
-  [[nodiscard]] double center(std::size_t bin) const;
   /// Normalized density estimate per bin (integrates to ~1).
   [[nodiscard]] std::vector<double> density() const;
 
@@ -111,9 +54,6 @@ class Log2Histogram {
     if (count_ == 1 || x < min_) min_ = x;
     if (x > max_) max_ = x;
   }
-  void reset();
-  /// Accumulate another histogram (bucket-wise; min/max/sum merge exactly).
-  void merge(const Log2Histogram& other);
 
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t x) {
     return x == 0 ? 0 : static_cast<std::size_t>(std::bit_width(x));
@@ -156,7 +96,6 @@ class TimeSeries {
   explicit TimeSeries(std::string name) : name_(std::move(name)) {}
 
   void add(double t, double v);
-  void clear();
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t size() const { return t_.size(); }

@@ -25,16 +25,11 @@ void ConsoleTable::add_row(std::vector<Cell> row) {
   rows_.push_back(std::move(row));
 }
 
-void ConsoleTable::set_precision(int digits) {
-  CF_EXPECTS(digits >= 0 && digits <= 17);
-  precision_ = digits;
-}
-
 std::string ConsoleTable::format_cell(const Cell& c) const {
   if (const auto* s = std::get_if<std::string>(&c)) return *s;
   if (const auto* i = std::get_if<std::int64_t>(&c)) return std::to_string(*i);
   std::ostringstream oss;
-  oss << std::fixed << std::setprecision(precision_) << std::get<double>(c);
+  oss << std::fixed << std::setprecision(4) << std::get<double>(c);
   return oss.str();
 }
 

@@ -13,7 +13,7 @@
 
 namespace creditflow::util {
 
-/// A cell is either text or a number (formatted with fixed precision).
+/// A cell is either text or a number (doubles print with 4 decimals).
 using Cell = std::variant<std::string, double, std::int64_t>;
 
 /// Column-aligned console table with an optional title.
@@ -25,8 +25,6 @@ class ConsoleTable {
   void set_header(std::vector<std::string> header);
   /// Append one row; its size must match the header.
   void add_row(std::vector<Cell> row);
-  /// Digits after the decimal point for double cells (default 4).
-  void set_precision(int digits);
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   [[nodiscard]] std::size_t cols() const { return header_.size(); }
@@ -44,7 +42,6 @@ class ConsoleTable {
   std::string title_;
   std::vector<std::string> header_;
   std::vector<std::vector<Cell>> rows_;
-  int precision_ = 4;
 };
 
 /// Write a table as `<name>.csv` under $CREDITFLOW_CSV_DIR, if set.

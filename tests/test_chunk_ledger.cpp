@@ -166,7 +166,8 @@ TEST(CreditLedger, SnapshotSelectsAliveSlots) {
   ledger.mint(0, 1);
   ledger.mint(2, 3);
   const std::vector<PeerId> alive = {0, 2};
-  const auto snap = ledger.snapshot(alive);
+  std::vector<double> snap = {7.0};  // cleared first
+  ledger.snapshot(alive, snap);
   EXPECT_EQ(snap, (std::vector<double>{1.0, 3.0}));
 }
 

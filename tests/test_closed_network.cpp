@@ -263,22 +263,6 @@ TEST(ApproxEq8, MatchesPaperFormulaPointwise) {
   }
 }
 
-TEST(ApproxEq6, ReducesToEq8WhenSymmetric) {
-  const std::vector<double> u(6, 1.0);
-  const std::uint64_t m = 18;
-  const auto eq6 = approx_marginal_eq6(u, 2, m);
-  const auto eq8 = approx_marginal_eq8(u.size(), m);
-  for (std::uint64_t b = 0; b <= m; ++b) {
-    EXPECT_NEAR(eq6[b], eq8[b], 1e-12);
-  }
-}
-
-TEST(ApproxEq6, ZeroUtilizationPeerIsPoor) {
-  const std::vector<double> u = {1.0, 0.0, 1.0};
-  const auto pmf = approx_marginal_eq6(u, 1, 10);
-  EXPECT_DOUBLE_EQ(pmf[0], 1.0);
-}
-
 TEST(Efficiency, Eq9MatchesFiniteAtLargeN) {
   // 1 - ((N-1)/N)^{cN} -> 1 - e^{-c}.
   const double c = 3.0;

@@ -52,15 +52,6 @@ TEST(Condensation, CorollarySymmetricUtilizationNeverCondenses) {
   EXPECT_FALSE(a.condensation_predicted);
 }
 
-TEST(Condensation, ThresholdIntegrandMonotoneInZ) {
-  const auto f = [](double w) { return 2.0 * (1.0 - w); };
-  const double t1 = threshold_integrand_at(f, 0.5);
-  const double t2 = threshold_integrand_at(f, 0.9);
-  const double t3 = threshold_integrand_at(f, 0.99);
-  EXPECT_LT(t1, t2);
-  EXPECT_LT(t2, t3);
-}
-
 TEST(Condensation, EmpiricalThinTailFiniteThreshold) {
   // Utilizations concentrated well below 1 with a single anchor at 1:
   // after excluding the top atom, the density has no mass near w=1 and the

@@ -5,11 +5,9 @@
 
 #include <numeric>
 
-#include "graph/generators.hpp"
 #include "queueing/closed_network.hpp"
 #include "queueing/ctmc.hpp"
 #include "queueing/equilibrium.hpp"
-#include "queueing/open_network.hpp"
 
 namespace creditflow::queueing {
 namespace {
@@ -149,63 +147,6 @@ TEST(ClosedCtmc, AsymmetricEquilibriumMatchesBuzen) {
   const ClosedNetwork net({1.0, 0.5}, 20);
   EXPECT_NEAR(avg[0], net.expected_wealth(0), 1.5);
   EXPECT_NEAR(avg[1], net.expected_wealth(1), 1.5);
-}
-
-TEST(OpenCtmc, ArrivalsAndDeparturesChangePopulation) {
-  // Single queue, arrivals at rate 1, service 2, always exits after service:
-  // M/M/1 with rho = 0.5.
-  TransferMatrix p(1);
-  p.set_row(0, {});  // all departures exit
-  OpenCtmcConfig cfg;
-  cfg.service_rates = {2.0};
-  cfg.external_arrival_rates = {1.0};
-  cfg.initial_credits = {0};
-  cfg.horizon = 20000.0;
-  cfg.snapshot_interval = 2.0;
-  cfg.seed = 31;
-  OpenCtmcSimulator sim(p, cfg);
-  double avg = 0.0;
-  std::uint64_t count = 0;
-  sim.run([&](const CtmcSnapshot& snap) {
-    if (snap.time < 1000.0) return;
-    avg += static_cast<double>(snap.credits[0]);
-    ++count;
-  });
-  avg /= static_cast<double>(count);
-  // M/M/1 mean queue length rho/(1-rho) = 1.
-  EXPECT_NEAR(avg, 1.0, 0.2);
-}
-
-TEST(OpenCtmc, TandemMatchesOpenNetworkAnalysis) {
-  // Two queues in tandem: γ = (0.8, 0), service (2, 2), q0 -> q1 -> exit.
-  TransferMatrix p(2);
-  p.set_row(0, {{1, 1.0}});
-  p.set_row(1, {});
-  OpenCtmcConfig cfg;
-  cfg.service_rates = {2.0, 2.0};
-  cfg.external_arrival_rates = {0.8, 0.0};
-  cfg.initial_credits = {0, 0};
-  cfg.horizon = 30000.0;
-  cfg.snapshot_interval = 2.0;
-  cfg.seed = 37;
-  OpenCtmcSimulator sim(p, cfg);
-  std::vector<double> avg(2, 0.0);
-  std::uint64_t count = 0;
-  sim.run([&](const CtmcSnapshot& snap) {
-    if (snap.time < 2000.0) return;
-    for (std::size_t i = 0; i < 2; ++i)
-      avg[i] += static_cast<double>(snap.credits[i]);
-    ++count;
-  });
-  for (auto& a : avg) a /= static_cast<double>(count);
-
-  TransferMatrix p2(2);
-  p2.set_row(0, {{1, 1.0}});
-  p2.set_row(1, {});
-  const OpenNetwork net(p2, {0.8, 0.0}, {2.0, 2.0});
-  EXPECT_TRUE(net.solution().stable);
-  EXPECT_NEAR(avg[0], net.expected_wealth(0), 0.15);
-  EXPECT_NEAR(avg[1], net.expected_wealth(1), 0.15);
 }
 
 TEST(ClosedCtmc, RejectsBadConfig) {

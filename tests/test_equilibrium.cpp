@@ -127,15 +127,5 @@ TEST(NormalizedUtilization, RejectsBadInput) {
                util::PreconditionError);
 }
 
-TEST(CriticalScaling, ScalesMostLoadedQueueToCritical) {
-  const std::vector<double> lambda = {1.0, 3.0};
-  const std::vector<double> mu = {2.0, 4.0};
-  const double alpha = critical_scaling(lambda, mu);
-  // max ratio = 3/4 -> alpha = 4/3; scaled λ = (4/3, 4) ≤ μ with equality.
-  EXPECT_NEAR(alpha, 4.0 / 3.0, 1e-12);
-  EXPECT_LE(alpha * lambda[0], mu[0] + 1e-12);
-  EXPECT_NEAR(alpha * lambda[1], mu[1], 1e-12);
-}
-
 }  // namespace
 }  // namespace creditflow::queueing

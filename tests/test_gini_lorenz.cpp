@@ -2,6 +2,7 @@
 // metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -91,6 +92,26 @@ TEST(GiniFromPmf, UnnormalizedPmfAccepted) {
   std::vector<double> pmf = {1.0, 0.0, 3.0};  // mass 4
   std::vector<double> normalized = {0.25, 0.0, 0.75};
   EXPECT_NEAR(gini_from_pmf(pmf), gini_from_pmf(normalized), 1e-12);
+}
+
+/// Lorenz curve of a finite sample (values >= 0, positive sum): the curve
+/// tests below exercise share_at() and gini_from_lorenz() on it.
+LorenzCurve lorenz_from_samples(std::vector<double> wealth) {
+  std::sort(wealth.begin(), wealth.end());
+  double total = 0.0;
+  for (double w : wealth) total += w;
+  LorenzCurve curve;
+  curve.population_share.push_back(0.0);
+  curve.wealth_share.push_back(0.0);
+  double cum = 0.0;
+  for (std::size_t k = 0; k < wealth.size(); ++k) {
+    cum += wealth[k];
+    curve.population_share.push_back(static_cast<double>(k + 1) /
+                                     static_cast<double>(wealth.size()));
+    curve.wealth_share.push_back(cum / total);
+  }
+  curve.wealth_share.back() = 1.0;  // absorb rounding
+  return curve;
 }
 
 TEST(Lorenz, EqualityCurveIsDiagonal) {

@@ -27,16 +27,6 @@ TEST(LogAddExp, NoOverflowForLargeInputs) {
   EXPECT_NEAR(log_add_exp(big, big), big + std::log(2.0), 1e-9);
 }
 
-TEST(LogSumExp, SumsCorrectly) {
-  const std::vector<double> xs = {std::log(1.0), std::log(2.0),
-                                  std::log(3.0)};
-  EXPECT_NEAR(log_sum_exp(xs), std::log(6.0), 1e-12);
-}
-
-TEST(LogSumExp, EmptyIsNegInf) {
-  EXPECT_DOUBLE_EQ(log_sum_exp({}), kNegInf);
-}
-
 TEST(LogBinomial, SmallValuesExact) {
   EXPECT_NEAR(log_binomial(5, 2), std::log(10.0), 1e-12);
   EXPECT_NEAR(log_binomial(10, 0), 0.0, 1e-12);
@@ -57,14 +47,6 @@ TEST(LogBinomialPmf, DegenerateP) {
   EXPECT_DOUBLE_EQ(log_binomial_pmf(5, 0, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(log_binomial_pmf(5, 3, 0.0), kNegInf);
   EXPECT_DOUBLE_EQ(log_binomial_pmf(5, 5, 1.0), 0.0);
-}
-
-TEST(Linspace, EndpointsAndSpacing) {
-  const auto v = linspace(0.0, 1.0, 5);
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_DOUBLE_EQ(v.front(), 0.0);
-  EXPECT_DOUBLE_EQ(v.back(), 1.0);
-  EXPECT_DOUBLE_EQ(v[2], 0.5);
 }
 
 TEST(Integrate, PolynomialExact) {
@@ -102,35 +84,6 @@ TEST(LimitFromBelow, LogarithmicDivergenceDetected) {
   const auto r =
       limit_from_below([](double z) { return -std::log(1.0 - z); });
   EXPECT_TRUE(r.diverges);
-}
-
-TEST(Matrix, MultiplyIdentity) {
-  Matrix id(3, 3);
-  for (std::size_t i = 0; i < 3; ++i) id.at(i, i) = 1.0;
-  const std::vector<double> x = {1.0, 2.0, 3.0};
-  EXPECT_EQ(id.left_multiply(x), x);
-  EXPECT_EQ(id.right_multiply(x), x);
-}
-
-TEST(Matrix, LeftMultiply) {
-  Matrix m(2, 2);
-  m.at(0, 0) = 1.0;
-  m.at(0, 1) = 2.0;
-  m.at(1, 0) = 3.0;
-  m.at(1, 1) = 4.0;
-  const std::vector<double> x = {1.0, 1.0};
-  const auto y = m.left_multiply(x);
-  EXPECT_DOUBLE_EQ(y[0], 4.0);
-  EXPECT_DOUBLE_EQ(y[1], 6.0);
-}
-
-TEST(Matrix, TransposedSwapsIndices) {
-  Matrix m(2, 3);
-  m.at(0, 2) = 5.0;
-  const auto t = m.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t.at(2, 0), 5.0);
 }
 
 TEST(SolveLinear, KnownSystem) {

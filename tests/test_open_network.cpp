@@ -1,8 +1,9 @@
 // Tests for queueing/open_network: traffic equations, stability, and M/M/1
-// product-form marginals.
+// expectations.
 #include <gtest/gtest.h>
 
 #include "queueing/open_network.hpp"
+#include "util/assert.hpp"
 
 namespace creditflow::queueing {
 namespace {
@@ -16,7 +17,6 @@ TEST(OpenNetwork, SingleQueueMm1) {
   EXPECT_NEAR(net.solution().rho[0], 0.5, 1e-12);
   EXPECT_NEAR(net.expected_wealth(0), 1.0, 1e-12);
   EXPECT_NEAR(net.empty_probability(0), 0.5, 1e-12);
-  EXPECT_NEAR(net.marginal_pmf(0, 2), 0.5 * 0.25, 1e-12);
 }
 
 TEST(OpenNetwork, TandemTrafficEquations) {
@@ -47,16 +47,6 @@ TEST(OpenNetwork, InstabilityDetected) {
   const OpenNetwork net(p, {3.0}, {2.0});
   EXPECT_FALSE(net.solution().stable);
   EXPECT_THROW((void)net.expected_wealth(0), util::PreconditionError);
-  EXPECT_THROW((void)net.marginal_pmf(0, 1), util::PreconditionError);
-}
-
-TEST(OpenNetwork, MarginalSumsToOne) {
-  TransferMatrix p(1);
-  p.set_row(0, {{0, 0.25}});
-  const OpenNetwork net(p, {0.5}, {1.5});
-  double total = 0.0;
-  for (std::uint64_t b = 0; b < 200; ++b) total += net.marginal_pmf(0, b);
-  EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
 TEST(OpenNetwork, RequiresExternalArrivals) {

@@ -16,7 +16,6 @@ TEST(Params, SetAndReadRoundTrip) {
   core::MarketConfig cfg;
   EXPECT_EQ(set_param_checked(cfg, "credits", 250), std::nullopt);
   EXPECT_EQ(cfg.protocol.initial_credits, 250u);
-  EXPECT_DOUBLE_EQ(read_param(cfg, "credits").value(), 250.0);
 
   EXPECT_EQ(set_param_checked(cfg, "tax.rate", 0.15), std::nullopt);
   EXPECT_DOUBLE_EQ(cfg.protocol.tax.rate, 0.15);
@@ -38,7 +37,6 @@ TEST(Params, UnknownKeyRejectedUntouched) {
   EXPECT_EQ(set_param_checked(cfg, "no_such_knob", 1.0),
             "unknown parameter: no_such_knob");
   EXPECT_EQ(cfg.protocol.initial_credits, before);
-  EXPECT_FALSE(read_param(cfg, "no_such_knob").has_value());
 }
 
 TEST(Params, PeersRaisesMaxPeersButExplicitMaxWins) {
@@ -55,9 +53,7 @@ TEST(Params, TableCoversEveryKeyBothWays) {
   // and every default value must pass its kind's check.
   core::MarketConfig cfg;
   for (const auto& desc : param_table()) {
-    const auto value = read_param(cfg, desc.key);
-    ASSERT_TRUE(value.has_value()) << desc.key;
-    EXPECT_EQ(set_param_checked(cfg, desc.key, *value), std::nullopt)
+    EXPECT_EQ(set_param_checked(cfg, desc.key, desc.get(cfg)), std::nullopt)
         << desc.key;
   }
 }
@@ -199,7 +195,7 @@ TEST(Registry, BuiltinPresetsResolve) {
        {"fig01_condensed", "fig01_balanced", "fig07_symmetric",
         "fig08_asymmetric", "fig09_taxation", "fig10_dynamic_spending",
         "fig11_churn", "ext01_auction", "ext02_injection"}) {
-    EXPECT_TRUE(reg.contains(name)) << name;
+    EXPECT_NE(reg.find(name), nullptr) << name;
   }
 }
 

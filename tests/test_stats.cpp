@@ -1,5 +1,4 @@
-// Tests for util/stats: running statistics, quantiles, histograms, EWMA and
-// time series reductions.
+// Tests for util/stats: histograms and time series reductions.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,91 +10,6 @@
 
 namespace creditflow::util {
 namespace {
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats rs;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) rs.add(x);
-  EXPECT_EQ(rs.count(), 8u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(rs.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(rs.min(), 2.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-  EXPECT_DOUBLE_EQ(rs.sum(), 40.0);
-  EXPECT_DOUBLE_EQ(rs.cv(), 0.4);
-}
-
-TEST(RunningStats, EmptyIsSafe) {
-  RunningStats rs;
-  EXPECT_TRUE(rs.empty());
-  EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37 - 3.0;
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
-TEST(Ewma, ConvergesToConstantInput) {
-  Ewma e(0.3);
-  for (int i = 0; i < 100; ++i) e.add(7.0);
-  EXPECT_NEAR(e.value(), 7.0, 1e-9);
-}
-
-TEST(Ewma, FirstValueInitializes) {
-  Ewma e(0.1);
-  EXPECT_FALSE(e.initialized());
-  e.add(42.0);
-  EXPECT_TRUE(e.initialized());
-  EXPECT_DOUBLE_EQ(e.value(), 42.0);
-}
-
-TEST(Ewma, RejectsBadAlpha) {
-  EXPECT_THROW(Ewma(0.0), PreconditionError);
-  EXPECT_THROW(Ewma(1.5), PreconditionError);
-}
-
-TEST(Quantile, MedianAndExtremes) {
-  const std::vector<double> v = {5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 5.0);
-}
-
-TEST(Quantile, Interpolates) {
-  const std::vector<double> v = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 2.5);
-}
-
-TEST(Quantiles, BatchMatchesSingle) {
-  const std::vector<double> v = {9.0, 2.0, 7.0, 4.0, 1.0, 8.0};
-  const std::vector<double> qs = {0.1, 0.5, 0.9};
-  const auto batch = quantiles(v, qs);
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], quantile(v, qs[i]));
-  }
-}
 
 TEST(Histogram, CountsAndDensity) {
   Histogram h(0.0, 10.0, 5);
@@ -124,12 +38,6 @@ TEST(Histogram, WeightedAdds) {
   h.add(0.25, 3.0);
   EXPECT_DOUBLE_EQ(h.count(0), 3.0);
   EXPECT_DOUBLE_EQ(h.total(), 3.0);
-}
-
-TEST(Histogram, CenterComputation) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.center(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.center(4), 9.0);
 }
 
 TEST(Log2Histogram, BucketBoundariesFollowBitWidth) {
@@ -180,51 +88,6 @@ TEST(Log2Histogram, QuantilesClampToObservedRange) {
   EXPECT_LE(p50, 100.0);
   const double p90 = h.approx_quantile(0.9);
   EXPECT_GE(p90, p50);
-}
-
-TEST(Log2Histogram, MergeEqualsSequential) {
-  Log2Histogram a, b, all;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    (i % 2 == 0 ? a : b).add(i * 17);
-    all.add(i * 17);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.sum(), all.sum());
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-  for (std::size_t bkt = 0; bkt < Log2Histogram::kBuckets; ++bkt) {
-    EXPECT_EQ(a.bucket_count(bkt), all.bucket_count(bkt)) << "bucket " << bkt;
-  }
-}
-
-TEST(Log2Histogram, MergeWithEmptyPreservesMin) {
-  Log2Histogram a, b;
-  a.add(7);
-  a.merge(b);  // merging in an empty histogram must not clobber min
-  EXPECT_EQ(a.min(), 7u);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.min(), 7u);
-  EXPECT_EQ(b.count(), 1u);
-}
-
-TEST(Log2Histogram, ResetZeroesInPlace) {
-  Log2Histogram h;
-  h.add(42);
-  h.add(0);
-  h.reset();
-  EXPECT_TRUE(h.empty());
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-  for (std::size_t bkt = 0; bkt < Log2Histogram::kBuckets; ++bkt) {
-    EXPECT_EQ(h.bucket_count(bkt), 0u);
-  }
-  h.add(3);  // usable again after reset
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.min(), 3u);
 }
 
 TEST(TimeSeries, AddAndAccess) {

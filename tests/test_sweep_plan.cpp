@@ -188,8 +188,8 @@ TEST(SweepPlan, LabelledResultCarriesPlanMetadata) {
   // The instantiated spec reflects the same grid point, with the per-run
   // derived seed.
   const ScenarioSpec spec = plan.spec(5);
-  EXPECT_EQ(spec.get("credits"), 40.0);
-  EXPECT_EQ(spec.get("tax.rate"), 0.0);
+  EXPECT_EQ(spec.config.protocol.initial_credits, 40u);
+  EXPECT_EQ(spec.config.protocol.tax.rate, 0.0);
   EXPECT_EQ(spec.config.protocol.seed,
             util::derive_seed(tiny_base().config.protocol.seed, 5));
 }

@@ -24,17 +24,6 @@ TEST(ConsoleTable, RendersAlignedColumns) {
   EXPECT_NE(out.find("42"), std::string::npos);
 }
 
-TEST(ConsoleTable, PrecisionControlsDoubles) {
-  ConsoleTable t;
-  t.set_header({"x"});
-  t.set_precision(2);
-  t.add_row({3.14159});
-  std::ostringstream oss;
-  t.print(oss);
-  EXPECT_NE(oss.str().find("3.14"), std::string::npos);
-  EXPECT_EQ(oss.str().find("3.1416"), std::string::npos);
-}
-
 TEST(ConsoleTable, RowSizeMismatchThrows) {
   ConsoleTable t;
   t.set_header({"a", "b"});
@@ -62,13 +51,6 @@ TEST(Logging, ParseLevels) {
   EXPECT_EQ(parse_log_level("trace"), LogLevel::kTrace);
   EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
   EXPECT_EQ(parse_log_level("bogus"), LogLevel::kWarn);
-}
-
-TEST(Logging, SetAndGetLevel) {
-  const auto prev = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(prev);
 }
 
 }  // namespace

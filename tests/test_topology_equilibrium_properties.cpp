@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 #include "queueing/ctmc.hpp"
 #include "queueing/equilibrium.hpp"
 #include "queueing/transfer_matrix.hpp"
@@ -16,7 +17,7 @@
 namespace creditflow::queueing {
 namespace {
 
-enum class Topology { kScaleFree, kErdosRenyi, kRing, kComplete, kStar, kBa };
+enum class Topology { kScaleFree, kErdosRenyi, kRing, kComplete, kStar };
 
 struct SweepPoint {
   Topology topology;
@@ -40,8 +41,6 @@ graph::Graph make_topology(const SweepPoint& p, util::Rng& rng) {
       return graph::complete(p.n);
     case Topology::kStar:
       return graph::star(p.n);
-    case Topology::kBa:
-      return graph::barabasi_albert(p.n, 4, rng);
   }
   throw std::logic_error("unreachable");
 }
@@ -98,8 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepPoint{Topology::kErdosRenyi, 150},
                       SweepPoint{Topology::kRing, 64},
                       SweepPoint{Topology::kComplete, 32},
-                      SweepPoint{Topology::kStar, 40},
-                      SweepPoint{Topology::kBa, 120}));
+                      SweepPoint{Topology::kStar, 40}));
 
 // Utilization property over random rate assignments: Eq. (2) output is in
 // (0, 1] with max exactly 1, and scale-invariant in λ.

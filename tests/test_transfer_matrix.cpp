@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 #include "queueing/transfer_matrix.hpp"
 #include "util/rng.hpp"
 
@@ -88,37 +89,6 @@ TEST(TransferMatrix, UniformFromGraphIsolatedNodeSelfLoops) {
   const auto p = TransferMatrix::uniform_from_graph(g);
   EXPECT_DOUBLE_EQ(p.at(2, 2), 1.0);
   EXPECT_TRUE(p.is_stochastic());
-}
-
-TEST(TransferMatrix, WeightedFromGraphFollowsWeights) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  const std::vector<double> w = {1.0, 3.0, 1.0};
-  const auto p = TransferMatrix::weighted_from_graph(g, w);
-  EXPECT_DOUBLE_EQ(p.at(0, 1), 0.75);
-  EXPECT_DOUBLE_EQ(p.at(0, 2), 0.25);
-  EXPECT_TRUE(p.is_stochastic());
-}
-
-TEST(TransferMatrix, RandomFromGraphStochasticAndIrreducible) {
-  util::Rng rng(7);
-  graph::ScaleFreeParams params;
-  const auto g = graph::scale_free(100, params, rng);
-  const auto p = TransferMatrix::random_from_graph(g, rng, 0.1);
-  EXPECT_TRUE(p.is_stochastic(1e-9));
-  EXPECT_TRUE(p.is_irreducible());
-}
-
-TEST(TransferMatrix, FromDenseRoundTrip) {
-  util::Matrix m(2, 2);
-  m.at(0, 0) = 0.25;
-  m.at(0, 1) = 0.75;
-  m.at(1, 0) = 1.0;
-  const auto p = TransferMatrix::from_dense(m);
-  EXPECT_DOUBLE_EQ(p.at(0, 1), 0.75);
-  EXPECT_DOUBLE_EQ(p.at(1, 0), 1.0);
-  EXPECT_DOUBLE_EQ(p.at(1, 1), 0.0);
 }
 
 }  // namespace
