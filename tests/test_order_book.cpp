@@ -235,6 +235,26 @@ TEST(OrderBookProtocol, AskExpiryOnSellerDeath) {
   });
 }
 
+TEST(OrderBookProtocol, LimitZeroBidsRestOncePerBuyer) {
+  // No ask can be priced under 1, so a limit of 0 never crosses: every
+  // buyer that meets an ask rests one bid and keeps it. A bid at limit 0
+  // is still a resting bid — re-posting it refreshes it, never counts a
+  // second one.
+  auto cfg = book_config(24);
+  cfg.book.cross = p2p::ProtocolConfig::OrderBookConfig::CrossStrategy::kLimit;
+  cfg.book.limit_price = 0;
+  sim::Simulator sim;
+  p2p::StreamingProtocol proto(cfg, sim);
+  proto.start();
+  sim.run_until(100.0);
+
+  const auto& metrics = proto.metrics();
+  EXPECT_EQ(metrics.counter("book.fills"), 0u);
+  EXPECT_GT(metrics.counter("book.bids_posted"), 0u);
+  EXPECT_LE(metrics.counter("book.bids_posted"), cfg.initial_peers);
+  EXPECT_EQ(metrics.counter("book.bids_matched"), 0u);
+}
+
 TEST(OrderBookProtocol, DirectModeCarriesNoBook) {
   sim::Simulator sim;
   p2p::ProtocolConfig cfg;

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/market.hpp"
 #include "core/series.hpp"
+#include "scenario/registry.hpp"
+#include "util/rng.hpp"
 
 namespace creditflow::core {
 namespace {
@@ -151,6 +155,41 @@ TEST(RoundSeriesSampler, CsvHasHeaderAndOneLinePerRow) {
     if (!line.empty()) ++rows;
   }
   EXPECT_EQ(rows, market.series()->rows().size());
+}
+
+TEST(RoundSeriesSampler, OrderBookColumnsArePinned) {
+  // The golden matrix hashes run CSVs, not the per-round series, so this
+  // pins the book columns byte for byte: a limit-crossing, adaptively
+  // repriced book under churn, sampled every round. Most rows rest asks at
+  // two or more price levels, so the spread column is exercised too.
+  const scenario::ScenarioSpec* preset =
+      scenario::ScenarioRegistry::builtin().find("obk02_markup");
+  ASSERT_NE(preset, nullptr);
+  scenario::ScenarioSpec spec = *preset;
+  const std::pair<const char*, double> overrides[] = {
+      {"horizon", 200.0},          {"snapshot_interval", 50.0},
+      {"book.pricing", 1.0},       {"book.cross", 2.0},
+      {"book.limit_price", 3.0},   {"churn.enabled", 1.0},
+      {"churn.arrival_rate", 0.5}, {"churn.mean_lifespan", 150.0},
+      {"max_peers", 400.0},
+  };
+  for (const auto& [key, value] : overrides) {
+    ASSERT_EQ(spec.set_checked(key, value), std::nullopt) << key;
+  }
+  MarketConfig cfg = spec.materialize();
+  cfg.series_every_rounds = 1;
+  CreditMarket market(cfg);
+  (void)market.run();
+  ASSERT_NE(market.series(), nullptr);
+  const auto& rows = market.series()->rows();
+  ASSERT_EQ(rows.size(), 200u);
+  std::size_t spread_rows = 0;
+  for (const RoundSample& row : rows) {
+    if (row.book_spread != 0.0) ++spread_rows;
+  }
+  EXPECT_EQ(spread_rows, 185u);
+  const std::uint64_t hash = util::fnv1a64(market.series()->csv());
+  EXPECT_EQ(hash, 0xa828aa9b3571c9e5ULL) << std::hex << "0x" << hash;
 }
 
 }  // namespace
