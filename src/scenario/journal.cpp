@@ -56,6 +56,13 @@ JournalReplay replay_journal(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty()) continue;
+    // Every event Journal writes ends in '}'. A line torn anywhere before
+    // that may still hold every field a search finds (a run index cut
+    // from 12 to 1 reads as run 1), so it is dropped whole.
+    if (line.back() != '}') {
+      drop("no closing brace — torn");
+      continue;
+    }
     std::string ev;
     if (!extract_string(line, "ev", ev)) {
       drop("no event type — torn or malformed");

@@ -21,9 +21,9 @@
 //   {"ev":"done","run":I,"key":"<32 hex>"}
 //   {"ev":"requeue","run":I}
 //
-// Replay is lenient the way the RunStore load is lenient: a torn tail or
-// malformed line is skipped with a warning (it costs at most one
-// re-executed run), duplicate grants overwrite (last session wins), and
+// Replay is lenient the way the RunStore load is lenient: a torn line (one
+// that does not end in '}') or a malformed one is skipped with a warning
+// (it costs at most one re-executed run), duplicate grants overwrite (last session wins), and
 // events that contradict the plan (unknown run index) are dropped.
 // Conflicting plan fingerprints, by contrast, are a hard error.
 #pragma once

@@ -99,6 +99,55 @@ TEST(Journal, TornTailIsSkippedNotFatal) {
   EXPECT_TRUE(repaired.open_leases.empty());
 }
 
+TEST(Journal, TornNumberIsNotReadAsAnotherRun) {
+  const auto path = (scratch_dir("torn_number") / "sweep.journal").string();
+  {
+    Journal journal(path);
+    journal.record_plan(kFingerprint, 16);
+    journal.record_grant(1, "aaaaaaaaaaaaaaaa");
+    journal.record_grant(12, "bbbbbbbbbbbbbbbb");
+  }
+  {
+    // A requeue of run 12, torn inside its run index: every field is
+    // still there, but the number reads as run 1.
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << R"({"ev":"requeue","run":1)";
+  }
+  const JournalReplay replay = replay_journal(path);
+  EXPECT_EQ(replay.events, 3u);
+  EXPECT_EQ(replay.skipped, 1u);
+  ASSERT_EQ(replay.open_leases.size(), 2u);
+  EXPECT_EQ(replay.open_leases.at(1), "aaaaaaaaaaaaaaaa");
+  EXPECT_EQ(replay.open_leases.at(12), "bbbbbbbbbbbbbbbb");
+}
+
+TEST(Journal, TornPlanLineDoesNotShrinkThePlan) {
+  const auto path = (scratch_dir("torn_plan") / "sweep.journal").string();
+  {
+    // The first plan line of a 16-run sweep, torn inside its run count.
+    std::ofstream out(path, std::ios::binary);
+    out << R"({"ev":"plan","fingerprint":")" << kFingerprint
+        << R"(","runs":1)";
+  }
+  {
+    // A resumed coordinator repairs the tail, keeps the torn line and
+    // re-logs the plan after it.
+    Journal journal(path);
+    journal.record_plan(kFingerprint, 16);
+    journal.record_grant(5, "aaaaaaaaaaaaaaaa");
+    journal.record_done(3, key_of(4, 2));
+  }
+  const JournalReplay replay = replay_journal(path);
+  EXPECT_TRUE(replay.has_plan);
+  EXPECT_EQ(replay.plan_runs, 16u);
+  EXPECT_EQ(replay.skipped, 1u);
+  EXPECT_EQ(replay.events, 3u);
+  ASSERT_EQ(replay.open_leases.size(), 1u);
+  EXPECT_EQ(replay.open_leases.at(5), "aaaaaaaaaaaaaaaa");
+  ASSERT_EQ(replay.completed.size(), 1u);
+  EXPECT_EQ(replay.completed.at(3), key_of(4, 2));
+}
+
 TEST(Journal, DuplicateGrantLastSessionWins) {
   const auto path = (scratch_dir("dup_grant") / "sweep.journal").string();
   {
