@@ -6,7 +6,8 @@
 
 namespace creditflow::econ {
 
-TaxationEngine::TaxationEngine(TaxPolicy policy) : policy_(policy) {
+TaxationEngine::TaxationEngine(TaxPolicy policy, std::size_t max_peers)
+    : policy_(policy), fractional_debt_(policy.enabled ? max_peers : 0, 0.0) {
   CF_EXPECTS(policy.rate >= 0.0 && policy.rate < 1.0);
   CF_EXPECTS(policy.threshold >= 0.0);
 }
@@ -17,6 +18,7 @@ std::uint64_t TaxationEngine::on_income(std::uint32_t peer,
   if (!policy_.enabled || policy_.rate == 0.0 || income == 0) return 0;
   if (static_cast<double>(wealth_after_income) <= policy_.threshold) return 0;
 
+  CF_EXPECTS(peer < fractional_debt_.size());
   double& debt = fractional_debt_[peer];
   debt += policy_.rate * static_cast<double>(income);
   // The epsilon keeps accumulated binary-rounding error (e.g. ten 0.1
@@ -41,7 +43,7 @@ bool TaxationEngine::try_redistribute(std::uint64_t population_size) {
 }
 
 void TaxationEngine::forget_peer(std::uint32_t peer) {
-  fractional_debt_.erase(peer);
+  if (peer < fractional_debt_.size()) fractional_debt_[peer] = 0.0;
 }
 
 }  // namespace creditflow::econ

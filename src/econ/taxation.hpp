@@ -10,8 +10,9 @@
 // ledger), keeping conservation checkable in one place.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace creditflow::econ {
 
@@ -25,7 +26,9 @@ struct TaxPolicy {
 /// Bookkeeping engine for threshold income taxation with equal redistribution.
 class TaxationEngine {
  public:
-  explicit TaxationEngine(TaxPolicy policy);
+  /// Peer ids run below `max_peers`; an enabled policy keeps one debt
+  /// cell per id, a disabled one keeps none.
+  TaxationEngine(TaxPolicy policy, std::size_t max_peers);
 
   [[nodiscard]] const TaxPolicy& policy() const { return policy_; }
 
@@ -59,7 +62,7 @@ class TaxationEngine {
   std::uint64_t treasury_ = 0;
   std::uint64_t collected_ = 0;
   std::uint64_t redistributed_ = 0;
-  std::unordered_map<std::uint32_t, double> fractional_debt_;
+  std::vector<double> fractional_debt_;  ///< indexed by peer id
 };
 
 }  // namespace creditflow::econ

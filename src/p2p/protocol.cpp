@@ -65,7 +65,7 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
       peers_(cfg_.max_peers, std::max<std::size_t>(cfg_.window_chunks, 1)),
       pricing_(econ::make_pricing(cfg_.pricing)),
       spending_(make_spending_policy(cfg_.spending)),
-      tax_(cfg_.tax) {
+      tax_(cfg_.tax, cfg_.max_peers) {
   CF_EXPECTS(cfg_.initial_peers >= 2);
   CF_EXPECTS(cfg_.initial_peers <= cfg_.max_peers);
   CF_EXPECTS(cfg_.round_seconds > 0.0);

@@ -104,9 +104,7 @@ TEST(AllocationFreeCore, SteadyStateRoundLoopDoesNotAllocate) {
 
 TEST(AllocationFreeCore, TaxationRoundsDoNotAllocate) {
   // Taxation exercises the redistribution walk over the active span and
-  // the cached tax.redistributions counter cell. The per-peer fractional
-  // liability map stops inserting once every peer has earned at least
-  // once, which the warm-up guarantees for this deterministic market.
+  // the cached tax.redistributions counter cell.
   p2p::ProtocolConfig cfg;
   cfg.initial_peers = 300;
   cfg.max_peers = 300;
@@ -117,6 +115,24 @@ TEST(AllocationFreeCore, TaxationRoundsDoNotAllocate) {
   cfg.tax.threshold = 50.0;
   EXPECT_EQ(allocations_during_rounds(cfg, 150.0, 50.0), 0u)
       << "the taxation round loop allocated";
+}
+
+TEST(AllocationFreeCore, TaxationWithChurnRoundsDoNotAllocate) {
+  // Churn recycles slots, and a departure forgets the peer's fractional
+  // tax debt: the first taxed sale of the slot's next occupant must reuse
+  // the slot's cell, not allocate a fresh one.
+  p2p::ProtocolConfig cfg;
+  cfg.initial_peers = 500;
+  cfg.max_peers = 2048;
+  cfg.seed = 13;
+  cfg.churn.enabled = true;
+  cfg.churn.arrival_rate = 2.0;
+  cfg.churn.mean_lifespan = 250.0;
+  cfg.tax.enabled = true;
+  cfg.tax.rate = 0.1;
+  cfg.tax.threshold = 50.0;
+  EXPECT_EQ(allocations_during_rounds(cfg, 600.0, 100.0), 0u)
+      << "the taxed churn round loop allocated";
 }
 
 TEST(AllocationFreeCore, OverlayJoinLeaveBurstsDoNotAllocate) {

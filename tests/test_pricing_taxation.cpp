@@ -97,21 +97,21 @@ TEST(MakePricing, DispatchesAllKinds) {
 }
 
 TEST(Taxation, DisabledCollectsNothing) {
-  TaxationEngine tax(TaxPolicy{});
+  TaxationEngine tax(TaxPolicy{}, 8);
   EXPECT_EQ(tax.on_income(1, 100, 1000), 0u);
   EXPECT_EQ(tax.treasury(), 0u);
 }
 
 TEST(Taxation, BelowThresholdUntaxed) {
   TaxPolicy policy{true, 0.2, 50.0};
-  TaxationEngine tax(policy);
+  TaxationEngine tax(policy, 8);
   EXPECT_EQ(tax.on_income(1, 10, 40), 0u);  // wealth 40 <= 50
   EXPECT_EQ(tax.treasury(), 0u);
 }
 
 TEST(Taxation, CollectsProportionOfIncome) {
   TaxPolicy policy{true, 0.5, 10.0};
-  TaxationEngine tax(policy);
+  TaxationEngine tax(policy, 8);
   // Income 4, rate 0.5 -> 2 units collected immediately.
   EXPECT_EQ(tax.on_income(1, 4, 100), 2u);
   EXPECT_EQ(tax.treasury(), 2u);
@@ -120,7 +120,7 @@ TEST(Taxation, CollectsProportionOfIncome) {
 
 TEST(Taxation, FractionalLiabilityAccrues) {
   TaxPolicy policy{true, 0.1, 0.0};
-  TaxationEngine tax(policy);
+  TaxationEngine tax(policy, 8);
   std::uint64_t collected = 0;
   for (int i = 0; i < 10; ++i) {
     collected += tax.on_income(7, 1, 1000);  // 0.1 per sale
@@ -130,7 +130,7 @@ TEST(Taxation, FractionalLiabilityAccrues) {
 
 TEST(Taxation, FractionalDebtIsPerPeer) {
   TaxPolicy policy{true, 0.5, 0.0};
-  TaxationEngine tax(policy);
+  TaxationEngine tax(policy, 8);
   EXPECT_EQ(tax.on_income(1, 1, 100), 0u);  // 0.5 accrued for peer 1
   EXPECT_EQ(tax.on_income(2, 1, 100), 0u);  // 0.5 accrued for peer 2
   EXPECT_EQ(tax.on_income(1, 1, 100), 1u);  // peer 1 reaches 1.0
@@ -139,7 +139,7 @@ TEST(Taxation, FractionalDebtIsPerPeer) {
 
 TEST(Taxation, RedistributionWhenTreasuryFull) {
   TaxPolicy policy{true, 0.5, 0.0};
-  TaxationEngine tax(policy);
+  TaxationEngine tax(policy, 8);
   (void)tax.on_income(1, 20, 100);  // 10 collected
   EXPECT_FALSE(tax.try_redistribute(11));
   EXPECT_TRUE(tax.try_redistribute(10));
@@ -149,23 +149,23 @@ TEST(Taxation, RedistributionWhenTreasuryFull) {
 
 TEST(Taxation, CollectionCappedByBalance) {
   TaxPolicy policy{true, 0.9, 0.0};
-  TaxationEngine tax(policy);
+  TaxationEngine tax(policy, 8);
   // Income 100 at rate 0.9 would be 90, but the peer only holds 5 now.
   EXPECT_EQ(tax.on_income(1, 100, 5), 5u);
 }
 
 TEST(Taxation, ForgetPeerDropsDebt) {
   TaxPolicy policy{true, 0.5, 0.0};
-  TaxationEngine tax(policy);
+  TaxationEngine tax(policy, 8);
   (void)tax.on_income(1, 1, 100);  // 0.5 accrued
   tax.forget_peer(1);
   EXPECT_EQ(tax.on_income(1, 1, 100), 0u);  // starts at 0.5 again
 }
 
 TEST(Taxation, RejectsInvalidPolicy) {
-  EXPECT_THROW(TaxationEngine(TaxPolicy{true, 1.5, 0.0}),
+  EXPECT_THROW(TaxationEngine(TaxPolicy{true, 1.5, 0.0}, 8),
                util::PreconditionError);
-  EXPECT_THROW(TaxationEngine(TaxPolicy{true, -0.1, 0.0}),
+  EXPECT_THROW(TaxationEngine(TaxPolicy{true, -0.1, 0.0}, 8),
                util::PreconditionError);
 }
 
