@@ -57,12 +57,13 @@ JacksonMapping mapping_from_trace(const p2p::StreamingProtocol& protocol,
     m.transfer.set_row(k, std::move(rows[k]));
   }
 
+  const p2p::PeerTable& peers = protocol.peer_table();
   for (std::uint32_t k = 0; k < n; ++k) {
-    const auto& peer = protocol.peer(alive[k]);
-    m.service_rates[k] = peer.base_spend_rate;
-    const double age = peer.age(now);
+    const p2p::PeerId id = alive[k];
+    m.service_rates[k] = peers.base_spend_rate(id);
+    const double age = now - peers.join_time(id);
     m.arrival_rates[k] =
-        age > 0.0 ? static_cast<double>(peer.credits_earned) / age : 0.0;
+        age > 0.0 ? static_cast<double>(peers.credits_earned(id)) / age : 0.0;
   }
   // A peer that never earned would zero out the utilization; floor λ at a
   // tiny epsilon so Eq. (2) stays well-defined.

@@ -101,7 +101,7 @@ MarketReport CreditMarket::run() {
   report.tax_redistributed = protocol_->taxation().total_redistributed();
   report.churn_arrivals = metrics.counter("churn.arrivals");
   report.churn_departures = metrics.counter("churn.departures");
-  report.overlay_edges_dropped = metrics.counter("overlay.edges_dropped");
+  report.overlay_edges_dropped = protocol_->overlay().edges_dropped();
   report.churn_arrivals_dropped = metrics.counter("churn.arrivals_dropped");
   report.book_asks_posted = metrics.counter("book.asks_posted");
   report.book_posted_qty = metrics.counter("book.posted_qty");

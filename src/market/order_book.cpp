@@ -1,7 +1,6 @@
 #include "market/order_book.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/assert.hpp"
 
@@ -10,46 +9,10 @@ namespace creditflow::market {
 OrderBook::OrderBook(std::size_t max_peers, Credits max_price)
     : asks_(max_peers),
       bids_(max_peers),
-      level_head_(static_cast<std::size_t>(max_price) + 1, -1),
-      level_tail_(static_cast<std::size_t>(max_price) + 1, -1),
+      level_count_(static_cast<std::size_t>(max_price) + 1, 0),
       max_price_(max_price) {
   CF_EXPECTS(max_peers > 0);
   CF_EXPECTS(max_price >= 1);
-  CF_EXPECTS_MSG(max_peers <= static_cast<std::size_t>(
-                                  std::numeric_limits<std::int32_t>::max()),
-                 "order book: peer capacity exceeds intrusive link range");
-}
-
-void OrderBook::link_tail(PeerId seller, Credits price) {
-  AskCell& cell = asks_[seller];
-  const auto p = static_cast<std::size_t>(price);
-  const auto id = static_cast<std::int32_t>(seller);
-  cell.prev = level_tail_[p];
-  cell.next = -1;
-  if (level_tail_[p] >= 0) {
-    asks_[static_cast<std::size_t>(level_tail_[p])].next = id;
-  } else {
-    level_head_[p] = id;
-  }
-  level_tail_[p] = id;
-  max_level_used_ = std::max(max_level_used_, price);
-}
-
-void OrderBook::unlink(PeerId seller) {
-  AskCell& cell = asks_[seller];
-  const auto p = static_cast<std::size_t>(cell.price);
-  if (cell.prev >= 0) {
-    asks_[static_cast<std::size_t>(cell.prev)].next = cell.next;
-  } else {
-    level_head_[p] = cell.next;
-  }
-  if (cell.next >= 0) {
-    asks_[static_cast<std::size_t>(cell.next)].prev = cell.prev;
-  } else {
-    level_tail_[p] = cell.prev;
-  }
-  cell.prev = -1;
-  cell.next = -1;
 }
 
 void OrderBook::post_ask(PeerId seller, Credits price,
@@ -62,27 +25,22 @@ void OrderBook::post_ask(PeerId seller, Credits price,
   const Credits clamped = std::clamp<Credits>(price, 1, max_price_);
   AskCell& cell = asks_[seller];
   if (cell.quantity > 0) {
-    // Reprice/requantity: unlink from the old level; the repost joins the
-    // back of its (possibly new) level — repricing forfeits time priority.
-    open_qty_ -= cell.quantity;
-    unlink(seller);
+    --level_count_[cell.price];  // reprice: leave the old level
   } else {
     ++depth_;
   }
   cell.price = clamped;
   cell.quantity = quantity;
   cell.seq = next_seq_++;
-  open_qty_ += quantity;
-  link_tail(seller, clamped);
+  ++level_count_[clamped];
 }
 
 bool OrderBook::cancel_ask(PeerId seller) {
   CF_EXPECTS(seller < asks_.size());
   AskCell& cell = asks_[seller];
   if (cell.quantity == 0) return false;
-  open_qty_ -= cell.quantity;
-  unlink(seller);
   cell.quantity = 0;
+  --level_count_[cell.price];
   --depth_;
   return true;
 }
@@ -90,36 +48,17 @@ bool OrderBook::cancel_ask(PeerId seller) {
 std::uint32_t OrderBook::fill_one(PeerId seller) {
   AskCell& cell = asks_[seller];
   CF_EXPECTS_MSG(cell.quantity > 0, "fill_one on a seller with no ask");
-  --cell.quantity;
-  --open_qty_;
-  if (cell.quantity == 0) {
-    // Drained: the ask expires in place (keeps fill O(1); depth and the
-    // level lists stay exact).
-    unlink(seller);
+  if (--cell.quantity == 0) {
+    // Drained: the ask expires in place.
+    --level_count_[cell.price];
     --depth_;
-    return 0;
   }
   return cell.quantity;
 }
 
-AskView OrderBook::best_ask() const {
-  for (Credits p = 1; p <= max_level_used_; ++p) {
-    const std::int32_t head = level_head_[static_cast<std::size_t>(p)];
-    if (head < 0) continue;
-    const auto& cell = asks_[static_cast<std::size_t>(head)];
-    return AskView{static_cast<PeerId>(head), cell.price, cell.quantity,
-                   cell.seq};
-  }
-  return AskView{};
-}
-
 void OrderBook::post_bid(PeerId buyer, Credits limit) {
   CF_EXPECTS(buyer < bids_.size());
-  BidCell& cell = bids_[buyer];
-  if (!cell.resting) ++bid_depth_;
-  cell.limit = limit;
-  cell.seq = next_seq_++;
-  cell.resting = true;
+  bids_[buyer] = BidCell{limit, true};
 }
 
 bool OrderBook::cancel_bid(PeerId buyer) {
@@ -127,30 +66,16 @@ bool OrderBook::cancel_bid(PeerId buyer) {
   BidCell& cell = bids_[buyer];
   if (!cell.resting) return false;
   cell.resting = false;
-  --bid_depth_;
   return true;
 }
 
-void OrderBook::on_bid_matched(PeerId buyer) { (void)cancel_bid(buyer); }
-
-Credits OrderBook::min_ask() const {
-  for (Credits p = 1; p <= max_level_used_; ++p) {
-    if (level_head_[static_cast<std::size_t>(p)] >= 0) return p;
-  }
-  return 0;
-}
-
-Credits OrderBook::max_ask() const {
-  for (Credits p = max_level_used_; p >= 1; --p) {
-    if (level_head_[static_cast<std::size_t>(p)] >= 0) return p;
-  }
-  return 0;
-}
-
 Credits OrderBook::spread() const {
-  const Credits lo = min_ask();
-  if (lo == 0) return 0;
-  return max_ask() - lo;
+  Credits lo = 1;
+  while (lo <= max_price_ && level_count_[lo] == 0) ++lo;
+  if (lo > max_price_) return 0;
+  Credits hi = max_price_;
+  while (level_count_[hi] == 0) --hi;
+  return hi - lo;
 }
 
 }  // namespace creditflow::market

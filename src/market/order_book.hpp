@@ -8,17 +8,14 @@
 // Can't Beat 'Em, Join 'Em"): supply and demand meet at a clearing price
 // that emerges from seller repricing, not from a configured constant.
 //
-// Layout follows the PR-7 arena style: every resting order lives in a
-// fixed-capacity pooled cell — asks are indexed by seller (one ask per
-// seller, the protocol's natural shape: a seller's ask is its current
-// upload capacity at its current price), bids by buyer — and each integer
-// price level is an intrusive FIFO doubly-linked list through those cells.
-// Insert, cancel, reprice and fill are all O(1) and allocation-free after
-// construction; best-ask discovery walks price levels ascending from a
-// maintained floor. Price-time priority is structural: levels ascend by
-// price, and within a level the list order IS arrival order, with a
-// monotone sequence number stamped on every post for tie-breaking when a
-// crossing strategy must compare asks across an arbitrary candidate set.
+// Every resting order lives in a fixed-capacity cell indexed by its owner:
+// asks by seller (one ask per seller, the protocol's natural shape: a
+// seller's ask is its current upload capacity at its current price), bids
+// by buyer. A count of resting asks per integer price level backs spread().
+// Insert, cancel, reprice and fill are O(1) and allocation-free after
+// construction. Price-time priority is (price, seq): every ask post stamps
+// a strictly increasing sequence number, and a crossing strategy compares
+// (price, seq) across whatever candidate set it scans.
 #pragma once
 
 #include <cstdint>
@@ -31,28 +28,13 @@ namespace creditflow::market {
 using p2p::Credits;
 using p2p::PeerId;
 
-/// A view of one resting ask (snapshot; the live cell stays pooled).
-struct AskView {
-  PeerId seller = 0;
-  Credits price = 0;
-  std::uint32_t quantity = 0;  ///< units still offered
-  std::uint64_t seq = 0;       ///< post order (price-time tie-break)
-};
-
-/// A view of one resting limit bid.
-struct BidView {
-  PeerId buyer = 0;
-  Credits limit = 0;    ///< highest price the buyer will pay
-  std::uint64_t seq = 0;
-};
-
 /// Fixed-capacity, allocation-free order book over integer credit prices.
 ///
 /// Capacity is one ask per seller slot and one bid per buyer slot
 /// (`max_peers` each), with price levels 1..max_price. Posting an ask for
-/// a seller that already has one is a reprice: the old cell is unlinked
-/// and the new ask takes a fresh sequence number (it joins the back of its
-/// level's queue — repricing forfeits time priority, as on any exchange).
+/// a seller that already has one is a reprice: the new ask takes a fresh
+/// sequence number, so repricing forfeits time priority, as on any
+/// exchange.
 class OrderBook {
  public:
   OrderBook(std::size_t max_peers, Credits max_price);
@@ -89,36 +71,17 @@ class OrderBook {
   /// remaining quantity.
   std::uint32_t fill_one(PeerId seller);
 
-  /// The best resting ask by price-time priority (lowest price, then
-  /// earliest arrival at that level); quantity 0 when the book is empty.
-  [[nodiscard]] AskView best_ask() const;
-
-  /// Walk every resting ask in strict price-time priority order (ascending
-  /// price levels, FIFO within each level), invoking fn(AskView). The
-  /// reference order every crossing strategy's candidate filter must agree
-  /// with — the book-vs-naive-scan oracle tests pin exactly this.
-  template <typename Fn>
-  void for_each_ask(Fn&& fn) const {
-    for (Credits p = 1; p <= max_level_used_; ++p) {
-      for (std::int32_t i = level_head_[p]; i >= 0; i = asks_[i].next) {
-        const auto& cell = asks_[static_cast<std::size_t>(i)];
-        fn(AskView{static_cast<PeerId>(i), cell.price, cell.quantity,
-                   cell.seq});
-      }
-    }
-  }
-
   // ---- Bid side (limit orders that rest until matched) -------------------
 
   /// Post (or replace) `buyer`'s resting limit bid. A resting bid is
   /// standing intent: the buyer found no ask at or under `limit` and will
-  /// retry; it rests until matched (cleared by on_bid_matched) or expired
-  /// (buyer churn / the wanted window moved on).
+  /// retry; it rests until a purchase at or under the limit matches it or
+  /// the buyer departs, either of which cancels it. Any limit rests, 0
+  /// included.
   void post_bid(PeerId buyer, Credits limit);
-  /// Remove `buyer`'s resting bid (expiry). Returns true if one rested.
+  /// Remove `buyer`'s resting bid (match or expiry). Returns true if one
+  /// rested.
   bool cancel_bid(PeerId buyer);
-  /// A purchase at or under the resting limit matched the bid.
-  void on_bid_matched(PeerId buyer);
   [[nodiscard]] bool has_bid(PeerId buyer) const {
     return bids_[buyer].resting;
   }
@@ -130,50 +93,28 @@ class OrderBook {
 
   /// Resting asks (distinct sellers with open quantity).
   [[nodiscard]] std::size_t depth() const { return depth_; }
-  /// Total unfilled units across all resting asks.
-  [[nodiscard]] std::uint64_t open_quantity() const { return open_qty_; }
-  /// Resting limit bids.
-  [[nodiscard]] std::size_t bid_depth() const { return bid_depth_; }
-  /// Lowest / highest resting ask price; 0 when the book is empty.
-  [[nodiscard]] Credits min_ask() const;
-  [[nodiscard]] Credits max_ask() const;
-  /// max_ask - min_ask; 0 when fewer than two price levels rest.
+  /// Highest minus lowest resting ask price; 0 when fewer than two price
+  /// levels rest.
   [[nodiscard]] Credits spread() const;
 
-  [[nodiscard]] Credits max_price() const { return max_price_; }
-  [[nodiscard]] std::size_t capacity() const { return asks_.size(); }
-
  private:
-  /// One pooled ask cell, indexed by seller id. quantity == 0 means the
-  /// cell is free (no heap round trip: the pool IS the seller-slot array).
+  /// One ask cell, indexed by seller id; quantity == 0 means no ask rests.
   struct AskCell {
     Credits price = 0;
     std::uint32_t quantity = 0;
     std::uint64_t seq = 0;
-    std::int32_t prev = -1;  ///< intrusive level-list links (seller ids)
-    std::int32_t next = -1;
   };
   struct BidCell {
     Credits limit = 0;
-    std::uint64_t seq = 0;
     bool resting = false;
   };
 
-  void unlink(PeerId seller);
-  void link_tail(PeerId seller, Credits price);
-
-  std::vector<AskCell> asks_;           ///< indexed by seller id
-  std::vector<BidCell> bids_;           ///< indexed by buyer id
-  std::vector<std::int32_t> level_head_;  ///< per price level, -1 empty
-  std::vector<std::int32_t> level_tail_;
+  std::vector<AskCell> asks_;  ///< indexed by seller id
+  std::vector<BidCell> bids_;  ///< indexed by buyer id
+  /// Resting asks per price level 0..max_price (level 0 stays empty).
+  std::vector<std::uint32_t> level_count_;
   Credits max_price_;
-  // Walk bound: levels above this were never occupied. Price levels are
-  // few (max_price is small by construction), so best-ask/spread scans are
-  // a handful of array reads — no floor bookkeeping to keep consistent.
-  Credits max_level_used_ = 0;
   std::size_t depth_ = 0;
-  std::size_t bid_depth_ = 0;
-  std::uint64_t open_qty_ = 0;
   std::uint64_t next_seq_ = 1;
 };
 

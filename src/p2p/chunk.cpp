@@ -2,59 +2,16 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "util/assert.hpp"
 
 namespace creditflow::p2p {
-
-BufferMap::BufferMap(std::size_t capacity)
-    : own_(words_for(capacity), 0), words_(own_.data()), capacity_(capacity) {
-  CF_EXPECTS(capacity > 0);
-}
 
 BufferMap::BufferMap(std::size_t capacity, std::uint64_t* words)
     : words_(words), capacity_(capacity) {
   CF_EXPECTS(capacity > 0);
   CF_EXPECTS(words != nullptr);
   std::fill(words_, words_ + words_for(capacity_), std::uint64_t{0});
-}
-
-BufferMap::BufferMap(const BufferMap& other)
-    : own_(other.words_, other.words_ + words_for(other.capacity_)),
-      words_(own_.data()),
-      capacity_(other.capacity_),
-      base_(other.base_),
-      count_(other.count_) {}
-
-BufferMap& BufferMap::operator=(const BufferMap& other) {
-  if (this == &other) return *this;
-  own_.assign(other.words_, other.words_ + words_for(other.capacity_));
-  words_ = own_.data();
-  capacity_ = other.capacity_;
-  base_ = other.base_;
-  count_ = other.count_;
-  return *this;
-}
-
-BufferMap::BufferMap(BufferMap&& other) noexcept
-    : own_(std::move(other.own_)),
-      words_(own_.empty() ? other.words_ : own_.data()),
-      capacity_(other.capacity_),
-      base_(other.base_),
-      count_(other.count_) {
-  other.words_ = nullptr;
-}
-
-BufferMap& BufferMap::operator=(BufferMap&& other) noexcept {
-  if (this == &other) return *this;
-  own_ = std::move(other.own_);
-  words_ = own_.empty() ? other.words_ : own_.data();
-  capacity_ = other.capacity_;
-  base_ = other.base_;
-  count_ = other.count_;
-  other.words_ = nullptr;
-  return *this;
 }
 
 double BufferMap::fill() const {
@@ -103,14 +60,6 @@ bool BufferMap::missing_in_slot_range(std::size_t s_lo, std::size_t s_hi,
     }
   }
   return true;
-}
-
-std::vector<ChunkId> BufferMap::missing(std::size_t max_results) const {
-  std::vector<ChunkId> out;
-  out.reserve(std::min(max_results == 0 ? capacity_ : max_results,
-                       capacity_ - count_));
-  missing_into(out, max_results);
-  return out;
 }
 
 void BufferMap::missing_into(std::vector<ChunkId>& out,

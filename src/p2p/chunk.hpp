@@ -17,12 +17,10 @@ using ChunkId = std::uint64_t;
 /// so missing-chunk extraction and eviction are bit-walks, not per-slot
 /// branches).
 ///
-/// Word storage comes in two flavors: self-owned (the standalone
-/// constructor, used by tests and ad-hoc callers) or externally provided
-/// (the arena constructor) — the market backs every peer's window with one
-/// contiguous arena sized at construction, so a million BufferMaps cost one
-/// allocation and their words pack densely in slot order. Copies always
-/// deep-copy into owned storage (a snapshot must not alias the live arena).
+/// A BufferMap is a view over words its caller owns: the market backs every
+/// peer's window with one contiguous arena sized at construction, so a
+/// million BufferMaps cost one allocation and their words pack densely in
+/// slot order. A copy is another view of the same words.
 class BufferMap {
  public:
   /// Number of 64-bit words backing a window of `capacity` slots.
@@ -30,18 +28,10 @@ class BufferMap {
     return (capacity + 63) / 64;
   }
 
-  /// Window of `capacity` consecutive chunk slots starting at chunk 0,
-  /// with self-owned word storage.
-  explicit BufferMap(std::size_t capacity);
-
-  /// Arena-backed flavor: `words` must point at words_for(capacity) words
-  /// that outlive this map; they are zeroed here.
+  /// Window of `capacity` consecutive chunk slots starting at chunk 0.
+  /// `words` must point at words_for(capacity) words that outlive this
+  /// map; they are zeroed here.
   BufferMap(std::size_t capacity, std::uint64_t* words);
-
-  BufferMap(const BufferMap& other);
-  BufferMap& operator=(const BufferMap& other);
-  BufferMap(BufferMap&& other) noexcept;
-  BufferMap& operator=(BufferMap&& other) noexcept;
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// First chunk id inside the window.
@@ -79,11 +69,9 @@ class BufferMap {
   std::size_t advance(ChunkId new_base);
 
   /// Chunk ids in the window the peer is missing, ascending (most urgent
-  /// first for playback), capped at `max_results` (0 = no cap).
-  [[nodiscard]] std::vector<ChunkId> missing(std::size_t max_results = 0) const;
-
-  /// missing() into a caller-owned vector (cleared first) — the
-  /// allocation-free flavor for per-round hot loops.
+  /// first for playback), capped at `max_results` (0 = no cap), written
+  /// into `out` (cleared first). Allocation-free once `out` has reached
+  /// its high-water capacity.
   void missing_into(std::vector<ChunkId>& out, std::size_t max_results = 0) const;
 
   /// Reset to an empty window at the given base.
@@ -107,10 +95,7 @@ class BufferMap {
                              std::vector<ChunkId>& out,
                              std::size_t cap) const;
 
-  /// Self-owned storage; empty when arena-backed. words_ points at
-  /// whichever backing is live and is what every accessor reads.
-  std::vector<std::uint64_t> own_;
-  std::uint64_t* words_ = nullptr;  ///< words_for(capacity_) words
+  std::uint64_t* words_;  ///< words_for(capacity_) words, caller-owned
   std::size_t capacity_;
   ChunkId base_ = 0;
   std::size_t count_ = 0;

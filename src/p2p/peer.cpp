@@ -1,10 +1,13 @@
 #include "p2p/peer.hpp"
 
+#include <limits>
+
+#include "util/assert.hpp"
+
 namespace creditflow::p2p {
 
 PeerTable::PeerTable(std::size_t max_peers, std::size_t window_chunks)
-    : alive_(max_peers, 0),
-      upload_capacity_(max_peers, 0.0),
+    : upload_capacity_(max_peers, 0.0),
       base_spend_rate_(max_peers, 0.0),
       join_time_(max_peers, 0.0),
       depart_time_(max_peers,
@@ -40,26 +43,6 @@ void PeerTable::reset_slot(PeerId i, double now) {
   chunks_seeded_[i] = 0;
   failed_affordability_[i] = 0;
   failed_availability_[i] = 0;
-}
-
-PeerState PeerTable::snapshot(PeerId i) const {
-  CF_EXPECTS(i < size());
-  PeerState s;
-  s.id = i;
-  s.alive = alive(i);
-  s.upload_capacity = upload_capacity_[i];
-  s.base_spend_rate = base_spend_rate_[i];
-  s.join_time = join_time_[i];
-  s.depart_time = depart_time_[i];
-  s.buffer = buffers_[i];  // deep copy: snapshots never alias the arena
-  s.credits_earned = credits_earned_[i];
-  s.credits_spent = credits_spent_[i];
-  s.chunks_downloaded = chunks_downloaded_[i];
-  s.chunks_uploaded = chunks_uploaded_[i];
-  s.chunks_seeded = chunks_seeded_[i];
-  s.failed_affordability = failed_affordability_[i];
-  s.failed_availability = failed_availability_[i];
-  return s;
 }
 
 }  // namespace creditflow::p2p

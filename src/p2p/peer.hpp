@@ -3,67 +3,18 @@
 // the PeerTable — a structure-of-arrays layout where each field is one
 // dense array indexed by slot, so the round loop's field sweeps (window
 // advance, budget refresh, snapshots) walk contiguous memory instead of
-// striding over interleaved structs. PeerState remains as the by-value
-// snapshot handed to introspection callers.
+// striding over interleaved structs. Membership lives in the Overlay.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
 #include "p2p/chunk.hpp"
 #include "p2p/ledger.hpp"
 #include "strategy/strategy.hpp"
-#include "util/assert.hpp"
 
 namespace creditflow::p2p {
-
-/// Point-in-time copy of one peer slot's state (see PeerTable for the live
-/// layout). The buffer is a deep copy — snapshots never alias the market's
-/// live word arena.
-struct PeerState {
-  PeerId id = 0;
-  bool alive = false;
-
-  // Static capabilities (drawn at join).
-  double upload_capacity = 8.0;   ///< chunks per second it can serve
-  double base_spend_rate = 8.0;   ///< μ_i^s, credits per second
-
-  // Lifecycle.
-  double join_time = 0.0;
-  double depart_time = std::numeric_limits<double>::infinity();
-
-  // Chunk availability window.
-  BufferMap buffer{1};
-
-  // Cumulative accounting (monotone; rates derive from deltas).
-  std::uint64_t credits_earned = 0;
-  std::uint64_t credits_spent = 0;
-  std::uint64_t chunks_downloaded = 0;  ///< purchased chunks received
-  std::uint64_t chunks_uploaded = 0;    ///< chunks sold to others
-  std::uint64_t chunks_seeded = 0;      ///< free chunks pushed by the source
-  std::uint64_t failed_affordability = 0;  ///< wanted but lacked credits
-  std::uint64_t failed_availability = 0;   ///< wanted but no seller had it
-
-  /// Seconds spent in the system up to `now`.
-  [[nodiscard]] double age(double now) const { return now - join_time; }
-
-  /// Lifetime average spending rate in credits/sec at time `now`.
-  [[nodiscard]] double lifetime_spend_rate(double now) const {
-    const double a = age(now);
-    return a > 0.0 ? static_cast<double>(credits_spent) / a : 0.0;
-  }
-
-  /// Lifetime average download rate in chunks/sec at time `now` (purchased
-  /// plus seeded).
-  [[nodiscard]] double lifetime_download_rate(double now) const {
-    const double a = age(now);
-    return a > 0.0
-               ? static_cast<double>(chunks_downloaded + chunks_seeded) / a
-               : 0.0;
-  }
-};
 
 /// Structure-of-arrays store of every peer slot's protocol state. One field
 /// = one dense array indexed by PeerId, allocated once at construction; all
@@ -77,10 +28,7 @@ class PeerTable {
   PeerTable(const PeerTable&) = delete;
   PeerTable& operator=(const PeerTable&) = delete;
 
-  [[nodiscard]] std::size_t size() const { return alive_.size(); }
-
-  [[nodiscard]] bool alive(PeerId i) const { return alive_[i] != 0; }
-  void set_alive(PeerId i, bool v) { alive_[i] = v ? 1 : 0; }
+  [[nodiscard]] std::size_t size() const { return activations_.size(); }
 
   [[nodiscard]] double upload_capacity(PeerId i) const {
     return upload_capacity_[i];
@@ -125,7 +73,13 @@ class PeerTable {
   [[nodiscard]] std::uint64_t& chunks_downloaded(PeerId i) {
     return chunks_downloaded_[i];
   }
+  [[nodiscard]] std::uint64_t chunks_downloaded(PeerId i) const {
+    return chunks_downloaded_[i];
+  }
   [[nodiscard]] std::uint64_t& chunks_uploaded(PeerId i) {
+    return chunks_uploaded_[i];
+  }
+  [[nodiscard]] std::uint64_t chunks_uploaded(PeerId i) const {
     return chunks_uploaded_[i];
   }
   [[nodiscard]] std::uint64_t& chunks_seeded(PeerId i) {
@@ -179,11 +133,7 @@ class PeerTable {
                    : 0.0;
   }
 
-  /// Deep-copied point-in-time view of one slot (the introspection API).
-  [[nodiscard]] PeerState snapshot(PeerId i) const;
-
  private:
-  std::vector<std::uint8_t> alive_;
   std::vector<double> upload_capacity_;
   std::vector<double> base_spend_rate_;
   std::vector<double> join_time_;

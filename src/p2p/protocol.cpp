@@ -125,7 +125,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   tx_count_ = metrics_.counter_cell("market.transactions");
   tx_volume_ = metrics_.counter_cell("market.volume");
   liquidity_failures_ = metrics_.counter_cell("market.liquidity_failures");
-  tax_collected_ = metrics_.counter_cell("tax.collected");
   tax_redistributions_ = metrics_.counter_cell("tax.redistributions");
   injection_rounds_ = metrics_.counter_cell("injection.rounds");
   injection_minted_ = metrics_.counter_cell("injection.minted");
@@ -137,7 +136,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
       metrics_.counter_cell("purchase.phase_generic");
   phase_width_ct_[1] = metrics_.counter_cell("purchase.phase_one_word");
   phase_width_ct_[2] = metrics_.counter_cell("purchase.phase_two_word");
-  overlay_edges_dropped_ = metrics_.counter_cell("overlay.edges_dropped");
   whitewash_resets_ = metrics_.counter_cell("strat.whitewash_resets");
   whitewash_minted_ = metrics_.counter_cell("strat.whitewash_minted");
   whitewash_burned_ = metrics_.counter_cell("strat.whitewash_burned");
@@ -186,14 +184,9 @@ void StreamingProtocol::on_event(std::uint8_t kind, std::uint32_t arg,
       schedule_next_arrival();
       return;
     case kDeparture:
-      if (peers_.alive(arg)) handle_departure(arg);
+      if (overlay_.is_active(arg)) handle_departure(arg);
       return;
   }
-}
-
-PeerState StreamingProtocol::peer(PeerId id) const {
-  CF_EXPECTS(id < peers_.size());
-  return peers_.snapshot(id);
 }
 
 std::vector<PeerId> StreamingProtocol::alive_peers() const {
@@ -230,7 +223,6 @@ Credits StreamingProtocol::rejoin_grant(std::uint32_t activation) const {
 }
 
 Credits StreamingProtocol::activate_peer(PeerId id, double now) {
-  peers_.set_alive(id, true);
   const std::uint32_t activation = peers_.bump_activations(id);
   peers_.set_strategy(id, strat_enabled_ ? strategy::assign(id, cfg_.strat)
                                          : strategy::Strategy::kHonest);
@@ -343,7 +335,7 @@ void StreamingProtocol::handle_arrival(double now) {
 
 void StreamingProtocol::handle_departure(PeerId id) {
   const util::TraceSpan span("churn.departure", "churn", "peer", id);
-  CF_EXPECTS(peers_.alive(id));
+  CF_EXPECTS(overlay_.is_active(id));
   if (strat_enabled_ && ledger_.staked(id) > 0) {
     // Bond resolution precedes the exit burn: the slashed share moves to
     // the treasury, the remainder is released to the balance and leaves
@@ -359,7 +351,6 @@ void StreamingProtocol::handle_departure(PeerId id) {
   // Nothing reads a dead slot's window, but an empty ownership row keeps a
   // stale neighbor-list entry from ever yielding a purchase candidate.
   peers_.buffer(id).reset(peers_.buffer(id).base());
-  peers_.set_alive(id, false);
   if (book_ != nullptr) {
     // Seller churn expires its resting ask immediately — no ghost supply.
     if (book_->cancel_ask(id)) ++*book_asks_expired_;
@@ -436,9 +427,6 @@ void StreamingProtocol::run_round(double now) {
     peers_.buffer(id).advance(window_base);
     upload_budget_[id] = peers_.upload_capacity(id) * cfg_.round_seconds;
   }
-  // Mirror the overlay's edge-drop count into the registry (pure readout;
-  // one store per round) so pool exhaustion shows up in telemetry.
-  *overlay_edges_dropped_ = overlay_.edges_dropped();
 
   // 1a. Strategy layer: free-riders contribute nothing (budget zeroed
   // before asks are posted or purchases served), and staked seeders get a
@@ -588,7 +576,7 @@ void StreamingProtocol::strategy_whitewash_round(double now) {
   // of its own exit and that timer removes it, which only shortens the
   // attacker's tenure.
   for (const PeerId id : round_order_) {
-    if (!peers_.alive(id)) continue;
+    if (!overlay_.is_active(id)) continue;
     if (peers_.strategy(id) != strategy::Strategy::kWhitewasher) continue;
     const Credits bal = ledger_.balance(id);
     if (static_cast<double>(bal) >= cfg_.strat.whitewash_threshold) continue;
@@ -696,6 +684,8 @@ bool StreamingProtocol::book_cross(PeerId buyer, ChunkId chunk,
                                    std::span<const PeerId> neighbors,
                                    PeerId& seller_out,
                                    econ::Credits& price_out) {
+  // No aliveness check: a departed peer holds no overlay edges, so it is
+  // never in `neighbors`.
   const auto strategy = cfg_.book.cross;
   using Cross = ProtocolConfig::OrderBookConfig::CrossStrategy;
   if (strategy == Cross::kFillWeighted) {
@@ -705,7 +695,7 @@ bool StreamingProtocol::book_cross(PeerId buyer, ChunkId chunk,
     seller_ids_.clear();
     seller_weights_.clear();
     for (const PeerId nbr : neighbors) {
-      if (!peers_.alive(nbr) || upload_budget_[nbr] < 1.0) continue;
+      if (upload_budget_[nbr] < 1.0) continue;
       if (!book_->has_ask(nbr) || !peers_.buffer(nbr).has(chunk)) continue;
       seller_ids_.push_back(nbr);
       seller_weights_.push_back(
@@ -717,16 +707,14 @@ bool StreamingProtocol::book_cross(PeerId buyer, ChunkId chunk,
     price_out = book_->ask_price(pick);
     return true;
   }
-  // kBestAsk / kLimit: price-time priority over the candidate set — the
-  // naive min-scan on (price, seq) selects exactly the ask a walk of the
-  // book in level order (filtered to candidates) would reach first; the
-  // order-book tests pin that equivalence.
+  // kBestAsk / kLimit: price-time priority over the candidate set, a
+  // min-scan on (price, seq).
   PeerId best = 0;
   econ::Credits best_price = 0;
   std::uint64_t best_seq = 0;
   bool have = false;
   for (const PeerId nbr : neighbors) {
-    if (!peers_.alive(nbr) || upload_budget_[nbr] < 1.0) continue;
+    if (upload_budget_[nbr] < 1.0) continue;
     if (!book_->has_ask(nbr) || !peers_.buffer(nbr).has(chunk)) continue;
     const econ::Credits p = book_->ask_price(nbr);
     const std::uint64_t s = book_->ask_seq(nbr);
@@ -848,7 +836,7 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
         ++*book_asks_expired_;
       }
       if (book_->has_bid(buyer_id) && price <= book_->bid_limit(buyer_id)) {
-        book_->on_bid_matched(buyer_id);
+        book_->cancel_bid(buyer_id);
         ++*book_bids_matched_;
       }
     } else if (upload_budget_[seller_id] < 1.0) {
@@ -873,7 +861,6 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
         const auto collected = ledger_.collect_tax(seller_id, due);
         CF_ENSURES_MSG(collected == due,
                        "tax engine asked for more than the balance");
-        *tax_collected_ += collected;
       }
     }
   }
@@ -881,7 +868,7 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
 
 void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   const ScopedLatencySample latency(buyer_latency_hist_);
-  if (!peers_.alive(buyer_id)) return;  // departed mid-round
+  if (!overlay_.is_active(buyer_id)) return;  // departed mid-round
   const BufferMap& buyer_buffer = peers_.buffer(buyer_id);
 
   const double budget = spending_->round_budget(

@@ -228,10 +228,6 @@ class StreamingProtocol : private sim::Simulator::Agent {
   [[nodiscard]] const ProtocolConfig& config() const { return cfg_; }
   [[nodiscard]] const CreditLedger& ledger() const { return ledger_; }
   [[nodiscard]] const Overlay& overlay() const { return overlay_; }
-  /// Deep-copied point-in-time view of one peer slot. By value: the live
-  /// state is structure-of-arrays (PeerTable), so there is no PeerState
-  /// object to reference — the snapshot is assembled on demand.
-  [[nodiscard]] PeerState peer(PeerId id) const;
   [[nodiscard]] std::vector<PeerId> alive_peers() const;
   /// Alive peer ids in ascending order, O(1), no copy.
   ///
@@ -442,11 +438,10 @@ class StreamingProtocol : private sim::Simulator::Agent {
   // The trade count: market.transactions counts chunks delivered by a
   // purchase (direct or order book; price-0 chunks included) and
   // market.volume sums their prices. Collusion washes are not trades
-  // (strat.collusion_*), nor is free seeding (PeerState::chunks_seeded).
+  // (strat.collusion_*), nor is free seeding (PeerTable::chunks_seeded).
   std::uint64_t* tx_count_ = nullptr;
   std::uint64_t* tx_volume_ = nullptr;
   std::uint64_t* liquidity_failures_ = nullptr;
-  std::uint64_t* tax_collected_ = nullptr;
   std::uint64_t* tax_redistributions_ = nullptr;
   std::uint64_t* injection_rounds_ = nullptr;
   std::uint64_t* injection_minted_ = nullptr;
@@ -458,10 +453,6 @@ class StreamingProtocol : private sim::Simulator::Agent {
   // how many buyer phases resolved through each candidate-mask width
   // (purchase.phase_generic / phase_one_word / phase_two_word).
   std::array<std::uint64_t*, 3> phase_width_ct_{};
-  // Pool-exhaustion readout: the overlay's edge-drop count mirrored into
-  // the registry each round, so capacity pressure lands in run telemetry
-  // instead of only a warn-once stderr line.
-  std::uint64_t* overlay_edges_dropped_ = nullptr;
   // Strategy-layer accounting (incremented only when strat is enabled).
   std::uint64_t* whitewash_resets_ = nullptr;
   std::uint64_t* whitewash_minted_ = nullptr;

@@ -1,5 +1,9 @@
-// Tests for p2p/chunk (BufferMap) and p2p/ledger (CreditLedger).
+// Tests for p2p/chunk (BufferMap) and p2p/ledger (CreditLedger). A
+// standalone BufferMap of up to 64 chunks views one word of storage.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "p2p/chunk.hpp"
 #include "util/assert.hpp"
@@ -9,7 +13,8 @@ namespace creditflow::p2p {
 namespace {
 
 TEST(BufferMap, SetHasWithinWindow) {
-  BufferMap b(8);
+  std::uint64_t words[1];
+  BufferMap b(8, words);
   EXPECT_TRUE(b.in_window(0));
   EXPECT_TRUE(b.in_window(7));
   EXPECT_FALSE(b.in_window(8));
@@ -21,13 +26,15 @@ TEST(BufferMap, SetHasWithinWindow) {
 }
 
 TEST(BufferMap, OutOfWindowSetRejected) {
-  BufferMap b(4);
+  std::uint64_t words[1];
+  BufferMap b(4, words);
   EXPECT_FALSE(b.set(10));
   EXPECT_EQ(b.count(), 0u);
 }
 
 TEST(BufferMap, AdvanceEvicts) {
-  BufferMap b(4);
+  std::uint64_t words[1];
+  BufferMap b(4, words);
   b.set(0);
   b.set(1);
   b.set(3);
@@ -41,7 +48,8 @@ TEST(BufferMap, AdvanceEvicts) {
 }
 
 TEST(BufferMap, AdvanceBeyondCapacityClearsAll) {
-  BufferMap b(4);
+  std::uint64_t words[1];
+  BufferMap b(4, words);
   b.set(0);
   b.set(1);
   const auto evicted = b.advance(100);
@@ -51,13 +59,15 @@ TEST(BufferMap, AdvanceBeyondCapacityClearsAll) {
 }
 
 TEST(BufferMap, AdvanceBackwardsThrows) {
-  BufferMap b(4);
+  std::uint64_t words[1];
+  BufferMap b(4, words);
   b.advance(10);
   EXPECT_THROW(b.advance(5), util::PreconditionError);
 }
 
 TEST(BufferMap, RingReuseAfterManyAdvances) {
-  BufferMap b(4);
+  std::uint64_t words[1];
+  BufferMap b(4, words);
   for (ChunkId base = 0; base < 100; ++base) {
     b.advance(base);
     EXPECT_TRUE(b.set(base + 3));
@@ -67,23 +77,27 @@ TEST(BufferMap, RingReuseAfterManyAdvances) {
 }
 
 TEST(BufferMap, MissingListsAscending) {
-  BufferMap b(6);
+  std::uint64_t words[1];
+  BufferMap b(6, words);
   b.set(1);
   b.set(4);
-  const auto m = b.missing();
+  std::vector<ChunkId> m{99};  // cleared first
+  b.missing_into(m);
   EXPECT_EQ(m, (std::vector<ChunkId>{0, 2, 3, 5}));
-  const auto capped = b.missing(2);
-  EXPECT_EQ(capped, (std::vector<ChunkId>{0, 2}));
+  b.missing_into(m, 2);
+  EXPECT_EQ(m, (std::vector<ChunkId>{0, 2}));
 }
 
 TEST(BufferMap, FillRatio) {
-  BufferMap b(10);
+  std::uint64_t words[1];
+  BufferMap b(10, words);
   for (ChunkId c = 0; c < 5; ++c) b.set(c);
   EXPECT_DOUBLE_EQ(b.fill(), 0.5);
 }
 
 TEST(BufferMap, ResetClears) {
-  BufferMap b(4);
+  std::uint64_t words[1];
+  BufferMap b(4, words);
   b.set(0);
   b.reset(50);
   EXPECT_EQ(b.count(), 0u);

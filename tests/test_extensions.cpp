@@ -4,8 +4,10 @@
 // implementations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "core/market.hpp"
 #include "p2p/chunk.hpp"
@@ -145,7 +147,8 @@ TEST(LedgerFuzz, MatchesReferenceUnderRandomOperations) {
 
 TEST(BufferMapFuzz, MatchesSetReference) {
   util::Rng rng(777);
-  p2p::BufferMap buffer(24);
+  std::uint64_t words[1];
+  p2p::BufferMap buffer(24, words);
   std::set<p2p::ChunkId> reference;
   p2p::ChunkId base = 0;
 
@@ -183,7 +186,8 @@ TEST(BufferMapFuzz, MatchesSetReference) {
     }
   }
   // Final cross-check of the missing list.
-  const auto missing = buffer.missing();
+  std::vector<p2p::ChunkId> missing;
+  buffer.missing_into(missing);
   for (const auto c : missing) EXPECT_EQ(reference.count(c), 0u);
   EXPECT_EQ(missing.size() + reference.size(), 24u);
 }

@@ -1,8 +1,7 @@
 // Tests for market/order_book and its protocol wiring: price-time
 // priority under interleaved insert/cancel, partial-fill conservation,
-// ask expiry on seller death, and a book-vs-naive-scan equivalence
-// oracle. The book is the PR-8 purchase path; everything here pins the
-// invariants the crossing strategies rely on.
+// resting bids, ask expiry on seller death, and a mirror-model fuzz of
+// every readout the protocol takes from the book.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,80 +15,77 @@
 namespace creditflow::market {
 namespace {
 
-std::vector<AskView> walk(const OrderBook& book) {
-  std::vector<AskView> out;
-  book.for_each_ask([&](const AskView& ask) { out.push_back(ask); });
-  return out;
-}
+constexpr PeerId kNoSeller = 0xffffffffu;
 
-/// The naive reference order: every resting ask sorted by (price, seq).
-/// Price-time priority is exactly "the walk equals this sort".
-std::vector<AskView> naive_order(std::vector<AskView> asks) {
-  std::sort(asks.begin(), asks.end(), [](const AskView& a, const AskView& b) {
-    return a.price != b.price ? a.price < b.price : a.seq < b.seq;
-  });
-  return asks;
-}
-
-void expect_same_order(const std::vector<AskView>& got,
-                       const std::vector<AskView>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].seller, want[i].seller) << "position " << i;
-    EXPECT_EQ(got[i].price, want[i].price) << "position " << i;
-    EXPECT_EQ(got[i].quantity, want[i].quantity) << "position " << i;
+/// The best ask among `sellers` by (price, seq) — the min-scan the
+/// protocol's best-ask and limit crossings run over a buyer's neighbors.
+PeerId best_of(const OrderBook& book, const std::vector<PeerId>& sellers) {
+  PeerId best = kNoSeller;
+  for (const PeerId s : sellers) {
+    if (!book.has_ask(s)) continue;
+    if (best == kNoSeller || book.ask_price(s) < book.ask_price(best) ||
+        (book.ask_price(s) == book.ask_price(best) &&
+         book.ask_seq(s) < book.ask_seq(best))) {
+      best = s;
+    }
   }
+  return best;
 }
 
 TEST(OrderBook, PriceTimePriorityUnderInterleavedInsertCancel) {
   OrderBook book(16, 10);
+  const std::vector<PeerId> all = {1, 3, 4, 7, 9};
   book.post_ask(3, 5, 4);
   book.post_ask(7, 2, 1);
   book.post_ask(1, 5, 2);   // same level as 3, behind it
   book.post_ask(9, 2, 3);   // same level as 7, behind it
   book.post_ask(4, 8, 1);
-  expect_same_order(walk(book), naive_order(walk(book)));
-
-  const AskView best = book.best_ask();
-  EXPECT_EQ(best.seller, 7u);
-  EXPECT_EQ(best.price, 2u);
+  EXPECT_EQ(best_of(book, all), 7u);
+  EXPECT_LT(book.ask_seq(3), book.ask_seq(1));
+  EXPECT_EQ(book.depth(), 5u);
+  EXPECT_EQ(book.spread(), 6u);
 
   // Cancel the level-2 head: 9 becomes best; 3 still ahead of 1 at 5.
   EXPECT_TRUE(book.cancel_ask(7));
-  EXPECT_EQ(book.best_ask().seller, 9u);
-  expect_same_order(walk(book), naive_order(walk(book)));
+  EXPECT_FALSE(book.cancel_ask(7));
+  EXPECT_EQ(best_of(book, all), 9u);
+  EXPECT_EQ(best_of(book, {1, 3}), 3u);
 
-  // Reprice 3 down into level 2: it forfeits time priority — it joins
+  // Reprice 3 down into level 2: it forfeits time priority — it ranks
   // BEHIND 9 even though 3's original post predates 9's.
   book.post_ask(3, 2, 4);
-  const auto order = walk(book);
-  ASSERT_GE(order.size(), 2u);
-  EXPECT_EQ(order[0].seller, 9u);
-  EXPECT_EQ(order[1].seller, 3u);
-  expect_same_order(order, naive_order(order));
+  EXPECT_EQ(book.ask_price(3), 2u);
+  EXPECT_EQ(best_of(book, all), 9u);
+  EXPECT_EQ(best_of(book, {1, 3, 4}), 3u);
+  EXPECT_GT(book.ask_seq(3), book.ask_seq(9));
 
-  // Re-insert 7 at its old price: fresh seq, back of the level-2 queue.
+  // Re-insert 7 at its old price: fresh seq, behind 9 and 3.
   book.post_ask(7, 2, 1);
-  const auto order2 = walk(book);
-  ASSERT_GE(order2.size(), 3u);
-  EXPECT_EQ(order2[0].seller, 9u);
-  EXPECT_EQ(order2[1].seller, 3u);
-  EXPECT_EQ(order2[2].seller, 7u);
-  expect_same_order(order2, naive_order(order2));
+  EXPECT_EQ(best_of(book, all), 9u);
+  EXPECT_GT(book.ask_seq(7), book.ask_seq(3));
+  EXPECT_EQ(book.depth(), 5u);
+  EXPECT_EQ(book.spread(), 6u);
+
+  // Out-of-range prices clamp into [1, max_price].
+  book.post_ask(4, 40, 1);
+  EXPECT_EQ(book.ask_price(4), 10u);
+  book.post_ask(1, 0, 1);
+  EXPECT_EQ(book.ask_price(1), 1u);
+  EXPECT_EQ(book.spread(), 9u);
 }
 
 TEST(OrderBook, PartialFillConservation) {
   OrderBook book(8, 10);
   book.post_ask(2, 3, 5);
   book.post_ask(5, 4, 2);
-  EXPECT_EQ(book.open_quantity(), 7u);
   EXPECT_EQ(book.depth(), 2u);
+  EXPECT_EQ(book.spread(), 1u);
 
   // Partial fills conserve quantity one unit at a time; the ask survives
   // until its last unit and then expires in place.
   EXPECT_EQ(book.fill_one(2), 4u);
   EXPECT_EQ(book.fill_one(2), 3u);
-  EXPECT_EQ(book.open_quantity(), 5u);
+  EXPECT_EQ(book.ask_quantity(2), 3u);
   EXPECT_EQ(book.depth(), 2u);
   EXPECT_TRUE(book.has_ask(2));
 
@@ -97,83 +93,113 @@ TEST(OrderBook, PartialFillConservation) {
   EXPECT_EQ(book.fill_one(5), 0u);
   EXPECT_FALSE(book.has_ask(5));
   EXPECT_EQ(book.depth(), 1u);
-  EXPECT_EQ(book.open_quantity(), 3u);
+  EXPECT_EQ(book.spread(), 0u);  // one level left
+  EXPECT_EQ(book.ask_quantity(2), 3u);
+  EXPECT_FALSE(book.cancel_ask(5));  // a drained ask no longer rests
 
-  // The walked quantities always sum to open_quantity.
-  std::uint64_t sum = 0;
-  for (const AskView& a : walk(book)) sum += a.quantity;
-  EXPECT_EQ(sum, book.open_quantity());
+  // Quantity 0 cancels instead of posting.
+  book.post_ask(2, 3, 0);
+  EXPECT_FALSE(book.has_ask(2));
+  EXPECT_EQ(book.depth(), 0u);
 }
 
-TEST(OrderBook, RestingBidsTrackDepthAndClearOnMatch) {
+TEST(OrderBook, RestingBidsReplaceAndClearOnMatch) {
   OrderBook book(8, 10);
-  EXPECT_EQ(book.bid_depth(), 0u);
+  EXPECT_FALSE(book.has_bid(1));
   book.post_bid(1, 3);
   book.post_bid(4, 2);
   book.post_bid(1, 5);  // replace, not a second bid
-  EXPECT_EQ(book.bid_depth(), 2u);
   EXPECT_EQ(book.bid_limit(1), 5u);
-  book.on_bid_matched(1);
+  EXPECT_TRUE(book.cancel_bid(1));  // matched
   EXPECT_FALSE(book.has_bid(1));
   EXPECT_TRUE(book.cancel_bid(4));
   EXPECT_FALSE(book.cancel_bid(4));
-  EXPECT_EQ(book.bid_depth(), 0u);
+
+  // A limit-0 bid is a resting bid like any other.
+  book.post_bid(6, 0);
+  EXPECT_TRUE(book.has_bid(6));
+  EXPECT_EQ(book.bid_limit(6), 0u);
+  EXPECT_TRUE(book.cancel_bid(6));
 }
 
-TEST(OrderBook, BookVsNaiveScanOracleAtDepthOne) {
-  // Fuzz a mirror model with random interleaved posts / cancels / fills
-  // and require best_ask() (the depth-1 readout every crossing strategy
-  // reduces to) to agree with a naive full scan after every operation.
-  constexpr std::size_t kSellers = 24;
-  OrderBook book(kSellers, 6);
-  std::vector<AskView> mirror(kSellers);  // quantity 0 = absent
+TEST(OrderBook, MirrorModelFuzz) {
+  // Random interleaved ask posts, cancels and fills and bid posts and
+  // cancels against a plain per-owner model. After every operation each
+  // readout the protocol takes must agree with the model: ask presence,
+  // price, quantity and seq order, bid presence and limit, depth and
+  // spread.
+  constexpr std::size_t kPeers = 24;
+  constexpr Credits kMaxPrice = 6;
+  struct Ask {
+    Credits price = 0;
+    std::uint32_t quantity = 0;  // 0 = absent
+    std::uint64_t seq = 0;
+  };
+  struct Bid {
+    Credits limit = 0;
+    bool resting = false;
+  };
+  OrderBook book(kPeers, kMaxPrice);
+  std::vector<Ask> asks(kPeers);
+  std::vector<Bid> bids(kPeers);
   util::Rng rng(177);
   std::uint64_t seq = 0;
 
-  auto naive_best = [&]() -> const AskView* {
-    const AskView* best = nullptr;
-    for (const AskView& a : mirror) {
-      if (a.quantity == 0) continue;
-      if (best == nullptr || a.price < best->price ||
-          (a.price == best->price && a.seq < best->seq)) {
-        best = &a;
-      }
-    }
-    return best;
-  };
-
   for (int step = 0; step < 4000; ++step) {
-    const auto s = static_cast<p2p::PeerId>(rng.uniform_index(kSellers));
-    switch (rng.uniform_index(3)) {
+    const auto p = static_cast<PeerId>(rng.uniform_index(kPeers));
+    switch (rng.uniform_index(5)) {
       case 0: {  // post / reprice
-        const auto price = static_cast<Credits>(1 + rng.uniform_index(6));
+        const auto price =
+            static_cast<Credits>(1 + rng.uniform_index(kMaxPrice));
         const auto qty = static_cast<std::uint32_t>(1 + rng.uniform_index(4));
-        book.post_ask(s, price, qty);
-        mirror[s] = AskView{s, price, qty, ++seq};
+        book.post_ask(p, price, qty);
+        asks[p] = Ask{price, qty, ++seq};
         break;
       }
-      case 1: {  // cancel
-        EXPECT_EQ(book.cancel_ask(s), mirror[s].quantity > 0);
-        mirror[s].quantity = 0;
+      case 1:  // cancel
+        EXPECT_EQ(book.cancel_ask(p), asks[p].quantity > 0);
+        asks[p].quantity = 0;
+        break;
+      case 2:  // fill one unit if an ask rests
+        if (asks[p].quantity == 0) break;
+        EXPECT_EQ(book.fill_one(p), asks[p].quantity - 1);
+        --asks[p].quantity;
+        break;
+      case 3: {  // post / replace a bid, limit 0 included
+        const auto limit = static_cast<Credits>(rng.uniform_index(kMaxPrice));
+        book.post_bid(p, limit);
+        bids[p] = Bid{limit, true};
         break;
       }
-      default: {  // fill one unit if an ask rests
-        if (mirror[s].quantity == 0) break;
-        EXPECT_EQ(book.fill_one(s), mirror[s].quantity - 1);
-        --mirror[s].quantity;
+      default:  // cancel a bid
+        EXPECT_EQ(book.cancel_bid(p), bids[p].resting);
+        bids[p].resting = false;
         break;
+    }
+
+    std::size_t depth = 0;
+    Credits lo = kMaxPrice + 1, hi = 0;
+    for (PeerId s = 0; s < kPeers; ++s) {
+      const Ask& a = asks[s];
+      ASSERT_EQ(book.has_ask(s), a.quantity > 0) << "step " << step;
+      ASSERT_EQ(book.has_bid(s), bids[s].resting) << "step " << step;
+      if (bids[s].resting) {
+        EXPECT_EQ(book.bid_limit(s), bids[s].limit) << "step " << step;
+      }
+      if (a.quantity == 0) continue;
+      ++depth;
+      lo = std::min(lo, a.price);
+      hi = std::max(hi, a.price);
+      EXPECT_EQ(book.ask_price(s), a.price) << "step " << step;
+      EXPECT_EQ(book.ask_quantity(s), a.quantity) << "step " << step;
+      for (PeerId t = 0; t < s; ++t) {
+        if (asks[t].quantity == 0) continue;
+        EXPECT_EQ(book.ask_seq(t) < book.ask_seq(s), asks[t].seq < a.seq)
+            << "step " << step << " sellers " << t << ", " << s;
       }
     }
-    const AskView* want = naive_best();
-    const AskView got = book.best_ask();
-    if (want == nullptr) {
-      EXPECT_EQ(got.quantity, 0u) << "step " << step;
-      EXPECT_EQ(book.depth(), 0u);
-    } else {
-      EXPECT_EQ(got.seller, want->seller) << "step " << step;
-      EXPECT_EQ(got.price, want->price) << "step " << step;
-      EXPECT_EQ(got.quantity, want->quantity) << "step " << step;
-    }
+    EXPECT_EQ(book.depth(), depth) << "step " << step;
+    EXPECT_EQ(book.spread(), depth == 0 ? 0 : hi - lo) << "step " << step;
   }
 }
 
@@ -229,10 +255,14 @@ TEST(OrderBookProtocol, AskExpiryOnSellerDeath) {
   // No dead seller may keep an ask on the book.
   const OrderBook* book = proto.order_book();
   ASSERT_NE(book, nullptr);
-  book->for_each_ask([&](const AskView& ask) {
-    EXPECT_TRUE(proto.peer(ask.seller).alive)
-        << "dead seller " << ask.seller << " still resting";
-  });
+  std::size_t resting = 0;
+  for (p2p::PeerId id = 0; id < cfg.max_peers; ++id) {
+    if (!book->has_ask(id)) continue;
+    ++resting;
+    EXPECT_TRUE(proto.overlay().is_active(id))
+        << "dead seller " << id << " still resting";
+  }
+  EXPECT_EQ(book->depth(), resting);
 }
 
 TEST(OrderBookProtocol, LimitZeroBidsRestOncePerBuyer) {

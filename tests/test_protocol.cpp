@@ -71,8 +71,8 @@ TEST(Protocol, SpendingMatchesEarningGlobally) {
   std::uint64_t earned = 0;
   std::uint64_t spent = 0;
   for (auto id : proto.alive_peers()) {
-    earned += proto.peer(id).credits_earned;
-    spent += proto.peer(id).credits_spent;
+    earned += proto.peer_table().credits_earned(id);
+    spent += proto.peer_table().credits_spent(id);
   }
   EXPECT_EQ(earned, spent);
   EXPECT_GT(spent, 0u);

@@ -28,7 +28,7 @@ TEST(WindowedRates, MatchLedgerDeltas) {
 
   std::vector<std::uint64_t> spent_before(80);
   for (PeerId id = 0; id < 80; ++id) {
-    spent_before[id] = proto.peer(id).credits_spent;
+    spent_before[id] = proto.peer_table().credits_spent(id);
   }
   proto.begin_rate_window();
   sim.run_until(150.0);
@@ -38,7 +38,7 @@ TEST(WindowedRates, MatchLedgerDeltas) {
   ASSERT_EQ(rates.size(), alive.size());
   for (std::size_t k = 0; k < alive.size(); ++k) {
     const double expected =
-        static_cast<double>(proto.peer(alive[k]).credits_spent -
+        static_cast<double>(proto.peer_table().credits_spent(alive[k]) -
                             spent_before[alive[k]]) /
         50.0;
     EXPECT_NEAR(rates[k], expected, 1e-12);
@@ -139,7 +139,7 @@ TEST(DepartTimes, TrackedForChurningPeers) {
   proto.start();
   sim.run_until(100.0);
   for (PeerId id : proto.alive_peers()) {
-    EXPECT_GT(proto.peer(id).depart_time, sim.now());
+    EXPECT_GT(proto.peer_table().depart_time(id), sim.now());
   }
 }
 

@@ -301,7 +301,7 @@ TEST(OwnedRows, AreBufferWordsAndZeroForDepartedSlots) {
   std::size_t alive_checked = 0;
   for (PeerId id = 0; id < cfg.max_peers; ++id) {
     const auto row = peers.owned(id);
-    if (peers.alive(id)) {
+    if (proto.overlay().is_active(id)) {
       const BufferMap& buffer = peers.buffer(id);
       for (ChunkId c = buffer.base(); c < buffer.end(); ++c) {
         const std::size_t s = c % peers.window();

@@ -87,13 +87,14 @@ TEST(StrategyLayer, FreeRidersNeverUploadOrEarn) {
   sim.run_until(150.0);
   std::size_t free_riders = 0;
   std::uint64_t honest_uploads = 0;
+  const p2p::PeerTable& peers = proto.peer_table();
   for (const auto id : proto.alive_peers()) {
     if (proto.strategy_of(id) == Strategy::kFreeRider) {
       ++free_riders;
-      EXPECT_EQ(proto.peer(id).chunks_uploaded, 0u) << "peer " << id;
-      EXPECT_EQ(proto.peer(id).credits_earned, 0u) << "peer " << id;
+      EXPECT_EQ(peers.chunks_uploaded(id), 0u) << "peer " << id;
+      EXPECT_EQ(peers.credits_earned(id), 0u) << "peer " << id;
     } else {
-      honest_uploads += proto.peer(id).chunks_uploaded;
+      honest_uploads += peers.chunks_uploaded(id);
     }
   }
   EXPECT_GT(free_riders, 0u);
@@ -222,10 +223,10 @@ TEST(StrategyLayer, TradeCountIsPurchasesOnlyWithCollusionApart) {
   sim.run_until(150.0);
   std::uint64_t downloaded = 0;
   std::uint64_t spent = 0;
+  const p2p::PeerTable& peers = proto.peer_table();
   for (p2p::PeerId id = 0; id < cfg.max_peers; ++id) {
-    const p2p::PeerState peer = proto.peer(id);
-    downloaded += peer.chunks_downloaded;
-    spent += peer.credits_spent;
+    downloaded += peers.chunks_downloaded(id);
+    spent += peers.credits_spent(id);
   }
   auto& metrics = proto.metrics();
   EXPECT_GT(metrics.counter("strat.collusion_volume"), 0u);
