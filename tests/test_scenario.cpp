@@ -3,14 +3,47 @@
 // expansion, and the built-in registry presets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/market.hpp"
 #include "scenario/scenario.hpp"
+#include "util/math.hpp"
+#include "util/rng.hpp"
 
 namespace creditflow::scenario {
 namespace {
+
+/// The lines of a spec's text form, in order.
+std::vector<std::string> spec_lines(const ScenarioSpec& spec) {
+  std::vector<std::string> lines;
+  std::istringstream in(spec.serialize());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// A legal value of `desc`'s kind that differs from `value`.
+double other_value(const ParamDesc& desc, double value) {
+  switch (desc.kind) {
+    case ParamDesc::Kind::kBool:
+      return value == 0.0 ? 1.0 : 0.0;
+    case ParamDesc::Kind::kCount:
+    case ParamDesc::Kind::kSeed:
+      return value + 1.0;
+    case ParamDesc::Kind::kEnum:
+      return std::fmod(value + 1.0, desc.enum_max + 1.0);
+    case ParamDesc::Kind::kFraction:
+      return value == 0.5 ? 0.25 : 0.5;
+    case ParamDesc::Kind::kReal:
+      break;
+  }
+  return value + 1.5;
+}
 
 TEST(Params, SetAndReadRoundTrip) {
   core::MarketConfig cfg;
@@ -55,6 +88,40 @@ TEST(Params, TableCoversEveryKeyBothWays) {
   for (const auto& desc : param_table()) {
     EXPECT_EQ(set_param_checked(cfg, desc.key, desc.get(cfg)), std::nullopt)
         << desc.key;
+  }
+}
+
+TEST(Params, EachKeyWritesOnlyItsOwnLine) {
+  // A row whose reader or writer names another key's field shows up as a
+  // second changed line (or an unchanged own line) in the text form.
+  // `peers` may also raise `max_peers`.
+  const std::vector<std::string> before = spec_lines(ScenarioSpec{});
+  for (const auto& desc : param_table()) {
+    const std::string key(desc.key);
+    SCOPED_TRACE(key);
+    const std::string prefix = key + " = ";
+    const auto starts_with = [](const std::string& line,
+                                const std::string& head) {
+      return line.rfind(head, 0) == 0;
+    };
+    const auto own = std::find_if(
+        before.begin(), before.end(),
+        [&](const std::string& line) { return starts_with(line, prefix); });
+    ASSERT_NE(own, before.end());
+    const double value = other_value(
+        desc, std::strtod(own->c_str() + prefix.size(), nullptr));
+
+    ScenarioSpec spec;
+    ASSERT_EQ(spec.set_checked(key, value), std::nullopt);
+    const std::vector<std::string> after = spec_lines(spec);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      if (starts_with(before[i], prefix)) {
+        EXPECT_EQ(after[i], prefix + util::format_double(value));
+      } else if (key != "peers" || !starts_with(before[i], "max_peers = ")) {
+        EXPECT_EQ(after[i], before[i]);
+      }
+    }
   }
 }
 
@@ -215,6 +282,33 @@ TEST(Registry, AddReplacesByName) {
   reg.add(a);
   EXPECT_EQ(reg.size(), 1u);
   EXPECT_DOUBLE_EQ(reg.get("x").config.horizon, 200.0);
+}
+
+TEST(SpecText, PresetsAndRunKeysArePinned) {
+  // Run keys hash the spec text, so every preset's text and the keys of a
+  // sweep that crosses a table key with `warmup` must stay byte for byte.
+  const auto& reg = ScenarioRegistry::builtin();
+  std::string text;
+  for (const auto& name : reg.names()) text += reg.get(name).serialize();
+  EXPECT_EQ(reg.size(), 17u);
+  EXPECT_EQ(text.size(), 23348u);
+  EXPECT_EQ(util::fnv1a64(text), 0xbe668092a9f0a53bULL);
+
+  SweepSpec sweep;
+  sweep.seeds = 2;
+  sweep.axes.push_back(SweepAxis::parse("tax.rate=0.1,0.2"));
+  sweep.axes.push_back(SweepAxis::parse("warmup=0,0.5"));
+  const SweepPlan plan(reg.get("fig09_taxation"), sweep);
+  const std::vector<std::string> keys = {
+      "e203978996a075fa03151378333b6989", "a41790803b2985f06d3092a6095f4452",
+      "45e5c624e8076a9f840b7dd23f89cee1", "51137ab98f65351faf86af8dd4c4dc75",
+      "7dc85c2d755c163fcb8392553bda8918", "01df97349fe055bdb72a7ad68e451fa5",
+      "4b88915bc5851825d2784323f516b705", "f93e241fd30c375c462f701833c7a862",
+  };
+  ASSERT_EQ(plan.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(plan.key(i).hex(), keys[i]) << "run " << i;
+  }
 }
 
 TEST(RateWindow, MarketReportsWindowedSpendRates) {
