@@ -4,23 +4,13 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "util/math.hpp"
 
 namespace creditflow::scenario {
 
 namespace {
-
-// Shorthand for table entries: most parameters are a plain field read/write
-// with a numeric cast.
-template <typename T>
-double as_double(T v) {
-  return static_cast<double>(v);
-}
-
-constexpr double kTrue = 1.0;
-
-double bool_value(bool b) { return b ? kTrue : 0.0; }
 
 using Kind = ParamDesc::Kind;
 
@@ -29,441 +19,222 @@ using Kind = ParamDesc::Kind;
 /// territory on a double this large anyway.
 constexpr double kMaxCount = 1e15;
 
+// The one conversion between a table value and a field, chosen by the
+// field's type: a bool is 0/1, an enum its code, anything else a numeric
+// cast. ParamDesc::check has already vetted the value for the row's kind.
+template <typename T>
+double to_double(T field) {
+  if constexpr (std::is_enum_v<T>) {
+    return static_cast<double>(static_cast<std::underlying_type_t<T>>(field));
+  } else {
+    return static_cast<double>(field);
+  }
+}
+
+template <typename T>
+T from_double(double v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v != 0.0;
+  } else if constexpr (std::is_enum_v<T>) {
+    return static_cast<T>(static_cast<std::underlying_type_t<T>>(v));
+  } else {
+    return static_cast<T>(v);
+  }
+}
+
+// A row's reader and writer, both bound to the spec field at `path`.
+#define CF_FIELD(path)                                        \
+  [](const ScenarioSpec& s) { return to_double(s.path); },    \
+      [](ScenarioSpec& s, double v) {                         \
+        s.path = from_double<decltype(s.path)>(v);            \
+      }
+
 const std::vector<ParamDesc>& table() {
-  using core::MarketConfig;
   static const std::vector<ParamDesc> kTable = {
+      // Fraction of the horizon after which the rate window opens.
+      {"warmup", CF_FIELD(warmup_fraction), Kind::kFraction},
+
       // Population. `peers` keeps max_peers consistent (raised, never
       // lowered) so that a bare "peers=800" is valid on its own; an explicit
       // `max_peers` later in the table order wins.
-      {"peers", "initial population",
-       [](const MarketConfig& c) { return as_double(c.protocol.initial_peers); },
-       [](MarketConfig& c, double v) {
-         c.protocol.initial_peers = static_cast<std::size_t>(v);
-         c.protocol.max_peers =
-             std::max(c.protocol.max_peers, c.protocol.initial_peers);
+      {"peers",
+       [](const ScenarioSpec& s) {
+         return to_double(s.config.protocol.initial_peers);
+       },
+       [](ScenarioSpec& s, double v) {
+         auto& protocol = s.config.protocol;
+         protocol.initial_peers = from_double<std::size_t>(v);
+         protocol.max_peers =
+             std::max(protocol.max_peers, protocol.initial_peers);
        },
        Kind::kCount},
-      {"max_peers", "slot capacity (churn headroom)",
-       [](const MarketConfig& c) { return as_double(c.protocol.max_peers); },
-       [](MarketConfig& c, double v) {
-         c.protocol.max_peers = static_cast<std::size_t>(v);
-       },
-       Kind::kCount},
-      {"credits", "initial endowment c per peer",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.initial_credits);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.initial_credits = static_cast<p2p::Credits>(v);
-       },
-       Kind::kCount},
-      {"seed", "base RNG seed",
-       [](const MarketConfig& c) { return as_double(c.protocol.seed); },
-       [](MarketConfig& c, double v) {
-         c.protocol.seed = static_cast<std::uint64_t>(v);
-       },
-       Kind::kSeed},
+      // Slot capacity (churn headroom).
+      {"max_peers", CF_FIELD(config.protocol.max_peers), Kind::kCount},
+      // The endowment c of each peer.
+      {"credits", CF_FIELD(config.protocol.initial_credits), Kind::kCount},
+      // Base RNG seed.
+      {"seed", CF_FIELD(config.protocol.seed), Kind::kSeed},
 
-      // Run shape.
-      {"horizon", "simulated seconds",
-       [](const MarketConfig& c) { return c.horizon; },
-       [](MarketConfig& c, double v) { c.horizon = v; }},
-      {"snapshot_interval", "metrics cadence in seconds",
-       [](const MarketConfig& c) { return c.snapshot_interval; },
-       [](MarketConfig& c, double v) { c.snapshot_interval = v; }},
-      {"trace", "record the pairwise transaction trace (0/1)",
-       [](const MarketConfig& c) { return bool_value(c.enable_trace); },
-       [](MarketConfig& c, double v) { c.enable_trace = v != 0.0; },
-       Kind::kBool},
-      {"audit", "assert ledger conservation every snapshot (0/1)",
-       [](const MarketConfig& c) { return bool_value(c.audit_every_snapshot); },
-       [](MarketConfig& c, double v) { c.audit_every_snapshot = v != 0.0; },
-       Kind::kBool},
+      // Run shape: simulated seconds, metrics cadence in seconds, the
+      // pairwise transaction trace, a ledger-conservation assert at every
+      // snapshot.
+      {"horizon", CF_FIELD(config.horizon)},
+      {"snapshot_interval", CF_FIELD(config.snapshot_interval)},
+      {"trace", CF_FIELD(config.enable_trace), Kind::kBool},
+      {"audit", CF_FIELD(config.audit_every_snapshot), Kind::kBool},
 
       // Streaming protocol.
-      {"round_seconds", "scheduling round length",
-       [](const MarketConfig& c) { return c.protocol.round_seconds; },
-       [](MarketConfig& c, double v) { c.protocol.round_seconds = v; }},
-      {"stream_rate", "chunks emitted per second",
-       [](const MarketConfig& c) { return c.protocol.stream_rate; },
-       [](MarketConfig& c, double v) { c.protocol.stream_rate = v; }},
-      {"window_chunks", "playback window size",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.window_chunks);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.window_chunks = static_cast<std::size_t>(v);
-       },
+      {"round_seconds", CF_FIELD(config.protocol.round_seconds)},
+      // Chunks emitted per second.
+      {"stream_rate", CF_FIELD(config.protocol.stream_rate)},
+      // Playback window size.
+      {"window_chunks", CF_FIELD(config.protocol.window_chunks),
        Kind::kCount},
-      {"seed_fanout", "free copies of each fresh chunk",
-       [](const MarketConfig& c) { return as_double(c.protocol.seed_fanout); },
-       [](MarketConfig& c, double v) {
-         c.protocol.seed_fanout = static_cast<std::size_t>(v);
-       },
-       Kind::kCount},
-      {"overlay_degree", "target mean degree of the bootstrap overlay",
-       [](const MarketConfig& c) { return c.protocol.overlay_mean_degree; },
-       [](MarketConfig& c, double v) { c.protocol.overlay_mean_degree = v; }},
-      {"upload_capacity", "mean chunks/sec a peer can serve",
-       [](const MarketConfig& c) { return c.protocol.upload_capacity; },
-       [](MarketConfig& c, double v) { c.protocol.upload_capacity = v; }},
-      {"base_spend_rate", "mean spending rate mu^s in credits/sec",
-       [](const MarketConfig& c) { return c.protocol.base_spend_rate; },
-       [](MarketConfig& c, double v) { c.protocol.base_spend_rate = v; }},
-      {"max_purchase_attempts", "per peer per round",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.max_purchase_attempts);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.max_purchase_attempts = static_cast<std::size_t>(v);
-       },
-       Kind::kCount},
-      {"warm_start_fill", "initial window fill fraction",
-       [](const MarketConfig& c) { return c.protocol.warm_start_fill; },
-       [](MarketConfig& c, double v) { c.protocol.warm_start_fill = v; },
+      // Free copies of each fresh chunk.
+      {"seed_fanout", CF_FIELD(config.protocol.seed_fanout), Kind::kCount},
+      // Target mean degree of the bootstrap overlay.
+      {"overlay_degree", CF_FIELD(config.protocol.overlay_mean_degree)},
+      // Mean chunks/sec a peer can serve.
+      {"upload_capacity", CF_FIELD(config.protocol.upload_capacity)},
+      // Mean spending rate mu^s in credits/sec.
+      {"base_spend_rate", CF_FIELD(config.protocol.base_spend_rate)},
+      // Per peer per round.
+      {"max_purchase_attempts",
+       CF_FIELD(config.protocol.max_purchase_attempts), Kind::kCount},
+      // Initial window fill fraction.
+      {"warm_start_fill", CF_FIELD(config.protocol.warm_start_fill),
        Kind::kFraction},
-      {"reserve_credits", "liquidity-management reserve",
-       [](const MarketConfig& c) { return c.protocol.reserve_credits; },
-       [](MarketConfig& c, double v) { c.protocol.reserve_credits = v; }},
-      {"deficit_seeding", "source pushes to emptiest buffers (0/1)",
-       [](const MarketConfig& c) {
-         return bool_value(c.protocol.deficit_seeding);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.deficit_seeding = v != 0.0;
-       },
+      // Liquidity-management reserve.
+      {"reserve_credits", CF_FIELD(config.protocol.reserve_credits)},
+      // The source pushes to the emptiest buffers.
+      {"deficit_seeding", CF_FIELD(config.protocol.deficit_seeding),
        Kind::kBool},
-      {"seller_choice",
-       "0=availability-uniform, 1=fill-weighted, 2=cheapest-ask",
-       [](const MarketConfig& c) {
-         return as_double(static_cast<int>(c.protocol.seller_choice));
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.seller_choice =
-             static_cast<p2p::ProtocolConfig::SellerChoice>(
-                 static_cast<int>(v));
-       },
+      // 0=availability-uniform, 1=fill-weighted, 2=cheapest-ask.
+      {"seller_choice", CF_FIELD(config.protocol.seller_choice), Kind::kEnum,
+       2.0},
+
+      // Heterogeneity (the symmetric/asymmetric utilization lever):
+      // lognormal CVs of base spending rates and of upload capacities.
+      {"spend_cv", CF_FIELD(config.protocol.heterogeneity.spend_rate_cv)},
+      {"upload_cv",
+       CF_FIELD(config.protocol.heterogeneity.upload_capacity_cv)},
+
+      // Pricing. 0=uniform, 1=poisson, 2=per-seller, 3=linear.
+      {"pricing.kind", CF_FIELD(config.protocol.pricing.kind), Kind::kEnum,
+       3.0},
+      // Flat credits per chunk.
+      {"pricing.uniform_price", CF_FIELD(config.protocol.pricing.uniform_price),
+       Kind::kCount},
+      {"pricing.poisson_mean", CF_FIELD(config.protocol.pricing.poisson_mean)},
+      // Price floor for poisson draws.
+      {"pricing.poisson_min", CF_FIELD(config.protocol.pricing.poisson_min),
+       Kind::kCount},
+      // Per-seller price range.
+      {"pricing.per_seller_lo",
+       CF_FIELD(config.protocol.pricing.per_seller_lo), Kind::kCount},
+      {"pricing.per_seller_hi",
+       CF_FIELD(config.protocol.pricing.per_seller_hi), Kind::kCount},
+
+      // Spending policy (Sec. VI-D): dynamic spending adjustment and its
+      // wealth threshold m.
+      {"spending.dynamic", CF_FIELD(config.protocol.spending.dynamic),
+       Kind::kBool},
+      {"spending.threshold",
+       CF_FIELD(config.protocol.spending.dynamic_threshold)},
+
+      // Taxation (Sec. VI-C): the proportion of income collected above a
+      // wealth threshold.
+      {"tax.enabled", CF_FIELD(config.protocol.tax.enabled), Kind::kBool},
+      {"tax.rate", CF_FIELD(config.protocol.tax.rate), Kind::kFraction},
+      {"tax.threshold", CF_FIELD(config.protocol.tax.threshold)},
+
+      // Churn (Sec. VI-E, the open market): Poisson arrivals per second,
+      // mean exponential lifespan in seconds.
+      {"churn.enabled", CF_FIELD(config.protocol.churn.enabled), Kind::kBool},
+      {"churn.arrival_rate", CF_FIELD(config.protocol.churn.arrival_rate)},
+      {"churn.mean_lifespan", CF_FIELD(config.protocol.churn.mean_lifespan)},
+      // Preferential-attachment links per join.
+      {"churn.join_links", CF_FIELD(config.protocol.churn.join_links),
+       Kind::kCount},
+      // Endowment on slot re-activation: 0=full, 1=none, 2=decayed.
+      {"churn.rejoin_mint", CF_FIELD(config.protocol.churn.rejoin_mint),
        Kind::kEnum, 2.0},
+      // Per-reactivation decay for rejoin_mint=2.
+      {"churn.rejoin_mint_decay",
+       CF_FIELD(config.protocol.churn.rejoin_mint_decay), Kind::kFraction},
 
-      // Heterogeneity (the symmetric/asymmetric utilization lever).
-      {"spend_cv", "lognormal CV of base spending rates",
-       [](const MarketConfig& c) {
-         return c.protocol.heterogeneity.spend_rate_cv;
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.heterogeneity.spend_rate_cv = v;
-       }},
-      {"upload_cv", "lognormal CV of upload capacities",
-       [](const MarketConfig& c) {
-         return c.protocol.heterogeneity.upload_capacity_cv;
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.heterogeneity.upload_capacity_cv = v;
-       }},
-
-      // Pricing.
-      {"pricing.kind", "0=uniform, 1=poisson, 2=per-seller, 3=linear",
-       [](const MarketConfig& c) {
-         return as_double(static_cast<int>(c.protocol.pricing.kind));
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.pricing.kind =
-             static_cast<econ::PricingKind>(static_cast<int>(v));
-       },
-       Kind::kEnum, 3.0},
-      {"pricing.uniform_price", "flat credits per chunk",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.pricing.uniform_price);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.pricing.uniform_price = static_cast<econ::Credits>(v);
-       },
-       Kind::kCount},
-      {"pricing.poisson_mean", "mean of poisson prices",
-       [](const MarketConfig& c) { return c.protocol.pricing.poisson_mean; },
-       [](MarketConfig& c, double v) {
-         c.protocol.pricing.poisson_mean = v;
-       }},
-      {"pricing.poisson_min", "price floor for poisson draws",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.pricing.poisson_min);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.pricing.poisson_min = static_cast<econ::Credits>(v);
-       },
-       Kind::kCount},
-      {"pricing.per_seller_lo", "per-seller price range low",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.pricing.per_seller_lo);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.pricing.per_seller_lo = static_cast<econ::Credits>(v);
-       },
-       Kind::kCount},
-      {"pricing.per_seller_hi", "per-seller price range high",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.pricing.per_seller_hi);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.pricing.per_seller_hi = static_cast<econ::Credits>(v);
-       },
-       Kind::kCount},
-
-      // Spending policy (Sec. VI-D).
-      {"spending.dynamic", "dynamic spending adjustment (0/1)",
-       [](const MarketConfig& c) {
-         return bool_value(c.protocol.spending.dynamic);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.spending.dynamic = v != 0.0;
-       },
+      // Credit injection (the inflation counter-action): credits minted per
+      // peer every `interval` seconds.
+      {"inject.enabled", CF_FIELD(config.protocol.injection.enabled),
        Kind::kBool},
-      {"spending.threshold", "dynamic-spending wealth threshold m",
-       [](const MarketConfig& c) {
-         return c.protocol.spending.dynamic_threshold;
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.spending.dynamic_threshold = v;
-       }},
-
-      // Taxation (Sec. VI-C).
-      {"tax.enabled", "income taxation (0/1)",
-       [](const MarketConfig& c) { return bool_value(c.protocol.tax.enabled); },
-       [](MarketConfig& c, double v) { c.protocol.tax.enabled = v != 0.0; },
-       Kind::kBool},
-      {"tax.rate", "proportion of income collected",
-       [](const MarketConfig& c) { return c.protocol.tax.rate; },
-       [](MarketConfig& c, double v) { c.protocol.tax.rate = v; },
-       Kind::kFraction},
-      {"tax.threshold", "wealth level above which income is taxed",
-       [](const MarketConfig& c) { return c.protocol.tax.threshold; },
-       [](MarketConfig& c, double v) { c.protocol.tax.threshold = v; }},
-
-      // Churn (Sec. VI-E, the open market).
-      {"churn.enabled", "peer churn (0/1)",
-       [](const MarketConfig& c) {
-         return bool_value(c.protocol.churn.enabled);
-       },
-       [](MarketConfig& c, double v) { c.protocol.churn.enabled = v != 0.0; },
-       Kind::kBool},
-      {"churn.arrival_rate", "Poisson arrivals per second",
-       [](const MarketConfig& c) { return c.protocol.churn.arrival_rate; },
-       [](MarketConfig& c, double v) { c.protocol.churn.arrival_rate = v; }},
-      {"churn.mean_lifespan", "mean exponential lifespan in seconds",
-       [](const MarketConfig& c) { return c.protocol.churn.mean_lifespan; },
-       [](MarketConfig& c, double v) { c.protocol.churn.mean_lifespan = v; }},
-      {"churn.join_links", "preferential-attachment links per join",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.churn.join_links);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.churn.join_links = static_cast<std::size_t>(v);
-       },
-       Kind::kCount},
-      {"churn.rejoin_mint",
-       "endowment on slot re-activation: 0=full, 1=none, 2=decayed",
-       [](const MarketConfig& c) {
-         return as_double(static_cast<int>(c.protocol.churn.rejoin_mint));
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.churn.rejoin_mint =
-             static_cast<p2p::ChurnConfig::RejoinMint>(static_cast<int>(v));
-       },
-       Kind::kEnum, 2.0},
-      {"churn.rejoin_mint_decay", "per-reactivation decay for rejoin_mint=2",
-       [](const MarketConfig& c) {
-         return c.protocol.churn.rejoin_mint_decay;
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.churn.rejoin_mint_decay = v;
-       },
-       Kind::kFraction},
-
-      // Credit injection (the inflation counter-action).
-      {"inject.enabled", "periodic credit minting (0/1)",
-       [](const MarketConfig& c) {
-         return bool_value(c.protocol.injection.enabled);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.injection.enabled = v != 0.0;
-       },
-       Kind::kBool},
-      {"inject.interval", "seconds between minting rounds",
-       [](const MarketConfig& c) {
-         return c.protocol.injection.interval_seconds;
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.injection.interval_seconds = v;
-       }},
-      {"inject.amount", "credits minted per peer per round",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.injection.credits_per_peer);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.injection.credits_per_peer =
-             static_cast<p2p::Credits>(v);
-       },
+      {"inject.interval", CF_FIELD(config.protocol.injection.interval_seconds)},
+      {"inject.amount", CF_FIELD(config.protocol.injection.credits_per_peer),
        Kind::kCount},
 
       // Order-book market (PR 8). market_mode=1 routes purchases through
       // the src/market/ book; 0 keeps the paper's direct seller pick.
-      {"market_mode", "0=direct seller pick, 1=order book",
-       [](const MarketConfig& c) {
-         return as_double(static_cast<int>(c.protocol.market_mode));
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.market_mode =
-             static_cast<p2p::ProtocolConfig::MarketMode>(
-                 static_cast<int>(v));
-       },
-       Kind::kEnum, 1.0},
-      {"book.pricing", "0=fixed markup, 1=adaptive (tatonnement)",
-       [](const MarketConfig& c) {
-         return as_double(static_cast<int>(c.protocol.book.ask_pricing));
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.book.ask_pricing =
-             static_cast<p2p::ProtocolConfig::OrderBookConfig::AskPricing>(
-                 static_cast<int>(v));
-       },
-       Kind::kEnum, 1.0},
-      {"book.markup", "fixed-markup fraction over base_price",
-       [](const MarketConfig& c) { return c.protocol.book.ask_markup; },
-       [](MarketConfig& c, double v) { c.protocol.book.ask_markup = v; }},
-      {"book.base_price", "initial/reference ask price in credits",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.book.base_price);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.book.base_price = static_cast<p2p::Credits>(v);
-       },
+      {"market_mode", CF_FIELD(config.protocol.market_mode), Kind::kEnum,
+       1.0},
+      // 0=fixed markup, 1=adaptive (tatonnement).
+      {"book.pricing", CF_FIELD(config.protocol.book.ask_pricing), Kind::kEnum,
+       1.0},
+      // Fixed-markup fraction over base_price.
+      {"book.markup", CF_FIELD(config.protocol.book.ask_markup)},
+      // Initial/reference ask price in credits.
+      {"book.base_price", CF_FIELD(config.protocol.book.base_price),
        Kind::kCount},
-      {"book.min_price", "ask price floor",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.book.min_price);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.book.min_price = static_cast<p2p::Credits>(v);
-       },
+      {"book.min_price", CF_FIELD(config.protocol.book.min_price),
        Kind::kCount},
-      {"book.max_price", "ask price ceiling (book level count)",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.book.max_price);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.book.max_price = static_cast<p2p::Credits>(v);
-       },
+      // Ask price ceiling (book level count).
+      {"book.max_price", CF_FIELD(config.protocol.book.max_price),
        Kind::kCount},
-      {"book.reprice_rounds", "adaptive repricing cadence in rounds",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.book.reprice_rounds);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.book.reprice_rounds = static_cast<std::size_t>(v);
-       },
+      // Adaptive repricing cadence in rounds.
+      {"book.reprice_rounds", CF_FIELD(config.protocol.book.reprice_rounds),
        Kind::kCount},
-      {"book.cross", "0=best-ask, 1=fill-weighted, 2=limit",
-       [](const MarketConfig& c) {
-         return as_double(static_cast<int>(c.protocol.book.cross));
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.book.cross =
-             static_cast<p2p::ProtocolConfig::OrderBookConfig::CrossStrategy>(
-                 static_cast<int>(v));
-       },
-       Kind::kEnum, 2.0},
-      {"book.limit_price", "resting-bid limit for book.cross=2",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.book.limit_price);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.book.limit_price = static_cast<p2p::Credits>(v);
-       },
+      // 0=best-ask, 1=fill-weighted, 2=limit.
+      {"book.cross", CF_FIELD(config.protocol.book.cross), Kind::kEnum, 2.0},
+      // Resting-bid limit for book.cross=2.
+      {"book.limit_price", CF_FIELD(config.protocol.book.limit_price),
        Kind::kCount},
-      {"book.seller_fraction", "fraction of peers that post asks",
-       [](const MarketConfig& c) { return c.protocol.book.seller_fraction; },
-       [](MarketConfig& c, double v) {
-         c.protocol.book.seller_fraction = v;
-       },
+      // Fraction of peers that post asks.
+      {"book.seller_fraction", CF_FIELD(config.protocol.book.seller_fraction),
        Kind::kFraction},
 
       // Strategy layer (adversarial peer populations). All fractions at 0
       // keeps the layer disabled and every run byte-identical to default.
-      {"strat.free_riders", "fraction of peers that never upload or sell",
-       [](const MarketConfig& c) {
-         return c.protocol.strat.free_rider_fraction;
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.strat.free_rider_fraction = v;
-       },
+      // Free riders never upload or sell.
+      {"strat.free_riders", CF_FIELD(config.protocol.strat.free_rider_fraction),
        Kind::kFraction},
+      // Whitewashers cycle identity when their balance drops below the
+      // threshold.
       {"strat.whitewashers",
-       "fraction that cycles identity when balance drops below threshold",
-       [](const MarketConfig& c) {
-         return c.protocol.strat.whitewash_fraction;
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.strat.whitewash_fraction = v;
-       },
+       CF_FIELD(config.protocol.strat.whitewash_fraction), Kind::kFraction},
+      {"strat.whitewash_threshold",
+       CF_FIELD(config.protocol.strat.whitewash_threshold)},
+      // Colluders run credit-wash rings of `collude_clique` peers (>= 2),
+      // washing `collude_amount` credits per ring edge per round.
+      {"strat.colluders", CF_FIELD(config.protocol.strat.collude_fraction),
        Kind::kFraction},
-      {"strat.whitewash_threshold", "balance below which a whitewasher cycles",
-       [](const MarketConfig& c) {
-         return c.protocol.strat.whitewash_threshold;
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.strat.whitewash_threshold = v;
-       }},
-      {"strat.colluders", "fraction running credit-wash cliques",
-       [](const MarketConfig& c) { return c.protocol.strat.collude_fraction; },
-       [](MarketConfig& c, double v) {
-         c.protocol.strat.collude_fraction = v;
-       },
+      {"strat.collude_clique", CF_FIELD(config.protocol.strat.collude_clique),
+       Kind::kCount},
+      {"strat.collude_amount", CF_FIELD(config.protocol.strat.collude_amount),
+       Kind::kCount},
+      // Staked seeders bond `stake_amount` credits to advertise, forfeit
+      // the `stake_slash` fraction of it on departure, and top it up every
+      // `revalidate_rounds` rounds (>= 1).
+      {"strat.staked", CF_FIELD(config.protocol.strat.staked_fraction),
        Kind::kFraction},
-      {"strat.collude_clique", "peers per collusion ring (>= 2)",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.strat.collude_clique);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.strat.collude_clique = static_cast<std::size_t>(v);
-       },
+      {"strat.stake_amount", CF_FIELD(config.protocol.strat.stake_amount),
        Kind::kCount},
-      {"strat.collude_amount", "credits washed per ring edge per round",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.strat.collude_amount);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.strat.collude_amount = static_cast<std::uint64_t>(v);
-       },
-       Kind::kCount},
-      {"strat.staked", "fraction of stake-bonded seeders",
-       [](const MarketConfig& c) { return c.protocol.strat.staked_fraction; },
-       [](MarketConfig& c, double v) {
-         c.protocol.strat.staked_fraction = v;
-       },
+      {"strat.stake_slash", CF_FIELD(config.protocol.strat.stake_slash),
        Kind::kFraction},
-      {"strat.stake_amount", "credits a seeder bonds to advertise",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.strat.stake_amount);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.strat.stake_amount = static_cast<std::uint64_t>(v);
-       },
-       Kind::kCount},
-      {"strat.stake_slash", "stake fraction forfeited on departure",
-       [](const MarketConfig& c) { return c.protocol.strat.stake_slash; },
-       [](MarketConfig& c, double v) { c.protocol.strat.stake_slash = v; },
-       Kind::kFraction},
-      {"strat.revalidate_rounds", "stake top-up cadence in rounds (>= 1)",
-       [](const MarketConfig& c) {
-         return as_double(c.protocol.strat.revalidate_rounds);
-       },
-       [](MarketConfig& c, double v) {
-         c.protocol.strat.revalidate_rounds = static_cast<std::size_t>(v);
-       },
-       Kind::kCount},
+      {"strat.revalidate_rounds",
+       CF_FIELD(config.protocol.strat.revalidate_rounds), Kind::kCount},
   };
   return kTable;
 }
+
+#undef CF_FIELD
 
 /// Aliases accepted on input (the paper's own symbols) but never emitted.
 std::string_view resolve_alias(std::string_view key) {
@@ -520,19 +291,6 @@ const ParamDesc* find_param(std::string_view key) {
     if (desc.key == resolved) return &desc;
   }
   return nullptr;
-}
-
-std::optional<std::string> set_param_checked(core::MarketConfig& cfg,
-                                             std::string_view key,
-                                             double value) {
-  const ParamDesc* desc = find_param(key);
-  if (desc == nullptr) {
-    return "unknown parameter: " + std::string(key);
-  }
-  std::string err = desc->check(value);
-  if (!err.empty()) return err;
-  desc->set(cfg, value);
-  return std::nullopt;
 }
 
 }  // namespace creditflow::scenario

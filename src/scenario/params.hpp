@@ -4,24 +4,25 @@
 // ("credits", "tax.rate", "churn.arrival_rate", ...) with a uniform double
 // value (booleans are 0/1, enums their small-integer code). Scenario specs,
 // sweep axes, and the CLI all speak this one namespace, so a parameter
-// added here is immediately sweepable, serializable, and scriptable.
+// added here is immediately sweepable, serializable, and scriptable. The
+// table binds ScenarioSpec fields, `warmup` included: it is the whole
+// namespace.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/market.hpp"
+#include "scenario/spec.hpp"
 
 namespace creditflow::scenario {
 
-/// One addressable parameter: name, doc line, typed accessors, and a value
-/// kind that defines what inputs are well-formed. Setters historically did
-/// raw static_casts, so a negative count silently wrapped to a huge
-/// unsigned — the kind lets every entry reject malformed values with a
-/// diagnostic instead.
+/// One addressable parameter: name, typed accessors, and a value kind that
+/// defines what inputs are well-formed. Setters historically did raw
+/// static_casts, so a negative count silently wrapped to a huge unsigned —
+/// the kind lets every entry reject malformed values with a diagnostic
+/// instead.
 struct ParamDesc {
   enum class Kind : std::uint8_t {
     kReal,      ///< any finite double
@@ -33,9 +34,8 @@ struct ParamDesc {
   };
 
   std::string_view key;
-  std::string_view doc;
-  double (*get)(const core::MarketConfig&);
-  void (*set)(core::MarketConfig&, double);
+  double (*get)(const ScenarioSpec&);
+  void (*set)(ScenarioSpec&, double);
   Kind kind = Kind::kReal;
   double enum_max = 0.0;  ///< highest valid code (kEnum only)
 
@@ -53,11 +53,5 @@ struct ParamDesc {
 /// Resolve a key (or one of its aliases: `c` → credits, `n` → peers) to its
 /// descriptor; nullptr for unknown keys.
 [[nodiscard]] const ParamDesc* find_param(std::string_view key);
-
-/// Validate-then-set, the one writer of a named parameter: returns a
-/// one-line diagnostic for unknown keys or malformed values (config
-/// untouched), nullopt on success.
-[[nodiscard]] std::optional<std::string> set_param_checked(
-    core::MarketConfig& cfg, std::string_view key, double value);
 
 }  // namespace creditflow::scenario

@@ -34,15 +34,12 @@ core::MarketConfig ScenarioSpec::materialize() const {
 
 std::optional<std::string> ScenarioSpec::set_checked(std::string_view key,
                                                      double value) {
-  if (key == "warmup") {
-    if (!(value >= 0.0 && value <= 1.0)) {
-      return "warmup: fraction must be in [0, 1], got " +
-             util::format_double(value);
-    }
-    warmup_fraction = value;
-    return std::nullopt;
-  }
-  return set_param_checked(config, key, value);
+  const ParamDesc* desc = find_param(key);
+  if (desc == nullptr) return "unknown parameter: " + std::string(key);
+  std::string err = desc->check(value);
+  if (!err.empty()) return err;
+  desc->set(*this, value);
+  return std::nullopt;
 }
 
 std::string ScenarioSpec::serialize() const {
@@ -53,9 +50,8 @@ std::string ScenarioSpec::serialize() const {
     std::string line;
     while (std::getline(lines, line)) out << "# " << line << "\n";
   }
-  out << "warmup = " << util::format_double(warmup_fraction) << "\n";
   for (const auto& desc : param_table()) {
-    out << desc.key << " = " << util::format_double(desc.get(config)) << "\n";
+    out << desc.key << " = " << util::format_double(desc.get(*this)) << "\n";
   }
   return out.str();
 }

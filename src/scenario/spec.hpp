@@ -37,10 +37,10 @@ struct ScenarioSpec {
   /// to an absolute rate-window start time.
   [[nodiscard]] core::MarketConfig materialize() const;
 
-  /// Set one parameter by key; `warmup` addresses warmup_fraction, all
-  /// other keys resolve through the scenario parameter table. Returns a
-  /// one-line diagnostic for unknown keys or malformed values (spec
-  /// untouched), nullopt on success.
+  /// Set one parameter by key (or alias) from the scenario parameter
+  /// table, the one writer of a named parameter. Returns a one-line
+  /// diagnostic for unknown keys or malformed values (spec untouched),
+  /// nullopt on success.
   [[nodiscard]] std::optional<std::string> set_checked(std::string_view key,
                                                        double value);
 

@@ -29,7 +29,7 @@ SweepAxis SweepAxis::parse(const std::string& text) {
                  "sweep axis must be key=values, got: " + text);
   SweepAxis axis;
   axis.param = text.substr(0, eq);
-  CF_EXPECTS_MSG(find_param(axis.param) != nullptr || axis.param == "warmup",
+  CF_EXPECTS_MSG(find_param(axis.param) != nullptr,
                  "unknown sweep parameter: " + axis.param);
   const std::string values = text.substr(eq + 1);
   CF_EXPECTS_MSG(!values.empty(), "empty sweep axis: " + text);

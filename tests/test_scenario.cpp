@@ -46,47 +46,47 @@ double other_value(const ParamDesc& desc, double value) {
 }
 
 TEST(Params, SetAndReadRoundTrip) {
-  core::MarketConfig cfg;
-  EXPECT_EQ(set_param_checked(cfg, "credits", 250), std::nullopt);
-  EXPECT_EQ(cfg.protocol.initial_credits, 250u);
+  ScenarioSpec spec;
+  EXPECT_EQ(spec.set_checked("credits", 250), std::nullopt);
+  EXPECT_EQ(spec.config.protocol.initial_credits, 250u);
 
-  EXPECT_EQ(set_param_checked(cfg, "tax.rate", 0.15), std::nullopt);
-  EXPECT_DOUBLE_EQ(cfg.protocol.tax.rate, 0.15);
-  EXPECT_EQ(set_param_checked(cfg, "churn.enabled", 1), std::nullopt);
-  EXPECT_TRUE(cfg.protocol.churn.enabled);
+  EXPECT_EQ(spec.set_checked("tax.rate", 0.15), std::nullopt);
+  EXPECT_DOUBLE_EQ(spec.config.protocol.tax.rate, 0.15);
+  EXPECT_EQ(spec.set_checked("churn.enabled", 1), std::nullopt);
+  EXPECT_TRUE(spec.config.protocol.churn.enabled);
 }
 
 TEST(Params, AliasesResolve) {
-  core::MarketConfig cfg;
-  EXPECT_EQ(set_param_checked(cfg, "c", 77), std::nullopt);
-  EXPECT_EQ(cfg.protocol.initial_credits, 77u);
-  EXPECT_EQ(set_param_checked(cfg, "n", 321), std::nullopt);
-  EXPECT_EQ(cfg.protocol.initial_peers, 321u);
+  ScenarioSpec spec;
+  EXPECT_EQ(spec.set_checked("c", 77), std::nullopt);
+  EXPECT_EQ(spec.config.protocol.initial_credits, 77u);
+  EXPECT_EQ(spec.set_checked("n", 321), std::nullopt);
+  EXPECT_EQ(spec.config.protocol.initial_peers, 321u);
 }
 
 TEST(Params, UnknownKeyRejectedUntouched) {
-  core::MarketConfig cfg;
-  const auto before = cfg.protocol.initial_credits;
-  EXPECT_EQ(set_param_checked(cfg, "no_such_knob", 1.0),
+  ScenarioSpec spec;
+  const auto before = spec.config.protocol.initial_credits;
+  EXPECT_EQ(spec.set_checked("no_such_knob", 1.0),
             "unknown parameter: no_such_knob");
-  EXPECT_EQ(cfg.protocol.initial_credits, before);
+  EXPECT_EQ(spec.config.protocol.initial_credits, before);
 }
 
 TEST(Params, PeersRaisesMaxPeersButExplicitMaxWins) {
-  core::MarketConfig cfg;
-  EXPECT_EQ(set_param_checked(cfg, "peers", 5000), std::nullopt);
-  EXPECT_EQ(cfg.protocol.initial_peers, 5000u);
-  EXPECT_GE(cfg.protocol.max_peers, 5000u);
-  EXPECT_EQ(set_param_checked(cfg, "max_peers", 6000), std::nullopt);
-  EXPECT_EQ(cfg.protocol.max_peers, 6000u);
+  ScenarioSpec spec;
+  EXPECT_EQ(spec.set_checked("peers", 5000), std::nullopt);
+  EXPECT_EQ(spec.config.protocol.initial_peers, 5000u);
+  EXPECT_GE(spec.config.protocol.max_peers, 5000u);
+  EXPECT_EQ(spec.set_checked("max_peers", 6000), std::nullopt);
+  EXPECT_EQ(spec.config.protocol.max_peers, 6000u);
 }
 
 TEST(Params, TableCoversEveryKeyBothWays) {
   // Every table entry must be readable and writable through its own key,
   // and every default value must pass its kind's check.
-  core::MarketConfig cfg;
+  ScenarioSpec spec;
   for (const auto& desc : param_table()) {
-    EXPECT_EQ(set_param_checked(cfg, desc.key, desc.get(cfg)), std::nullopt)
+    EXPECT_EQ(spec.set_checked(desc.key, desc.get(spec)), std::nullopt)
         << desc.key;
   }
 }
@@ -132,10 +132,9 @@ TEST(ScenarioSpec, SerializeParseRoundTrip) {
 
   EXPECT_EQ(parsed.name, spec.name);
   EXPECT_EQ(parsed.description, spec.description);
-  EXPECT_DOUBLE_EQ(parsed.warmup_fraction, spec.warmup_fraction);
-  // Bit-exact equality of every parameter...
+  // Bit-exact equality of every parameter, `warmup` included...
   for (const auto& desc : param_table()) {
-    EXPECT_EQ(desc.get(parsed.config), desc.get(spec.config)) << desc.key;
+    EXPECT_EQ(desc.get(parsed), desc.get(spec)) << desc.key;
   }
   // ...and therefore of the whole text form.
   EXPECT_EQ(parsed.serialize(), text);
