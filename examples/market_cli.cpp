@@ -51,6 +51,7 @@
 // and (with --trace) the sustainability analyzer's verdict on the
 // empirical Table I mapping. Exit code 0 on success/conserved ledger, 2 on
 // a conservation violation or failed sweep runs.
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -67,6 +68,7 @@
 #include "util/assert.hpp"
 #include "util/chart.hpp"
 #include "util/fsio.hpp"
+#include "util/math.hpp"
 #include "util/socket.hpp"
 #include "util/trace.hpp"
 
@@ -146,11 +148,31 @@ namespace {
   std::exit(64);
 }
 
-double parse_double(const char* s, const char* argv0) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s) usage(argv0);
-  return v;
+/// The text of a precondition failure without its assertion preamble: one
+/// clean diagnostic line.
+std::string diagnostic(const creditflow::util::PreconditionError& e) {
+  std::string msg = e.what();
+  if (const auto dash = msg.rfind(" — "); dash != std::string::npos) {
+    msg = msg.substr(dash + std::string(" — ").size());
+  }
+  return msg;
+}
+
+double number_or_usage(const char* text, const char* argv0) {
+  const auto v = creditflow::util::parse_number(text);
+  if (!v) usage(argv0);
+  return *v;
+}
+
+/// A count option (--seeds, --jobs, ...): a non-negative integer within
+/// the bound every scenario count has; anything else is a usage error.
+std::size_t count_or_usage(const char* text, const char* argv0) {
+  const double v = number_or_usage(text, argv0);
+  if (!(v >= 0.0 && v <= creditflow::scenario::ParamDesc::kMaxCount) ||
+      v != std::floor(v)) {
+    usage(argv0);
+  }
+  return static_cast<std::size_t>(v);
 }
 
 creditflow::scenario::ScenarioSpec load_scenario(const std::string& name) {
@@ -603,8 +625,16 @@ int main(int argc, char** argv) {
       if (i + more >= argc) usage(argv[0]);
       return argv[++i];
     };
-    // Legacy flags write through the same typed checks as --set, and a
+    // Legacy flags read and write through the same checks as --set, and a
     // rejected value fails the same way: exit 2, one diagnostic line.
+    auto number = [&](const char* text) {
+      const auto v = util::parse_number(text);
+      if (!v) {
+        std::cerr << arg << ": value is not a number\n";
+        std::exit(2);
+      }
+      return *v;
+    };
     auto set_param = [&](const std::string& key, double value) {
       spec_overridden = true;
       if (const auto err = spec.set_checked(key, value)) {
@@ -643,16 +673,13 @@ int main(int argc, char** argv) {
       const auto eq = kv.find('=');
       if (eq == std::string::npos) usage(argv[0]);
       const std::string key = kv.substr(0, eq);
-      const std::string value_text = kv.substr(eq + 1);
-      char* end = nullptr;
-      const double value = std::strtod(value_text.c_str(), &end);
-      if (value_text.empty() ||
-          end != value_text.c_str() + value_text.size()) {
+      const auto value = util::parse_number(kv.substr(eq + 1));
+      if (!value) {
         std::cerr << "--set " << kv << ": value is not a number\n";
         return 2;
       }
       spec_overridden = true;
-      if (const auto err = spec.set_checked(key, value)) {
+      if (const auto err = spec.set_checked(key, *value)) {
         std::cerr << "--set " << kv << ": " << *err << "\n";
         return err->rfind("unknown parameter", 0) == 0 ? 64 : 2;
       }
@@ -660,22 +687,17 @@ int main(int argc, char** argv) {
       try {
         sweep.axes.push_back(scenario::SweepAxis::parse(next()));
       } catch (const util::PreconditionError& e) {
-        // Same contract as --set: one clean diagnostic line (strip the
-        // assertion preamble), exit 2 for malformed values, 64 for an
-        // unknown key (a usage error).
-        std::string msg = e.what();
-        if (const auto dash = msg.rfind(" — "); dash != std::string::npos) {
-          msg = msg.substr(dash + std::string(" — ").size());
-        }
+        // Same contract as --set: one clean diagnostic line, exit 2 for
+        // malformed values, 64 for an unknown key (a usage error).
+        const std::string msg = diagnostic(e);
         std::cerr << "--sweep: " << msg << "\n";
         return msg.rfind("unknown sweep parameter", 0) == 0 ? 64 : 2;
       }
     } else if (arg == "--seeds") {
-      sweep.seeds =
-          static_cast<std::size_t>(parse_double(next(), argv[0]));
+      sweep.seeds = count_or_usage(next(), argv[0]);
       if (sweep.seeds == 0) usage(argv[0]);
     } else if (arg == "--jobs") {
-      cli.jobs = static_cast<std::size_t>(parse_double(next(), argv[0]));
+      cli.jobs = count_or_usage(next(), argv[0]);
     } else if (arg == "--out") {
       cli.out.out_path = next();
     } else if (arg == "--runs-out") {
@@ -701,15 +723,14 @@ int main(int argc, char** argv) {
       worker_mode = true;
       parse_host_port(next(), worker_host, worker_port, argv[0]);
     } else if (arg == "--lease-timeout") {
-      cli.lease_timeout = parse_double(next(), argv[0]);
+      cli.lease_timeout = number_or_usage(next(), argv[0]);
       if (cli.lease_timeout <= 0.0) usage(argv[0]);
     } else if (arg == "--journal") {
       cli.journal = next();
     } else if (arg == "--resume") {
       cli.resume = true;
     } else if (arg == "--lease-batch") {
-      cli.lease_batch =
-          static_cast<std::size_t>(parse_double(next(), argv[0]));
+      cli.lease_batch = count_or_usage(next(), argv[0]);
       if (cli.lease_batch == 0) usage(argv[0]);
     } else if (arg == "--fsync") {
       cli.fsync = true;
@@ -721,25 +742,24 @@ int main(int argc, char** argv) {
     } else if (arg == "--series-out") {
       cli.series_out = next();
     } else if (arg == "--series-every") {
-      cli.series_every =
-          static_cast<std::size_t>(parse_double(next(), argv[0]));
+      cli.series_every = count_or_usage(next(), argv[0]);
       if (cli.series_every == 0) usage(argv[0]);
     } else if (arg == "--status-port") {
-      const double p = parse_double(next(), argv[0]);
-      if (p < 0 || p > 65535) usage(argv[0]);
+      const std::size_t p = count_or_usage(next(), argv[0]);
+      if (p > 65535) usage(argv[0]);
       cli.status_port = static_cast<int>(p);
     } else if (arg == "--peers") {
-      const double v = parse_double(next(), argv[0]);
+      const double v = number(next());
       set_param("peers", v);
       set_param("max_peers", v);
     } else if (arg == "--credits") {
-      set_param("credits", parse_double(next(), argv[0]));
+      set_param("credits", number(next()));
     } else if (arg == "--horizon") {
-      const double h = parse_double(next(), argv[0]);
+      const double h = number(next());
       set_param("horizon", h);
       set_param("snapshot_interval", h / 40.0);
     } else if (arg == "--seed") {
-      set_param("seed", parse_double(next(), argv[0]));
+      set_param("seed", number(next()));
     } else if (arg == "--pricing") {
       const std::string name = next();
       double kind = -1;
@@ -750,27 +770,27 @@ int main(int argc, char** argv) {
       else usage(argv[0]);
       set_param("pricing.kind", kind);
     } else if (arg == "--spend-cv") {
-      set_param("spend_cv", parse_double(next(), argv[0]));
+      set_param("spend_cv", number(next()));
     } else if (arg == "--upload-cv") {
-      set_param("upload_cv", parse_double(next(), argv[0]));
+      set_param("upload_cv", number(next()));
     } else if (arg == "--tax") {
       set_param("tax.enabled", 1);
-      set_param("tax.rate", parse_double(next(2), argv[0]));
-      set_param("tax.threshold", parse_double(next(), argv[0]));
+      set_param("tax.rate", number(next(2)));
+      set_param("tax.threshold", number(next()));
     } else if (arg == "--dynamic") {
       set_param("spending.dynamic", 1);
-      set_param("spending.threshold", parse_double(next(), argv[0]));
+      set_param("spending.threshold", number(next()));
     } else if (arg == "--churn") {
       set_param("churn.enabled", 1);
-      set_param("churn.arrival_rate", parse_double(next(2), argv[0]));
-      set_param("churn.mean_lifespan", parse_double(next(), argv[0]));
+      set_param("churn.arrival_rate", number(next(2)));
+      set_param("churn.mean_lifespan", number(next()));
       set_param("max_peers",
                 static_cast<double>(
                     spec.config.protocol.initial_peers * 2 + 256));
     } else if (arg == "--inject") {
       set_param("inject.enabled", 1);
-      set_param("inject.interval", parse_double(next(2), argv[0]));
-      set_param("inject.amount", parse_double(next(), argv[0]));
+      set_param("inject.interval", number(next(2)));
+      set_param("inject.amount", number(next()));
     } else if (arg == "--condensed") {
       set_param("upload_capacity", 8.0);
       set_param("seller_choice", 1);
@@ -871,7 +891,14 @@ int main(int argc, char** argv) {
   }
 
   if (!sweep.axes.empty() || sweep.seeds > 1 || cli.sharded) {
-    return run_sweep(spec, std::move(sweep), cli);
+    try {
+      return run_sweep(spec, std::move(sweep), cli);
+    } catch (const util::PreconditionError& e) {
+      // A grid with more runs than size_t counts, for one: exit 2 with one
+      // line, as a bad --sweep value does.
+      std::cerr << diagnostic(e) << "\n";
+      return 2;
+    }
   }
 
   // ---- Single-run mode (the original market_cli behavior). --------------

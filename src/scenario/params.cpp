@@ -14,11 +14,6 @@ namespace {
 
 using Kind = ParamDesc::Kind;
 
-/// Counts route through std::size_t / uint64_t casts; anything above this
-/// is a typo, not a population size, and the cast itself would be UB-ish
-/// territory on a double this large anyway.
-constexpr double kMaxCount = 1e15;
-
 // The one conversion between a table value and a field, chosen by the
 // field's type: a bool is 0/1, an enum its code, anything else a numeric
 // cast. ParamDesc::check has already vetted the value for the row's kind.

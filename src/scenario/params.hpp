@@ -33,6 +33,11 @@ struct ParamDesc {
     kEnum,      ///< integer-valued code in [0, enum_max]
   };
 
+  /// Counts route through std::size_t / uint64_t casts; anything above
+  /// this is a typo, not a population size, and the cast itself would be
+  /// UB-ish territory on a double this large anyway.
+  static constexpr double kMaxCount = 1e15;
+
   std::string_view key;
   double (*get)(const ScenarioSpec&);
   void (*set)(ScenarioSpec&, double);

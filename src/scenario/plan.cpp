@@ -1,5 +1,6 @@
 #include "scenario/plan.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <utility>
 
@@ -49,6 +50,14 @@ RunKey RunKey::of(std::string_view spec_text, std::size_t run_index) {
 SweepPlan::SweepPlan(ScenarioSpec base, SweepSpec sweep)
     : base_(std::move(base)), sweep_(std::move(sweep)) {
   CF_EXPECTS(sweep_.seeds >= 1);
+  // Every run index must fit in size_t: check points x seeds as it grows.
+  std::size_t runs = sweep_.seeds;
+  for (const auto& axis : sweep_.axes) {
+    const std::size_t n = axis.values.size();
+    CF_EXPECTS_MSG(n == 0 || runs <= SIZE_MAX / n,
+                   "sweep grid has more runs than size_t can count");
+    runs *= n;
+  }
 }
 
 ScenarioSpec SweepPlan::spec(std::size_t run_index) const {

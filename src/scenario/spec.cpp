@@ -1,6 +1,5 @@
 #include "scenario/spec.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "scenario/params.hpp"
@@ -80,13 +79,11 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
                        std::string(line));
     const auto key = trim(line.substr(0, eq));
     const auto value_text = trim(line.substr(eq + 1));
-    char* end = nullptr;
-    const std::string value_str(value_text);
-    const double value = std::strtod(value_str.c_str(), &end);
-    CF_EXPECTS_MSG(end != value_str.c_str() && *end == '\0',
-                   "bad numeric value for " + std::string(key) + ": " +
-                       value_str);
-    const auto err = spec.set_checked(key, value);
+    const auto value = util::parse_number(value_text);
+    CF_EXPECTS_MSG(value.has_value(), "bad numeric value for " +
+                                          std::string(key) + ": " +
+                                          std::string(value_text));
+    const auto err = spec.set_checked(key, *value);
     CF_EXPECTS_MSG(!err, *err);
   }
   spec.description = std::move(description);

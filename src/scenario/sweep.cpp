@@ -13,12 +13,13 @@ namespace creditflow::scenario {
 
 namespace {
 
+/// Largest value count of one range axis; the widest preset axis has 23.
+constexpr double kMaxAxisValues = 1e6;
+
 double parse_number(const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  CF_EXPECTS_MSG(end != text.c_str() && *end == '\0',
-                 "bad number in sweep axis: " + text);
-  return v;
+  const auto v = util::parse_number(text);
+  CF_EXPECTS_MSG(v.has_value(), "bad number in sweep axis: " + text);
+  return *v;
 }
 
 }  // namespace
@@ -48,8 +49,12 @@ SweepAxis SweepAxis::parse(const std::string& text) {
     CF_EXPECTS_MSG(hi >= lo, "sweep range is empty: " + text);
     // Index-based stepping avoids accumulating float error over long ranges;
     // the epsilon admits hi itself when (hi-lo) is a whole multiple of step.
-    const auto count = static_cast<std::size_t>(
-        std::floor((hi - lo) / step + 1e-9)) + 1;
+    // The count is checked before the cast: an infinite or huge one is a
+    // typo, not a grid.
+    const double span = std::floor((hi - lo) / step + 1e-9) + 1.0;
+    CF_EXPECTS_MSG(span <= kMaxAxisValues,
+                   "sweep range holds more than 1000000 values: " + text);
+    const auto count = static_cast<std::size_t>(span);
     axis.values.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       axis.values.push_back(lo + static_cast<double>(i) * step);

@@ -24,6 +24,16 @@ std::string format_double(double v) {
   return buf;
 }
 
+std::optional<double> parse_number(std::string_view text) {
+  const std::string terminated(text);
+  char* end = nullptr;
+  const double v = std::strtod(terminated.c_str(), &end);
+  if (terminated.empty() || end != terminated.c_str() + terminated.size()) {
+    return std::nullopt;
+  }
+  return v;
+}
+
 double log_add_exp(double a, double b) {
   if (a == kNegInf) return b;
   if (b == kNegInf) return a;

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace creditflow::util {
@@ -21,6 +23,11 @@ inline constexpr double kPosInf = std::numeric_limits<double>::infinity();
 /// serialization, sweep CSV/JSON emission, and the run-store cache, whose
 /// byte-identical-output contracts all rest on this one rendering.
 [[nodiscard]] std::string format_double(double v);
+
+/// Strict reader of a number typed by a user or read from a spec file: the
+/// value when strtod consumes the whole non-empty text (leading blanks
+/// aside), nullopt when it is empty or has trailing characters ("12abc").
+[[nodiscard]] std::optional<double> parse_number(std::string_view text);
 
 /// log(exp(a) + exp(b)) without overflow; handles -inf identities.
 [[nodiscard]] double log_add_exp(double a, double b);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -10,6 +11,15 @@
 
 namespace creditflow::util {
 namespace {
+
+TEST(ParseNumber, AcceptsWholeNumbersOnly) {
+  EXPECT_EQ(parse_number("12"), 12.0);
+  EXPECT_EQ(parse_number(" 1e3"), 1000.0);
+  EXPECT_EQ(parse_number("0.1"), 0.1);
+  EXPECT_EQ(parse_number(""), std::nullopt);
+  EXPECT_EQ(parse_number("abc"), std::nullopt);
+  EXPECT_EQ(parse_number("12abc"), std::nullopt);
+}
 
 TEST(LogAddExp, MatchesDirectComputation) {
   EXPECT_NEAR(log_add_exp(std::log(2.0), std::log(3.0)), std::log(5.0),

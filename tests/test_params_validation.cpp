@@ -159,6 +159,12 @@ TEST(SweepAxisValidation, MalformedValuesFailAtParseTime) {
   EXPECT_THROW((void)SweepAxis::parse("warmup=0.5,1.5"),
                util::PreconditionError);
   EXPECT_THROW((void)SweepAxis::parse("peers=abc"), util::PreconditionError);
+  // A range whose value count is huge or infinite is rejected before the
+  // count is cast to size_t and reserved.
+  EXPECT_THROW((void)SweepAxis::parse("credits=1:1e12:1"),
+               util::PreconditionError);
+  EXPECT_THROW((void)SweepAxis::parse("credits=1:inf:1"),
+               util::PreconditionError);
 }
 
 TEST(SweepAxisValidation, ValidAxesStillParse) {

@@ -171,6 +171,20 @@ TEST(SweepPlan, ShardsPartitionTheRunList) {
   EXPECT_THROW((void)plan.shard(2, 2), util::PreconditionError);
 }
 
+TEST(SweepPlan, GridLargerThanSizeTIsRejected) {
+  // Four axes of 2^16 values are 2^64 grid points: one more than size_t
+  // counts. Built directly, so no axis-size bound gets in the way.
+  SweepSpec sweep;
+  SweepAxis axis;
+  axis.param = "credits";
+  axis.values.assign(65536, 1.0);
+  sweep.axes.assign(4, axis);
+  EXPECT_THROW(SweepPlan(tiny_base(), sweep), util::PreconditionError);
+  // One value fewer on one axis fits.
+  sweep.axes[0].values.pop_back();
+  EXPECT_NO_THROW(SweepPlan(tiny_base(), sweep));
+}
+
 TEST(SweepPlan, LabelledResultCarriesPlanMetadata) {
   const SweepPlan plan(tiny_base(), tiny_sweep());
   const RunResult r = plan.labelled_result(5);
