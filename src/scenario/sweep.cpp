@@ -13,7 +13,7 @@ namespace creditflow::scenario {
 
 namespace {
 
-/// Largest value count of one range axis; the widest preset axis has 23.
+/// Most values one range axis may hold; README's widest example has 23.
 constexpr double kMaxAxisValues = 1e6;
 
 double parse_number(const std::string& text) {
@@ -51,10 +51,10 @@ SweepAxis SweepAxis::parse(const std::string& text) {
     // the epsilon admits hi itself when (hi-lo) is a whole multiple of step.
     // The count is checked before the cast: an infinite or huge one is a
     // typo, not a grid.
-    const double span = std::floor((hi - lo) / step + 1e-9) + 1.0;
-    CF_EXPECTS_MSG(span <= kMaxAxisValues,
+    const double in_range = std::floor((hi - lo) / step + 1e-9) + 1.0;
+    CF_EXPECTS_MSG(in_range <= kMaxAxisValues,
                    "sweep range holds more than 1000000 values: " + text);
-    const auto count = static_cast<std::size_t>(span);
+    const auto count = static_cast<std::size_t>(in_range);
     axis.values.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       axis.values.push_back(lo + static_cast<double>(i) * step);
