@@ -2,7 +2,7 @@
 // malformed --set/sweep-axis value must die with one typed, single-line
 // diagnostic — never an unhandled cast, a silent clamp, or a wrapped
 // size_t. One test per parameter kind, plus the sweep-axis parse path and
-// the `warmup` pseudo-parameter.
+// `warmup`.
 #include <gtest/gtest.h>
 
 #include <limits>
