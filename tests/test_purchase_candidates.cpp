@@ -6,11 +6,14 @@
 //  * eight pinned markets: the FNV-1a hash of each one's full trace and
 //    final balances, captured while the naive per-chunk scan still ran in
 //    production and reproduced these markets transaction for transaction;
+//  * pinned order-book markets, hashed the same way, captured while the
+//    book still crossed by its own per-chunk neighbor scan;
 //  * the ownership-row invariant: PeerTable::owned() is the buffer's own
 //    words, and every departed or unused slot's row is zero.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <string_view>
 #include <vector>
@@ -154,14 +157,17 @@ constexpr std::uint64_t kHashBasis = 0xcbf29ce484222325ULL;
 
 /// Run `cfg` for `horizon` seconds with full trace recording and fold every
 /// trace record (time, buyer, seller, chunk, price) and the final balances
-/// into the running FNV-1a hash `h`.
-std::uint64_t market_hash(const ProtocolConfig& cfg, double horizon,
-                          std::uint64_t h = kHashBasis) {
+/// into the running FNV-1a hash `h`. `inspect`, if set, sees the finished
+/// market first (to check that it exercised what it pins).
+std::uint64_t market_hash(
+    const ProtocolConfig& cfg, double horizon, std::uint64_t h = kHashBasis,
+    const std::function<void(const StreamingProtocol&)>& inspect = {}) {
   sim::Simulator sim;
   StreamingProtocol proto(cfg, sim);
   proto.trace().set_keep_records(true);
   proto.start();
   sim.run_until(horizon);
+  if (inspect) inspect(proto);
   for (const TransactionRecord& r : proto.trace().records()) {
     h = mix(h, r.time);
     h = mix(h, r.buyer);
@@ -284,6 +290,81 @@ TEST(PinnedMarkets, SupplyLimited) {
   cfg.tax.rate = 0.15;
   cfg.tax.threshold = 30.0;
   EXPECT_EQ(market_hash(cfg, 80.0), 0x375376352e13e421ULL);
+}
+
+/// An order-book market in which "upload budget >= 1" and "has a resting
+/// ask" differ: half the peers never post asks, staked seeders whose bond
+/// runs short drop theirs, and whitewashers cycle identities under churn.
+ProtocolConfig book_config(std::uint64_t seed) {
+  auto cfg = base_config(seed);
+  cfg.market_mode = ProtocolConfig::MarketMode::kOrderBook;
+  cfg.book.seller_fraction = 0.5;
+  cfg.book.limit_price = 2;
+  cfg.churn.enabled = true;
+  cfg.churn.arrival_rate = 0.8;
+  cfg.churn.mean_lifespan = 40.0;
+  cfg.churn.join_links = 6;
+  cfg.strat.staked_fraction = 0.2;
+  cfg.strat.stake_amount = 25;
+  cfg.strat.whitewash_fraction = 0.1;
+  cfg.strat.whitewash_threshold = 10.0;
+  return cfg;
+}
+
+TEST(PinnedMarkets, OrderBookCrossings) {
+  using Book = ProtocolConfig::OrderBookConfig;
+  struct Row {
+    Book::AskPricing pricing;
+    Book::CrossStrategy cross;
+    std::uint64_t hash;
+  };
+  // Limit crossing runs under adaptive pricing only: with a fixed markup
+  // every ask has one price, so a limit is either always or never met.
+  const Row rows[] = {
+      {Book::AskPricing::kFixedMarkup, Book::CrossStrategy::kBestAsk,
+       0x75e7d9a15c6d1f7eULL},
+      {Book::AskPricing::kFixedMarkup, Book::CrossStrategy::kFillWeighted,
+       0x33e4a1fe565f2014ULL},
+      {Book::AskPricing::kAdaptive, Book::CrossStrategy::kBestAsk,
+       0x65279ff6c8820deaULL},
+      {Book::AskPricing::kAdaptive, Book::CrossStrategy::kFillWeighted,
+       0x650c29c7f698e744ULL},
+      {Book::AskPricing::kAdaptive, Book::CrossStrategy::kLimit,
+       0x636394f723d48debULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << "pricing " << static_cast<int>(row.pricing) << " cross "
+                 << static_cast<int>(row.cross));
+    auto cfg = book_config(3);
+    cfg.book.ask_pricing = row.pricing;
+    cfg.book.cross = row.cross;
+    const auto inspect = [&](const StreamingProtocol& proto) {
+      const auto& m = proto.metrics();
+      EXPECT_GT(m.counter("book.fills"), 1000u);
+      EXPECT_GT(m.counter("book.asks_expired"), 0u);
+      EXPECT_GT(m.counter("strat.whitewash_resets"), 0u);
+      if (row.cross == Book::CrossStrategy::kLimit) {
+        EXPECT_GT(m.counter("book.bids_posted"), 0u);
+        EXPECT_GT(m.counter("book.bids_matched"), 0u);
+      }
+    };
+    EXPECT_EQ(market_hash(cfg, 120.0, kHashBasis, inspect), row.hash);
+  }
+}
+
+TEST(PinnedMarkets, OrderBookHubDegrees) {
+  // The hub overlay in book mode, every peer an ask-posting seller: book
+  // buyers with more than 64 neighbors.
+  auto cfg = hub_config(1);
+  cfg.market_mode = ProtocolConfig::MarketMode::kOrderBook;
+  cfg.book.seller_fraction = 1.0;
+  expect_has_hub_buyers(cfg);
+  using Cross = ProtocolConfig::OrderBookConfig::CrossStrategy;
+  cfg.book.cross = Cross::kBestAsk;
+  EXPECT_EQ(market_hash(cfg, 60.0), 0xb9dc09102d103f12ULL);
+  cfg.book.cross = Cross::kFillWeighted;
+  EXPECT_EQ(market_hash(cfg, 60.0), 0x2d463ed07f9693d0ULL);
 }
 
 TEST(OwnedRows, AreBufferWordsAndZeroForDepartedSlots) {
