@@ -680,12 +680,11 @@ bool StreamingProtocol::is_book_seller(PeerId id) const {
          cfg_.book.seller_fraction * 16777216.0;
 }
 
+template <std::size_t Words>
 bool StreamingProtocol::book_cross(PeerId buyer, ChunkId chunk,
-                                   std::span<const PeerId> neighbors,
                                    PeerId& seller_out,
                                    econ::Credits& price_out) {
-  // No aliveness check: a departed peer holds no overlay edges, so it is
-  // never in `neighbors`.
+  const auto sellers = candidates_.sellers<Words>(chunk);
   const auto strategy = cfg_.book.cross;
   using Cross = ProtocolConfig::OrderBookConfig::CrossStrategy;
   if (strategy == Cross::kFillWeighted) {
@@ -694,13 +693,11 @@ bool StreamingProtocol::book_cross(PeerId buyer, ChunkId chunk,
     // flow than a best-ask stampede would send them.
     seller_ids_.clear();
     seller_weights_.clear();
-    for (const PeerId nbr : neighbors) {
-      if (upload_budget_[nbr] < 1.0) continue;
-      if (!book_->has_ask(nbr) || !peers_.buffer(nbr).has(chunk)) continue;
-      seller_ids_.push_back(nbr);
+    sellers.for_each([this](PeerId candidate) {
+      seller_ids_.push_back(candidate);
       seller_weights_.push_back(
-          static_cast<double>(book_->ask_quantity(nbr)));
-    }
+          static_cast<double>(book_->ask_quantity(candidate)));
+    });
     if (seller_ids_.empty()) return false;
     const PeerId pick = seller_ids_[rng_.discrete(seller_weights_)];
     seller_out = pick;
@@ -708,23 +705,21 @@ bool StreamingProtocol::book_cross(PeerId buyer, ChunkId chunk,
     return true;
   }
   // kBestAsk / kLimit: price-time priority over the candidate set, a
-  // min-scan on (price, seq).
+  // min-scan on (price, seq); seqs are unique, so walk order is moot.
   PeerId best = 0;
   econ::Credits best_price = 0;
   std::uint64_t best_seq = 0;
   bool have = false;
-  for (const PeerId nbr : neighbors) {
-    if (upload_budget_[nbr] < 1.0) continue;
-    if (!book_->has_ask(nbr) || !peers_.buffer(nbr).has(chunk)) continue;
-    const econ::Credits p = book_->ask_price(nbr);
-    const std::uint64_t s = book_->ask_seq(nbr);
+  sellers.for_each([&](PeerId candidate) {
+    const econ::Credits p = book_->ask_price(candidate);
+    const std::uint64_t s = book_->ask_seq(candidate);
     if (!have || p < best_price || (p == best_price && s < best_seq)) {
       have = true;
-      best = nbr;
+      best = candidate;
       best_price = p;
       best_seq = s;
     }
-  }
+  });
   if (!have) return false;
   if (strategy == Cross::kLimit && best_price > cfg_.book.limit_price) {
     // The market is above the buyer's limit: rest a bid (standing intent,
@@ -788,7 +783,6 @@ bool StreamingProtocol::pick_seller(ChunkId chunk, PeerId& seller) {
 template <std::size_t Words>
 void StreamingProtocol::buy_missing(PeerId buyer_id,
                                     std::span<const ChunkId> missing,
-                                    std::span<const PeerId> neighbors,
                                     std::size_t purchase_cap, double budget,
                                     double now) {
   const bool book_mode = book_ != nullptr;
@@ -802,7 +796,7 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
     // Order-book market: cross the resting asks instead of picking a
     // seller directly; the transacted price is the ask's.
     const bool have_seller =
-        book_mode ? book_cross(buyer_id, chunk, neighbors, seller_id, price)
+        book_mode ? book_cross<Words>(buyer_id, chunk, seller_id, price)
                   : pick_seller<Words>(chunk, seller_id);
     if (!have_seller) {
       ++peers_.failed_availability(buyer_id);
@@ -839,9 +833,9 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
         book_->cancel_bid(buyer_id);
         ++*book_bids_matched_;
       }
-    } else if (upload_budget_[seller_id] < 1.0) {
-      candidates_.remove(seller_id, missing);
     }
+    // A drained seller (budget or ask used up) leaves every mask.
+    if (!sells(seller_id)) candidates_.remove(seller_id, missing);
     budget -= static_cast<double>(price);
     ++purchased;
 
@@ -904,33 +898,27 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
     purchase_cap = std::max<std::size_t>(1, keep_pace);
   }
 
-  if (book_ != nullptr) {
-    // The order book keeps its own per-chunk scan (book_cross): it also
-    // filters on resting asks, and never reads the candidate masks.
-    buy_missing<PurchaseCandidates::kDynamicWords>(
-        buyer_id, missing, neighbors, purchase_cap, budget, now);
-    return;
-  }
   // Resolve each wanted chunk's sellers up front: one AND walk over the
   // neighbors' ownership rows instead of a neighbor rescan per chunk. Sound
   // within one buyer phase: sellers' ownership and aliveness cannot change
   // until the phase ends (only this buyer gains chunks, and churn events
-  // never interleave with a round), and upload budgets only *decrease* — a
-  // seller leaves every mask the moment it drains.
-  candidates_.build(peers_, neighbors, upload_budget_, missing,
-                    buyer_buffer.base());
+  // never interleave with a round), and budgets and asks only shrink, on a
+  // sale to this buyer — after which a failing seller leaves every mask.
+  candidates_.build(
+      peers_, neighbors, [this](PeerId nbr) { return sells(nbr); }, missing,
+      buyer_buffer.base());
   candidates_hist_->add(candidates_.eligible().size());
   ++*phase_width_ct_[candidates_.width()];
   switch (candidates_.width()) {
     case 1:
-      buy_missing<1>(buyer_id, missing, neighbors, purchase_cap, budget, now);
+      buy_missing<1>(buyer_id, missing, purchase_cap, budget, now);
       break;
     case 2:
-      buy_missing<2>(buyer_id, missing, neighbors, purchase_cap, budget, now);
+      buy_missing<2>(buyer_id, missing, purchase_cap, budget, now);
       break;
     default:
-      buy_missing<PurchaseCandidates::kDynamicWords>(
-          buyer_id, missing, neighbors, purchase_cap, budget, now);
+      buy_missing<PurchaseCandidates::kDynamicWords>(buyer_id, missing,
+                                                     purchase_cap, budget, now);
   }
 }
 

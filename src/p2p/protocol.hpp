@@ -334,11 +334,16 @@ class StreamingProtocol : private sim::Simulator::Agent {
   void run_round(double now);
   void seed_new_chunks(double now, ChunkId head);
   void peer_purchase_phase(PeerId buyer_id, double now);
-  /// One buyer's purchases over `missing`. Words = candidates_.width(),
-  /// chosen once per buyer (order-book markets cross the book instead).
+  /// The purchase phase's seller test: upload budget >= 1 and, in an
+  /// order-book market, a resting ask.
+  [[nodiscard]] bool sells(PeerId id) const {
+    return upload_budget_[id] >= 1.0 && (!book_ || book_->has_ask(id));
+  }
+  /// One buyer's purchases over `missing`, sellers read from this phase's
+  /// candidates (crossing the book in an order-book market). Words =
+  /// candidates_.width(), chosen once per buyer.
   template <std::size_t Words>
   void buy_missing(PeerId buyer_id, std::span<const ChunkId> missing,
-                   std::span<const PeerId> neighbors,
                    std::size_t purchase_cap, double budget, double now);
   /// Pick a seller for wanted chunk `chunk` among this phase's candidates
   /// per cfg_.seller_choice; false when no neighbor owns it with upload
@@ -352,12 +357,12 @@ class StreamingProtocol : private sim::Simulator::Agent {
   /// Whether `id` participates as an ask-posting seller (deterministic
   /// per-id hash against book.seller_fraction — stable under churn).
   [[nodiscard]] bool is_book_seller(PeerId id) const;
-  /// Cross the book for one wanted chunk: among `neighbors` whose resting
-  /// asks cover `chunk` (owner + upload budget + live ask), pick per the
-  /// crossing strategy. Returns false when no ask is crossable (for kLimit
-  /// that includes best-ask-above-limit, which posts a resting bid).
-  bool book_cross(PeerId buyer, ChunkId chunk,
-                  std::span<const PeerId> neighbors, PeerId& seller_out,
+  /// Cross the book for one wanted chunk: among this phase's candidates
+  /// for `chunk` (owner + upload budget + live ask), pick per the crossing
+  /// strategy. Returns false when no ask is crossable (for kLimit that
+  /// includes best-ask-above-limit, which posts a resting bid).
+  template <std::size_t Words>
+  bool book_cross(PeerId buyer, ChunkId chunk, PeerId& seller_out,
                   econ::Credits& price_out);
   /// Availability-uniform choice over `num_candidates` in closed form.
   /// Rng::discrete over k all-ones weights draws one uniform() and returns

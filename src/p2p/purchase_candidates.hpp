@@ -1,9 +1,9 @@
 // CreditFlow: the purchase phase's seller candidates.
 //
-// For each wanted chunk a buyer needs the neighbors that own it and still
-// have upload budget. PurchaseCandidates answers that for the whole
-// shopping list at once instead of rescanning the neighbor list per chunk:
-// it keeps the buyer's eligible neighbors (upload budget >= 1, in
+// For each wanted chunk a buyer needs the neighbors that own it and can
+// still sell. PurchaseCandidates answers that for the whole shopping list
+// at once instead of rescanning the neighbor list per chunk: it keeps the
+// buyer's eligible neighbors (those that pass the caller's seller test, in
 // neighbor-list order) and, per wanted window slot, a bitmask over them,
 // built by ANDing each neighbor's ownership row (PeerTable::owned, the
 // BufferMap words) with the wanted-slot mask. Ascending bit position is
@@ -14,7 +14,9 @@
 // Sellers is templated on the mask width, Words = 1, 2 or kDynamicWords.
 // width() fixes it once per phase by the rule the purchase.phase_one_word /
 // two_word / generic counters count (one word only when the window also
-// fits one word, so the wanted-slot mask is a single word too).
+// fits one word, so the wanted-slot mask is a single word too). Masks are
+// at least one word, so an empty eligible set takes the one-word width
+// whenever the window fits one word.
 //
 // Slots identify chunks relative to build()'s window base. Every alive
 // peer shares that base during a purchase phase: windows advance in
@@ -38,23 +40,25 @@ class PurchaseCandidates {
   /// Words template argument for masks wider than two words.
   static constexpr std::size_t kDynamicWords = 0;
 
-  /// Rebuild for one buyer phase: eligible() = the `neighbors` whose
-  /// upload_budget is >= 1 (in order), masks for the chunks of `wanted`,
-  /// which must all lie in the window that starts at `window_base`.
+  /// Rebuild for one buyer phase: eligible() = the `neighbors` that pass
+  /// `is_seller(PeerId)` (in order), masks of max(1, ceil(eligible / 64))
+  /// words for the chunks of `wanted`, which must all lie in the window
+  /// that starts at `window_base`.
+  template <typename IsSeller>
   void build(const PeerTable& peers, std::span<const PeerId> neighbors,
-             std::span<const double> upload_budget,
-             std::span<const ChunkId> wanted, ChunkId window_base) {
+             IsSeller&& is_seller, std::span<const ChunkId> wanted,
+             ChunkId window_base) {
     window_ = peers.window();
     base_ = window_base;
     base_slot_ = static_cast<std::size_t>(window_base % window_);
     // No aliveness check: a departed peer holds no overlay edges, so it
     // never appears in a neighbor list, and its ownership row is cleared
-    // on departure. The filter reads only the dense budget array.
+    // on departure.
     eligible_.clear();
     for (const PeerId nbr : neighbors) {
-      if (upload_budget[nbr] >= 1.0) eligible_.push_back(nbr);
+      if (is_seller(nbr)) eligible_.push_back(nbr);
     }
-    words_ = (eligible_.size() + 63) / 64;
+    words_ = std::max<std::size_t>(1, (eligible_.size() + 63) / 64);
     const std::size_t row_words = BufferMap::words_for(window_);
     width_ = row_words == 1 && words_ == 1 ? 1
              : words_ == 2                 ? 2
@@ -75,7 +79,7 @@ class PurchaseCandidates {
 
   /// This phase's Sellers width: 1, 2 or kDynamicWords.
   [[nodiscard]] std::size_t width() const { return width_; }
-  /// Budgeted neighbors in neighbor-list order (bit j = eligible()[j]).
+  /// Neighbors that passed the seller test, in order (bit j = eligible()[j]).
   [[nodiscard]] std::span<const PeerId> eligible() const { return eligible_; }
 
   /// The candidates of one wanted chunk, in neighbor-list order: a view of
@@ -140,9 +144,9 @@ class PurchaseCandidates {
             words_};
   }
 
-  /// `seller`'s upload budget dropped below 1 mid-phase: clear its bit
+  /// `seller` stopped passing the seller test mid-phase: clear its bit
   /// from every slot of `wanted`, so later chunks skip it exactly as a
-  /// per-chunk budget check would.
+  /// per-chunk seller test would.
   void remove(PeerId seller, std::span<const ChunkId> wanted) {
     // Rare (a seller drains at most once per buyer phase), so a linear
     // scan for its bit position is fine.

@@ -1,17 +1,21 @@
 // Tests for the purchase phase's seller candidates (p2p/purchase_candidates):
 //  * a differential test that drives PurchaseCandidates directly on random
-//    states — every mask width, windows on both sides of one word, and
-//    mid-phase seller drains — against a per-chunk neighbor scan, the
-//    naive reference the production path replaced;
+//    states — every mask width, empty candidate sets, windows on both
+//    sides of one word, the order-book seller test (upload budget and a
+//    resting ask) and mid-phase seller drains — against a per-chunk
+//    neighbor scan, the naive reference the production path replaced;
 //  * eight pinned markets: the FNV-1a hash of each one's full trace and
 //    final balances, captured while the naive per-chunk scan still ran in
 //    production and reproduced these markets transaction for transaction;
 //  * pinned order-book markets, hashed the same way, captured while the
 //    book still crossed by its own per-chunk neighbor scan;
+//  * the phase-width counters: a buyer with no candidates counts as a
+//    one-word phase when its window fits one word;
 //  * the ownership-row invariant: PeerTable::owned() is the buffer's own
 //    words, and every departed or unused slot's row is zero.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <numeric>
@@ -27,29 +31,29 @@ namespace creditflow::p2p {
 namespace {
 
 /// The reference: scan the neighbor list for one chunk, keeping the owners
-/// with upload budget left, in neighbor-list order.
+/// that pass the seller test, in neighbor-list order.
+template <typename IsSeller>
 std::vector<PeerId> scan_owners(const PeerTable& peers,
                                 const std::vector<PeerId>& neighbors,
-                                const std::vector<double>& budget,
-                                ChunkId chunk) {
+                                const IsSeller& is_seller, ChunkId chunk) {
   std::vector<PeerId> owners;
   for (const PeerId nbr : neighbors) {
-    if (budget[nbr] >= 1.0 && peers.buffer(nbr).has(chunk)) {
+    if (is_seller(nbr) && peers.buffer(nbr).has(chunk)) {
       owners.push_back(nbr);
     }
   }
   return owners;
 }
 
-template <std::size_t Words>
+template <std::size_t Words, typename IsSeller>
 void expect_matches_scan(const PurchaseCandidates& candidates,
                          const PeerTable& peers,
                          const std::vector<PeerId>& neighbors,
-                         const std::vector<double>& budget,
+                         const IsSeller& is_seller,
                          const std::vector<ChunkId>& wanted) {
   for (const ChunkId c : wanted) {
     const std::vector<PeerId> expected =
-        scan_owners(peers, neighbors, budget, c);
+        scan_owners(peers, neighbors, is_seller, c);
     const auto sellers = candidates.sellers<Words>(c);
     ASSERT_EQ(sellers.count(), expected.size()) << "chunk " << c;
     std::vector<PeerId> walked;
@@ -62,30 +66,34 @@ void expect_matches_scan(const PurchaseCandidates& candidates,
 }
 
 /// Check the phase's own width and the dynamic walk (valid at any width).
+template <typename IsSeller>
 void expect_matches_scan(const PurchaseCandidates& candidates,
                          const PeerTable& peers,
                          const std::vector<PeerId>& neighbors,
-                         const std::vector<double>& budget,
+                         const IsSeller& is_seller,
                          const std::vector<ChunkId>& wanted) {
   if (candidates.width() == 1) {
-    expect_matches_scan<1>(candidates, peers, neighbors, budget, wanted);
+    expect_matches_scan<1>(candidates, peers, neighbors, is_seller, wanted);
   } else if (candidates.width() == 2) {
-    expect_matches_scan<2>(candidates, peers, neighbors, budget, wanted);
+    expect_matches_scan<2>(candidates, peers, neighbors, is_seller, wanted);
   }
   expect_matches_scan<PurchaseCandidates::kDynamicWords>(
-      candidates, peers, neighbors, budget, wanted);
+      candidates, peers, neighbors, is_seller, wanted);
 }
 
 TEST(PurchaseCandidates, MatchesPerChunkNeighborScan) {
   util::Rng rng(2012);
   PurchaseCandidates candidates;  // reused across phases, as in a market
-  for (const std::size_t eligible : {1, 63, 64, 65, 128, 129, 250}) {
+  for (const std::size_t eligible : {0, 1, 63, 64, 65, 128, 129, 250}) {
     for (const std::size_t window : {4, 48, 64, 65, 96, 200}) {
       SCOPED_TRACE(::testing::Message()
                    << "eligible " << eligible << " window " << window);
-      // As many budget-less neighbors as budgeted ones, plus a few peers
+      // The seller test is the order-book market's: upload budget >= 1 and
+      // a resting ask. Four more non-sellers than sellers (with budget but
+      // no ask, with an ask but no budget, or neither), plus a few peers
       // outside the neighbor list; the window base makes the slots wrap.
-      const std::size_t num_peers = 2 * eligible + 8;
+      const std::size_t num_neighbors = 2 * eligible + 4;
+      const std::size_t num_peers = num_neighbors + 8;
       PeerTable peers(num_peers, window);
       const ChunkId base = 1000 + rng.uniform_index(window);
       for (PeerId id = 0; id < num_peers; ++id) {
@@ -100,12 +108,19 @@ TEST(PurchaseCandidates, MatchesPerChunkNeighborScan) {
       std::iota(ids.begin(), ids.end(), PeerId{0});
       rng.shuffle(ids);
       std::vector<double> budget(num_peers, 0.0);
-      std::vector<PeerId> neighbors(ids.begin(),
-                                    ids.begin() + 2 * eligible);
+      std::vector<char> ask(num_peers, 0);
+      std::vector<PeerId> neighbors(ids.begin(), ids.begin() + num_neighbors);
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        budget[neighbors[k]] =
-            k < eligible ? 1.0 + 3.0 * rng.uniform() : 0.99 * rng.uniform();
+        const PeerId id = neighbors[k];
+        // Non-sellers: 0 = budget only, 1 = ask only, 2 = neither.
+        const std::size_t fails = k < eligible ? 3 : rng.uniform_index(3);
+        budget[id] = fails == 3 || fails == 0 ? 1.0 + 3.0 * rng.uniform()
+                                              : 0.99 * rng.uniform();
+        ask[id] = fails == 3 || fails == 1 ? 1 : 0;
       }
+      const auto is_seller = [&](PeerId id) {
+        return budget[id] >= 1.0 && ask[id] != 0;
+      };
       rng.shuffle(neighbors);
       // A random shopping list, freshest first as the protocol orders it.
       std::vector<ChunkId> wanted;
@@ -114,23 +129,30 @@ TEST(PurchaseCandidates, MatchesPerChunkNeighborScan) {
       }
       if (wanted.empty()) wanted.push_back(base);
 
-      candidates.build(peers, neighbors, budget, wanted, base);
+      candidates.build(peers, neighbors, is_seller, wanted, base);
       ASSERT_EQ(candidates.eligible().size(), eligible);
-      const std::size_t words = (eligible + 63) / 64;
-      const std::size_t width = window <= 64 && words == 1 ? 1
-                                : words == 2 ? 2
-                                             : PurchaseCandidates::kDynamicWords;
+      // At least one mask word, so an empty set still fits one word.
+      const std::size_t words = std::max<std::size_t>(1, (eligible + 63) / 64);
+      const std::size_t width =
+          window <= 64 && words == 1 ? 1
+          : words == 2               ? 2
+                                     : PurchaseCandidates::kDynamicWords;
       ASSERT_EQ(candidates.width(), width);
-      expect_matches_scan(candidates, peers, neighbors, budget, wanted);
+      expect_matches_scan(candidates, peers, neighbors, is_seller, wanted);
 
-      // Mid-phase drains: a seller's budget drops below 1 and it leaves
-      // every mask, exactly as the per-chunk budget check would skip it.
-      for (int drain = 0; drain < 3; ++drain) {
+      // Mid-phase drains: a seller's budget drops below 1 or its ask fills
+      // out, and it leaves every mask, exactly as the per-chunk seller test
+      // would skip it.
+      for (int drain = 0; eligible > 0 && drain < 4; ++drain) {
         const PeerId seller =
             candidates.eligible()[rng.uniform_index(eligible)];
-        budget[seller] = 0.0;
+        if (drain % 2 == 0) {
+          budget[seller] = 0.0;
+        } else {
+          ask[seller] = 0;
+        }
         candidates.remove(seller, wanted);
-        expect_matches_scan(candidates, peers, neighbors, budget, wanted);
+        expect_matches_scan(candidates, peers, neighbors, is_seller, wanted);
       }
     }
   }
@@ -365,6 +387,31 @@ TEST(PinnedMarkets, OrderBookHubDegrees) {
   EXPECT_EQ(market_hash(cfg, 60.0), 0xb9dc09102d103f12ULL);
   cfg.book.cross = Cross::kFillWeighted;
   EXPECT_EQ(market_hash(cfg, 60.0), 0x2d463ed07f9693d0ULL);
+}
+
+TEST(PurchaseCandidates, EmptySetsTakeTheOneWordPath) {
+  // Every neighbor list and the window fit one word here, so every buyer
+  // phase resolves through the one-word masks, including those where no
+  // neighbor has upload budget left.
+  const auto cfg = base_config(1);
+  sim::Simulator sim;
+  StreamingProtocol proto(cfg, sim);
+  proto.start();
+  std::size_t max_degree = 0;
+  for (PeerId id = 0; id < cfg.initial_peers; ++id) {
+    max_degree = std::max(max_degree, proto.overlay().degree(id));
+  }
+  ASSERT_LE(max_degree, 64u);
+  sim.run_until(60.0);
+  const auto& m = proto.metrics();
+  const util::Log2Histogram* candidates = m.histogram("purchase.candidates");
+  ASSERT_NE(candidates, nullptr);
+  EXPECT_EQ(candidates->count(), 4800u);  // 80 buyers, 60 rounds
+  EXPECT_GT(candidates->bucket_count(0), 0u)
+      << "no buyer phase had an empty candidate set";
+  EXPECT_EQ(m.counter("purchase.phase_one_word"), candidates->count());
+  EXPECT_EQ(m.counter("purchase.phase_two_word"), 0u);
+  EXPECT_EQ(m.counter("purchase.phase_generic"), 0u);
 }
 
 TEST(OwnedRows, AreBufferWordsAndZeroForDepartedSlots) {
