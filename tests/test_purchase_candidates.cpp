@@ -112,11 +112,12 @@ TEST(PurchaseCandidates, MatchesPerChunkNeighborScan) {
       std::vector<PeerId> neighbors(ids.begin(), ids.begin() + num_neighbors);
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
         const PeerId id = neighbors[k];
-        // Non-sellers: 0 = budget only, 1 = ask only, 2 = neither.
-        const std::size_t fails = k < eligible ? 3 : rng.uniform_index(3);
-        budget[id] = fails == 3 || fails == 0 ? 1.0 + 3.0 * rng.uniform()
-                                              : 0.99 * rng.uniform();
-        ask[id] = fails == 3 || fails == 1 ? 1 : 0;
+        // Bit 0: no upload budget, bit 1: no resting ask. Sellers lack
+        // neither; a non-seller lacks one or both.
+        const std::size_t lacks = k < eligible ? 0 : 1 + rng.uniform_index(3);
+        budget[id] = (lacks & 1) != 0 ? 0.99 * rng.uniform()
+                                      : 1.0 + 3.0 * rng.uniform();
+        ask[id] = (lacks & 2) != 0 ? 0 : 1;
       }
       const auto is_seller = [&](PeerId id) {
         return budget[id] >= 1.0 && ask[id] != 0;
