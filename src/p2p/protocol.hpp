@@ -478,7 +478,7 @@ class StreamingProtocol : private sim::Simulator::Agent {
   std::uint64_t* book_bids_expired_ = nullptr;
 
   // Histogram cells (stable for the registry lifetime, allocation-free
-  // add): budgeted-candidate-set sizes per buyer phase, calendar depth
+  // add): candidate-set sizes per buyer phase (both modes), calendar depth
   // sampled each round, and — only while the tracer is enabled, to keep
   // the steady-state hot path free of per-buyer clock reads — per-buyer
   // purchase-phase latency in microseconds.
