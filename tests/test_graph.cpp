@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string_view>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -13,6 +15,14 @@
 
 namespace creditflow::graph {
 namespace {
+
+/// Fold one value's bytes into a running FNV-1a hash.
+template <typename T>
+std::uint64_t mix(std::uint64_t h, T value) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  return util::fnv1a64(std::string_view(bytes, sizeof(T)), h);
+}
 
 TEST(Graph, AddEdgeBasics) {
   Graph g(4);
@@ -99,6 +109,52 @@ TEST(Generators, PowerLawDegreeSequenceMeanTargeted) {
   const auto sum =
       std::accumulate(degrees.begin(), degrees.end(), std::uint64_t{0});
   EXPECT_EQ(sum % 2, 0u);
+}
+
+// Every market's overlay comes from these draws, and the goldens reach
+// them only at the default parameters and only through market outputs. Each
+// row hashes its degree sequence, the RNG's next word after it (so an extra
+// or a missing draw shows) and every adjacency row of `scale_free`. Rows:
+// the book-adv and fig11 sizes, a steeper and a shallower law, a cap of 4
+// (about a quarter of the draws have lower cutoff == cap and take no
+// uniform) and a cap of 4102 (CDF range 4096).
+TEST(Generators, BootstrapDrawsArePinned) {
+  struct Row {
+    std::size_t n;
+    double exponent;
+    double mean;
+    std::uint64_t max_degree;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {2000, 2.5, 20.0, 0, 0xa429871ed87aba61ULL},
+      {500, 2.5, 20.0, 0, 0x431055ced3fa1dd7ULL},
+      {3000, 2.1, 8.0, 0, 0x6764fa1aca7c7adcULL},
+      {40, 3.0, 2.0, 0, 0x182078a41d268990ULL},
+      {50, 2.5, 3.5, 4, 0x714b45b6df8222d7ULL},
+      {6000, 2.5, 20.0, 4102, 0x20cdc9bc698abff7ULL},
+  };
+  for (const Row& row : rows) {
+    ScaleFreeParams params;
+    params.exponent = row.exponent;
+    params.target_mean_degree = row.mean;
+    params.max_degree = row.max_degree;
+    std::uint64_t h = util::fnv1a64("");
+    util::Rng rng(2012);
+    for (const std::uint64_t d : power_law_degree_sequence(row.n, params, rng))
+      h = mix(h, d);
+    h = mix(h, rng.next_u64());
+    util::Rng graph_rng(2012);
+    const Graph g = scale_free(row.n, params, graph_rng);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const auto neighbors = g.neighbors(u);
+      h = mix(h, neighbors.size());
+      for (const NodeId v : neighbors) h = mix(h, v);
+    }
+    EXPECT_EQ(h, row.hash) << "n " << row.n << ", exponent " << row.exponent
+                           << ", mean " << row.mean << ", max_degree "
+                           << row.max_degree << ": got 0x" << std::hex << h;
+  }
 }
 
 TEST(Generators, ScaleFreeIsConnectedWithTargetMean) {
