@@ -21,17 +21,23 @@ Graph erdos_renyi(std::size_t n, double p, util::Rng& rng) {
 
 namespace {
 
-/// Mean of the truncated discrete power law P(d) ∝ d^-alpha on [dmin, dmax].
-double truncated_power_law_mean(double alpha, std::uint64_t dmin,
-                                std::uint64_t dmax) {
+/// Total weight and mean of the truncated discrete power law P(d) ∝ w[d] on
+/// [lo, dmax], where w[d] = d^-alpha for d in [1, dmax] (w[0] unused). Both
+/// sums run in ascending d.
+struct TruncatedPowerLaw {
+  double total;
+  double mean;
+};
+
+TruncatedPowerLaw truncated_power_law(const std::vector<double>& w,
+                                      std::uint64_t lo) {
   double norm = 0.0;
   double mean = 0.0;
-  for (std::uint64_t d = dmin; d <= dmax; ++d) {
-    const double w = std::pow(static_cast<double>(d), -alpha);
-    norm += w;
-    mean += static_cast<double>(d) * w;
+  for (std::uint64_t d = lo; d < w.size(); ++d) {
+    norm += w[d];
+    mean += static_cast<double>(d) * w[d];
   }
-  return mean / norm;
+  return {norm, mean / norm};
 }
 
 }  // namespace
@@ -52,30 +58,38 @@ std::vector<std::uint64_t> power_law_degree_sequence(
   CF_EXPECTS_MSG(params.target_mean_degree < static_cast<double>(dmax),
                  "target mean degree unreachable under max degree cap");
 
+  std::vector<double> w(dmax + 1, 0.0);
+  for (std::uint64_t d = 1; d <= dmax; ++d)
+    w[d] = std::pow(static_cast<double>(d), -params.exponent);
+
   // Find the dmin whose truncated power-law mean brackets the target, then
   // mix dmin and dmin+1 to land on the target mean exactly (in expectation).
   std::uint64_t dmin = 1;
   while (dmin < dmax &&
-         truncated_power_law_mean(params.exponent, dmin + 1, dmax) <=
-             params.target_mean_degree) {
+         truncated_power_law(w, dmin + 1).mean <= params.target_mean_degree) {
     ++dmin;
   }
-  const double mean_lo = truncated_power_law_mean(params.exponent, dmin, dmax);
+  const TruncatedPowerLaw low = truncated_power_law(w, dmin);
+  TruncatedPowerLaw high = low;  // never drawn from when dmin == dmax
   double mix = 0.0;  // probability of using dmin+1 as the lower cutoff
   if (dmin < dmax) {
-    const double mean_hi =
-        truncated_power_law_mean(params.exponent, dmin + 1, dmax);
-    if (mean_hi > mean_lo) {
-      mix = std::clamp((params.target_mean_degree - mean_lo) /
-                           (mean_hi - mean_lo),
+    high = truncated_power_law(w, dmin + 1);
+    if (high.mean > low.mean) {
+      mix = std::clamp((params.target_mean_degree - low.mean) /
+                           (high.mean - low.mean),
                        0.0, 1.0);
     }
   }
 
+  // Inverse CDF by a walk up from the cutoff; a cutoff at dmax takes no
+  // uniform, and rounding that outlasts the walk lands on dmax.
   std::vector<std::uint64_t> degrees(n);
   for (auto& d : degrees) {
-    const std::uint64_t lo = rng.bernoulli(mix) ? dmin + 1 : dmin;
-    d = rng.power_law_int(params.exponent, lo, dmax);
+    const bool raised = rng.bernoulli(mix);
+    d = raised ? dmin + 1 : dmin;
+    if (d == dmax) continue;
+    double u = rng.uniform() * (raised ? high.total : low.total);
+    while (d < dmax && (u -= w[d]) > 0.0) ++d;
   }
   // The configuration model needs an even stub count.
   const std::uint64_t sum = std::accumulate(degrees.begin(), degrees.end(),

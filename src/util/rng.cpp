@@ -54,42 +54,6 @@ double Rng::lognormal_mean_cv(double mean, double cv) {
   return std::exp(normal(mu, std::sqrt(sigma2)));
 }
 
-double Rng::power_law(double alpha, double xmin, double xmax) {
-  CF_EXPECTS(alpha > 1.0);
-  CF_EXPECTS(xmin > 0.0 && xmin < xmax);
-  // Inverse CDF of truncated Pareto.
-  const double a1 = 1.0 - alpha;
-  const double lo = std::pow(xmin, a1);
-  const double hi = std::pow(xmax, a1);
-  const double u = uniform();
-  return std::pow(lo + u * (hi - lo), 1.0 / a1);
-}
-
-std::uint64_t Rng::power_law_int(double alpha, std::uint64_t dmin,
-                                 std::uint64_t dmax) {
-  CF_EXPECTS(dmin >= 1 && dmin <= dmax);
-  if (dmin == dmax) return dmin;
-  // Continuous approximation with rounding, accepted via discrete correction.
-  // For the modest ranges used in overlays a direct CDF inversion over the
-  // (dmax - dmin + 1) support is exact and cheap enough when the range is
-  // small; fall back to continuous sampling for wide ranges.
-  const std::uint64_t range = dmax - dmin + 1;
-  if (range <= 4096) {
-    double total = 0.0;
-    for (std::uint64_t d = dmin; d <= dmax; ++d)
-      total += std::pow(static_cast<double>(d), -alpha);
-    double u = uniform() * total;
-    for (std::uint64_t d = dmin; d <= dmax; ++d) {
-      u -= std::pow(static_cast<double>(d), -alpha);
-      if (u <= 0.0) return d;
-    }
-    return dmax;
-  }
-  const double x = power_law(alpha, static_cast<double>(dmin),
-                             static_cast<double>(dmax) + 1.0);
-  return std::min(dmax, static_cast<std::uint64_t>(std::floor(x)));
-}
-
 std::size_t Rng::discrete(std::span<const double> weights) {
   CF_EXPECTS(!weights.empty());
   double total = 0.0;

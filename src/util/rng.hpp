@@ -139,12 +139,6 @@ class Rng {
   /// Log-normal such that the *mean* of the variate is `mean` and the
   /// coefficient of variation is `cv`; requires mean > 0, cv >= 0.
   [[nodiscard]] double lognormal_mean_cv(double mean, double cv);
-  /// Pareto/power-law sample: continuous density f(x) ∝ x^-alpha on
-  /// [xmin, xmax]; requires alpha > 1, 0 < xmin < xmax.
-  [[nodiscard]] double power_law(double alpha, double xmin, double xmax);
-  /// Discrete power-law degree sample: P(D=d) ∝ d^-alpha, d in [dmin, dmax].
-  [[nodiscard]] std::uint64_t power_law_int(double alpha, std::uint64_t dmin,
-                                            std::uint64_t dmax);
 
   /// Sample an index proportionally to non-negative `weights`
   /// (linear scan; use AliasTable/FenwickSampler for repeated draws).

@@ -111,6 +111,47 @@ TEST(Generators, PowerLawDegreeSequenceMeanTargeted) {
   EXPECT_EQ(sum % 2, 0u);
 }
 
+// Under P(d) ∝ d^-alpha both lower cutoffs share every degree above dmin,
+// so the drawn counts on [dmin + 1, 60] follow d^-alpha whichever cutoff a
+// draw used. A χ² goodness-of-fit test checks that under a narrow cap (CDF
+// range about 50) and a wide one (about 5 000).
+TEST(Generators, DegreeSequenceFollowsThePowerLaw) {
+  constexpr std::uint64_t kTop = 60;
+  for (const std::uint64_t cap : {std::uint64_t{60}, std::uint64_t{5000}}) {
+    util::Rng rng(5);
+    ScaleFreeParams params;  // exponent 2.5, mean 20
+    params.max_degree = cap;
+    const auto degrees = power_law_degree_sequence(200000, params, rng);
+    const std::uint64_t dmin =
+        *std::min_element(degrees.begin(), degrees.end());
+    ASSERT_LT(dmin + 2, kTop);
+    std::vector<double> counts(kTop + 1, 0.0);
+    for (const std::uint64_t d : degrees) {
+      if (d > dmin && d <= kTop) ++counts[d];
+    }
+    double drawn = 0.0;
+    double weight = 0.0;
+    for (std::uint64_t d = dmin + 1; d <= kTop; ++d) {
+      drawn += counts[d];
+      weight += std::pow(static_cast<double>(d), -params.exponent);
+    }
+    double chi2 = 0.0;
+    for (std::uint64_t d = dmin + 1; d <= kTop; ++d) {
+      const double expected =
+          drawn * std::pow(static_cast<double>(d), -params.exponent) / weight;
+      chi2 += (counts[d] - expected) * (counts[d] - expected) / expected;
+    }
+    // The 99.9% point of χ² with k degrees of freedom, by Wilson–Hilferty:
+    // k (1 - c + z √c)³ with c = 2 / 9k and z = 3.0902, the normal 99.9%
+    // point. Within 0.2% of the exact quantile at k ≈ 50.
+    const auto k = static_cast<double>(kTop - dmin - 1);
+    const double c = 2.0 / (9.0 * k);
+    const double limit = k * std::pow(1.0 - c + 3.0902 * std::sqrt(c), 3.0);
+    EXPECT_LT(chi2, limit) << "max_degree " << cap << ", dmin " << dmin
+                           << ", " << k << " degrees of freedom";
+  }
+}
+
 // Every market's overlay comes from these draws, and the goldens reach
 // them only at the default parameters and only through market outputs. Each
 // row hashes its degree sequence, the RNG's next word after it (so an extra

@@ -103,28 +103,6 @@ TEST(Rng, LognormalZeroCvIsDeterministic) {
   EXPECT_DOUBLE_EQ(rng.lognormal_mean_cv(5.0, 0.0), 5.0);
 }
 
-TEST(Rng, PowerLawWithinBounds) {
-  Rng rng(43);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.power_law(2.5, 2.0, 50.0);
-    EXPECT_GE(x, 2.0);
-    EXPECT_LE(x, 50.0);
-  }
-}
-
-TEST(Rng, PowerLawIntHeavyTailShape) {
-  Rng rng(47);
-  // With alpha=2.5 the mean of a truncated power law on [4, 200] is about
-  // 3x the minimum; check the empirical mean is in a plausible band.
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i)
-    sum += static_cast<double>(rng.power_law_int(2.5, 4, 200));
-  const double mean = sum / n;
-  EXPECT_GT(mean, 6.0);
-  EXPECT_LT(mean, 16.0);
-}
-
 TEST(Rng, DiscreteRespectsWeights) {
   Rng rng(53);
   const std::vector<double> w = {1.0, 0.0, 3.0};
