@@ -102,12 +102,18 @@ BENCHMARK(BM_BufferMapAdvance);
 // calendar's fire/reschedule cycle. round_us_per_round is the wall time
 // of the whole loop (measured around run_until, rounds == iterations) —
 // the number the allocation-free-core work is judged on —
-// phase_us_per_round its purchase-phase share.
+// phase_us_per_round its purchase-phase share. setup_s is the market's
+// construction plus start(), the overlay bootstrap included.
 void run_round_benchmark(benchmark::State& state, p2p::ProtocolConfig cfg,
                          double warm_seconds = 50.0) {
+  const auto setup_start = std::chrono::steady_clock::now();
   sim::Simulator simulator;
   p2p::StreamingProtocol proto(cfg, simulator);
   proto.start();
+  const double setup_seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() -
+                                   setup_start)
+                                   .count();
   simulator.run_until(warm_seconds);  // warm the market
   const double phase_before = proto.purchase_phase_seconds();
   double t = warm_seconds;
@@ -127,6 +133,7 @@ void run_round_benchmark(benchmark::State& state, p2p::ProtocolConfig cfg,
   state.counters["phase_us_per_round"] =
       (proto.purchase_phase_seconds() - phase_before) * 1e6 / rounds;
   state.counters["peak_rss_bytes"] = peak_rss_bytes();
+  state.counters["setup_s"] = setup_seconds;
 }
 
 void BM_ProtocolRound(benchmark::State& state) {

@@ -4,9 +4,10 @@ GitHub-flavored markdown table.
 
 Input: a google-benchmark JSON export containing BM_SimulationCoreScale
 runs (one per peer count). Output: scaling_curve.csv with columns
-(peers, round_us_per_round, phase_us_per_round, us_per_peer_round,
+(peers, setup_s, round_us_per_round, phase_us_per_round, us_per_peer_round,
 bytes_per_peer, peak_rss_bytes), plus the same rows as a markdown table on
-stdout — the CI job appends that to $GITHUB_STEP_SUMMARY.
+stdout — the CI job appends that to $GITHUB_STEP_SUMMARY. setup_s is the
+market's construction plus start(), the overlay bootstrap included.
 
   scaling_curve.py BENCH_scaling.json --csv scaling_curve.csv
 """
@@ -19,7 +20,7 @@ import json
 import re
 import sys
 
-COLUMNS = ("peers", "round_us_per_round", "phase_us_per_round",
+COLUMNS = ("peers", "setup_s", "round_us_per_round", "phase_us_per_round",
            "us_per_peer_round", "bytes_per_peer", "peak_rss_bytes")
 
 
@@ -38,6 +39,7 @@ def extract_rows(path: str) -> list[dict]:
         round_us = float(bench.get("round_us_per_round", 0.0))
         rows.append({
             "peers": peers,
+            "setup_s": round(float(bench.get("setup_s", 0.0)), 6),
             "round_us_per_round": round(round_us, 1),
             "phase_us_per_round":
                 round(float(bench.get("phase_us_per_round", 0.0)), 1),
@@ -62,15 +64,16 @@ def markdown_table(rows: list[dict]) -> str:
     lines = [
         "### Simulation-core scaling curve",
         "",
-        "| peers | µs/round | purchase µs/round | µs/(peer·round) "
+        "| peers | setup ms | µs/round | purchase µs/round | µs/(peer·round) "
         "| bytes/peer | peak RSS |",
-        "|------:|---------:|------------------:|----------------:"
+        "|------:|---------:|---------:|------------------:|----------------:"
         "|-----------:|---------:|",
     ]
     for r in rows:
         rss_mb = r["peak_rss_bytes"] / 1e6
         lines.append(
-            f"| {r['peers']:,} | {r['round_us_per_round']:,.0f} "
+            f"| {r['peers']:,} | {r['setup_s'] * 1e3:,.1f} "
+            f"| {r['round_us_per_round']:,.0f} "
             f"| {r['phase_us_per_round']:,.0f} "
             f"| {r['us_per_peer_round']:.3f} "
             f"| {r['bytes_per_peer']:,.0f} | {rss_mb:,.0f} MB |")
