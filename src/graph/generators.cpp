@@ -89,7 +89,10 @@ std::vector<std::uint64_t> power_law_degree_sequence(
     d = raised ? dmin + 1 : dmin;
     if (d == dmax) continue;
     double u = rng.uniform() * (raised ? high.total : low.total);
-    while (d < dmax && (u -= w[d]) > 0.0) ++d;
+    for (; d < dmax; ++d) {
+      u -= w[d];
+      if (u <= 0.0) break;
+    }
   }
   // The configuration model needs an even stub count.
   const std::uint64_t sum = std::accumulate(degrees.begin(), degrees.end(),

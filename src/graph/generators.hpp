@@ -25,7 +25,10 @@ struct ScaleFreeParams {
 
 /// Sample a power-law degree sequence whose mean is close to the target.
 /// The minimum degree is tuned so the truncated power-law mean matches
-/// `target_mean_degree`; the sum is adjusted to be even.
+/// `target_mean_degree`; the sum is adjusted to be even. Each degree follows
+/// the exact law P(d) ∝ d^-k however wide its range, by inverse CDF over one
+/// table of d^-k for d up to the max degree: one pow() per table entry, then
+/// O(n + max degree).
 [[nodiscard]] std::vector<std::uint64_t> power_law_degree_sequence(
     std::size_t n, const ScaleFreeParams& params, util::Rng& rng);
 
