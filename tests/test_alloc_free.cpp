@@ -15,6 +15,7 @@
 // allocations too (a pending departure is a 24-byte calendar record).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -135,36 +136,72 @@ TEST(AllocationFreeCore, TaxationWithChurnRoundsDoNotAllocate) {
       << "the taxed churn round loop allocated";
 }
 
-TEST(AllocationFreeCore, OverlayJoinLeaveBurstsDoNotAllocate) {
-  // The edge-pool property head on: once the overlay has seen its
-  // high-water population once (free list populated, join-weight scratch
-  // at capacity), arbitrary join/leave bursts — including the
-  // lowest-inactive-slot scan every protocol arrival performs — touch the
-  // pool's free list and nothing else. Zero allocations, not amortized.
-  util::Rng rng(14);
-  graph::ScaleFreeParams sf;
-  sf.target_mean_degree = 20.0;
-  const auto g = graph::scale_free(300, sf, rng);
-  p2p::Overlay overlay(420);
+struct BurstOutcome {
+  std::uint64_t allocations = 0;  ///< inside the measured burst
+  std::size_t cells_appended = 0;  ///< by the measured burst's joins
+  std::size_t high_water = 0;      ///< most cells in use at once
+};
+
+/// Bootstraps `overlay` from `g`, warms it to its slot capacity once, then
+/// counts allocations across 100 join/leave bursts — including the
+/// lowest-inactive-slot scan every protocol arrival performs.
+BurstOutcome overlay_join_leave_burst(p2p::Overlay& overlay,
+                                      const graph::Graph& g, util::Rng rng) {
+  BurstOutcome out;
+  const auto join = [&](std::uint32_t slot) {
+    overlay.join(slot, 10, rng);
+    out.high_water = std::max(out.high_water, overlay.edge_cells_in_use());
+    return 2 * overlay.degree(slot);
+  };
   overlay.init_from_graph(g);
   // Warm-up: drive membership to the slot capacity once, then carve out
   // the churn headroom the burst will recycle.
-  for (std::uint32_t p = 300; p < 420; ++p) overlay.join(p, 10, rng);
+  for (std::uint32_t p = 300; p < 420; ++p) join(p);
   for (std::uint32_t p = 350; p < 420; ++p) overlay.leave(p);
 
   const std::uint64_t before = g_allocations.load();
   for (int round = 0; round < 100; ++round) {
     for (int k = 0; k < 20; ++k) {
       const auto slot = overlay.lowest_inactive_slot();
-      ASSERT_TRUE(slot.has_value());
-      overlay.join(*slot, 10, rng);
+      if (!slot.has_value()) {
+        ADD_FAILURE() << "no free slot for the burst";
+        break;
+      }
+      out.cells_appended += join(*slot);
     }
     for (std::uint32_t p = 350; p < 370; ++p) overlay.leave(p);
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
+  out.allocations = g_allocations.load() - before;
+  return out;
+}
+
+TEST(AllocationFreeCore, OverlayJoinLeaveBurstsDoNotAllocate) {
+  // The edge-pool property head on: once the overlay has seen its
+  // high-water population once (join-weight scratch at capacity),
+  // arbitrary join/leave bursts touch the pool and nothing else. Zero
+  // allocations, not amortized.
+  util::Rng rng(14);
+  graph::ScaleFreeParams sf;
+  sf.target_mean_degree = 20.0;
+  const auto g = graph::scale_free(300, sf, rng);
+  p2p::Overlay overlay(420);
+  const auto roomy = overlay_join_leave_burst(overlay, g, rng);
+  EXPECT_EQ(roomy.allocations, 0u)
       << "join/leave burst allocated on the edge pool";
   EXPECT_EQ(overlay.edges_dropped(), 0u)
       << "edge pool too small for the burst";
+
+  // A pool a few cells above the same burst's high-water mark: the burst
+  // appends several times the pool's cells, so the pool must reclaim the
+  // cells that leaves free inside the measured window.
+  p2p::Overlay tight(420, roomy.high_water + 8);
+  const auto packed = overlay_join_leave_burst(tight, g, rng);
+  EXPECT_GT(packed.cells_appended, 2 * tight.edge_cell_capacity());
+  EXPECT_EQ(packed.high_water, roomy.high_water);
+  EXPECT_EQ(packed.allocations, 0u)
+      << "join/leave burst allocated on a tight edge pool";
+  EXPECT_EQ(tight.edges_dropped(), 0u)
+      << "tight edge pool refused an edge the live rows had room for";
 }
 
 TEST(AllocationFreeCore, OrderBookSteadyStateDoesNotAllocate) {

@@ -1,6 +1,11 @@
 // Tests for p2p/overlay (dynamic membership) and p2p/spending policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
+#include "graph/generators.hpp"
 #include "graph_fixtures.hpp"
 #include "p2p/overlay.hpp"
 #include "p2p/spending.hpp"
@@ -8,6 +13,13 @@
 
 namespace creditflow::p2p {
 namespace {
+
+/// One overlay row, in row order. Every test reads rows through here.
+std::vector<std::uint32_t> row_of(const Overlay& o, std::uint32_t peer) {
+  std::vector<std::uint32_t> out;
+  o.neighbors_into(peer, out);
+  return out;
+}
 
 TEST(Overlay, InitFromGraph) {
   util::Rng rng(1);
@@ -29,18 +41,10 @@ TEST(Overlay, JoinAttachesRequestedLinks) {
   EXPECT_TRUE(o.is_active(7));
   EXPECT_EQ(o.degree(7), 3u);
   EXPECT_EQ(o.num_active(), 7u);
-  // Bidirectional edges (nested queries: caller-owned scratch keeps the
-  // outer list stable while the inner one is materialized).
-  std::vector<std::uint32_t> nbrs;
-  std::vector<std::uint32_t> back_nbrs;
-  o.neighbors_into(7, nbrs);
-  for (auto nbr : nbrs) {
-    bool found = false;
-    o.neighbors_into(nbr, back_nbrs);
-    for (auto back : back_nbrs) {
-      if (back == 7) found = true;
-    }
-    EXPECT_TRUE(found);
+  // Bidirectional edges.
+  for (auto nbr : row_of(o, 7)) {
+    const auto back = row_of(o, nbr);
+    EXPECT_NE(std::find(back.begin(), back.end(), 7u), back.end());
   }
 }
 
@@ -71,7 +75,7 @@ TEST(Overlay, LeaveRemovesEdgesBothSides) {
   EXPECT_EQ(o.num_active(), 3u);
   EXPECT_EQ(o.degree(2), 0u);
   for (auto p : {0u, 1u, 3u}) {
-    o.for_each_neighbor(p, [](std::uint32_t nbr) { EXPECT_NE(nbr, 2u); });
+    for (auto nbr : row_of(o, p)) EXPECT_NE(nbr, 2u);
     EXPECT_EQ(o.degree(p), 2u);
   }
 }
@@ -107,9 +111,9 @@ TEST(Overlay, PreferentialAttachmentFavorsHighDegree) {
     Overlay o(11);
     o.init_from_graph(g);
     o.join(10, 1, rng);
-    o.for_each_neighbor(10, [&](std::uint32_t nbr) {
+    for (auto nbr : row_of(o, 10)) {
       if (nbr == 0) ++hub_attachments;
-    });
+    }
   }
   // Hub weight = (9+1)/(9+1 + 9*(1+1)) ~ 0.36 ≥ uniform 0.1.
   EXPECT_GT(hub_attachments, trials / 5);
@@ -221,17 +225,202 @@ TEST(Overlay, RemovalPreservesSwapWithBackOrder) {
   // Row 0 starts as [1, 2, 3, 4] (graph order). Removing 2 moves the
   // back (4) into its slot: [1, 4, 3].
   o.leave(2);
-  std::vector<std::uint32_t> nbrs;
-  o.neighbors_into(0, nbrs);
-  EXPECT_EQ(nbrs, (std::vector<std::uint32_t>{1, 4, 3}));
+  EXPECT_EQ(row_of(o, 0), (std::vector<std::uint32_t>{1, 4, 3}));
   // Removing the new back (3) just pops it: [1, 4].
   o.leave(3);
-  o.neighbors_into(0, nbrs);
-  EXPECT_EQ(nbrs, (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(row_of(o, 0), (std::vector<std::uint32_t>{1, 4}));
   // Removing the head (1) moves 4 forward: [4].
   o.leave(1);
-  o.neighbors_into(0, nbrs);
-  EXPECT_EQ(nbrs, (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(row_of(o, 0), (std::vector<std::uint32_t>{4}));
+}
+
+/// The retired vector<vector> engine, kept as the oracle for the overlay's
+/// rows: appends go to the back, a removal moves the back into the removed
+/// entry's place, and an edge is refused once in_use + 2 > capacity. join()
+/// repeats Overlay::join's preferential attachment draw for draw.
+struct VectorEngine {
+  std::vector<std::vector<std::uint32_t>> rows;
+  std::vector<bool> active;
+  std::size_t capacity = 0;
+  std::size_t in_use = 0;
+  std::uint64_t dropped = 0;
+
+  VectorEngine(std::size_t max_peers, std::size_t cells)
+      : rows(max_peers), active(max_peers, false), capacity(cells) {}
+
+  void init_from_graph(const graph::Graph& g) {
+    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+      active[u] = true;
+      rows[u].assign(g.neighbors(u).begin(), g.neighbors(u).end());
+      in_use += rows[u].size();
+    }
+  }
+
+  [[nodiscard]] std::vector<std::uint32_t> active_ids() const {
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t p = 0; p < active.size(); ++p) {
+      if (active[p]) ids.push_back(p);
+    }
+    return ids;
+  }
+
+  [[nodiscard]] std::optional<std::uint32_t> lowest_inactive_slot() const {
+    for (std::uint32_t p = 0; p < active.size(); ++p) {
+      if (!active[p]) return p;
+    }
+    return std::nullopt;
+  }
+
+  bool add_edge(std::uint32_t a, std::uint32_t b) {
+    if (a == b) return false;
+    if (std::find(rows[a].begin(), rows[a].end(), b) != rows[a].end()) {
+      return false;
+    }
+    if (in_use + 2 > capacity) {
+      ++dropped;
+      return false;
+    }
+    rows[a].push_back(b);
+    rows[b].push_back(a);
+    in_use += 2;
+    return true;
+  }
+
+  void remove_directed(std::uint32_t from, std::uint32_t to) {
+    auto& row = rows[from];
+    const auto it = std::find(row.begin(), row.end(), to);
+    ASSERT_NE(it, row.end());
+    *it = row.back();
+    row.pop_back();
+    --in_use;
+  }
+
+  void leave(std::uint32_t peer) {
+    for (const auto nbr : rows[peer]) remove_directed(nbr, peer);
+    in_use -= rows[peer].size();
+    rows[peer].clear();
+    active[peer] = false;
+  }
+
+  void join(std::uint32_t peer, std::size_t target_links, util::Rng& rng) {
+    active[peer] = true;
+    const auto candidates = active_ids();
+    if (candidates.size() == 1) return;
+    std::vector<double> weights;
+    for (const auto c : candidates) {
+      weights.push_back(c == peer ? 0.0
+                                  : static_cast<double>(rows[c].size()) + 1.0);
+    }
+    const std::size_t want = std::min(target_links, candidates.size() - 1);
+    std::size_t added = 0;
+    std::size_t attempts = 0;
+    while (added < want && attempts < 20 * want + 40) {
+      ++attempts;
+      const std::size_t idx = rng.discrete(weights);
+      if (add_edge(peer, candidates[idx])) {
+        ++added;
+        weights[idx] = 0.0;
+      }
+    }
+  }
+};
+
+void expect_same_state(const Overlay& o, const VectorEngine& m, int step) {
+  for (std::uint32_t p = 0; p < m.rows.size(); ++p) {
+    ASSERT_EQ(o.is_active(p), static_cast<bool>(m.active[p]))
+        << "step " << step << " peer " << p;
+    ASSERT_EQ(o.degree(p), m.rows[p].size())
+        << "step " << step << " peer " << p;
+    if (m.active[p]) {
+      ASSERT_EQ(row_of(o, p), m.rows[p]) << "step " << step << " peer " << p;
+    }
+  }
+  ASSERT_EQ(o.edge_cells_in_use(), m.in_use) << "step " << step;
+  ASSERT_EQ(o.edges_dropped(), m.dropped) << "step " << step;
+  const auto active = o.active_peers();
+  ASSERT_EQ(std::vector<std::uint32_t>(active.begin(), active.end()),
+            m.active_ids())
+      << "step " << step;
+  ASSERT_EQ(o.lowest_inactive_slot(), m.lowest_inactive_slot())
+      << "step " << step;
+}
+
+struct ChurnOutcome {
+  std::size_t high_water = 0;  ///< most cells in use at once
+  std::uint64_t dropped = 0;   ///< edges refused for want of cells
+};
+
+/// Drives a seeded mix of join, leave and add_edge against both the
+/// overlay and the vector engine, comparing after every step. `edge_cells`
+/// sizes the overlay's pool (0 = the default).
+ChurnOutcome churn_against_vector_engine(std::size_t edge_cells) {
+  constexpr std::size_t kSlots = 96;
+  constexpr int kSteps = 2500;
+  util::Rng graph_rng(21);
+  graph::ScaleFreeParams sf;
+  sf.target_mean_degree = 6.0;
+  const auto g = graph::scale_free(48, sf, graph_rng);
+
+  Overlay o(kSlots, edge_cells);
+  VectorEngine m(kSlots, o.edge_cell_capacity());
+  o.init_from_graph(g);
+  m.init_from_graph(g);
+  util::Rng overlay_rng(22);
+  util::Rng model_rng(22);
+  util::Rng driver(23);
+  ChurnOutcome out{m.in_use, 0};
+  expect_same_state(o, m, -1);
+  for (int step = 0; step < kSteps; ++step) {
+    const double r = driver.uniform();
+    const auto active = m.active_ids();
+    if (r < 0.45 && active.size() < kSlots) {
+      // Mostly the lowest free slot, as a protocol arrival takes; now and
+      // then another free slot, so rows sit in varied places.
+      std::uint32_t slot = *m.lowest_inactive_slot();
+      if (driver.bernoulli(0.3)) {
+        do {
+          slot = static_cast<std::uint32_t>(driver.uniform_index(kSlots));
+        } while (m.active[slot]);
+      }
+      const std::size_t links = 1 + driver.uniform_index(10);
+      o.join(slot, links, overlay_rng);
+      m.join(slot, links, model_rng);
+    } else if (r < 0.8 && active.size() > 1) {
+      const auto peer = active[driver.uniform_index(active.size())];
+      o.leave(peer);
+      m.leave(peer);
+    } else if (active.size() > 1) {
+      const auto a = active[driver.uniform_index(active.size())];
+      const auto b = active[driver.uniform_index(active.size())];
+      EXPECT_EQ(o.add_edge(a, b), m.add_edge(a, b)) << "step " << step;
+    }
+    out.high_water = std::max(out.high_water, m.in_use);
+    expect_same_state(o, m, step);
+    if (::testing::Test::HasFatalFailure()) return out;
+  }
+  EXPECT_EQ(overlay_rng.next_u64(), model_rng.next_u64())
+      << "join consumed a different number of draws";
+  out.dropped = m.dropped;
+  return out;
+}
+
+TEST(Overlay, RowsMatchVectorEngineUnderChurn) {
+  // Every RNG-consuming walk over a row (candidate masks, seller picks,
+  // join weights) depends on the row order, so the rows must match the
+  // vector engine entry for entry through any join/leave/add_edge mix.
+  const auto roomy = churn_against_vector_engine(0);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(roomy.dropped, 0u);
+  // A pool a few cells above the live high-water mark: nothing is refused,
+  // but the rows' storage runs full again and again.
+  const auto tight = churn_against_vector_engine(roomy.high_water + 6);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(tight.high_water, roomy.high_water);
+  EXPECT_EQ(tight.dropped, 0u);
+  // A pool below the high-water mark: joins and add_edge are refused, and
+  // the refusals must fall exactly where the vector engine's do.
+  const auto starved = churn_against_vector_engine(roomy.high_water * 3 / 4);
+  EXPECT_GT(starved.dropped, 0u);
 }
 
 TEST(FixedSpending, BudgetIsRateTimesRound) {
