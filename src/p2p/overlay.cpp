@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -10,95 +11,120 @@ namespace creditflow::p2p {
 
 namespace {
 
-/// Default pool sizing: room for twice a paper-scale overlay's steady-state
-/// degree, floored so tiny test overlays never starve.
-std::size_t default_edge_cells(std::size_t max_peers) {
-  return std::max<std::size_t>(256, max_peers * 64);
+/// Arena size in cells: `edge_cells`, or when that is 0 room for twice a
+/// paper-scale overlay's steady-state degree, floored so tiny test overlays
+/// never starve. Offsets are 32-bit, so the arena stops at 2^32 - 1 cells.
+std::size_t arena_cells(std::size_t max_peers, std::size_t edge_cells) {
+  const std::size_t cells =
+      edge_cells == 0 ? std::max<std::size_t>(256, max_peers * 64)
+                      : edge_cells;
+  CF_EXPECTS(cells >= 2);  // one undirected edge = two cells
+  CF_EXPECTS_MSG(cells <= std::numeric_limits<std::uint32_t>::max(),
+                 "overlay edge arena above 2^32 - 1 cells");
+  return cells;
 }
 
 }  // namespace
 
 Overlay::Overlay(std::size_t max_peers, std::size_t edge_cells)
-    : cells_(edge_cells == 0 ? default_edge_cells(max_peers) : edge_cells),
-      row_head_(max_peers, kNullCell),
-      row_tail_(max_peers, kNullCell),
-      degree_(max_peers, 0),
+    : cells_(arena_cells(max_peers, edge_cells)),
+      rows_(max_peers),
       active_words_((max_peers + 63) / 64, 0) {
   CF_EXPECTS(max_peers > 0);
-  CF_EXPECTS(cells_.size() >= 2);  // one undirected edge = two cells
   active_list_.reserve(max_peers);
-  reset_free_list();
-}
-
-void Overlay::reset_free_list() {
-  for (std::size_t c = 0; c + 1 < cells_.size(); ++c) {
-    cells_[c].next = static_cast<std::uint32_t>(c + 1);
-  }
-  cells_.back().next = kNullCell;
-  free_head_ = 0;
-  cells_in_use_ = 0;
-}
-
-std::uint32_t Overlay::alloc_cell() {
-  if (free_head_ == kNullCell) return kNullCell;
-  const std::uint32_t c = free_head_;
-  free_head_ = cells_[c].next;
-  ++cells_in_use_;
-  return c;
-}
-
-void Overlay::free_cell(std::uint32_t cell) {
-  cells_[cell].next = free_head_;
-  free_head_ = cell;
-  --cells_in_use_;
+  pack_order_.reserve(max_peers);
 }
 
 void Overlay::row_push_back(std::uint32_t from, std::uint32_t to) {
-  const std::uint32_t c = alloc_cell();
-  CF_ENSURES(c != kNullCell);  // callers check pool headroom first
-  cells_[c].to = to;
-  cells_[c].next = kNullCell;
-  if (row_tail_[from] == kNullCell) {
-    row_head_[from] = c;
-  } else {
-    cells_[row_tail_[from]].next = c;
+  Row& row = rows_[from];
+  if (row.degree == row.capacity) {
+    // Full: move the row to the top with twice the room, packing the
+    // arena first when the top has less than that left.
+    const std::size_t want =
+        std::max<std::size_t>(4, 2 * std::size_t{row.degree});
+    if (cells_.size() - top_ < want) {
+      pack(from);
+    } else {
+      std::copy_n(cells_.begin() + row.offset, row.degree,
+                  cells_.begin() + top_);
+      row.offset = top_;
+    }
+    row.capacity = static_cast<std::uint32_t>(
+        std::min(want, cells_.size() - row.offset));
+    top_ = row.offset + row.capacity;
   }
-  row_tail_[from] = c;
-  ++degree_[from];
+  CF_ENSURES(row.degree < row.capacity);  // add_edge checks the cell count
+  cells_[row.offset + row.degree++] = to;
+  ++cells_in_use_;
 }
 
-void Overlay::row_clear(std::uint32_t peer) {
-  std::uint32_t c = row_head_[peer];
-  while (c != kNullCell) {
-    const std::uint32_t next = cells_[c].next;
-    free_cell(c);
-    c = next;
+void Overlay::pack(std::uint32_t grow) {
+  pack_order_.clear();
+  for (std::uint32_t p = 0; p < rows_.size(); ++p) {
+    if (rows_[p].degree > 0) {
+      pack_order_.push_back(p);
+    } else {
+      rows_[p] = Row{};
+    }
   }
-  row_head_[peer] = kNullCell;
-  row_tail_[peer] = kNullCell;
-  degree_[peer] = 0;
+  std::sort(pack_order_.begin(), pack_order_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return rows_[a].offset < rows_[b].offset;
+            });
+  // Each row moves down (or stays), so copying in offset order never
+  // overwrites a row not yet moved.
+  std::uint32_t packed = 0;
+  for (const std::uint32_t p : pack_order_) {
+    Row& row = rows_[p];
+    if (row.offset != packed) {
+      std::copy_n(cells_.begin() + row.offset, row.degree,
+                  cells_.begin() + packed);
+    }
+    row.offset = packed;
+    row.capacity = row.degree;
+    packed += row.degree;
+  }
+  // Rotate `grow` behind every other row, so the free cells follow it:
+  // with c cells in use, it gets room for degree + (capacity - c) cells,
+  // at least one more than it holds whenever add_edge admitted the edge.
+  Row& g = rows_[grow];
+  if (g.degree > 0) {
+    const auto at =
+        std::find(pack_order_.begin(), pack_order_.end(), grow);
+    std::rotate(cells_.begin() + g.offset, cells_.begin() + g.offset + g.degree,
+                cells_.begin() + packed);
+    for (auto it = at + 1; it != pack_order_.end(); ++it) {
+      rows_[*it].offset -= g.degree;
+    }
+  }
+  g.offset = packed - g.degree;
+  top_ = packed;
 }
 
 void Overlay::init_from_graph(const graph::Graph& g) {
-  CF_EXPECTS(g.num_nodes() <= row_head_.size());
+  CF_EXPECTS(g.num_nodes() <= rows_.size());
   CF_EXPECTS_MSG(2 * g.num_edges() <= cells_.size(),
-                 "edge pool smaller than the bootstrap graph");
-  std::fill(row_head_.begin(), row_head_.end(), kNullCell);
-  std::fill(row_tail_.begin(), row_tail_.end(), kNullCell);
-  std::fill(degree_.begin(), degree_.end(), 0u);
-  reset_free_list();
+                 "edge arena smaller than the bootstrap graph");
+  std::fill(rows_.begin(), rows_.end(), Row{});
+  top_ = 0;
+  cells_in_use_ = 0;
   std::fill(active_words_.begin(), active_words_.end(), 0);
   active_list_.clear();
   free_word_hint_ = 0;
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     set_active_bit(u, true);
     active_list_.push_back(u);
-    for (const graph::NodeId v : g.neighbors(u)) row_push_back(u, v);
+    const auto nbrs = g.neighbors(u);
+    const auto degree = static_cast<std::uint32_t>(nbrs.size());
+    rows_[u] = Row{top_, degree, degree};
+    std::copy(nbrs.begin(), nbrs.end(), cells_.begin() + top_);
+    top_ += degree;
   }
+  cells_in_use_ = top_;
 }
 
 bool Overlay::is_active(std::uint32_t peer) const {
-  CF_EXPECTS(peer < row_head_.size());
+  CF_EXPECTS(peer < rows_.size());
   return (active_words_[peer / 64] >> (peer % 64)) & 1;
 }
 
@@ -127,16 +153,6 @@ void Overlay::list_erase(std::uint32_t peer) {
   active_list_.erase(it);
 }
 
-void Overlay::neighbors_into(std::uint32_t peer,
-                             std::vector<std::uint32_t>& out) const {
-  CF_EXPECTS(peer < row_head_.size());
-  out.clear();
-  for (std::uint32_t c = row_head_[peer]; c != kNullCell;
-       c = cells_[c].next) {
-    out.push_back(cells_[c].to);
-  }
-}
-
 std::optional<std::uint32_t> Overlay::lowest_inactive_slot() const {
   // Invariant: every word below free_word_hint_ is fully active, so the
   // scan may start there. Words it proves full advance the cursor, which
@@ -150,7 +166,7 @@ std::optional<std::uint32_t> Overlay::lowest_inactive_slot() const {
     }
     const auto slot = static_cast<std::uint32_t>(
         w * 64 + static_cast<std::size_t>(std::countr_zero(free)));
-    if (slot >= row_head_.size()) break;  // padding bits of the last word
+    if (slot >= rows_.size()) break;  // padding bits of the last word
     free_word_hint_ = w;
     return slot;
   }
@@ -159,7 +175,7 @@ std::optional<std::uint32_t> Overlay::lowest_inactive_slot() const {
 
 void Overlay::join(std::uint32_t peer, std::size_t target_links,
                    util::Rng& rng) {
-  CF_EXPECTS(peer < row_head_.size());
+  CF_EXPECTS(peer < rows_.size());
   CF_EXPECTS_MSG(!is_active(peer), "slot already active");
   set_active_bit(peer, true);
   list_insert(peer);
@@ -170,7 +186,7 @@ void Overlay::join(std::uint32_t peer, std::size_t target_links,
   join_weights_.clear();
   for (auto c : candidates) {
     join_weights_.push_back(
-        c == peer ? 0.0 : static_cast<double>(degree_[c]) + 1.0);
+        c == peer ? 0.0 : static_cast<double>(rows_[c].degree) + 1.0);
   }
   const std::size_t want =
       std::min(target_links, active_list_.size() - 1);
@@ -187,28 +203,29 @@ void Overlay::join(std::uint32_t peer, std::size_t target_links,
 }
 
 void Overlay::leave(std::uint32_t peer) {
-  CF_EXPECTS(peer < row_head_.size());
+  CF_EXPECTS(peer < rows_.size());
   CF_EXPECTS_MSG(is_active(peer), "slot not active");
-  for (std::uint32_t c = row_head_[peer]; c != kNullCell;
-       c = cells_[c].next) {
-    remove_directed(cells_[c].to, peer);
-  }
-  row_clear(peer);
+  for (const std::uint32_t nbr : neighbors(peer)) remove_directed(nbr, peer);
+  cells_in_use_ -= rows_[peer].degree;
+  rows_[peer].degree = 0;
   set_active_bit(peer, false);
   list_erase(peer);
 }
 
 bool Overlay::add_edge(std::uint32_t a, std::uint32_t b) {
-  CF_EXPECTS(a < row_head_.size() && b < row_head_.size());
+  CF_EXPECTS(a < rows_.size() && b < rows_.size());
   CF_EXPECTS_MSG(is_active(a) && is_active(b),
                  "both endpoints must be active");
   if (a == b) return false;
-  for (std::uint32_t c = row_head_[a]; c != kNullCell; c = cells_[c].next) {
-    if (cells_[c].to == b) return false;
+  // Rows are symmetric, so the shorter one decides, as in Graph::has_edge.
+  const bool a_shorter = rows_[a].degree <= rows_[b].degree;
+  const auto row = neighbors(a_shorter ? a : b);
+  if (std::find(row.begin(), row.end(), a_shorter ? b : a) != row.end()) {
+    return false;
   }
   if (cells_in_use_ + 2 > cells_.size()) {
     if (edges_dropped_ == 0) {
-      CF_LOG_WARN("edge pool exhausted (capacity "
+      CF_LOG_WARN("edge arena full (capacity "
                   << cells_.size()
                   << " cells); edge refused, further drops counted silently");
     }
@@ -221,49 +238,16 @@ bool Overlay::add_edge(std::uint32_t a, std::uint32_t b) {
 }
 
 void Overlay::remove_directed(std::uint32_t from, std::uint32_t to) {
-  // The linked rendering of the vector engine's swap-with-back removal:
-  // copy the tail's value over the removed entry, then drop the tail cell.
-  // Walk once, remembering the cell holding `to` and the tail's
-  // predecessor; the resulting order matches `*it = row.back(); pop_back()`
-  // exactly, which every RNG-consuming neighbor walk depends on.
-  std::uint32_t found = kNullCell;
-  std::uint32_t prev = kNullCell;
-  std::uint32_t prev_of_tail = kNullCell;
-  std::uint32_t prev_of_found = kNullCell;
-  for (std::uint32_t c = row_head_[from]; c != kNullCell;
-       c = cells_[c].next) {
-    if (found == kNullCell && cells_[c].to == to) {
-      found = c;
-      prev_of_found = prev;
-    }
-    if (cells_[c].next == kNullCell) prev_of_tail = prev;
-    prev = c;
-  }
-  if (found == kNullCell) return;
-  const std::uint32_t tail = row_tail_[from];
-  if (found == tail) {
-    // Removing the last entry: unlink the tail directly.
-    if (prev_of_found == kNullCell) {
-      row_head_[from] = kNullCell;
-      row_tail_[from] = kNullCell;
-    } else {
-      cells_[prev_of_found].next = kNullCell;
-      row_tail_[from] = prev_of_found;
-    }
-  } else {
-    cells_[found].to = cells_[tail].to;
-    if (prev_of_tail == kNullCell) {
-      // Tail had no predecessor: row has a single cell, so found == tail —
-      // handled above. Unreachable, kept as a guard.
-      row_head_[from] = kNullCell;
-      row_tail_[from] = kNullCell;
-    } else {
-      cells_[prev_of_tail].next = kNullCell;
-      row_tail_[from] = prev_of_tail;
-    }
-  }
-  free_cell(tail);
-  --degree_[from];
+  // The vector engine's swap-with-back removal inside the row's segment:
+  // the last entry moves into the removed entry's place.
+  Row& row = rows_[from];
+  const auto first = cells_.begin() + row.offset;
+  const auto last = first + row.degree;
+  const auto it = std::find(first, last, to);
+  if (it == last) return;
+  *it = *(last - 1);
+  --row.degree;
+  --cells_in_use_;
 }
 
 }  // namespace creditflow::p2p

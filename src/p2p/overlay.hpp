@@ -18,21 +18,24 @@
 // population — seeding, taxation, snapshots — bit-identical to the
 // pre-span engine that rebuilt the sorted vector on every call.
 //
-// Adjacency lives in a fixed-capacity EDGE POOL sized at construction: one
-// pool of 8-byte {neighbor, next} cells shared by every row, with freed
-// cells recycled through a free list. Joins and leaves therefore allocate
-// nothing — the million-peer market's churn path is heap-silent end to end.
-// Rows are singly-linked chains that reproduce the retired
-// vector<vector> engine's order EXACTLY: appends go to the tail, and
-// removals copy the tail's value over the removed cell before freeing the
-// tail (the linked-list rendering of swap-with-back + pop). Every
-// RNG-consuming walk over a neighbor list — candidate masks, seller picks,
-// join weights — sees the same sequence as before, bit for bit.
+// Adjacency lives in one fixed ARENA of 4-byte neighbor ids sized at
+// construction, in which each row is a contiguous segment {offset, degree,
+// capacity}. The rows reproduce the retired vector<vector> engine's order
+// EXACTLY: an append writes at the row's tail, and a removal moves the
+// row's last entry into the removed entry's place (swap-with-back + pop).
+// Every RNG-consuming walk over a neighbor list — candidate masks, seller
+// picks, join weights — sees the same sequence as before, bit for bit.
 //
-// Because rows are chains, there is no contiguous span to hand out;
-// neighbors are consumed through for_each_neighbor() (zero-copy visit) or
-// neighbors_into() (materialize into a caller-owned scratch buffer whose
-// lifetime the caller controls).
+// A full row moves to the arena's top with twice its capacity, leaving a
+// hole. When the top reaches the arena's end, the arena packs every row
+// down in offset order (holes and spare capacity go) and rotates the
+// growing row to the end, so any edge the cell count admits fits. Packing
+// sorts slot ids in a buffer reserved at construction: joins and leaves
+// allocate nothing, and the million-peer market's churn path is
+// heap-silent end to end.
+//
+// neighbors() hands out a row in place as a span; any join(), leave(),
+// add_edge() or init_from_graph() invalidates it.
 #pragma once
 
 #include <cstdint>
@@ -59,30 +62,25 @@ class Overlay {
   /// Activate slots 0..g.num_nodes()-1 with the edges of `g`.
   void init_from_graph(const graph::Graph& g);
 
-  [[nodiscard]] std::size_t capacity() const { return row_head_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return rows_.size(); }
   [[nodiscard]] std::size_t num_active() const { return active_list_.size(); }
   [[nodiscard]] bool is_active(std::uint32_t peer) const;
   [[nodiscard]] std::size_t degree(std::uint32_t peer) const {
-    CF_EXPECTS(peer < degree_.size());
-    return degree_[peer];
+    CF_EXPECTS(peer < rows_.size());
+    return rows_[peer].degree;
   }
 
-  /// Visit the peer's neighbors in row order (identical to the retired
-  /// vector engine's iteration order). The callback must not mutate the
-  /// overlay.
-  template <typename Fn>
-  void for_each_neighbor(std::uint32_t peer, Fn&& fn) const {
-    CF_EXPECTS(peer < row_head_.size());
-    for (std::uint32_t c = row_head_[peer]; c != kNullCell;
-         c = cells_[c].next) {
-      fn(cells_[c].to);
-    }
+  /// The peer's neighbors in row order (the retired vector engine's
+  /// iteration order), read in place.
+  ///
+  /// LIFETIME: the span aliases the arena; any join(), leave(), add_edge()
+  /// or init_from_graph() — and destruction — invalidates it.
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(
+      std::uint32_t peer) const {
+    CF_EXPECTS(peer < rows_.size());
+    const Row& row = rows_[peer];
+    return {cells_.data() + row.offset, row.degree};
   }
-
-  /// Materialize the peer's neighbor list (row order) into `out` (cleared
-  /// first). Allocation-free once `out` has reached its high-water
-  /// capacity; the caller owns the lifetime, so nested queries are safe.
-  void neighbors_into(std::uint32_t peer, std::vector<std::uint32_t>& out) const;
 
   /// Active peer ids in ascending order, O(1), no copy.
   ///
@@ -107,28 +105,27 @@ class Overlay {
   /// remain reachable). Requires the slot to be inactive.
   void join(std::uint32_t peer, std::size_t target_links, util::Rng& rng);
 
-  /// Deactivate a slot, removing all incident edges (cells return to the
-  /// pool's free list).
+  /// Deactivate a slot, removing all incident edges.
   void leave(std::uint32_t peer);
 
   /// Add one undirected edge between active peers; false on duplicates/self
-  /// (and, loudly, when the edge pool is exhausted).
+  /// (and, loudly, when the arena has fewer than two free cells).
   bool add_edge(std::uint32_t a, std::uint32_t b);
 
-  /// Pool introspection (tests and capacity planning).
+  /// Arena introspection (tests and capacity planning): cells are directed
+  /// neighbor entries, and one undirected edge takes two.
   [[nodiscard]] std::size_t edge_cell_capacity() const { return cells_.size(); }
   [[nodiscard]] std::size_t edge_cells_in_use() const { return cells_in_use_; }
-  /// Edges refused because the pool was exhausted.
+  /// Edges refused because the arena was full.
   [[nodiscard]] std::uint64_t edges_dropped() const { return edges_dropped_; }
 
  private:
-  static constexpr std::uint32_t kNullCell = 0xffffffffu;
-
-  /// One directed adjacency entry: a neighbor id and the next cell of the
-  /// owning row (or, on the free list, the next free cell).
-  struct EdgeCell {
-    std::uint32_t to;
-    std::uint32_t next;
+  /// One row's segment of the arena: cells [offset, offset + degree) hold
+  /// the neighbors, and the row may grow in place up to `capacity`.
+  struct Row {
+    std::uint32_t offset = 0;
+    std::uint32_t degree = 0;
+    std::uint32_t capacity = 0;
   };
 
   void remove_directed(std::uint32_t from, std::uint32_t to);
@@ -136,22 +133,18 @@ class Overlay {
   /// Ordered insert into / erase from the dense active array.
   void list_insert(std::uint32_t peer);
   void list_erase(std::uint32_t peer);
-  /// Pop a cell off the free list; kNullCell when the pool is exhausted.
-  std::uint32_t alloc_cell();
-  void free_cell(std::uint32_t cell);
   /// Append `to` at the tail of `from`'s row (vector push_back order).
   void row_push_back(std::uint32_t from, std::uint32_t to);
-  /// Return every cell of the row to the free list and reset the row.
-  void row_clear(std::uint32_t peer);
-  void reset_free_list();
+  /// Pack every row down tight in offset order, then move `grow` to the
+  /// end with all the cells left after it.
+  void pack(std::uint32_t grow);
 
-  std::vector<EdgeCell> cells_;               ///< the pool, fixed capacity
-  std::uint32_t free_head_ = kNullCell;       ///< free-list head
+  std::vector<std::uint32_t> cells_;          ///< the arena, fixed size
+  std::uint32_t top_ = 0;                     ///< cells at and above are free
   std::size_t cells_in_use_ = 0;
   std::uint64_t edges_dropped_ = 0;
-  std::vector<std::uint32_t> row_head_;       ///< per-peer chain head
-  std::vector<std::uint32_t> row_tail_;       ///< per-peer chain tail
-  std::vector<std::uint32_t> degree_;         ///< per-peer chain length
+  std::vector<Row> rows_;                     ///< per-slot segment
+  std::vector<std::uint32_t> pack_order_;     ///< scratch for pack()
   std::vector<std::uint64_t> active_words_;   ///< ceil(capacity/64) words
   std::vector<std::uint32_t> active_list_;    ///< active ids, ascending
   std::vector<double> join_weights_;          ///< scratch for join()

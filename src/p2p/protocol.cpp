@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "graph/generators.hpp"
 #include "util/assert.hpp"
@@ -13,17 +14,23 @@ namespace creditflow::p2p {
 
 namespace {
 
-/// Edge-pool sizing for the protocol's overlay: steady state holds
+/// Edge-arena sizing for the protocol's overlay: steady state holds
 /// ~mean_degree directed cells per peer (2E = N·d̄), churn joins burst
 /// 2·join_links more; a 2x headroom factor covers both with room for
-/// degree-distribution skew. 8 bytes per cell — the dominant per-peer cost
-/// at paper-default degree 20 is ~320 bytes/peer.
+/// degree-distribution skew. 4 bytes per cell — at paper-default degree 20
+/// about 160 bytes per slot. Computed in floating point, so an absurd
+/// degree is rejected before anything is allocated rather than wrapping.
 std::size_t protocol_edge_cells(std::size_t max_peers, double mean_degree,
                                 std::size_t join_links) {
   const double per_peer =
       std::max(mean_degree, 2.0 * static_cast<double>(join_links));
-  return max_peers *
-         static_cast<std::size_t>(std::ceil(per_peer)) * 2;
+  const double cells =
+      static_cast<double>(max_peers) * std::ceil(per_peer) * 2.0;
+  CF_EXPECTS_MSG(
+      cells <= static_cast<double>(std::numeric_limits<std::uint32_t>::max()),
+      "overlay edge arena above 2^32 - 1 cells (overlay degree or "
+      "churn.join_links too large for max_peers)");
+  return static_cast<std::size_t>(cells);
 }
 
 /// Samples scope duration (µs) into a histogram, but only while the tracer
@@ -873,8 +880,7 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   buyer_buffer.missing_into(missing_scratch_);
   auto& missing = missing_scratch_;
   if (missing.empty()) return;
-  overlay_.neighbors_into(buyer_id, neighbor_scratch_);
-  const std::span<const PeerId> neighbors = neighbor_scratch_;
+  const std::span<const PeerId> neighbors = overlay_.neighbors(buyer_id);
   if (neighbors.empty()) return;
 
   // Freshest-first: a fresh chunk stays sellable for the whole window while

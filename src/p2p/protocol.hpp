@@ -423,9 +423,6 @@ class StreamingProtocol : private sim::Simulator::Agent {
   /// The current buyer phase's seller candidates (rebuilt per buyer).
   PurchaseCandidates candidates_;
   std::vector<ChunkId> missing_scratch_;
-  /// Buyer's neighbor list, materialized once per purchase phase from the
-  /// overlay's edge-pool chain (allocation-free at high-water capacity).
-  std::vector<PeerId> neighbor_scratch_;
   /// Strategy-phase scratch (reserved to max_peers at construction when the
   /// corresponding population is configured, so the round loop stays
   /// allocation-free with strategies live).

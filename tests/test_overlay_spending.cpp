@@ -16,9 +16,8 @@ namespace {
 
 /// One overlay row, in row order. Every test reads rows through here.
 std::vector<std::uint32_t> row_of(const Overlay& o, std::uint32_t peer) {
-  std::vector<std::uint32_t> out;
-  o.neighbors_into(peer, out);
-  return out;
+  const auto row = o.neighbors(peer);
+  return {row.begin(), row.end()};
 }
 
 TEST(Overlay, InitFromGraph) {

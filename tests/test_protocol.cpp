@@ -290,5 +290,22 @@ TEST(Protocol, RejectsBadConfigs) {
   EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
 }
 
+TEST(Protocol, RejectsEdgeArenasBeyond32BitOffsets) {
+  // The overlay's arena is sized from the degree and the join links; a
+  // size past 2^32 - 1 cells is refused before it is allocated, where a
+  // size_t cast of 1e30 was undefined and 1e12 asked for terabytes.
+  sim::Simulator sim;
+  for (const double degree : {1e12, 1e30}) {
+    ProtocolConfig cfg = small_config();
+    cfg.overlay_mean_degree = degree;
+    EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError)
+        << "overlay_mean_degree " << degree;
+  }
+  ProtocolConfig cfg = small_config();
+  cfg.churn.enabled = true;
+  cfg.churn.join_links = std::size_t{1} << 40;
+  EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
+}
+
 }  // namespace
 }  // namespace creditflow::p2p
