@@ -33,31 +33,6 @@ std::size_t protocol_edge_cells(std::size_t max_peers, double mean_degree,
   return static_cast<std::size_t>(cells);
 }
 
-/// Samples scope duration (µs) into a histogram, but only while the tracer
-/// is enabled: per-buyer clock reads are observability-run cost, never
-/// steady-state hot-path cost.
-class ScopedLatencySample {
- public:
-  explicit ScopedLatencySample(util::Log2Histogram* hist)
-      : hist_(util::Tracer::enabled() ? hist : nullptr) {
-    if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedLatencySample() {
-    if (hist_ != nullptr) {
-      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-      hist_->add(static_cast<std::uint64_t>(us));
-    }
-  }
-  ScopedLatencySample(const ScopedLatencySample&) = delete;
-  ScopedLatencySample& operator=(const ScopedLatencySample&) = delete;
-
- private:
-  util::Log2Histogram* hist_;
-  std::chrono::steady_clock::time_point start_{};
-};
-
 }  // namespace
 
 StreamingProtocol::StreamingProtocol(ProtocolConfig config,
@@ -132,13 +107,10 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   tx_count_ = metrics_.counter_cell("market.transactions");
   tx_volume_ = metrics_.counter_cell("market.volume");
   liquidity_failures_ = metrics_.counter_cell("market.liquidity_failures");
-  tax_redistributions_ = metrics_.counter_cell("tax.redistributions");
-  injection_rounds_ = metrics_.counter_cell("injection.rounds");
   injection_minted_ = metrics_.counter_cell("injection.minted");
   churn_arrivals_ = metrics_.counter_cell("churn.arrivals");
   churn_arrivals_dropped_ = metrics_.counter_cell("churn.arrivals_dropped");
   churn_departures_ = metrics_.counter_cell("churn.departures");
-  churn_credits_taken_ = metrics_.counter_cell("churn.credits_taken");
   phase_width_ct_[PurchaseCandidates::kDynamicWords] =
       metrics_.counter_cell("purchase.phase_generic");
   phase_width_ct_[1] = metrics_.counter_cell("purchase.phase_one_word");
@@ -161,7 +133,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   book_bids_expired_ = metrics_.counter_cell("book.bids_expired");
   candidates_hist_ = metrics_.histogram_cell("purchase.candidates");
   queue_depth_hist_ = metrics_.histogram_cell("sim.queue_depth");
-  buyer_latency_hist_ = metrics_.histogram_cell("purchase.buyer_us");
 }
 
 StreamingProtocol::~StreamingProtocol() {
@@ -180,7 +151,6 @@ void StreamingProtocol::on_event(std::uint8_t kind, std::uint32_t arg,
       for (PeerId id : overlay_.active_peers()) {
         ledger_.mint(id, cfg_.injection.credits_per_peer);
       }
-      ++*injection_rounds_;
       *injection_minted_ +=
           cfg_.injection.credits_per_peer * overlay_.num_active();
       sim_.schedule(t + cfg_.injection.interval_seconds, agent_, kInjection);
@@ -350,9 +320,8 @@ void StreamingProtocol::handle_departure(PeerId id) {
     *stake_slashed_ += ledger_.slash_stake(id, cfg_.strat.stake_slash);
   }
   // The departing peer takes its credits out of the market.
-  const Credits taken = ledger_.burn_all(id);
+  ledger_.burn_all(id);
   ++*churn_departures_;
-  *churn_credits_taken_ += taken;
   tax_.forget_peer(id);
   overlay_.leave(id);
   // Nothing reads a dead slot's window, but an empty ownership row keeps a
@@ -492,7 +461,6 @@ void StreamingProtocol::run_round(double now) {
     const auto tax_start = std::chrono::steady_clock::now();
     while (tax_.try_redistribute(overlay_.num_active())) {
       ledger_.redistribute(overlay_.active_peers());
-      ++*tax_redistributions_;
     }
     tax_phase_seconds_ += std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - tax_start)
@@ -868,7 +836,6 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
 }
 
 void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
-  const ScopedLatencySample latency(buyer_latency_hist_);
   if (!overlay_.is_active(buyer_id)) return;  // departed mid-round
   const BufferMap& buyer_buffer = peers_.buffer(buyer_id);
 

@@ -444,13 +444,10 @@ class StreamingProtocol : private sim::Simulator::Agent {
   std::uint64_t* tx_count_ = nullptr;
   std::uint64_t* tx_volume_ = nullptr;
   std::uint64_t* liquidity_failures_ = nullptr;
-  std::uint64_t* tax_redistributions_ = nullptr;
-  std::uint64_t* injection_rounds_ = nullptr;
   std::uint64_t* injection_minted_ = nullptr;
   std::uint64_t* churn_arrivals_ = nullptr;
   std::uint64_t* churn_arrivals_dropped_ = nullptr;
   std::uint64_t* churn_departures_ = nullptr;
-  std::uint64_t* churn_credits_taken_ = nullptr;
   // Purchase-path dispatch counters, indexed by PurchaseCandidates::width():
   // how many buyer phases resolved through each candidate-mask width
   // (purchase.phase_generic / phase_one_word / phase_two_word).
@@ -475,13 +472,10 @@ class StreamingProtocol : private sim::Simulator::Agent {
   std::uint64_t* book_bids_expired_ = nullptr;
 
   // Histogram cells (stable for the registry lifetime, allocation-free
-  // add): candidate-set sizes per buyer phase (both modes), calendar depth
-  // sampled each round, and — only while the tracer is enabled, to keep
-  // the steady-state hot path free of per-buyer clock reads — per-buyer
-  // purchase-phase latency in microseconds.
+  // add): candidate-set sizes per buyer phase (both modes) and calendar
+  // depth sampled each round.
   util::Log2Histogram* candidates_hist_ = nullptr;
   util::Log2Histogram* queue_depth_hist_ = nullptr;
-  util::Log2Histogram* buyer_latency_hist_ = nullptr;
 
   // Trailing spend-rate window (begin_rate_window / windowed_spend_rates).
   std::vector<std::uint64_t> spent_marker_;

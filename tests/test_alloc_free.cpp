@@ -104,8 +104,7 @@ TEST(AllocationFreeCore, SteadyStateRoundLoopDoesNotAllocate) {
 }
 
 TEST(AllocationFreeCore, TaxationRoundsDoNotAllocate) {
-  // Taxation exercises the redistribution walk over the active span and
-  // the cached tax.redistributions counter cell.
+  // Taxation exercises the redistribution walk over the active span.
   p2p::ProtocolConfig cfg;
   cfg.initial_peers = 300;
   cfg.max_peers = 300;

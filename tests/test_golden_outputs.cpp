@@ -136,14 +136,13 @@ const std::vector<GoldenCell>& cells() {
       {"fig11_churn", "fig11_churn",
        {"churn.arrival_rate=1,2", "churn.mean_lifespan=100,200"}, 400.0, 2,
        0xbd9622db89f1920bULL, 0x1d7620dbf7cda782ULL, 0xc27d93ece3617262ULL},
-      // The same sweep with the span tracer (and the purchase-latency
-      // histogram it gates) live: same bytes.
+      // The same sweep with the span tracer live: same bytes.
       {"fig11_churn_traced", "fig11_churn",
        {"churn.arrival_rate=1,2", "churn.mean_lifespan=100,200"}, 400.0, 2,
        0xbd9622db89f1920bULL, 0x1d7620dbf7cda782ULL, 0xc27d93ece3617262ULL,
        /*traced=*/true},
       // The closed-market taxation case: redistribution over the active
-      // span and the cached tax.redistributions counter cell.
+      // span.
       {"fig09_taxation", "fig09_taxation", {"tax.rate=0.1,0.2"}, 400.0, 2,
        0x358101665fc3a5f4ULL, 0x2bdb17bb58addb64ULL, 0x5a2827253bad8536ULL,
        false, "purchase.phase_one_word"},
