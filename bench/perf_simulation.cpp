@@ -103,7 +103,9 @@ BENCHMARK(BM_BufferMapAdvance);
 // of the whole loop (measured around run_until, rounds == iterations) —
 // the number the allocation-free-core work is judged on —
 // phase_us_per_round its purchase-phase share. setup_s is the market's
-// construction plus start(), the overlay bootstrap included.
+// construction plus start(), the overlay bootstrap included. The overlay's
+// edge_cells_in_use and edge_cell_capacity, read at the end, show the edge
+// arena's share of the memory.
 void run_round_benchmark(benchmark::State& state, p2p::ProtocolConfig cfg,
                          double warm_seconds = 50.0) {
   const auto setup_start = std::chrono::steady_clock::now();
@@ -134,6 +136,10 @@ void run_round_benchmark(benchmark::State& state, p2p::ProtocolConfig cfg,
       (proto.purchase_phase_seconds() - phase_before) * 1e6 / rounds;
   state.counters["peak_rss_bytes"] = peak_rss_bytes();
   state.counters["setup_s"] = setup_seconds;
+  state.counters["edge_cells_in_use"] =
+      static_cast<double>(proto.overlay().edge_cells_in_use());
+  state.counters["edge_cell_capacity"] =
+      static_cast<double>(proto.overlay().edge_cell_capacity());
 }
 
 void BM_ProtocolRound(benchmark::State& state) {

@@ -5,9 +5,13 @@ GitHub-flavored markdown table.
 Input: a google-benchmark JSON export containing BM_SimulationCoreScale
 runs (one per peer count). Output: scaling_curve.csv with columns
 (peers, setup_s, round_us_per_round, phase_us_per_round, us_per_peer_round,
-bytes_per_peer, peak_rss_bytes), plus the same rows as a markdown table on
-stdout — the CI job appends that to $GITHUB_STEP_SUMMARY. setup_s is the
-market's construction plus start(), the overlay bootstrap included.
+bytes_per_peer, peak_rss_bytes, edge_cells_in_use, edge_cell_capacity),
+plus the rows up to peak_rss_bytes as a markdown table on stdout — the CI
+job appends that to $GITHUB_STEP_SUMMARY. setup_s is the market's
+construction plus start(), the overlay bootstrap included. The two
+edge-cell columns count the overlay's edge arena at the end of the run,
+its cells in use and its fixed size, so its share of bytes_per_peer shows
+at every size.
 
   scaling_curve.py BENCH_scaling.json --csv scaling_curve.csv
 """
@@ -21,7 +25,8 @@ import re
 import sys
 
 COLUMNS = ("peers", "setup_s", "round_us_per_round", "phase_us_per_round",
-           "us_per_peer_round", "bytes_per_peer", "peak_rss_bytes")
+           "us_per_peer_round", "bytes_per_peer", "peak_rss_bytes",
+           "edge_cells_in_use", "edge_cell_capacity")
 
 
 def extract_rows(path: str) -> list[dict]:
@@ -48,6 +53,8 @@ def extract_rows(path: str) -> list[dict]:
                 round(float(bench.get("bytes_per_peer", 0.0)), 0),
             "peak_rss_bytes":
                 round(float(bench.get("peak_rss_bytes", 0.0)), 0),
+            "edge_cells_in_use": int(bench.get("edge_cells_in_use", 0)),
+            "edge_cell_capacity": int(bench.get("edge_cell_capacity", 0)),
         })
     rows.sort(key=lambda r: r["peers"])
     return rows
