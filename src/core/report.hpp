@@ -41,8 +41,8 @@ struct MarketReport {
   double horizon = 0.0;
   bool ledger_conserved = true;
 
-  // Overlay health (PR-7 SoA edge pool): joins whose preferential links
-  // were dropped because the fixed edge pool was exhausted.
+  // Overlay health: joins whose preferential links were dropped because
+  // the overlay's fixed edge arena was full.
   std::uint64_t overlay_edges_dropped = 0;
   std::uint64_t churn_arrivals_dropped = 0;
 

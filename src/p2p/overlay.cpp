@@ -84,9 +84,9 @@ void Overlay::pack(std::uint32_t grow) {
     row.capacity = row.degree;
     packed += row.degree;
   }
-  // Rotate `grow` behind every other row, so the free cells follow it:
-  // with c cells in use, it gets room for degree + (capacity - c) cells,
-  // at least one more than it holds whenever add_edge admitted the edge.
+  // Rotate `grow` behind every other row, so every free cell follows it:
+  // at least one whenever add_edge admitted the edge (cells in use + 2
+  // <= arena size before the edge's first append).
   Row& g = rows_[grow];
   if (g.degree > 0) {
     const auto at =
@@ -107,7 +107,6 @@ void Overlay::init_from_graph(const graph::Graph& g) {
                  "edge arena smaller than the bootstrap graph");
   std::fill(rows_.begin(), rows_.end(), Row{});
   top_ = 0;
-  cells_in_use_ = 0;
   std::fill(active_words_.begin(), active_words_.end(), 0);
   active_list_.clear();
   free_word_hint_ = 0;

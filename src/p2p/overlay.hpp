@@ -53,10 +53,11 @@ namespace creditflow::p2p {
 class Overlay {
  public:
   /// Create with a fixed slot capacity; all slots start inactive.
-  /// `edge_cells` fixes the pool size (directed cells: one undirected edge
-  /// consumes two); 0 picks a generous default for paper-scale overlays.
-  /// The pool never grows — when it is exhausted add_edge() refuses the
-  /// edge (logged once, counted) instead of allocating.
+  /// `edge_cells` fixes the arena size (directed cells: one undirected edge
+  /// consumes two; at most 2^32 - 1); 0 picks a generous default for
+  /// paper-scale overlays. The arena never grows — when it is full
+  /// add_edge() refuses the edge (logged once, counted) instead of
+  /// allocating.
   explicit Overlay(std::size_t max_peers, std::size_t edge_cells = 0);
 
   /// Activate slots 0..g.num_nodes()-1 with the edges of `g`.

@@ -9,7 +9,7 @@
 // allocation-free core end to end — window advance, seeding, the purchase
 // phase, taxation, and the calendar's fire/reschedule cycle — not just one
 // subsystem. Membership churn is covered twice: the overlay's
-// fixed-capacity edge pool makes join/leave heap-silent, so a warmed
+// fixed-capacity edge arena makes join/leave heap-silent, so a warmed
 // overlay must absorb sustained join/leave bursts at zero allocations, and
 // churn markets must run their arrival and departure events at zero
 // allocations too (a pending departure is a 24-byte calendar record).
@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "p2p/overlay.hpp"
@@ -139,6 +140,7 @@ struct BurstOutcome {
   std::uint64_t allocations = 0;  ///< inside the measured burst
   std::size_t cells_appended = 0;  ///< by the measured burst's joins
   std::size_t high_water = 0;      ///< most cells in use at once
+  std::size_t rows_moved_down = 0;  ///< rows the burst saw packed
 };
 
 /// Bootstraps `overlay` from `g`, warms it to its slot capacity once, then
@@ -158,6 +160,17 @@ BurstOutcome overlay_join_leave_burst(p2p::Overlay& overlay,
   for (std::uint32_t p = 300; p < 420; ++p) join(p);
   for (std::uint32_t p = 350; p < 420; ++p) overlay.leave(p);
 
+  // A row moves only up, to the arena's top, unless the arena packs it
+  // down: a row seen at a lower address than before has been packed.
+  std::vector<const std::uint32_t*> seen(overlay.capacity(), nullptr);
+  const auto note_moves = [&] {
+    for (const std::uint32_t p : overlay.active_peers()) {
+      const std::uint32_t* at = overlay.neighbors(p).data();
+      if (seen[p] != nullptr && at < seen[p]) ++out.rows_moved_down;
+      seen[p] = at;
+    }
+  };
+  note_moves();
   const std::uint64_t before = g_allocations.load();
   for (int round = 0; round < 100; ++round) {
     for (int k = 0; k < 20; ++k) {
@@ -167,15 +180,17 @@ BurstOutcome overlay_join_leave_burst(p2p::Overlay& overlay,
         break;
       }
       out.cells_appended += join(*slot);
+      note_moves();
     }
     for (std::uint32_t p = 350; p < 370; ++p) overlay.leave(p);
+    note_moves();
   }
   out.allocations = g_allocations.load() - before;
   return out;
 }
 
 TEST(AllocationFreeCore, OverlayJoinLeaveBurstsDoNotAllocate) {
-  // The edge-pool property head on: once the overlay has seen its
+  // The edge-arena property head on: once the overlay has seen its
   // high-water population once (join-weight scratch at capacity),
   // arbitrary join/leave bursts touch the pool and nothing else. Zero
   // allocations, not amortized.
@@ -186,21 +201,22 @@ TEST(AllocationFreeCore, OverlayJoinLeaveBurstsDoNotAllocate) {
   p2p::Overlay overlay(420);
   const auto roomy = overlay_join_leave_burst(overlay, g, rng);
   EXPECT_EQ(roomy.allocations, 0u)
-      << "join/leave burst allocated on the edge pool";
+      << "join/leave burst allocated on the edge arena";
   EXPECT_EQ(overlay.edges_dropped(), 0u)
-      << "edge pool too small for the burst";
+      << "edge arena too small for the burst";
 
-  // A pool a few cells above the same burst's high-water mark: the burst
-  // appends several times the pool's cells, so the pool must reclaim the
-  // cells that leaves free inside the measured window.
+  // An arena a few cells above the same burst's high-water mark: the
+  // burst appends more than twice the arena's cells, and the arena packs
+  // its rows down inside the measured window.
   p2p::Overlay tight(420, roomy.high_water + 8);
   const auto packed = overlay_join_leave_burst(tight, g, rng);
   EXPECT_GT(packed.cells_appended, 2 * tight.edge_cell_capacity());
+  EXPECT_GT(packed.rows_moved_down, 0u) << "the arena never packed";
   EXPECT_EQ(packed.high_water, roomy.high_water);
   EXPECT_EQ(packed.allocations, 0u)
-      << "join/leave burst allocated on a tight edge pool";
+      << "join/leave burst allocated on a tight edge arena";
   EXPECT_EQ(tight.edges_dropped(), 0u)
-      << "tight edge pool refused an edge the live rows had room for";
+      << "tight edge arena refused an edge the live rows had room for";
 }
 
 TEST(AllocationFreeCore, OrderBookSteadyStateDoesNotAllocate) {
