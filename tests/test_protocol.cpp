@@ -1,7 +1,9 @@
 // Tests for p2p/protocol: the streaming market engine — conservation,
-// content flow, taxation, churn, and the condensed-vs-balanced regimes.
+// content flow, taxation, churn, the availability-uniform routing rule,
+// and the condensed-vs-balanced regimes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "p2p/protocol.hpp"
@@ -196,6 +198,41 @@ TEST(Protocol, CondensedRegimeProducesInequality) {
   EXPECT_GT(condensed, balanced + 0.2);
   EXPECT_GT(condensed, 0.5);
   EXPECT_LT(balanced, 0.45);
+}
+
+TEST(Protocol, AvailabilityUniformIgnoresRowOrder) {
+  // The paper's routing rule: a chunk's seller is uniform among the
+  // buyer's neighbors that own it and can still sell, so a seller's place
+  // in the buyer's neighbor row carries no weight. In a static market the
+  // rows stay the bootstrap rows, and the seller's position divided by
+  // degree - 1 averages 1/2 over the trades; a rule that favours the front
+  // of the row (always the first owner) reads about 0.3.
+  for (const std::uint64_t seed : {1ull, 17ull, 2012ull, 5ull}) {
+    ProtocolConfig cfg;
+    cfg.initial_peers = 80;
+    cfg.max_peers = 120;
+    cfg.initial_credits = 40;
+    cfg.seed = seed;
+    sim::Simulator sim;
+    StreamingProtocol proto(cfg, sim);
+    proto.trace().set_keep_records(true);
+    proto.start();
+    sim.run_until(60.0);
+    double sum = 0.0;
+    std::size_t trades = 0;
+    for (const TransactionRecord& r : proto.trace().records()) {
+      const auto row = proto.overlay().neighbors(r.buyer);
+      const auto at = std::find(row.begin(), row.end(), r.seller);
+      ASSERT_NE(at, row.end()) << "seed " << seed << ": seller off the row";
+      if (row.size() < 2) continue;
+      sum += static_cast<double>(at - row.begin()) /
+             static_cast<double>(row.size() - 1);
+      ++trades;
+    }
+    ASSERT_GT(trades, 1000u) << "seed " << seed;
+    EXPECT_NEAR(sum / static_cast<double>(trades), 0.5, 0.05)
+        << "seed " << seed;
+  }
 }
 
 TEST(Protocol, DynamicSpendingReducesInequalityVsFixed) {

@@ -9,6 +9,9 @@
 //    production and reproduced these markets transaction for transaction;
 //  * pinned order-book markets, hashed the same way, captured while the
 //    book still crossed by its own per-chunk neighbor scan;
+//  * the fill-weighted, cheapest-ask and limit-crossing seller rules on
+//    the hub overlay, hashed the same way, captured while the direct
+//    choice and the book crossing were still two separate switches;
 //  * the phase-width counters: a buyer with no candidates counts as a
 //    one-word phase when its window fits one word;
 //  * the ownership-row invariant: PeerTable::owned() is the buffer's own
@@ -388,6 +391,74 @@ TEST(PinnedMarkets, OrderBookHubDegrees) {
   EXPECT_EQ(market_hash(cfg, 60.0), 0xb9dc09102d103f12ULL);
   cfg.book.cross = Cross::kFillWeighted;
   EXPECT_EQ(market_hash(cfg, 60.0), 0x2d463ed07f9693d0ULL);
+}
+
+TEST(PinnedMarkets, HubSellerRules) {
+  // The seller rules the pins above cover only on the one-word overlay,
+  // on the hub overlay: fill-weighted choice with Poisson prices,
+  // cheapest-ask choice with per-seller prices, and adaptive limit
+  // crossing. Each runs at window 48 (two-word masks) and with a 96-chunk
+  // window (two-word and generic masks), the direct rows there at the
+  // backlogged rates of HubDegreesSupplyLimited.
+  enum class Rule { kFillWeighted, kCheapestAsk, kLimit };
+  struct Row {
+    Rule rule;
+    std::size_t window;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {Rule::kFillWeighted, 48, 0xdb8c68a45a0a425dULL},
+      {Rule::kFillWeighted, 96, 0x05d28f8a3dc8ed04ULL},
+      {Rule::kCheapestAsk, 48, 0x8644762591fef74eULL},
+      {Rule::kCheapestAsk, 96, 0x4fa1019598bde051ULL},
+      {Rule::kLimit, 48, 0xe20d63c13e40a864ULL},
+      {Rule::kLimit, 96, 0x6370c1bfe5227ecdULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message() << "rule " << static_cast<int>(row.rule)
+                                      << " window " << row.window);
+    auto cfg = hub_config(1);
+    switch (row.rule) {
+      case Rule::kFillWeighted:
+        cfg.seller_choice = ProtocolConfig::SellerChoice::kFillWeighted;
+        cfg.pricing.kind = econ::PricingKind::kPoisson;
+        cfg.pricing.poisson_mean = 1.0;
+        break;
+      case Rule::kCheapestAsk:
+        cfg.seller_choice = ProtocolConfig::SellerChoice::kCheapestAsk;
+        cfg.pricing.kind = econ::PricingKind::kPerSeller;
+        break;
+      case Rule::kLimit:
+        cfg.market_mode = ProtocolConfig::MarketMode::kOrderBook;
+        cfg.book.ask_pricing =
+            ProtocolConfig::OrderBookConfig::AskPricing::kAdaptive;
+        cfg.book.cross = ProtocolConfig::OrderBookConfig::CrossStrategy::kLimit;
+        cfg.book.seller_fraction = 1.0;
+        cfg.book.limit_price = 2;
+        break;
+    }
+    if (row.window == 96) {
+      cfg.window_chunks = 96;
+      cfg.max_purchase_attempts = 96;
+      if (row.rule != Rule::kLimit) {
+        cfg.stream_rate = 2.4;
+        cfg.upload_capacity = 2.0;
+        cfg.base_spend_rate = 7.2;
+      }
+    }
+    const auto inspect = [&](const StreamingProtocol& proto) {
+      const auto& m = proto.metrics();
+      EXPECT_GT(m.counter("purchase.phase_two_word"), 0u);
+      if (row.window == 96) {
+        EXPECT_GT(m.counter("purchase.phase_generic"), 0u);
+      }
+      if (row.rule == Rule::kLimit) {
+        EXPECT_GT(m.counter("book.bids_posted"), 0u);
+        EXPECT_GT(m.counter("book.bids_matched"), 0u);
+      }
+    };
+    EXPECT_EQ(market_hash(cfg, 60.0, kHashBasis, inspect), row.hash);
+  }
 }
 
 TEST(PurchaseCandidates, EmptySetsTakeTheOneWordPath) {
