@@ -612,7 +612,11 @@ void StreamingProtocol::book_post_asks() {
         continue;
       }
     }
-    const auto qty = static_cast<std::uint32_t>(upload_budget_[id]);
+    // The budget floored into the ask's 32-bit quantity, saturating: a
+    // budget of 2^32 or more outlasts any round's demand anyway.
+    const auto qty = static_cast<std::uint32_t>(std::min(
+        upload_budget_[id],
+        static_cast<double>(std::numeric_limits<std::uint32_t>::max())));
     if (qty == 0) {
       // No capacity to offer this round: an ask left resting would be
       // ghost supply, so it expires (drain expiry).

@@ -285,6 +285,35 @@ TEST(OrderBookProtocol, LimitZeroBidsRestOncePerBuyer) {
   EXPECT_EQ(metrics.counter("book.bids_matched"), 0u);
 }
 
+TEST(OrderBookProtocol, HugeUploadBudgetsSaturateTheAsk) {
+  // An ask's quantity is the seller's upload budget floored into 32 bits.
+  // A budget of 2^32 or more saturates at UINT32_MAX; a bare cast there is
+  // undefined, and on x86-64 it posted 0 units at 2^32 and 1e20 and one
+  // unit at 2^32 + 1.5, so the book lost its supply. Each of these budgets
+  // outlasts every round's demand, so the four markets trade alike.
+  std::uint64_t fills = 0;
+  std::uint64_t volume = 0;
+  for (const double capacity :
+       {4294967295.0, 4294967296.0, 4294967297.5, 1e20}) {
+    SCOPED_TRACE(::testing::Message() << "upload_capacity " << capacity);
+    auto cfg = book_config(25);
+    cfg.upload_capacity = capacity;
+    sim::Simulator sim;
+    p2p::StreamingProtocol proto(cfg, sim);
+    proto.start();
+    sim.run_until(100.0);
+    const auto& metrics = proto.metrics();
+    if (fills == 0) {
+      fills = metrics.counter("book.fills");
+      volume = metrics.counter("book.volume");
+      ASSERT_GT(fills, 0u);
+      ASSERT_GT(volume, 0u);
+    }
+    EXPECT_EQ(metrics.counter("book.fills"), fills);
+    EXPECT_EQ(metrics.counter("book.volume"), volume);
+  }
+}
+
 TEST(OrderBookProtocol, DirectModeCarriesNoBook) {
   sim::Simulator sim;
   p2p::ProtocolConfig cfg;
