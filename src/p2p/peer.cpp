@@ -20,8 +20,6 @@ PeerTable::PeerTable(std::size_t max_peers, std::size_t window_chunks)
       chunks_downloaded_(max_peers, 0),
       chunks_uploaded_(max_peers, 0),
       chunks_seeded_(max_peers, 0),
-      failed_affordability_(max_peers, 0),
-      failed_availability_(max_peers, 0),
       strategy_(max_peers, 0),
       activations_(max_peers, 0) {
   CF_EXPECTS(max_peers > 0);
@@ -41,8 +39,6 @@ void PeerTable::reset_slot(PeerId i, double now) {
   chunks_downloaded_[i] = 0;
   chunks_uploaded_[i] = 0;
   chunks_seeded_[i] = 0;
-  failed_affordability_[i] = 0;
-  failed_availability_[i] = 0;
 }
 
 }  // namespace creditflow::p2p

@@ -85,12 +85,6 @@ class PeerTable {
   [[nodiscard]] std::uint64_t& chunks_seeded(PeerId i) {
     return chunks_seeded_[i];
   }
-  [[nodiscard]] std::uint64_t& failed_affordability(PeerId i) {
-    return failed_affordability_[i];
-  }
-  [[nodiscard]] std::uint64_t& failed_availability(PeerId i) {
-    return failed_availability_[i];
-  }
 
   /// Behavioral strategy of the slot's occupant (hash-assigned at
   /// activation; kHonest everywhere when the strategy layer is off).
@@ -149,8 +143,6 @@ class PeerTable {
   std::vector<std::uint64_t> chunks_downloaded_;
   std::vector<std::uint64_t> chunks_uploaded_;
   std::vector<std::uint64_t> chunks_seeded_;
-  std::vector<std::uint64_t> failed_affordability_;
-  std::vector<std::uint64_t> failed_availability_;
   std::vector<std::uint8_t> strategy_;
   std::vector<std::uint32_t> activations_;
 };

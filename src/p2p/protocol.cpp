@@ -777,18 +777,12 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
     const bool have_seller =
         book_mode ? book_cross<Words>(buyer_id, chunk, seller_id, price)
                   : pick_seller<Words>(chunk, seller_id);
-    if (!have_seller) {
-      ++peers_.failed_availability(buyer_id);
-      continue;
-    }
+    if (!have_seller) continue;
     if (!book_mode) price = pricing_->price(seller_id, chunk);
 
-    if (static_cast<double>(price) > budget) {
-      ++peers_.failed_affordability(buyer_id);
-      continue;  // cheaper chunks later in the window may still fit
-    }
+    // Cheaper chunks later in the window may still fit the budget.
+    if (static_cast<double>(price) > budget) continue;
     if (price > 0 && !ledger_.transfer(buyer_id, seller_id, price)) {
-      ++peers_.failed_affordability(buyer_id);
       ++*liquidity_failures_;
       continue;
     }
