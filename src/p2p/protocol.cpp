@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "util/assert.hpp"
@@ -101,6 +102,14 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
     book_price_.assign(cfg_.max_peers, cfg_.book.base_price);
     book_posted_.assign(cfg_.max_peers, 0);
     book_sold_.assign(cfg_.max_peers, 0);
+  }
+  using Cross = ProtocolConfig::OrderBookConfig::CrossStrategy;
+  using Choice = ProtocolConfig::SellerChoice;
+  if (book_ != nullptr ? cfg_.book.cross == Cross::kFillWeighted
+                       : cfg_.seller_choice == Choice::kFillWeighted) {
+    seller_rule_ = SellerRule::kWeighted;
+  } else if (book_ != nullptr || cfg_.seller_choice == Choice::kCheapestAsk) {
+    seller_rule_ = SellerRule::kCheapest;
   }
   upload_budget_.assign(cfg_.max_peers, 0.0);
   round_order_.reserve(cfg_.max_peers);  // churn may fill every slot
@@ -660,103 +669,57 @@ bool StreamingProtocol::is_book_seller(PeerId id) const {
 }
 
 template <std::size_t Words>
-bool StreamingProtocol::book_cross(PeerId buyer, ChunkId chunk,
-                                   PeerId& seller_out,
-                                   econ::Credits& price_out) {
+bool StreamingProtocol::choose_seller(ChunkId chunk, PeerId& seller) {
   const auto sellers = candidates_.sellers<Words>(chunk);
-  const auto strategy = cfg_.book.cross;
-  using Cross = ProtocolConfig::OrderBookConfig::CrossStrategy;
-  if (strategy == Cross::kFillWeighted) {
-    // Demand spread across the book's depth: candidate asks weighted by
-    // their remaining quantity, so deep levels absorb proportionally more
-    // flow than a best-ask stampede would send them.
-    seller_ids_.clear();
-    seller_weights_.clear();
-    sellers.for_each([this](PeerId candidate) {
-      seller_ids_.push_back(candidate);
-      seller_weights_.push_back(
-          static_cast<double>(book_->ask_quantity(candidate)));
-    });
-    if (seller_ids_.empty()) return false;
-    const PeerId pick = seller_ids_[rng_.discrete(seller_weights_)];
-    seller_out = pick;
-    price_out = book_->ask_price(pick);
-    return true;
-  }
-  // kBestAsk / kLimit: price-time priority over the candidate set, a
-  // min-scan on (price, seq); seqs are unique, so walk order is moot.
-  PeerId best = 0;
-  econ::Credits best_price = 0;
-  std::uint64_t best_seq = 0;
-  bool have = false;
-  sellers.for_each([&](PeerId candidate) {
-    const econ::Credits p = book_->ask_price(candidate);
-    const std::uint64_t s = book_->ask_seq(candidate);
-    if (!have || p < best_price || (p == best_price && s < best_seq)) {
-      have = true;
-      best = candidate;
-      best_price = p;
-      best_seq = s;
-    }
-  });
-  if (!have) return false;
-  if (strategy == Cross::kLimit && best_price > cfg_.book.limit_price) {
-    // The market is above the buyer's limit: rest a bid (standing intent,
-    // re-posting refreshes it) and wait for asks to come down.
-    if (!book_->has_bid(buyer)) ++*book_bids_posted_;
-    book_->post_bid(buyer, cfg_.book.limit_price);
-    return false;
-  }
-  seller_out = best;
-  price_out = best_price;
-  return true;
-}
-
-template <std::size_t Words>
-bool StreamingProtocol::pick_seller(ChunkId chunk, PeerId& seller) {
-  using Choice = ProtocolConfig::SellerChoice;
-  const auto sellers = candidates_.sellers<Words>(chunk);
-  switch (cfg_.seller_choice) {
-    case Choice::kFillWeighted:
-      // Weight by the seller's buffer fill: concentrates demand on
-      // chunk-rich (typically wealthy) peers — the rich-get-richer
-      // ablation.
-      seller_ids_.clear();
-      seller_weights_.clear();
-      sellers.for_each([this](PeerId candidate) {
-        seller_ids_.push_back(candidate);
-        seller_weights_.push_back(
-            static_cast<double>(peers_.buffer(candidate).count()) + 1.0);
-      });
-      if (seller_ids_.empty()) return false;
-      seller = seller_ids_[rng_.discrete(seller_weights_)];
+  const market::OrderBook* book = book_.get();
+  switch (seller_rule_) {
+    case SellerRule::kUniform: {
+      // Availability-driven routing (the paper's transfer probabilities):
+      // uniform among the neighbors that own the chunk and can still sell.
+      // Capacity shapes income only through saturation (the seller test),
+      // so λ_i is wealth-independent — the Jackson structure.
+      const std::size_t num_sellers = sellers.count();
+      if (num_sellers == 0) return false;
+      seller = sellers.nth(uniform_pick(num_sellers));
       return true;
-    case Choice::kCheapestAsk: {
-      // Procurement auction: the cheapest ask wins, ties to the earliest
-      // neighbor in list order.
-      bool found = false;
-      econ::Credits best = 0;
+    }
+    case SellerRule::kWeighted:
+      // Direct: the buffer fill concentrates demand on chunk-rich
+      // (typically wealthy) peers, the rich-get-richer ablation. Book: deep
+      // asks absorb proportionally more flow than a best-ask stampede
+      // would send them.
+      seller_weights_.clear();
       sellers.for_each([&](PeerId candidate) {
-        const econ::Credits ask = pricing_->price(candidate, chunk);
-        if (!found || ask < best) {
+        seller_weights_.push_back(
+            book != nullptr
+                ? static_cast<double>(book->ask_quantity(candidate))
+                : static_cast<double>(peers_.buffer(candidate).count()) +
+                      1.0);
+      });
+      if (seller_weights_.empty()) return false;
+      seller = sellers.nth(rng_.discrete(seller_weights_));
+      return true;
+    case SellerRule::kCheapest: {
+      // Procurement auction or price-time priority: a min-scan on
+      // (price, seq). Posted prices carry seq 0, so ties go to the earliest
+      // neighbor in list order; ask seqs are unique.
+      bool found = false;
+      std::pair<econ::Credits, std::uint64_t> best;
+      sellers.for_each([&](PeerId candidate) {
+        const auto key =
+            book != nullptr
+                ? std::pair{book->ask_price(candidate), book->ask_seq(candidate)}
+                : std::pair{pricing_->price(candidate, chunk), std::uint64_t{0}};
+        if (!found || key < best) {
           found = true;
-          best = ask;
+          best = key;
           seller = candidate;
         }
       });
       return found;
     }
-    case Choice::kAvailabilityUniform:
-      break;
   }
-  // Availability-driven routing (the paper's transfer probabilities):
-  // uniform among the neighbors that own the chunk and still have upload
-  // budget. Capacity shapes income only through saturation (the budget
-  // filter), so λ_i is wealth-independent — the Jackson structure.
-  const std::size_t num_sellers = sellers.count();
-  if (num_sellers == 0) return false;
-  seller = sellers.nth(uniform_pick(num_sellers));
-  return true;
+  return false;
 }
 
 template <std::size_t Words>
@@ -765,21 +728,25 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
                                     std::size_t purchase_cap, double budget,
                                     double now) {
   const bool book_mode = book_ != nullptr;
+  const bool limit =
+      book_mode &&
+      cfg_.book.cross == ProtocolConfig::OrderBookConfig::CrossStrategy::kLimit;
   BufferMap& buyer_buffer = peers_.buffer(buyer_id);
   std::size_t purchased = 0;
   for (const ChunkId chunk : missing) {
     if (purchased >= purchase_cap) break;
     if (budget <= 0.0) break;
     PeerId seller_id = 0;
-    econ::Credits price = 0;
-    // Order-book market: cross the resting asks instead of picking a
-    // seller directly; the transacted price is the ask's.
-    const bool have_seller =
-        book_mode ? book_cross<Words>(buyer_id, chunk, seller_id, price)
-                  : pick_seller<Words>(chunk, seller_id);
-    if (!have_seller) continue;
-    if (!book_mode) price = pricing_->price(seller_id, chunk);
-
+    if (!choose_seller<Words>(chunk, seller_id)) continue;
+    const econ::Credits price = book_mode ? book_->ask_price(seller_id)
+                                          : pricing_->price(seller_id, chunk);
+    if (limit && price > cfg_.book.limit_price) {
+      // The market is above the buyer's limit: rest a bid (standing intent,
+      // re-posting refreshes it) and wait for asks to come down.
+      if (!book_->has_bid(buyer_id)) ++*book_bids_posted_;
+      book_->post_bid(buyer_id, cfg_.book.limit_price);
+      continue;
+    }
     // Cheaper chunks later in the window may still fit the budget.
     if (static_cast<double>(price) > budget) continue;
     if (price > 0 && !ledger_.transfer(buyer_id, seller_id, price)) {

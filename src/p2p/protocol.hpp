@@ -149,9 +149,10 @@ struct ProtocolConfig {
     ///  * kFixedMarkup — every ask at round(base_price * (1 + ask_markup)).
     ///  * kAdaptive — per-seller tâtonnement: every reprice_rounds rounds a
     ///    seller raises its price one credit when its posted quantity
-    ///    mostly sold (fill ratio >= fill_hi) and cuts one credit when
-    ///    almost nothing sold (<= fill_lo). Supply and demand then walk
-    ///    each market toward its clearing price.
+    ///    mostly sold (fill ratio >= 0.6) and cuts one credit when almost
+    ///    nothing sold (<= 0.1); both thresholds are constants in
+    ///    book_post_asks, not knobs. Supply and demand then walk each
+    ///    market toward its clearing price.
     enum class AskPricing { kFixedMarkup, kAdaptive };
     AskPricing ask_pricing = AskPricing::kFixedMarkup;
     double ask_markup = 0.0;        ///< fixed-markup premium over base_price
@@ -340,16 +341,29 @@ class StreamingProtocol : private sim::Simulator::Agent {
     return upload_budget_[id] >= 1.0 && (!book_ || book_->has_ask(id));
   }
   /// One buyer's purchases over `missing`, sellers read from this phase's
-  /// candidates (crossing the book in an order-book market). Words =
+  /// candidates: choose, price (the resting ask's price in an order-book
+  /// market, the pricing scheme's otherwise), settle. Words =
   /// candidates_.width(), chosen once per buyer.
   template <std::size_t Words>
   void buy_missing(PeerId buyer_id, std::span<const ChunkId> missing,
                    std::size_t purchase_cap, double budget, double now);
-  /// Pick a seller for wanted chunk `chunk` among this phase's candidates
-  /// per cfg_.seller_choice; false when no neighbor owns it with upload
-  /// budget left.
+  /// How choose_seller picks among a wanted chunk's candidates, fixed at
+  /// construction from market_mode, seller_choice and book.cross:
+  ///  * kUniform — uniform among them: the paper's availability-driven
+  ///    routing (seller_choice kAvailabilityUniform, direct market).
+  ///  * kWeighted — a draw weighted by the buffer fill + 1 (seller_choice
+  ///    kFillWeighted) or, in an order-book market, by the ask's remaining
+  ///    quantity (book.cross kFillWeighted).
+  ///  * kCheapest — the least (price, seq) in walk order, strict <: the
+  ///    posted price with seq 0, so ties go to the earliest neighbor
+  ///    (seller_choice kCheapestAsk), or the ask's (price, seq), price-time
+  ///    priority (book.cross kBestAsk and kLimit; buy_missing rests a bid
+  ///    when a kLimit buyer's cheapest ask is above book.limit_price).
+  enum class SellerRule : std::uint8_t { kUniform, kWeighted, kCheapest };
+  /// Choose a seller for wanted chunk `chunk` among this phase's
+  /// candidates by seller_rule_; false when it has none.
   template <std::size_t Words>
-  bool pick_seller(ChunkId chunk, PeerId& seller);
+  bool choose_seller(ChunkId chunk, PeerId& seller);
   /// Order-book round opening: every participating seller posts (or
   /// replaces) its ask — quantity from this round's upload budget, price
   /// from the ask-pricing policy (adaptive repricing on its cadence).
@@ -357,13 +371,6 @@ class StreamingProtocol : private sim::Simulator::Agent {
   /// Whether `id` participates as an ask-posting seller (deterministic
   /// per-id hash against book.seller_fraction — stable under churn).
   [[nodiscard]] bool is_book_seller(PeerId id) const;
-  /// Cross the book for one wanted chunk: among this phase's candidates
-  /// for `chunk` (owner + upload budget + live ask), pick per the crossing
-  /// strategy. Returns false when no ask is crossable (for kLimit that
-  /// includes best-ask-above-limit, which posts a resting bid).
-  template <std::size_t Words>
-  bool book_cross(PeerId buyer, ChunkId chunk, PeerId& seller_out,
-                  econ::Credits& price_out);
   /// Availability-uniform choice over `num_candidates` in closed form.
   /// Rng::discrete over k all-ones weights draws one uniform() and returns
   /// the first i with u*k - (i+1) <= 0, i.e. ceil(u*k) - 1 (0 when
@@ -398,6 +405,7 @@ class StreamingProtocol : private sim::Simulator::Agent {
   Overlay overlay_;
   PeerTable peers_;  ///< SoA per-peer state, arena-backed buffers
   std::unique_ptr<econ::PricingScheme> pricing_;
+  SellerRule seller_rule_ = SellerRule::kUniform;
   std::unique_ptr<SpendingPolicy> spending_;
   econ::TaxationEngine tax_;
   TransactionTrace trace_;
@@ -418,8 +426,7 @@ class StreamingProtocol : private sim::Simulator::Agent {
   // Per-round scratch (kept across rounds to avoid reallocation).
   std::vector<double> upload_budget_;   ///< chunks a peer may still serve
   std::vector<PeerId> round_order_;
-  std::vector<double> seller_weights_;
-  std::vector<PeerId> seller_ids_;
+  std::vector<double> seller_weights_;  ///< kWeighted draw, in walk order
   /// The current buyer phase's seller candidates (rebuilt per buyer).
   PurchaseCandidates candidates_;
   std::vector<ChunkId> missing_scratch_;
