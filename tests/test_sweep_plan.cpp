@@ -609,5 +609,32 @@ TEST(RunTelemetry, PopulatedOnExecutionAndSurfacedInCsv) {
             std::string::npos);
 }
 
+TEST(RunTelemetry, CarriesTheProtocolsDropCounters) {
+  // Every slot is taken from the start and nobody leaves within the
+  // horizon, so each arrival is refused for lack of a slot.
+  ScenarioSpec spec = tiny_base();
+  spec.config.protocol.churn.enabled = true;
+  spec.config.protocol.churn.arrival_rate = 2.0;
+  spec.config.protocol.churn.mean_lifespan = 1e6;
+  const RunResult result = run_scenario(spec);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+
+  core::CreditMarket market(spec.materialize());
+  (void)market.run();
+  const p2p::StreamingProtocol& proto = market.protocol();
+  EXPECT_GT(result.telemetry.churn_arrivals_dropped, 0u);
+  EXPECT_EQ(result.telemetry.churn_arrivals_dropped,
+            proto.metrics().counter("churn.arrivals_dropped"));
+  EXPECT_EQ(result.telemetry.overlay_edges_dropped,
+            proto.overlay().edges_dropped());
+
+  const RunRecord back =
+      parse_run_record(serialize_run_record(RunKey{}, result));
+  EXPECT_EQ(back.result.telemetry.churn_arrivals_dropped,
+            result.telemetry.churn_arrivals_dropped);
+  EXPECT_EQ(back.result.telemetry.overlay_edges_dropped,
+            result.telemetry.overlay_edges_dropped);
+}
+
 }  // namespace
 }  // namespace creditflow::scenario
