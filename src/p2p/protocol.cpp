@@ -917,12 +917,10 @@ void StreamingProtocol::windowed_spend_rates(
   out.clear();
   out.reserve(alive.size());
   for (PeerId id : alive) {
-    const auto spent_before =
-        id < spent_marker_.size() ? spent_marker_[id] : 0;
-    const auto spent =
-        peers_.credits_spent(id) >= spent_before
-            ? peers_.credits_spent(id) - spent_before
-            : peers_.credits_spent(id);  // peer slot recycled mid-window
+    // A slot activated inside the window restarted its counter at 0 then,
+    // so all of its spending falls in the window.
+    std::uint64_t spent = peers_.credits_spent(id);
+    if (peers_.join_time(id) < marker_time_) spent -= spent_marker_[id];
     out.push_back(static_cast<double>(spent) / dt);
   }
 }

@@ -21,27 +21,42 @@ ProtocolConfig base() {
 }
 
 TEST(WindowedRates, MatchLedgerDeltas) {
-  sim::Simulator sim;
-  StreamingProtocol proto(base(), sim);
-  proto.start();
-  sim.run_until(100.0);
+  // Under churn a slot can be activated again inside the window; its spend
+  // counter restarted then, so all of it falls in the window.
+  ProtocolConfig churned = base();
+  churned.max_peers = 300;
+  churned.churn.enabled = true;
+  churned.churn.arrival_rate = 1.0;
+  churned.churn.mean_lifespan = 100.0;
+  for (const ProtocolConfig& cfg : {base(), churned}) {
+    sim::Simulator sim;
+    StreamingProtocol proto(cfg, sim);
+    proto.start();
+    sim.run_until(100.0);
 
-  std::vector<std::uint64_t> spent_before(80);
-  for (PeerId id = 0; id < 80; ++id) {
-    spent_before[id] = proto.peer_table().credits_spent(id);
-  }
-  proto.begin_rate_window();
-  sim.run_until(150.0);
+    const PeerTable& peers = proto.peer_table();
+    std::vector<std::uint64_t> spent_before(cfg.max_peers);
+    std::vector<std::uint32_t> activations_before(cfg.max_peers);
+    for (PeerId id = 0; id < cfg.max_peers; ++id) {
+      spent_before[id] = peers.credits_spent(id);
+      activations_before[id] = peers.activations(id);
+    }
+    proto.begin_rate_window();
+    sim.run_until(150.0);
 
-  const auto rates = proto.windowed_spend_rates();
-  const auto alive = proto.alive_peers();
-  ASSERT_EQ(rates.size(), alive.size());
-  for (std::size_t k = 0; k < alive.size(); ++k) {
-    const double expected =
-        static_cast<double>(proto.peer_table().credits_spent(alive[k]) -
-                            spent_before[alive[k]]) /
-        50.0;
-    EXPECT_NEAR(rates[k], expected, 1e-12);
+    const auto rates = proto.windowed_spend_rates();
+    const auto alive = proto.alive_peers();
+    ASSERT_EQ(rates.size(), alive.size());
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      const PeerId id = alive[k];
+      const std::uint64_t before =
+          peers.activations(id) == activations_before[id] ? spent_before[id]
+                                                          : 0;
+      const double expected =
+          static_cast<double>(peers.credits_spent(id) - before) / 50.0;
+      EXPECT_NEAR(rates[k], expected, 1e-12)
+          << "peer " << id << ", max_peers " << cfg.max_peers;
+    }
   }
 }
 
