@@ -180,11 +180,15 @@ std::vector<PeerId> StreamingProtocol::alive_peers() const {
   return std::vector<PeerId>(alive.begin(), alive.end());
 }
 
-ChunkId StreamingProtocol::stream_head() const {
+ChunkId StreamingProtocol::stream_head() const { return head_at(sim_.now()); }
+
+ChunkId StreamingProtocol::head_at(double t) const {
   // The stream is defined to have been live for one full window before the
   // market opens, so warm-started buffers have real chunks to hold.
-  return static_cast<ChunkId>(sim_.now() * cfg_.stream_rate) +
-         cfg_.window_chunks;
+  const double emitted = t * cfg_.stream_rate;
+  CF_EXPECTS_MSG(emitted < 0x1p63,  // 2^63: the cast below stays defined
+                 "stream head beyond 2^63 chunks (stream_rate too large)");
+  return static_cast<ChunkId>(emitted) + cfg_.window_chunks;
 }
 
 Credits StreamingProtocol::rejoin_grant(std::uint32_t activation) const {
@@ -223,8 +227,7 @@ Credits StreamingProtocol::activate_peer(PeerId id, double now) {
               ? rng_.lognormal_mean_cv(cfg_.base_spend_rate,
                                        cfg_.heterogeneity.spend_rate_cv)
               : cfg_.base_spend_rate);
-  const ChunkId head =
-      static_cast<ChunkId>(now * cfg_.stream_rate) + cfg_.window_chunks;
+  const ChunkId head = head_at(now);
   const ChunkId base = head - cfg_.window_chunks;
   BufferMap& buffer = peers_.buffer(id);
   buffer.reset(base);
@@ -346,12 +349,8 @@ void StreamingProtocol::handle_departure(PeerId id) {
 void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
   // Chunks created since the previous round get pushed to seed_fanout
   // random alive peers each, free of charge (the source is the provider).
-  const double prev_time = now - cfg_.round_seconds;
   const ChunkId prev_head =
-      prev_time <= 0.0
-          ? cfg_.window_chunks
-          : static_cast<ChunkId>(prev_time * cfg_.stream_rate) +
-                cfg_.window_chunks;
+      head_at(std::max(now - cfg_.round_seconds, 0.0));
   const std::span<const PeerId> alive = overlay_.active_peers();
   if (alive.empty()) return;
   // Stake-bonded seeders advertise themselves to the source: peers whose
@@ -401,8 +400,7 @@ void StreamingProtocol::run_round(double now) {
   const util::TraceSpan round_span("round", "phase", "round", rounds_ + 1);
   ++rounds_;
   queue_depth_hist_->add(sim_.pending_events());
-  const ChunkId head =
-      static_cast<ChunkId>(now * cfg_.stream_rate) + cfg_.window_chunks;
+  const ChunkId head = head_at(now);
   const ChunkId window_base = head - cfg_.window_chunks;
 
   // 1. Advance playback windows and refresh upload budgets.

@@ -333,6 +333,10 @@ class StreamingProtocol : private sim::Simulator::Agent {
   void on_event(std::uint8_t kind, std::uint32_t arg, double t) override;
 
   void run_round(double now);
+  /// The stream head at simulation time `t`: the chunks emitted by then
+  /// plus one window. Throws util::PreconditionError when
+  /// t * stream_rate >= 2^63 chunks, where a ChunkId could not hold it.
+  [[nodiscard]] ChunkId head_at(double t) const;
   void seed_new_chunks(double now, ChunkId head);
   void peer_purchase_phase(PeerId buyer_id, double now);
   /// The purchase phase's seller test: upload budget >= 1 and, in an

@@ -344,5 +344,17 @@ TEST(Protocol, RejectsEdgeArenasBeyond32BitOffsets) {
   EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
 }
 
+TEST(Protocol, RejectsStreamHeadsBeyond63Bits) {
+  // At 1e30 chunks/s the first round's stream head is far past 2^63, so
+  // the time-to-chunk conversion would overflow a ChunkId; the round
+  // refuses it instead of running on a wrapped head.
+  sim::Simulator sim;
+  ProtocolConfig cfg = small_config();
+  cfg.stream_rate = 1e30;
+  StreamingProtocol proto(cfg, sim);
+  proto.start();
+  EXPECT_THROW(sim.run_until(3.0), util::PreconditionError);
+}
+
 }  // namespace
 }  // namespace creditflow::p2p
