@@ -43,8 +43,8 @@ int main() {
   for (const double lifespan : {250.0, 500.0, 1000.0}) {
     const auto r = run_churn(1.0, lifespan);
     table.add_row({lifespan, lifespan * 1.0, r.converged_gini(),
-                   static_cast<std::int64_t>(r.churn_arrivals),
-                   static_cast<std::int64_t>(r.churn_departures)});
+                   static_cast<std::int64_t>(r.counter("churn.arrivals")),
+                   static_cast<std::int64_t>(r.counter("churn.departures"))});
   }
   table.print();
   std::cout << "\nLonger-lived peers accumulate for longer: the Gini grows "

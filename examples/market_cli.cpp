@@ -949,8 +949,8 @@ int run_single(const creditflow::scenario::ScenarioSpec& spec,
           << " redistributed=" << report.tax_redistributed << "\n";
   }
   if (cfg.protocol.churn.enabled) {
-    human << "churn: arrivals=" << report.churn_arrivals
-          << " departures=" << report.churn_departures << "\n";
+    human << "churn: arrivals=" << report.counter("churn.arrivals")
+          << " departures=" << report.counter("churn.departures") << "\n";
   }
 
   if (want_chart && !report.gini_balances.empty()) {

@@ -72,9 +72,10 @@ int main() {
   table.add_row({std::string("mean buffer fill"),
                  careless.mean_buffer_fill.last_value(),
                  careful.mean_buffer_fill.last_value()});
-  table.add_row({std::string("transactions"),
-                 static_cast<std::int64_t>(careless.transactions),
-                 static_cast<std::int64_t>(careful.transactions)});
+  table.add_row(
+      {std::string("transactions"),
+       static_cast<std::int64_t>(careless.counter("market.transactions")),
+       static_cast<std::int64_t>(careful.counter("market.transactions"))});
   table.print();
 
   std::cout << "\nThe careless design condenses credits (high Gini, mass "

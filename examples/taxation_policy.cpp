@@ -42,7 +42,7 @@ int main() {
   const auto baseline = run_with_tax(false, 0.0, 0.0);
   table.add_row({std::string("no tax"), baseline.converged_gini(),
                  baseline.final_wealth.bankrupt_fraction,
-                 static_cast<std::int64_t>(baseline.volume),
+                 static_cast<std::int64_t>(baseline.counter("market.volume")),
                  static_cast<std::int64_t>(0), static_cast<std::int64_t>(0)});
 
   for (const double rate : {0.1, 0.2}) {
@@ -52,7 +52,7 @@ int main() {
           {"rate " + std::to_string(rate).substr(0, 4) + " thr " +
                std::to_string(static_cast<int>(threshold)),
            r.converged_gini(), r.final_wealth.bankrupt_fraction,
-           static_cast<std::int64_t>(r.volume),
+           static_cast<std::int64_t>(r.counter("market.volume")),
            static_cast<std::int64_t>(r.tax_collected),
            static_cast<std::int64_t>(r.tax_redistributed)});
     }

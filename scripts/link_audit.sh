@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Link audit: every function in libcreditflow is either reachable from a
 # production binary (the examples, the benches and perfbench) or listed,
-# with a reason, in scripts/link_audit_allow.txt.
+# with a reason, in scripts/link_audit_allow.txt. A readout check rides
+# along: every registry cell must have a production reader.
 #
 #   scripts/link_audit.sh            # from anywhere; builds into build-audit/
 #   CXX=g++-13 scripts/link_audit.sh # pin the compiler (CI does)
@@ -11,9 +12,16 @@
 # survives in a binary only if that binary can call it. Demangled signatures
 # are compared in full: an unreferenced overload of a linked name is a hit.
 #
-# Exits 1 when a hit is not on the allowlist, when an allowlisted signature
-# is no longer a hit (it is linked now, or gone), or when a production binary
-# was not built (the perf_* benches need google-benchmark).
+# The readout check needs no build. Each name src/ passes to counter_cell or
+# histogram_cell must appear quoted in a production source (src/ outside its
+# registering call, examples/, bench/ or perfbench/), or be allowlisted as
+# "readout <name>  # reason". A cell only tests read costs every run work
+# that reaches no output.
+#
+# Exits 1 when a hit or an unread cell is not on the allowlist, when an
+# allowlisted signature is no longer a hit (it is linked now, or gone) or an
+# allowlisted cell is read now or gone, or when a production binary was not
+# built (the perf_* benches need google-benchmark).
 set -euo pipefail
 export LC_ALL=C
 
@@ -22,6 +30,34 @@ A=$root/build-audit
 allow=$root/scripts/link_audit_allow.txt
 flags="-O0 -fno-inline -ffunction-sections"
 jobs=$(nproc)
+
+status=0
+cells=$(grep -rhoE '(counter|histogram)_cell\("[^"]+"\)' "$root/src" |
+  sed -E 's/.*\("(.*)"\)$/\1/' | sort -u)
+read_allow=$(awk '{ sub(/#.*/, "") } $1 == "readout" { print $2 }' "$allow")
+unread=0
+for name in $cells; do
+  readers=$(grep -rhF --include='*.[ch]pp' -- "\"$name\"" "$root/src" \
+    "$root/examples" "$root/bench" "$root/perfbench" |
+    grep -vF "_cell(\"$name\")" || true)
+  if grep -qxF -- "$name" <<< "$read_allow"; then
+    unread=$((unread + 1))
+    if [[ -n $readers ]]; then
+      echo "readout check: allowlisted but read now: $name"
+      status=1
+    fi
+  elif [[ -z $readers ]]; then
+    echo "readout check: no production reader: $name"
+    status=1
+  fi
+done
+while IFS= read -r name; do
+  if [[ -n $name ]] && ! grep -qxF -- "$name" <<< "$cells"; then
+    echo "readout check: allowlisted but not registered: $name"
+    status=1
+  fi
+done <<< "$read_allow"
+echo "readout check: $(wc -w <<< "$cells") cells, $unread allowlisted"
 
 cmake -B "$A" -S "$root" -DCMAKE_BUILD_TYPE=Debug -DBUILD_TESTING=OFF \
   -DCMAKE_CXX_FLAGS="$flags" -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections \
@@ -32,7 +68,6 @@ cmake -S "$root/perfbench" -B "$A/pb" -DCMAKE_BUILD_TYPE=Debug \
   > /dev/null
 cmake --build "$A/pb" --target perfbench -j "$jobs" > /dev/null
 
-status=0
 bins=("$A/pb/perfbench")
 for src in "$root"/examples/*.cpp "$root"/bench/*.cpp; do
   bins+=("$A/$(basename "$src" .cpp)")
@@ -56,8 +91,8 @@ syms() {
 syms "$A/libcreditflow.a" > "$A/lib.txt"
 syms "${present[@]}" > "$A/linked.txt"
 comm -23 "$A/lib.txt" "$A/linked.txt" > "$A/hits.txt"
-awk '{ sub(/#.*/, ""); gsub(/^[ \t]+|[ \t]+$/, "") } $0 != ""' "$allow" |
-  sort -u > "$A/allow.txt"
+awk '{ sub(/#.*/, ""); gsub(/^[ \t]+|[ \t]+$/, "") }
+     $0 != "" && $1 != "readout"' "$allow" | sort -u > "$A/allow.txt"
 
 while IFS= read -r sig; do
   echo "link audit: no production caller: $sig"

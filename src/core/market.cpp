@@ -94,31 +94,9 @@ MarketReport CreditMarket::run() {
     report.final_wealth = econ::summarize_wealth(report.final_balances);
   }
 
-  auto& metrics = protocol_->metrics();
-  report.transactions = metrics.counter("market.transactions");
-  report.volume = metrics.counter("market.volume");
+  report.counters = protocol_->metrics().counters();
   report.tax_collected = protocol_->taxation().total_collected();
   report.tax_redistributed = protocol_->taxation().total_redistributed();
-  report.churn_arrivals = metrics.counter("churn.arrivals");
-  report.churn_departures = metrics.counter("churn.departures");
-  report.overlay_edges_dropped = protocol_->overlay().edges_dropped();
-  report.churn_arrivals_dropped = metrics.counter("churn.arrivals_dropped");
-  report.book_asks_posted = metrics.counter("book.asks_posted");
-  report.book_posted_qty = metrics.counter("book.posted_qty");
-  report.book_fills = metrics.counter("book.fills");
-  report.book_volume = metrics.counter("book.volume");
-  report.book_asks_expired = metrics.counter("book.asks_expired");
-  report.book_bids_posted = metrics.counter("book.bids_posted");
-  report.book_bids_matched = metrics.counter("book.bids_matched");
-  report.book_bids_expired = metrics.counter("book.bids_expired");
-  report.whitewash_resets = metrics.counter("strat.whitewash_resets");
-  report.whitewash_minted = metrics.counter("strat.whitewash_minted");
-  report.whitewash_burned = metrics.counter("strat.whitewash_burned");
-  report.collusion_transfers = metrics.counter("strat.collusion_transfers");
-  report.collusion_volume = metrics.counter("strat.collusion_volume");
-  report.stake_locked = metrics.counter("strat.stake_locked");
-  report.stake_slashed = metrics.counter("strat.stake_slashed");
-  report.stake_topups = metrics.counter("strat.stake_topups");
   if (cfg_.protocol.strat.enabled()) {
     report.final_strategy = protocol_->strategy_breakdown();
   }

@@ -1,8 +1,8 @@
-// CreditFlow: MarketReport — everything a CreditMarket run produces, plus
-// console/CSV rendering helpers shared by examples and benches.
+// CreditFlow: MarketReport — everything a CreditMarket run produces.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -31,43 +31,24 @@ struct MarketReport {
   std::vector<double> final_windowed_spend_rates;
 
   // Market-wide accounting.
-  std::uint64_t transactions = 0;
-  std::uint64_t volume = 0;
+  /// The protocol's registry counters by name ("market.transactions",
+  /// "churn.arrivals", "book.fills", ...), copied once at the end of the
+  /// run. Read them through counter().
+  std::map<std::string, std::uint64_t> counters;
   std::uint64_t tax_collected = 0;
   std::uint64_t tax_redistributed = 0;
-  std::uint64_t churn_arrivals = 0;
-  std::uint64_t churn_departures = 0;
   std::uint64_t rounds = 0;
   double horizon = 0.0;
   bool ledger_conserved = true;
 
-  // Overlay health: joins whose preferential links were dropped because
-  // the overlay's fixed edge arena was full.
-  std::uint64_t overlay_edges_dropped = 0;
-  std::uint64_t churn_arrivals_dropped = 0;
-
-  // Order-book market accounting (all zero when market_mode=direct).
-  std::uint64_t book_asks_posted = 0;    ///< ask posts (incl. reprices)
-  std::uint64_t book_posted_qty = 0;     ///< units offered across all posts
-  std::uint64_t book_fills = 0;          ///< unit fills (== purchases)
-  std::uint64_t book_volume = 0;         ///< credits crossed through the book
-  std::uint64_t book_asks_expired = 0;   ///< churn/drain expiries
-  std::uint64_t book_bids_posted = 0;    ///< resting limit bids posted
-  std::uint64_t book_bids_matched = 0;   ///< bids cleared by a purchase
-  std::uint64_t book_bids_expired = 0;   ///< bids expired on buyer churn
-
-  // Strategy-layer accounting (all zero when strat.* is off).
-  std::uint64_t whitewash_resets = 0;    ///< identity cycles executed
-  std::uint64_t whitewash_minted = 0;    ///< credits re-minted by cycling
-  std::uint64_t whitewash_burned = 0;    ///< balances forfeited to cycle
-  std::uint64_t collusion_transfers = 0; ///< wash transfers executed
-  std::uint64_t collusion_volume = 0;    ///< credits washed in cliques
-  std::uint64_t stake_locked = 0;        ///< credits bonded (incl. topups)
-  std::uint64_t stake_slashed = 0;       ///< bond forfeited to treasury
-  std::uint64_t stake_topups = 0;        ///< revalidation top-up events
   /// Final per-strategy population/credit breakdown (all-honest when the
   /// strategy layer is off).
   strategy::Breakdown final_strategy;
+
+  /// Registry counter `name`. Throws util::PreconditionError when the run
+  /// registered no counter of that name, so a misspelt name fails instead
+  /// of reading 0.
+  [[nodiscard]] std::uint64_t counter(const std::string& name) const;
 
   /// Converged Gini estimate: mean over the trailing 25% of the run.
   [[nodiscard]] double converged_gini() const;

@@ -116,7 +116,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   tx_count_ = metrics_.counter_cell("market.transactions");
   tx_volume_ = metrics_.counter_cell("market.volume");
   liquidity_failures_ = metrics_.counter_cell("market.liquidity_failures");
-  injection_minted_ = metrics_.counter_cell("injection.minted");
   churn_arrivals_ = metrics_.counter_cell("churn.arrivals");
   churn_arrivals_dropped_ = metrics_.counter_cell("churn.arrivals_dropped");
   churn_departures_ = metrics_.counter_cell("churn.departures");
@@ -127,7 +126,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   whitewash_resets_ = metrics_.counter_cell("strat.whitewash_resets");
   whitewash_minted_ = metrics_.counter_cell("strat.whitewash_minted");
   whitewash_burned_ = metrics_.counter_cell("strat.whitewash_burned");
-  collusion_transfers_ = metrics_.counter_cell("strat.collusion_transfers");
   collusion_volume_ = metrics_.counter_cell("strat.collusion_volume");
   stake_locked_ = metrics_.counter_cell("strat.stake_locked");
   stake_slashed_ = metrics_.counter_cell("strat.stake_slashed");
@@ -139,7 +137,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   book_asks_expired_ = metrics_.counter_cell("book.asks_expired");
   book_bids_posted_ = metrics_.counter_cell("book.bids_posted");
   book_bids_matched_ = metrics_.counter_cell("book.bids_matched");
-  book_bids_expired_ = metrics_.counter_cell("book.bids_expired");
   candidates_hist_ = metrics_.histogram_cell("purchase.candidates");
   queue_depth_hist_ = metrics_.histogram_cell("sim.queue_depth");
 }
@@ -160,8 +157,6 @@ void StreamingProtocol::on_event(std::uint8_t kind, std::uint32_t arg,
       for (PeerId id : overlay_.active_peers()) {
         ledger_.mint(id, cfg_.injection.credits_per_peer);
       }
-      *injection_minted_ +=
-          cfg_.injection.credits_per_peer * overlay_.num_active();
       sim_.schedule(t + cfg_.injection.interval_seconds, agent_, kInjection);
       return;
     }
@@ -342,7 +337,7 @@ void StreamingProtocol::handle_departure(PeerId id) {
   if (book_ != nullptr) {
     // Seller churn expires its resting ask immediately — no ghost supply.
     if (book_->cancel_ask(id)) ++*book_asks_expired_;
-    if (book_->cancel_bid(id)) ++*book_bids_expired_;
+    (void)book_->cancel_bid(id);
   }
 }
 
@@ -542,7 +537,6 @@ void StreamingProtocol::strategy_collusion_round() {
       if (!ledger_.transfer(from, to, amt)) continue;
       peers_.credits_spent(from) += amt;
       peers_.credits_earned(to) += amt;
-      ++*collusion_transfers_;
       *collusion_volume_ += amt;
     }
   }

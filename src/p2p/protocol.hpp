@@ -455,7 +455,6 @@ class StreamingProtocol : private sim::Simulator::Agent {
   std::uint64_t* tx_count_ = nullptr;
   std::uint64_t* tx_volume_ = nullptr;
   std::uint64_t* liquidity_failures_ = nullptr;
-  std::uint64_t* injection_minted_ = nullptr;
   std::uint64_t* churn_arrivals_ = nullptr;
   std::uint64_t* churn_arrivals_dropped_ = nullptr;
   std::uint64_t* churn_departures_ = nullptr;
@@ -467,7 +466,6 @@ class StreamingProtocol : private sim::Simulator::Agent {
   std::uint64_t* whitewash_resets_ = nullptr;
   std::uint64_t* whitewash_minted_ = nullptr;
   std::uint64_t* whitewash_burned_ = nullptr;
-  std::uint64_t* collusion_transfers_ = nullptr;
   std::uint64_t* collusion_volume_ = nullptr;
   std::uint64_t* stake_locked_ = nullptr;
   std::uint64_t* stake_slashed_ = nullptr;
@@ -480,7 +478,6 @@ class StreamingProtocol : private sim::Simulator::Agent {
   std::uint64_t* book_asks_expired_ = nullptr;
   std::uint64_t* book_bids_posted_ = nullptr;
   std::uint64_t* book_bids_matched_ = nullptr;
-  std::uint64_t* book_bids_expired_ = nullptr;
 
   // Histogram cells (stable for the registry lifetime, allocation-free
   // add): candidate-set sizes per buyer phase (both modes) and calendar

@@ -88,20 +88,20 @@ std::vector<std::pair<std::string, double>> standard_metrics(
                                 : mean_of(report.alive_peers.values());
   const double demand =
       mean_alive * report.horizon * cfg.protocol.stream_rate;
+  const auto counter = [&report](const std::string& name) {
+    return static_cast<double>(report.counter(name));
+  };
+  const double transactions = counter("market.transactions");
   m.emplace_back("exchange_efficiency",
-                 demand > 0.0
-                     ? static_cast<double>(report.transactions) / demand
-                     : 0.0);
+                 demand > 0.0 ? transactions / demand : 0.0);
 
-  m.emplace_back("transactions", static_cast<double>(report.transactions));
-  m.emplace_back("volume", static_cast<double>(report.volume));
+  m.emplace_back("transactions", transactions);
+  m.emplace_back("volume", counter("market.volume"));
   m.emplace_back("tax_collected", static_cast<double>(report.tax_collected));
   m.emplace_back("tax_redistributed",
                  static_cast<double>(report.tax_redistributed));
-  m.emplace_back("churn_arrivals",
-                 static_cast<double>(report.churn_arrivals));
-  m.emplace_back("churn_departures",
-                 static_cast<double>(report.churn_departures));
+  m.emplace_back("churn_arrivals", counter("churn.arrivals"));
+  m.emplace_back("churn_departures", counter("churn.departures"));
   m.emplace_back("alive_final",
                  report.alive_peers.empty()
                      ? static_cast<double>(cfg.protocol.initial_peers)
@@ -113,25 +113,17 @@ std::vector<std::pair<std::string, double>> standard_metrics(
   // byte-identical with the book compiled in.
   if (cfg.protocol.market_mode ==
       p2p::ProtocolConfig::MarketMode::kOrderBook) {
-    m.emplace_back("book_fills", static_cast<double>(report.book_fills));
+    const double fills = counter("book.fills");
+    const double posted_qty = counter("book.posted_qty");
+    m.emplace_back("book_fills", fills);
     // Run-level clearing price: credits crossed per unit filled.
     m.emplace_back("clearing_price",
-                   report.book_fills > 0
-                       ? static_cast<double>(report.book_volume) /
-                             static_cast<double>(report.book_fills)
-                       : 0.0);
+                   fills > 0.0 ? counter("book.volume") / fills : 0.0);
     // Fill ratio: fraction of offered units that found a buyer.
-    m.emplace_back("fill_ratio",
-                   report.book_posted_qty > 0
-                       ? static_cast<double>(report.book_fills) /
-                             static_cast<double>(report.book_posted_qty)
-                       : 0.0);
-    m.emplace_back("book_asks_expired",
-                   static_cast<double>(report.book_asks_expired));
-    m.emplace_back("book_bids_posted",
-                   static_cast<double>(report.book_bids_posted));
-    m.emplace_back("book_bids_matched",
-                   static_cast<double>(report.book_bids_matched));
+    m.emplace_back("fill_ratio", posted_qty > 0.0 ? fills / posted_qty : 0.0);
+    m.emplace_back("book_asks_expired", counter("book.asks_expired"));
+    m.emplace_back("book_bids_posted", counter("book.bids_posted"));
+    m.emplace_back("book_bids_matched", counter("book.bids_matched"));
   }
 
   // Strategy-layer readouts — same gating discipline as the book block:
@@ -141,18 +133,14 @@ std::vector<std::pair<std::string, double>> standard_metrics(
     const auto honest =
         static_cast<std::size_t>(strategy::Strategy::kHonest);
     const double total_credits = fs.total_credits();
-    m.emplace_back("whitewash_resets",
-                   static_cast<double>(report.whitewash_resets));
+    m.emplace_back("whitewash_resets", counter("strat.whitewash_resets"));
     // Net credit the cycling attack extracted from the mint.
     m.emplace_back("whitewash_extracted",
-                   static_cast<double>(report.whitewash_minted) -
-                       static_cast<double>(report.whitewash_burned));
-    m.emplace_back("collusion_volume",
-                   static_cast<double>(report.collusion_volume));
-    m.emplace_back("stake_locked",
-                   static_cast<double>(report.stake_locked));
-    m.emplace_back("stake_slashed",
-                   static_cast<double>(report.stake_slashed));
+                   counter("strat.whitewash_minted") -
+                       counter("strat.whitewash_burned"));
+    m.emplace_back("collusion_volume", counter("strat.collusion_volume"));
+    m.emplace_back("stake_locked", counter("strat.stake_locked"));
+    m.emplace_back("stake_slashed", counter("strat.stake_slashed"));
     m.emplace_back("honest_peers",
                    static_cast<double>(fs.population[honest]));
     m.emplace_back("attacker_peers", static_cast<double>(fs.attackers()));
@@ -197,9 +185,9 @@ void execute_spec_into(const ScenarioSpec& spec, RunResult& result,
         market.protocol().tax_phase_seconds();
     result.telemetry.rounds = result.report.rounds;
     result.telemetry.overlay_edges_dropped =
-        result.report.overlay_edges_dropped;
+        market.protocol().overlay().edges_dropped();
     result.telemetry.churn_arrivals_dropped =
-        result.report.churn_arrivals_dropped;
+        result.report.counter("churn.arrivals_dropped");
     if (!keep_report) result.report = core::MarketReport{};
   } catch (const std::exception& e) {
     result.error = e.what();

@@ -20,6 +20,10 @@ class MetricsRegistry {
   MetricsRegistry() = default;
 
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
+  /// Every counter by name, in name order.
+  [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const {
+    return counters_;
+  }
 
   /// Stable pointer to a counter's cell (created zeroed on first use).
   /// Counter cells live as long as the registry itself: std::map nodes

@@ -26,12 +26,24 @@ TEST(CreditMarket, RunProducesReport) {
   CreditMarket market(small_market());
   const auto report = market.run();
   EXPECT_EQ(report.rounds, 300u);
-  EXPECT_GT(report.transactions, 1000u);
+  EXPECT_GT(report.counter("market.transactions"), 1000u);
   EXPECT_TRUE(report.ledger_conserved);
   EXPECT_EQ(report.final_balances.size(), 80u);
   EXPECT_EQ(report.gini_balances.size(), 12u);
   EXPECT_NEAR(report.final_wealth.mean, 40.0, 1e-9);
   EXPECT_GT(report.mean_buffer_fill.last_value(), 0.5);
+}
+
+TEST(CreditMarket, ReportCarriesTheRegistryCountersByName) {
+  CreditMarket market(small_market());
+  const auto report = market.run();
+  const auto& metrics = market.protocol().metrics();
+  EXPECT_EQ(report.counters, metrics.counters());
+  EXPECT_EQ(report.counter("market.transactions"),
+            metrics.counter("market.transactions"));
+  // A misspelt name fails instead of reading 0.
+  EXPECT_THROW((void)report.counter("market.transaction"),
+               util::PreconditionError);
 }
 
 TEST(CreditMarket, RunTwiceThrows) {
@@ -45,7 +57,8 @@ TEST(CreditMarket, DeterministicForSameSeed) {
   CreditMarket b(small_market());
   const auto ra = a.run();
   const auto rb = b.run();
-  EXPECT_EQ(ra.transactions, rb.transactions);
+  EXPECT_EQ(ra.counter("market.transactions"),
+            rb.counter("market.transactions"));
   EXPECT_EQ(ra.final_balances, rb.final_balances);
 }
 
@@ -54,7 +67,8 @@ TEST(CreditMarket, SeedChangesOutcome) {
   cfg.protocol.seed = 6;
   CreditMarket a(small_market());
   CreditMarket b(cfg);
-  EXPECT_NE(a.run().transactions, b.run().transactions);
+  EXPECT_NE(a.run().counter("market.transactions"),
+            b.run().counter("market.transactions"));
 }
 
 TEST(CreditMarket, SnapshotAtARoundTimeSeesTheStateBeforeThatRound) {

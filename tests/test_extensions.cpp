@@ -37,9 +37,9 @@ TEST(AuctionSellerChoice, RunsAndPaysLowerAveragePrices) {
     core::CreditMarket market(cfg);
     const auto report = market.run();
     EXPECT_TRUE(report.ledger_conserved);
-    EXPECT_GT(report.transactions, 0u);
-    return static_cast<double>(report.volume) /
-           static_cast<double>(report.transactions);
+    EXPECT_GT(report.counter("market.transactions"), 0u);
+    return static_cast<double>(report.counter("market.volume")) /
+           static_cast<double>(report.counter("market.transactions"));
   };
   const double uniform_price = run_mean_price(
       p2p::ProtocolConfig::SellerChoice::kAvailabilityUniform);

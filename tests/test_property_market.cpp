@@ -74,7 +74,7 @@ TEST_P(MarketProperty, InvariantsHold) {
   // 4. Trade happened and rates are bounded by the protocol's physics:
   //    nobody can download faster than stream_rate + backlog catch-up,
   //    i.e. window/round worth of chunks per second.
-  EXPECT_GT(report.transactions, 0u);
+  EXPECT_GT(report.counter("market.transactions"), 0u);
   for (double r : report.final_download_rates) {
     EXPECT_GE(r, 0.0);
     EXPECT_LE(r, 48.0 + 2.0);
@@ -95,7 +95,8 @@ TEST_P(MarketProperty, InvariantsHold) {
   // 7. Determinism: the same config reruns identically.
   CreditMarket twin(config_for(g));
   const auto rerun = twin.run();
-  EXPECT_EQ(rerun.transactions, report.transactions);
+  EXPECT_EQ(rerun.counter("market.transactions"),
+            report.counter("market.transactions"));
   EXPECT_EQ(rerun.final_balances, report.final_balances);
 }
 
@@ -121,8 +122,8 @@ TEST(MarketPricingProperty, VolumeTracksMeanPrice) {
     GridPoint g{50, kind, false, false, false};
     CreditMarket market(config_for(g));
     const auto report = market.run();
-    return static_cast<double>(report.volume) /
-           static_cast<double>(report.transactions);
+    return static_cast<double>(report.counter("market.volume")) /
+           static_cast<double>(report.counter("market.transactions"));
   };
   EXPECT_NEAR(run_with(econ::PricingKind::kUniform), 1.0, 1e-9);
   // Poisson(1) conditioned on affordable purchases: mean near 1.
@@ -137,7 +138,7 @@ TEST(MarketChurnProperty, MintBurnAccounting) {
   const auto report = market.run();
   const auto& ledger = market.protocol().ledger();
   EXPECT_EQ(ledger.total_minted(),
-            (64 + report.churn_arrivals) * 30);
+            (64 + report.counter("churn.arrivals")) * 30);
   EXPECT_TRUE(ledger.audit());
 }
 

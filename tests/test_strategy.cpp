@@ -67,9 +67,9 @@ TEST(StrategyLayer, DefaultRunReportsAllHonestAndNoAttackCounters) {
   cfg.snapshot_interval = 20.0;
   core::CreditMarket market(cfg);
   const auto report = market.run();
-  EXPECT_EQ(report.whitewash_resets, 0u);
-  EXPECT_EQ(report.collusion_transfers, 0u);
-  EXPECT_EQ(report.stake_locked, 0u);
+  EXPECT_EQ(report.counter("strat.whitewash_resets"), 0u);
+  EXPECT_EQ(report.counter("strat.collusion_volume"), 0u);
+  EXPECT_EQ(report.counter("strat.stake_locked"), 0u);
   EXPECT_EQ(report.final_strategy.attackers(), 0u);
   EXPECT_TRUE(report.ledger_conserved);
 }
@@ -119,14 +119,15 @@ TEST(StrategyLayer, WhitewashersExtractCreditUnderDefaultFullRejoinMint) {
   cfg.snapshot_interval = 50.0;
   core::CreditMarket market(cfg);
   const auto report = market.run();
-  EXPECT_GT(report.whitewash_resets, 0u);
-  EXPECT_GT(report.whitewash_minted, 0u);
+  EXPECT_GT(report.counter("strat.whitewash_resets"), 0u);
+  EXPECT_GT(report.counter("strat.whitewash_minted"), 0u);
   // Every cycle burns the abandoned balance and mints a fresh endowment;
   // the ledger books both, so the audit must still balance.
   EXPECT_TRUE(report.ledger_conserved);
   const auto& ledger = market.protocol().ledger();
-  EXPECT_EQ(ledger.total_minted(), 60u * 25u + report.whitewash_minted);
-  EXPECT_GE(ledger.total_burned(), report.whitewash_burned);
+  EXPECT_EQ(ledger.total_minted(),
+            60u * 25u + report.counter("strat.whitewash_minted"));
+  EXPECT_GE(ledger.total_burned(), report.counter("strat.whitewash_burned"));
 }
 
 TEST(StrategyLayer, RejoinMintNoneMakesWhitewashingIrrational) {
@@ -144,8 +145,8 @@ TEST(StrategyLayer, RejoinMintNoneMakesWhitewashingIrrational) {
   const auto report = market.run();
   // A reset would grant 0 credits, never more than the abandoned balance,
   // so a rational whitewasher never cycles: the market stays closed.
-  EXPECT_EQ(report.whitewash_resets, 0u);
-  EXPECT_EQ(report.whitewash_minted, 0u);
+  EXPECT_EQ(report.counter("strat.whitewash_resets"), 0u);
+  EXPECT_EQ(report.counter("strat.whitewash_minted"), 0u);
   EXPECT_EQ(market.protocol().ledger().circulating(), 60u * 25u);
   EXPECT_TRUE(report.ledger_conserved);
 }
@@ -176,9 +177,10 @@ TEST(StrategyLayer, DecayedRejoinMintDampsButAllowsEarlyCycles) {
   // First cycles are still profitable (grant 13 > a sub-13 balance), but
   // the geometric decay starves later cycles that full minting keeps
   // feeding forever.
-  EXPECT_GT(damp.whitewash_resets, 0u);
-  EXPECT_GT(damp.whitewash_minted, 0u);
-  EXPECT_LT(damp.whitewash_minted, full.whitewash_minted);
+  EXPECT_GT(damp.counter("strat.whitewash_resets"), 0u);
+  EXPECT_GT(damp.counter("strat.whitewash_minted"), 0u);
+  EXPECT_LT(damp.counter("strat.whitewash_minted"),
+            full.counter("strat.whitewash_minted"));
   EXPECT_TRUE(damp.ledger_conserved);
 }
 
@@ -195,8 +197,7 @@ TEST(StrategyLayer, CollusionLoopsConserveTheLedger) {
   cfg.snapshot_interval = 50.0;
   core::CreditMarket market(cfg);
   const auto report = market.run();
-  EXPECT_GT(report.collusion_transfers, 0u);
-  EXPECT_GT(report.collusion_volume, 0u);
+  EXPECT_GT(report.counter("strat.collusion_volume"), 0u);
   // Wash transfers move credit around a ring: closed market stays closed.
   EXPECT_EQ(market.protocol().ledger().circulating(), 60u * 40u);
   EXPECT_TRUE(report.ledger_conserved);
@@ -261,8 +262,8 @@ TEST(StrategyLayer, WhitewashUnderTaxationAndOrderBookStaysConserved) {
   cfg.snapshot_interval = 50.0;
   core::CreditMarket market(cfg);
   const auto report = market.run();
-  EXPECT_GT(report.whitewash_resets, 0u);
-  EXPECT_GT(report.book_asks_expired, 0u);
+  EXPECT_GT(report.counter("strat.whitewash_resets"), 0u);
+  EXPECT_GT(report.counter("book.asks_expired"), 0u);
   EXPECT_TRUE(report.ledger_conserved);
 }
 
@@ -303,11 +304,11 @@ TEST(StrategyLayer, DepartingStakedSeedersAreSlashed) {
   cfg.snapshot_interval = 60.0;
   core::CreditMarket market(cfg);
   const auto report = market.run();
-  EXPECT_GT(report.churn_departures, 0u);
-  EXPECT_GT(report.stake_locked, 0u);
+  EXPECT_GT(report.counter("churn.departures"), 0u);
+  EXPECT_GT(report.counter("strat.stake_locked"), 0u);
   // Slashing routes the forfeited bond fraction to the treasury and the
   // remainder back to the balance the departure then burns — no leak.
-  EXPECT_GT(report.stake_slashed, 0u);
+  EXPECT_GT(report.counter("strat.stake_slashed"), 0u);
   EXPECT_TRUE(report.ledger_conserved);
 }
 
