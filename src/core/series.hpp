@@ -68,7 +68,10 @@ class RoundSeriesSampler {
   /// The rows as CSV (shortest round-trip doubles, one header line):
   /// round,t,alive_peers,gini_balances,credit_supply,mean_balance,
   /// mean_buffer_fill — plus ,book_depth,book_spread,clearing_price,
-  /// fill_ratio when the protocol runs in order-book mode.
+  /// fill_ratio when the protocol runs in order-book mode, and, when the
+  /// strategy layer is on, ,strat_<name>_peers for each strategy (honest,
+  /// freeride, whitewash, collude, staked), ,strat_<name>_credits for each,
+  /// ,strat_staked_total,strat_honest_fill.
   [[nodiscard]] std::string csv() const;
 
  private:
