@@ -10,7 +10,9 @@
 //  * the order book: adaptive and fixed-markup ask pricing, each crossed
 //    best-ask, fill-weighted and limit (book.cross = 0, 1, 2);
 //  * seller choice: fill-weighted (fig01_condensed, with Poisson prices)
-//    and cheapest-ask (ext01_auction, with Poisson and per-seller prices);
+//    and cheapest-ask (ext01_auction, with Poisson, per-seller and linear
+//    prices);
+//  * dynamic spending (fig10_dynamic_spending at two wealth thresholds);
 //  * candidate-mask widths: a hub overlay whose buyers carry 65..128
 //    budgeted neighbors (two words) and the same overlay with a 96-chunk
 //    window (generic). Width rows (and fig09, for one word) also check,
@@ -156,6 +158,13 @@ const std::vector<GoldenCell>& cells() {
        0x59b360706fde707dULL, 0xac7f595e2456ebeeULL, 0x0a09321481f3546eULL},
       {"ext01_auction_per_seller", "ext01_auction", {"pricing.kind=2"}, 200.0,
        1, 0xe81f10f2dadd0ef3ULL, 0x304bc6bf0222ab42ULL, 0xa3df558b6bd76464ULL},
+      // Linear size pricing: the cheapest-ask scan prices every candidate.
+      {"ext01_auction_linear", "ext01_auction", {"pricing.kind=3"}, 200.0, 1,
+       0x3b0db138cfa51453ULL, 0xe2697fe49d0ecc66ULL, 0x42f3ba69979e8302ULL},
+      // Dynamic spending (Sec. VI-D): budgets scale with B/m above m.
+      {"fig10_dynamic_spending", "fig10_dynamic_spending",
+       {"spending.threshold=50,100"}, 400.0, 2, 0x1ee4ea74547c712bULL,
+       0x2a637417277aea67ULL, 0x7d96120294a30e7bULL},
       {"hub_two_word", "baseline", {"peers=600", "overlay_degree=80"}, 40.0,
        1, 0xa2e9ef24593dd1dbULL, 0x347d69fefb8220e6ULL, 0x1cc62e2743fde424ULL,
        false, "purchase.phase_two_word"},
