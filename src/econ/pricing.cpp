@@ -9,10 +9,10 @@ namespace creditflow::econ {
 
 namespace {
 
-/// Stable 64-bit mix of (seller, chunk, salt) → uniform double in [0,1).
-double hashed_uniform(std::uint32_t seller, std::uint64_t chunk,
-                      std::uint64_t salt) {
-  util::SplitMix64 sm(salt ^ (static_cast<std::uint64_t>(seller) << 32) ^
+/// Stable 64-bit mix of (seller, chunk) → uniform double in [0,1).
+double hashed_uniform(std::uint32_t seller, std::uint64_t chunk) {
+  util::SplitMix64 sm(0x9e3779b97f4a7c15ULL ^
+                      (static_cast<std::uint64_t>(seller) << 32) ^
                       (chunk * 0xff51afd7ed558ccdULL));
   (void)sm.next();  // decorrelate nearby keys
   return static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
@@ -33,114 +33,25 @@ std::uint64_t poisson_from_uniform(double mean, double u) {
 
 }  // namespace
 
-UniformPricing::UniformPricing(Credits price_per_chunk)
-    : price_(price_per_chunk) {
-  CF_EXPECTS_MSG(price_per_chunk > 0, "uniform price must be positive");
-}
-
-Credits UniformPricing::price(std::uint32_t, std::uint64_t) const {
-  return price_;
-}
-
-std::string UniformPricing::name() const {
-  return "uniform(" + std::to_string(price_) + ")";
-}
-
-double UniformPricing::mean_price() const {
-  return static_cast<double>(price_);
-}
-
-PoissonPricing::PoissonPricing(double mean, Credits min_price,
-                               std::uint64_t salt)
-    : mean_(mean), min_price_(min_price), salt_(salt) {
-  CF_EXPECTS_MSG(mean > 0.0, "poisson mean must be positive");
-}
-
-Credits PoissonPricing::price(std::uint32_t seller,
-                              std::uint64_t chunk) const {
-  const double u = hashed_uniform(seller, chunk, salt_);
-  const Credits draw = poisson_from_uniform(mean_, u);
-  return draw < min_price_ ? min_price_ : draw;
-}
-
-std::string PoissonPricing::name() const {
-  return "poisson(mean=" + std::to_string(mean_) + ")";
-}
-
-double PoissonPricing::mean_price() const {
-  if (min_price_ == 0) return mean_;
-  // E[max(X, m)] = m + Σ_{k>m} (k-m) P(X=k); compute numerically.
-  double p = std::exp(-mean_);
-  double acc = static_cast<double>(min_price_);
-  for (std::uint64_t k = 1; k < min_price_ + 200; ++k) {
-    p *= mean_ / static_cast<double>(k);
-    if (k > min_price_)
-      acc += static_cast<double>(k - min_price_) * p;
-  }
-  return acc;
-}
-
-PerSellerPricing::PerSellerPricing(Credits lo, Credits hi, std::uint64_t salt)
-    : lo_(lo), hi_(hi), salt_(salt) {
-  CF_EXPECTS(lo >= 1 && lo <= hi);
-}
-
-Credits PerSellerPricing::price(std::uint32_t seller, std::uint64_t) const {
-  const double u = hashed_uniform(seller, 0, salt_);
-  const auto range = hi_ - lo_ + 1;
-  return lo_ + static_cast<Credits>(u * static_cast<double>(range));
-}
-
-std::string PerSellerPricing::name() const {
-  return "per-seller[" + std::to_string(lo_) + "," + std::to_string(hi_) + "]";
-}
-
-double PerSellerPricing::mean_price() const {
-  return 0.5 * static_cast<double>(lo_ + hi_);
-}
-
-LinearSizePricing::LinearSizePricing(Credits base, Credits slope,
-                                     std::uint32_t max_size,
-                                     std::uint64_t salt)
-    : base_(base), slope_(slope), max_size_(max_size), salt_(salt) {
-  CF_EXPECTS(base >= 1);
-  CF_EXPECTS(max_size >= 1);
-}
-
-Credits LinearSizePricing::price(std::uint32_t, std::uint64_t chunk) const {
-  // Size is a property of the chunk alone so all sellers agree on it.
-  const double u = hashed_uniform(0, chunk, salt_);
-  const auto size =
-      1 + static_cast<std::uint32_t>(u * static_cast<double>(max_size_));
-  const auto clamped = size > max_size_ ? max_size_ : size;
-  return base_ + slope_ * (clamped - 1);
-}
-
-std::string LinearSizePricing::name() const {
-  return "linear(base=" + std::to_string(base_) +
-         ",slope=" + std::to_string(slope_) + ")";
-}
-
-double LinearSizePricing::mean_price() const {
-  return static_cast<double>(base_) +
-         static_cast<double>(slope_) * 0.5 *
-             static_cast<double>(max_size_ - 1);
-}
-
-std::unique_ptr<PricingScheme> make_pricing(const PricingParams& params) {
+Credits price(const PricingParams& params, std::uint32_t seller,
+              std::uint64_t chunk) {
   switch (params.kind) {
     case PricingKind::kUniform:
-      return std::make_unique<UniformPricing>(params.uniform_price);
-    case PricingKind::kPoisson:
-      return std::make_unique<PoissonPricing>(params.poisson_mean,
-                                              params.poisson_min, params.salt);
-    case PricingKind::kPerSeller:
-      return std::make_unique<PerSellerPricing>(
-          params.per_seller_lo, params.per_seller_hi, params.salt);
+      return params.uniform_price;
+    case PricingKind::kPoisson: {
+      const Credits draw = poisson_from_uniform(
+          params.poisson_mean, hashed_uniform(seller, chunk));
+      return draw < params.poisson_min ? params.poisson_min : draw;
+    }
+    case PricingKind::kPerSeller: {
+      const auto range = params.per_seller_hi - params.per_seller_lo + 1;
+      return params.per_seller_lo +
+             static_cast<Credits>(hashed_uniform(seller, 0) *
+                                  static_cast<double>(range));
+    }
     case PricingKind::kLinearSize:
-      return std::make_unique<LinearSizePricing>(
-          params.linear_base, params.linear_slope, params.linear_max_size,
-          params.salt);
+      // Size is a property of the chunk alone so all sellers agree on it.
+      return 1 + static_cast<Credits>(hashed_uniform(0, chunk) * 4.0);
   }
   throw util::InvariantError("unknown pricing kind");
 }

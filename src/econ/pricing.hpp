@@ -1,9 +1,9 @@
-// CreditFlow: chunk pricing schemes (Sec. V-C of the paper).
+// CreditFlow: chunk pricing rules (Sec. V-C of the paper).
 //
 // The price a seller charges per chunk shapes the spending rates μ and the
 // transfer probabilities P, and with them the utilization profile that
 // decides condensation. The paper evaluates uniform pricing (1 credit per
-// chunk) and Poisson-distributed prices (mean 1); the related-work schemes
+// chunk) and Poisson-distributed prices (mean 1); the related-work rules
 // (single price per peer, linear pricing) are provided for ablations.
 //
 // Prices are deterministic functions of (seller, chunk) — hashed, not
@@ -12,100 +12,30 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 namespace creditflow::econ {
 
 using Credits = std::uint64_t;
 
-/// Interface: how many credits seller `seller` charges for chunk `chunk`.
-class PricingScheme {
- public:
-  virtual ~PricingScheme() = default;
-  [[nodiscard]] virtual Credits price(std::uint32_t seller,
-                                      std::uint64_t chunk) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Long-run mean price across sellers/chunks (exact where closed-form).
-  [[nodiscard]] virtual double mean_price() const = 0;
-};
-
-/// Every chunk costs the same flat price everywhere.
-class UniformPricing final : public PricingScheme {
- public:
-  explicit UniformPricing(Credits price_per_chunk = 1);
-  [[nodiscard]] Credits price(std::uint32_t seller,
-                              std::uint64_t chunk) const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double mean_price() const override;
-
- private:
-  Credits price_;
-};
-
-/// Poisson-distributed price per (seller, chunk) pair with the given mean —
-/// the paper's Fig. 1 "condensed" configuration (mean 1). `min_price` floors
-/// the draw (0 keeps genuine free chunks, which transfer no credits).
-class PoissonPricing final : public PricingScheme {
- public:
-  PoissonPricing(double mean, Credits min_price = 0,
-                 std::uint64_t salt = 0x9e3779b97f4a7c15ULL);
-  [[nodiscard]] Credits price(std::uint32_t seller,
-                              std::uint64_t chunk) const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double mean_price() const override;
-
- private:
-  double mean_;
-  Credits min_price_;
-  std::uint64_t salt_;
-};
-
-/// Each seller draws a single personal price in [lo, hi] once (hashed from
-/// its id) and charges it for every chunk — "a single price per peer".
-class PerSellerPricing final : public PricingScheme {
- public:
-  PerSellerPricing(Credits lo, Credits hi,
-                   std::uint64_t salt = 0x517cc1b727220a95ULL);
-  [[nodiscard]] Credits price(std::uint32_t seller,
-                              std::uint64_t chunk) const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double mean_price() const override;
-
- private:
-  Credits lo_;
-  Credits hi_;
-  std::uint64_t salt_;
-};
-
-/// Price linear in a hashed per-chunk "size" s ∈ [1, max_size]:
-/// price = base + slope·(s-1). Models linear pricing over heterogeneous
-/// chunk sizes.
-class LinearSizePricing final : public PricingScheme {
- public:
-  LinearSizePricing(Credits base, Credits slope, std::uint32_t max_size = 4,
-                    std::uint64_t salt = 0x2545f4914f6cdd1dULL);
-  [[nodiscard]] Credits price(std::uint32_t seller,
-                              std::uint64_t chunk) const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double mean_price() const override;
-
- private:
-  Credits base_;
-  Credits slope_;
-  std::uint32_t max_size_;
-  std::uint64_t salt_;
-};
-
-/// Pricing scheme selector used by MarketConfig.
+/// Pricing rule selector used by MarketConfig.
 enum class PricingKind {
+  /// Every chunk costs `uniform_price` everywhere.
   kUniform,
+  /// A Poisson(`poisson_mean`) price per (seller, chunk) pair, floored at
+  /// `poisson_min` (0 keeps genuine free chunks, which transfer no
+  /// credits) — the paper's Fig. 1 "condensed" configuration (mean 1).
   kPoisson,
+  /// Each seller charges one hashed personal price in
+  /// [`per_seller_lo`, `per_seller_hi`] for every chunk — "a single price
+  /// per peer".
   kPerSeller,
+  /// Linear pricing over heterogeneous chunk sizes, base 1 and slope 1: s
+  /// credits for a hashed per-chunk size s in 1..4 that all sellers agree
+  /// on.
   kLinearSize,
 };
 
-/// Parameters for make_pricing.
+/// The pricing rule and the parameters of its kind.
 struct PricingParams {
   PricingKind kind = PricingKind::kUniform;
   Credits uniform_price = 1;
@@ -113,13 +43,11 @@ struct PricingParams {
   Credits poisson_min = 0;
   Credits per_seller_lo = 1;
   Credits per_seller_hi = 3;
-  Credits linear_base = 1;
-  Credits linear_slope = 1;
-  std::uint32_t linear_max_size = 4;
-  std::uint64_t salt = 0x9e3779b97f4a7c15ULL;
 };
 
-[[nodiscard]] std::unique_ptr<PricingScheme> make_pricing(
-    const PricingParams& params);
+/// Credits `seller` charges for `chunk` under `params`. The parameters are
+/// not range-checked here; the protocol checks the selected rule's once.
+[[nodiscard]] Credits price(const PricingParams& params, std::uint32_t seller,
+                            std::uint64_t chunk);
 
 }  // namespace creditflow::econ

@@ -46,8 +46,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
                protocol_edge_cells(cfg_.max_peers, cfg_.overlay_mean_degree,
                                    cfg_.churn.join_links)),
       peers_(cfg_.max_peers, std::max<std::size_t>(cfg_.window_chunks, 1)),
-      pricing_(econ::make_pricing(cfg_.pricing)),
-      spending_(make_spending_policy(cfg_.spending)),
       tax_(cfg_.tax, cfg_.max_peers) {
   CF_EXPECTS(cfg_.initial_peers >= 2);
   CF_EXPECTS(cfg_.initial_peers <= cfg_.max_peers);
@@ -59,6 +57,28 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   CF_EXPECTS(cfg_.base_spend_rate > 0.0);
   CF_EXPECTS(cfg_.max_purchase_attempts >= 1);
   CF_EXPECTS(cfg_.overlay_mean_degree > 0.0);
+  // The selected pricing and spending rules' ranges.
+  const econ::PricingParams& pricing = cfg_.pricing;
+  switch (pricing.kind) {
+    case econ::PricingKind::kUniform:
+      CF_EXPECTS_MSG(pricing.uniform_price > 0,
+                     "uniform price must be positive");
+      break;
+    case econ::PricingKind::kPoisson:
+      CF_EXPECTS_MSG(pricing.poisson_mean > 0.0,
+                     "poisson mean must be positive");
+      break;
+    case econ::PricingKind::kPerSeller:
+      CF_EXPECTS(pricing.per_seller_lo >= 1 &&
+                 pricing.per_seller_lo <= pricing.per_seller_hi);
+      break;
+    case econ::PricingKind::kLinearSize:
+      break;
+  }
+  if (cfg_.spending.dynamic) {
+    CF_EXPECTS_MSG(cfg_.spending.dynamic_threshold > 0.0,
+                   "dynamic spending threshold must be > 0");
+  }
   if (cfg_.churn.enabled) {
     CF_EXPECTS(cfg_.churn.arrival_rate > 0.0);
     CF_EXPECTS(cfg_.churn.mean_lifespan > 0.0);
@@ -701,7 +721,8 @@ bool StreamingProtocol::choose_seller(ChunkId chunk, PeerId& seller) {
         const auto key =
             book != nullptr
                 ? std::pair{book->ask_price(candidate), book->ask_seq(candidate)}
-                : std::pair{pricing_->price(candidate, chunk), std::uint64_t{0}};
+                : std::pair{econ::price(cfg_.pricing, candidate, chunk),
+                            std::uint64_t{0}};
         if (!found || key < best) {
           found = true;
           best = key;
@@ -730,8 +751,9 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
     if (budget <= 0.0) break;
     PeerId seller_id = 0;
     if (!choose_seller<Words>(chunk, seller_id)) continue;
-    const econ::Credits price = book_mode ? book_->ask_price(seller_id)
-                                          : pricing_->price(seller_id, chunk);
+    const econ::Credits price = book_mode
+                                    ? book_->ask_price(seller_id)
+                                    : econ::price(cfg_.pricing, seller_id, chunk);
     if (limit && price > cfg_.book.limit_price) {
       // The market is above the buyer's limit: rest a bid (standing intent,
       // re-posting refreshes it) and wait for asks to come down.
@@ -796,9 +818,9 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   if (!overlay_.is_active(buyer_id)) return;  // departed mid-round
   const BufferMap& buyer_buffer = peers_.buffer(buyer_id);
 
-  const double budget = spending_->round_budget(
-      peers_.base_spend_rate(buyer_id), ledger_.balance(buyer_id),
-      cfg_.round_seconds);
+  const double budget = round_budget(
+      cfg_.spending, peers_.base_spend_rate(buyer_id),
+      ledger_.balance(buyer_id), cfg_.round_seconds);
   if (budget <= 0.0) return;
 
   buyer_buffer.missing_into(missing_scratch_);

@@ -8,7 +8,7 @@
 // missing chunks from neighbors that have them, paying the seller's price
 // per chunk from its credit balance. Sellers are bandwidth-limited
 // (upload_capacity chunks/sec) and buyers are budget-limited (their
-// spending policy caps credits/round, and purchases require liquidity).
+// spending rule caps credits/round, and purchases require liquidity).
 // Seller choice is weighted by chunk availability at the neighbors, exactly
 // as the paper configures its transfer probabilities.
 //
@@ -134,12 +134,12 @@ struct ProtocolConfig {
 
   /// How purchases clear:
   ///  * kDirect — the paper's market: the buyer picks a seller per
-  ///    seller_choice and pays the pricing scheme's posted price (default;
+  ///    seller_choice and pays the pricing rule's posted price (default;
   ///    byte-identical to every pre-order-book build).
   ///  * kOrderBook — the price-mediated regime (Ramaswamy et al.): sellers
   ///    post asks into a price-time-priority book each round and buyers
   ///    cross it; the transacted price is the resting ask's, not the
-  ///    pricing scheme's.
+  ///    pricing rule's.
   enum class MarketMode { kDirect, kOrderBook };
   MarketMode market_mode = MarketMode::kDirect;
 
@@ -346,7 +346,7 @@ class StreamingProtocol : private sim::Simulator::Agent {
   }
   /// One buyer's purchases over `missing`, sellers read from this phase's
   /// candidates: choose, price (the resting ask's price in an order-book
-  /// market, the pricing scheme's otherwise), settle. Words =
+  /// market, the pricing rule's otherwise), settle. Words =
   /// candidates_.width(), chosen once per buyer.
   template <std::size_t Words>
   void buy_missing(PeerId buyer_id, std::span<const ChunkId> missing,
@@ -408,9 +408,7 @@ class StreamingProtocol : private sim::Simulator::Agent {
   CreditLedger ledger_;
   Overlay overlay_;
   PeerTable peers_;  ///< SoA per-peer state, arena-backed buffers
-  std::unique_ptr<econ::PricingScheme> pricing_;
   SellerRule seller_rule_ = SellerRule::kUniform;
-  std::unique_ptr<SpendingPolicy> spending_;
   econ::TaxationEngine tax_;
   TransactionTrace trace_;
   sim::MetricsRegistry metrics_;

@@ -4,37 +4,14 @@
 
 namespace creditflow::p2p {
 
-double FixedSpending::round_budget(double base_rate, std::uint64_t,
-                                   double round_seconds) const {
-  CF_EXPECTS(base_rate >= 0.0 && round_seconds > 0.0);
-  return base_rate * round_seconds;
-}
-
-std::string FixedSpending::name() const { return "fixed"; }
-
-DynamicSpending::DynamicSpending(double threshold) : threshold_(threshold) {
-  CF_EXPECTS_MSG(threshold > 0.0, "dynamic spending threshold must be > 0");
-}
-
-double DynamicSpending::round_budget(double base_rate, std::uint64_t balance,
-                                     double round_seconds) const {
+double round_budget(const SpendingParams& params, double base_rate,
+                    std::uint64_t balance, double round_seconds) {
   CF_EXPECTS(base_rate >= 0.0 && round_seconds > 0.0);
   const auto b = static_cast<double>(balance);
-  const double rate =
-      b > threshold_ ? base_rate * b / threshold_ : base_rate;
+  const double rate = params.dynamic && b > params.dynamic_threshold
+                          ? base_rate * b / params.dynamic_threshold
+                          : base_rate;
   return rate * round_seconds;
-}
-
-std::string DynamicSpending::name() const {
-  return "dynamic(m=" + std::to_string(threshold_) + ")";
-}
-
-std::unique_ptr<SpendingPolicy> make_spending_policy(
-    const SpendingParams& params) {
-  if (params.dynamic) {
-    return std::make_unique<DynamicSpending>(params.dynamic_threshold);
-  }
-  return std::make_unique<FixedSpending>();
 }
 
 }  // namespace creditflow::p2p

@@ -1,4 +1,4 @@
-// CreditFlow: spending-rate policies (Sec. VI-D of the paper).
+// CreditFlow: the spending-rate rule (Sec. VI-D of the paper).
 //
 // A peer's maximum spending rate μ_i caps how many credits it may spend per
 // unit time. The paper compares a fixed rate against the dynamic adjustment
@@ -10,53 +10,23 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 namespace creditflow::p2p {
 
-/// Interface: credits a peer may spend during a scheduling round.
-class SpendingPolicy {
- public:
-  virtual ~SpendingPolicy() = default;
-  /// `base_rate` is μ_i^s in credits/sec; `balance` the current credits;
-  /// `round_seconds` the round length. Returns the round budget in credits
-  /// (fractional budgets are meaningful: the scheduler compares prices
-  /// against the running remainder).
-  [[nodiscard]] virtual double round_budget(double base_rate,
-                                            std::uint64_t balance,
-                                            double round_seconds) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// μ_i = μ_i^s regardless of wealth.
-class FixedSpending final : public SpendingPolicy {
- public:
-  [[nodiscard]] double round_budget(double base_rate, std::uint64_t balance,
-                                    double round_seconds) const override;
-  [[nodiscard]] std::string name() const override;
-};
-
-/// The paper's dynamic adjustment with threshold m.
-class DynamicSpending final : public SpendingPolicy {
- public:
-  explicit DynamicSpending(double threshold);
-  [[nodiscard]] double round_budget(double base_rate, std::uint64_t balance,
-                                    double round_seconds) const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double threshold() const { return threshold_; }
-
- private:
-  double threshold_;
-};
-
-/// Policy selector for MarketConfig.
+/// Spending rule for MarketConfig: μ_i = μ_i^s regardless of wealth, or the
+/// paper's dynamic adjustment with threshold m.
 struct SpendingParams {
   bool dynamic = false;
   double dynamic_threshold = 100.0;  ///< m
 };
 
-[[nodiscard]] std::unique_ptr<SpendingPolicy> make_spending_policy(
-    const SpendingParams& params);
+/// Credits a peer may spend during a scheduling round. `base_rate` is
+/// μ_i^s in credits/sec; `balance` the current credits; `round_seconds`
+/// the round length. Fractional budgets are meaningful: the scheduler
+/// compares prices against the running remainder. The threshold is not
+/// range-checked here; the protocol checks it once.
+[[nodiscard]] double round_budget(const SpendingParams& params,
+                                  double base_rate, std::uint64_t balance,
+                                  double round_seconds);
 
 }  // namespace creditflow::p2p

@@ -426,32 +426,22 @@ TEST(Overlay, RowsMatchVectorEngineUnderChurn) {
 }
 
 TEST(FixedSpending, BudgetIsRateTimesRound) {
-  FixedSpending policy;
-  EXPECT_DOUBLE_EQ(policy.round_budget(4.0, 0, 2.0), 8.0);
-  EXPECT_DOUBLE_EQ(policy.round_budget(4.0, 1000000, 2.0), 8.0);
+  // The threshold is read only when the rule is dynamic.
+  SpendingParams fixed;
+  fixed.dynamic_threshold = 1.0;
+  EXPECT_DOUBLE_EQ(round_budget(fixed, 4.0, 0, 2.0), 8.0);
+  EXPECT_DOUBLE_EQ(round_budget(fixed, 4.0, 1000000, 2.0), 8.0);
 }
 
 TEST(DynamicSpending, MatchesPaperRule) {
   // μ_i = μ_s B/m above the threshold, μ_s below (Sec. VI-D).
-  DynamicSpending policy(100.0);
-  EXPECT_DOUBLE_EQ(policy.round_budget(4.0, 50, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(policy.round_budget(4.0, 100, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(policy.round_budget(4.0, 200, 1.0), 8.0);
-  EXPECT_DOUBLE_EQ(policy.round_budget(4.0, 1000, 1.0), 40.0);
-}
-
-TEST(DynamicSpending, RejectsNonPositiveThreshold) {
-  EXPECT_THROW(DynamicSpending(0.0), util::PreconditionError);
-}
-
-TEST(MakeSpendingPolicy, Dispatch) {
-  SpendingParams fixed;
-  EXPECT_EQ(make_spending_policy(fixed)->name(), "fixed");
   SpendingParams dynamic;
   dynamic.dynamic = true;
-  dynamic.dynamic_threshold = 42.0;
-  EXPECT_NE(make_spending_policy(dynamic)->name().find("dynamic"),
-            std::string::npos);
+  dynamic.dynamic_threshold = 100.0;
+  EXPECT_DOUBLE_EQ(round_budget(dynamic, 4.0, 50, 1.0), 4.0);
+  EXPECT_DOUBLE_EQ(round_budget(dynamic, 4.0, 100, 1.0), 4.0);
+  EXPECT_DOUBLE_EQ(round_budget(dynamic, 4.0, 200, 1.0), 8.0);
+  EXPECT_DOUBLE_EQ(round_budget(dynamic, 4.0, 1000, 1.0), 40.0);
 }
 
 }  // namespace

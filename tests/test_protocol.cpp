@@ -325,6 +325,29 @@ TEST(Protocol, RejectsBadConfigs) {
   cfg.churn.enabled = true;
   cfg.churn.arrival_rate = 0.0;
   EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
+
+  // The selected pricing and spending rules' ranges, checked once here.
+  cfg = small_config();
+  cfg.pricing.uniform_price = 0;
+  EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
+  cfg.pricing.kind = econ::PricingKind::kPoisson;  // uniform price unread
+  EXPECT_NO_THROW(StreamingProtocol(cfg, sim));
+  cfg.pricing.poisson_mean = 0.0;
+  EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
+
+  cfg = small_config();
+  cfg.pricing.kind = econ::PricingKind::kPerSeller;
+  cfg.pricing.per_seller_lo = 4;
+  cfg.pricing.per_seller_hi = 3;
+  EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
+  cfg.pricing.per_seller_lo = 0;
+  EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
+
+  cfg = small_config();
+  cfg.spending.dynamic_threshold = 0.0;
+  EXPECT_NO_THROW(StreamingProtocol(cfg, sim));  // fixed: threshold unread
+  cfg.spending.dynamic = true;
+  EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
 }
 
 TEST(Protocol, RejectsEdgeArenasBeyond32BitOffsets) {
