@@ -30,17 +30,13 @@ std::string csv_quote(const std::string& s) {
 
 void ResultSink::add(RunResult result) {
   const std::size_t run = result.run_index;
-  if (have_run_.size() <= run) have_run_.resize(run + 1, false);
-  CF_EXPECTS_MSG(!have_run_[run],
+  CF_EXPECTS_MSG(!have_run_.contains(run),
                  "duplicate result for run " + std::to_string(run));
-  if (point_runs_.size() <= result.point_index) {
-    point_runs_.resize(result.point_index + 1, 0);
-  }
   std::size_t& held = point_runs_[result.point_index];
   CF_EXPECTS_MSG(expected_replications_ == 0 || held < expected_replications_,
                  "run arrived for a grid point that already received its "
                  "declared replication count");
-  have_run_[run] = true;
+  have_run_.insert(run);
   ++held;
   // Run-index order is restored lazily (ensure_sorted) so the renderings
   // never depend on completion order, while adds stay O(1) even for

@@ -10,6 +10,8 @@
 
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "scenario/runner.hpp"
@@ -84,8 +86,9 @@ class ResultSink {
  private:
   void ensure_sorted() const;
 
-  std::vector<bool> have_run_;           ///< indexed by run_index
-  std::vector<std::size_t> point_runs_;  ///< runs held, by point_index
+  // Keyed, not indexed: a run record may carry any 64-bit index.
+  std::unordered_set<std::size_t> have_run_;  ///< run indices held
+  std::unordered_map<std::size_t, std::size_t> point_runs_;  ///< by point
   std::size_t expected_replications_ = 0;  ///< 0 = unchecked
 
   // Mutable so the const renderings can restore run-index order lazily;

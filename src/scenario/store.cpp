@@ -1,5 +1,6 @@
 #include "scenario/store.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -113,9 +114,13 @@ class RecordParser {
     skip_ws();
     const char* begin = text_.c_str() + pos_;
     char* end = nullptr;
+    // Digits only, and no ERANGE saturation: strtoull silently wraps a
+    // leading minus and clamps overflow to 2^64 - 1.
+    errno = 0;
     const std::uint64_t v = std::strtoull(begin, &end, 10);
-    CF_EXPECTS_MSG(end != begin, "run record: expected an integer at offset " +
-                                     std::to_string(pos_));
+    CF_EXPECTS_MSG(*begin >= '0' && *begin <= '9' && errno != ERANGE,
+                   "run record: expected an integer at offset " +
+                       std::to_string(pos_));
     pos_ += static_cast<std::size_t>(end - begin);
     return v;
   }

@@ -187,6 +187,32 @@ TEST(ResultSinkStreaming, OverfullPointWithDeclaredReplicationsThrows) {
   EXPECT_THROW(sink.add(extra), util::PreconditionError);
 }
 
+TEST(ResultSinkStreaming, HugeIndicesNeedNoTableOfThatSize) {
+  // A run record may carry any 64-bit index; the sink keys its duplicate
+  // and replication checks by index instead of sizing a table by it.
+  constexpr std::size_t kHuge = 100000000000000;  // 10^14
+  ResultSink sink;
+  sink.set_expected_replications(1);
+  RunResult r;
+  r.run_index = kHuge;
+  r.point_index = kHuge;
+  r.metrics = {{"m", 1.0}};
+  sink.add(r);
+  RunResult low = r;
+  low.run_index = 0;
+  low.point_index = 0;
+  sink.add(low);
+  EXPECT_THROW(sink.add(r), util::PreconditionError);  // duplicate run
+  RunResult extra = r;
+  extra.run_index = kHuge + 1;
+  EXPECT_THROW(sink.add(extra), util::PreconditionError);  // point is full
+  const auto rows = sink.aggregate();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].point_index, 0u);
+  EXPECT_EQ(rows[1].point_index, kHuge);
+  EXPECT_NE(sink.runs_csv().find(std::to_string(kHuge)), std::string::npos);
+}
+
 TEST(ResultSinkStreaming, DuplicateRunIndexIsRejected) {
   // A record file merged twice must fail, not double-count its runs.
   ResultSink sink;

@@ -266,6 +266,34 @@ TEST(RunRecord, ParseRejectsGarbage) {
                util::PreconditionError);
   EXPECT_THROW((void)read_run_records("/no/such/file.jsonl"),
                util::PreconditionError);
+
+  // An index is digits only and fits 64 bits: strtoull alone wrapped "-1"
+  // to 2^64 - 1 and clamped overflow to it, and the sink then sized its
+  // tables by that index.
+  RunResult r;
+  r.run_index = 7;
+  r.point_index = 3;
+  const std::string line = serialize_run_record(RunKey{}, r);
+  const auto with = [&](const std::string& field, const std::string& value) {
+    const std::string from = "\"" + field + "\":";
+    std::string edited = line;
+    const auto at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << field;
+    const auto end = edited.find(',', at);
+    edited.replace(at + from.size(), end - at - from.size(), value);
+    return edited;
+  };
+  for (const char* field : {"run_index", "point_index", "seed"}) {
+    for (const char* bad : {"-1", "+1", "99999999999999999999999",
+                            "18446744073709551616"}) {
+      EXPECT_THROW((void)parse_run_record(with(field, bad)),
+                   util::PreconditionError)
+          << field << " " << bad;
+    }
+  }
+  EXPECT_EQ(parse_run_record(with("run_index", "18446744073709551615"))
+                .result.run_index,
+            std::numeric_limits<std::size_t>::max());
 }
 
 // ---- RunStore ------------------------------------------------------------
