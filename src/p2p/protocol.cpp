@@ -364,8 +364,11 @@ void StreamingProtocol::handle_departure(PeerId id) {
 void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
   // Chunks created since the previous round get pushed to seed_fanout
   // random alive peers each, free of charge (the source is the provider).
-  const ChunkId prev_head =
-      head_at(std::max(now - cfg_.round_seconds, 0.0));
+  // Only the newest window_chunks of them can land: every alive buffer
+  // starts at head - window_chunks by now, and set() refuses older chunks.
+  const ChunkId first =
+      std::max(head_at(std::max(now - cfg_.round_seconds, 0.0)),
+               head - cfg_.window_chunks);
   const std::span<const PeerId> alive = overlay_.active_peers();
   if (alive.empty()) return;
   // Stake-bonded seeders advertise themselves to the source: peers whose
@@ -383,7 +386,7 @@ void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
       }
     }
   }
-  for (ChunkId c = prev_head; c < head; ++c) {
+  for (ChunkId c = first; c < head; ++c) {
     for (std::size_t k = 0; k < cfg_.seed_fanout; ++k) {
       if (k == 0 && staked_priority && !staked_scratch_.empty()) {
         const PeerId bonded =
