@@ -1,10 +1,13 @@
 #include "sim/metrics.hpp"
 
+#include "util/assert.hpp"
+
 namespace creditflow::sim {
 
 std::uint64_t MetricsRegistry::counter(const std::string& name) const {
   const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  CF_EXPECTS_MSG(it != counters_.end(), "no registry counter named " + name);
+  return it->second;
 }
 
 std::uint64_t* MetricsRegistry::counter_cell(const std::string& name) {

@@ -19,6 +19,8 @@ class MetricsRegistry {
  public:
   MetricsRegistry() = default;
 
+  /// Counter `name`. Throws util::PreconditionError when no cell of that
+  /// name was created, so a misspelt name fails instead of reading 0.
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
   /// Every counter by name, in name order.
   [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const {

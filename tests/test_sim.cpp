@@ -124,7 +124,7 @@ TEST(Metrics, CountersAccumulate) {
   *cell += 1;
   *cell += 4;
   EXPECT_EQ(m.counter("a"), 5u);
-  EXPECT_EQ(m.counter("missing"), 0u);
+  EXPECT_THROW((void)m.counter("missing"), util::PreconditionError);
   // The cell is the counter's storage for the registry's lifetime.
   (void)m.counter_cell("b");
   EXPECT_EQ(m.counter_cell("a"), cell);
