@@ -1,7 +1,5 @@
 #include "p2p/peer.hpp"
 
-#include <limits>
-
 #include "util/assert.hpp"
 
 namespace creditflow::p2p {
@@ -10,8 +8,6 @@ PeerTable::PeerTable(std::size_t max_peers, std::size_t window_chunks)
     : upload_capacity_(max_peers, 0.0),
       base_spend_rate_(max_peers, 0.0),
       join_time_(max_peers, 0.0),
-      depart_time_(max_peers,
-                   std::numeric_limits<double>::infinity()),
       window_(window_chunks),
       words_(BufferMap::words_for(window_chunks)),
       buffer_words_(max_peers * words_, 0),
@@ -33,7 +29,6 @@ PeerTable::PeerTable(std::size_t max_peers, std::size_t window_chunks)
 void PeerTable::reset_slot(PeerId i, double now) {
   CF_EXPECTS(i < size());
   join_time_[i] = now;
-  depart_time_[i] = std::numeric_limits<double>::infinity();
   credits_earned_[i] = 0;
   credits_spent_[i] = 0;
   chunks_downloaded_[i] = 0;

@@ -43,9 +43,6 @@ class PeerTable {
   [[nodiscard]] double join_time(PeerId i) const { return join_time_[i]; }
   void set_join_time(PeerId i, double v) { join_time_[i] = v; }
 
-  [[nodiscard]] double depart_time(PeerId i) const { return depart_time_[i]; }
-  void set_depart_time(PeerId i, double v) { depart_time_[i] = v; }
-
   [[nodiscard]] BufferMap& buffer(PeerId i) { return buffers_[i]; }
   [[nodiscard]] const BufferMap& buffer(PeerId i) const { return buffers_[i]; }
 
@@ -105,10 +102,10 @@ class PeerTable {
   std::uint32_t bump_activations(PeerId i) { return ++activations_[i]; }
 
   /// Reset a slot's scalar fields for (re)activation: counters to zero,
-  /// lifecycle to [now, ∞). Buffer and capabilities are the caller's to
-  /// set — they depend on RNG draws the caller sequences. The strategy tag
-  /// and activation count survive: both are properties of the slot id, not
-  /// of one occupancy.
+  /// join time to now (its departure is an event on the calendar). Buffer
+  /// and capabilities are the caller's to set — they depend on RNG draws
+  /// the caller sequences. The strategy tag and activation count survive:
+  /// both are properties of the slot id, not of one occupancy.
   void reset_slot(PeerId i, double now);
 
   /// Lifetime average spending rate in credits/sec at time `now`.
@@ -131,7 +128,6 @@ class PeerTable {
   std::vector<double> upload_capacity_;
   std::vector<double> base_spend_rate_;
   std::vector<double> join_time_;
-  std::vector<double> depart_time_;
   std::size_t window_;
   std::size_t words_;  ///< arena words per slot
   /// One arena of BufferMap words for the whole table, packed in slot

@@ -308,10 +308,8 @@ void StreamingProtocol::schedule_next_arrival() {
 }
 
 void StreamingProtocol::schedule_departure(PeerId id, double now) {
-  const double depart =
-      now + rng_.exponential(1.0 / cfg_.churn.mean_lifespan);
-  peers_.set_depart_time(id, depart);
-  sim_.schedule(depart, agent_, kDeparture, id);
+  sim_.schedule(now + rng_.exponential(1.0 / cfg_.churn.mean_lifespan),
+                agent_, kDeparture, id);
 }
 
 void StreamingProtocol::handle_arrival(double now) {

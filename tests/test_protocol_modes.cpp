@@ -149,17 +149,23 @@ TEST(Injection, WorksTogetherWithChurnAndTax) {
 }
 
 TEST(DepartTimes, TrackedForChurningPeers) {
-  sim::Simulator sim;
-  auto cfg = base();
-  cfg.max_peers = 160;
-  cfg.churn.enabled = true;
-  cfg.churn.arrival_rate = 0.5;
-  cfg.churn.mean_lifespan = 50.0;
-  StreamingProtocol proto(cfg, sim);
-  proto.start();
-  sim.run_until(100.0);
-  for (PeerId id : proto.alive_peers()) {
-    EXPECT_GT(proto.peer_table().depart_time(id), sim.now());
+  // The calendar holds each alive peer's departure; beside them only the
+  // next round and the next arrival are pending.
+  for (const std::uint64_t seed : {7ull, 8ull, 9ull}) {
+    sim::Simulator sim;
+    auto cfg = base();
+    cfg.max_peers = 160;
+    cfg.seed = seed;
+    cfg.churn.enabled = true;
+    cfg.churn.arrival_rate = 0.5;
+    cfg.churn.mean_lifespan = 50.0;
+    StreamingProtocol proto(cfg, sim);
+    proto.start();
+    for (const double t : {100.0, 250.5, 400.0}) {
+      sim.run_until(t);
+      EXPECT_EQ(sim.pending_events(), proto.num_alive() + 2)
+          << "seed " << seed << " at t = " << t;
+    }
   }
 }
 
