@@ -13,18 +13,8 @@ namespace creditflow::scenario {
 
 namespace {
 
+using util::csv_escape;
 using util::format_double;
-
-std::string csv_quote(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
 
 }  // namespace
 
@@ -146,11 +136,11 @@ std::string ResultSink::runs_csv() const {
   out << "run_index,point_index,seed_index,seed";
   if (!runs_.empty()) {
     for (const auto& [name, value] : runs_.front().params) {
-      out << ',' << csv_quote(name);
+      out << ',' << csv_escape(name);
     }
     if (proto) {
       for (const auto& [name, value] : proto->metrics) {
-        out << ',' << csv_quote(name);
+        out << ',' << csv_escape(name);
       }
     }
     out << ",error,rounds";
@@ -173,7 +163,7 @@ std::string ResultSink::runs_csv() const {
       out << ',';
     } else {
       for (std::size_t k = 0; k < metric_cols; ++k) out << ',';
-      out << ',' << csv_quote(run.error);
+      out << ',' << csv_escape(run.error);
     }
     out << ',' << run.telemetry.rounds;
     if (timing_columns_) {
@@ -204,13 +194,13 @@ std::string ResultSink::aggregate_csv() const {
   out << "point_index";
   if (!rows.empty()) {
     for (const auto& [name, value] : rows.front().params) {
-      out << ',' << csv_quote(name);
+      out << ',' << csv_escape(name);
     }
     out << ",seeds,failures";
     if (proto) {
       for (const auto& [name, stat] : proto->metrics) {
-        out << ',' << csv_quote(name) << "_mean," << csv_quote(name)
-            << "_sd," << csv_quote(name) << "_ci95";
+        out << ',' << csv_escape(name) << "_mean," << csv_escape(name)
+            << "_sd," << csv_escape(name) << "_ci95";
       }
     }
   }

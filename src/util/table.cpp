@@ -67,8 +67,6 @@ void ConsoleTable::print(std::ostream& os) const {
 
 void ConsoleTable::print() const { print(std::cout); }
 
-namespace {
-
 std::string csv_escape(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
   std::string out = "\"";
@@ -79,8 +77,6 @@ std::string csv_escape(const std::string& s) {
   out += '"';
   return out;
 }
-
-}  // namespace
 
 std::string ConsoleTable::to_csv() const {
   std::ostringstream oss;

@@ -44,6 +44,10 @@ class ConsoleTable {
   std::vector<std::vector<Cell>> rows_;
 };
 
+/// One CSV field: `s` as is, or in double quotes with inner quotes doubled
+/// when it holds a comma, a quote or a newline.
+[[nodiscard]] std::string csv_escape(const std::string& s);
+
 /// Write a table as `<name>.csv` under $CREDITFLOW_CSV_DIR, if set.
 /// Returns the path written, or nullopt when the env var is absent.
 std::optional<std::string> write_csv_if_configured(const ConsoleTable& table,
