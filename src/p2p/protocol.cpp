@@ -752,9 +752,9 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
     if (budget <= 0.0) break;
     PeerId seller_id = 0;
     if (!choose_seller<Words>(chunk, seller_id)) continue;
-    const econ::Credits price = book_mode
-                                    ? book_->ask_price(seller_id)
-                                    : econ::price(cfg_.pricing, seller_id, chunk);
+    const econ::Credits price =
+        book_mode ? book_->ask_price(seller_id)
+                  : econ::price(cfg_.pricing, seller_id, chunk);
     if (limit && price > cfg_.book.limit_price) {
       // The market is above the buyer's limit: rest a bid (standing intent,
       // re-posting refreshes it) and wait for asks to come down.

@@ -98,10 +98,10 @@ TEST(LinearSizePricing, PricesOneToFourAllSellersAgreeOn) {
 }
 
 TEST(Pricing, HashedPricesArePinned) {
-  // Every kind's prices over 64 sellers x 64 chunks, hashed. The constants
-  // were captured from the class-per-rule implementation this function
-  // replaced (hash salt 0x9e3779b97f4a7c15 for every hashed kind), so a
-  // change of salt, hash mix or inverse CDF shows here before any market.
+  // Every kind's prices over 64 sellers x 64 chunks, hashed with the
+  // default parameters (hash salt 0x9e3779b97f4a7c15 for every hashed
+  // kind), so a change of salt, hash mix or inverse CDF shows here before
+  // it moves any market.
   const std::pair<PricingKind, std::uint64_t> kPins[] = {
       {PricingKind::kUniform, 0x6ad5b54088136325ULL},
       {PricingKind::kPoisson, 0x5a6c64914c9fc0a0ULL},

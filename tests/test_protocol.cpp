@@ -381,7 +381,7 @@ TEST(Protocol, RejectsStreamHeadsBeyond63Bits) {
 
 TEST(Protocol, SeedingWalksOnlyChunksAWindowCanHold) {
   // 10^12 chunks are emitted per round, but only the newest window_chunks
-  // of them fit any buffer; seeding every emitted chunk took days.
+  // of them fit any buffer, so only those are seeded and the rounds end.
   sim::Simulator sim;
   ProtocolConfig cfg = small_config();
   cfg.stream_rate = 1e12;

@@ -267,9 +267,8 @@ TEST(RunRecord, ParseRejectsGarbage) {
   EXPECT_THROW((void)read_run_records("/no/such/file.jsonl"),
                util::PreconditionError);
 
-  // An index is digits only and fits 64 bits: strtoull alone wrapped "-1"
-  // to 2^64 - 1 and clamped overflow to it, and the sink then sized its
-  // tables by that index.
+  // An index is digits only and fits 64 bits: strtoull alone would wrap
+  // "-1" to 2^64 - 1 and clamp overflow to it.
   RunResult r;
   r.run_index = 7;
   r.point_index = 3;
