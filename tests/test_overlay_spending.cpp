@@ -425,6 +425,88 @@ TEST(Overlay, RowsMatchVectorEngineUnderChurn) {
   EXPECT_GT(starved.dropped, 0u);
 }
 
+/// The join draws by their definition: weights degree+1 over the active
+/// peers in ascending order (0 for the joiner), one Rng::discrete per
+/// attempt, a linked target's weight zeroed. Returns the targets `o.join`
+/// must link, in order, advancing `rng` as the join must.
+std::vector<std::uint32_t> reference_join_targets(const Overlay& o,
+                                                  std::uint32_t peer,
+                                                  std::size_t target_links,
+                                                  util::Rng& rng) {
+  const auto active = o.active_peers();
+  std::vector<std::uint32_t> candidates(active.begin(), active.end());
+  candidates.insert(
+      std::lower_bound(candidates.begin(), candidates.end(), peer), peer);
+  std::vector<std::uint32_t> linked;
+  if (candidates.size() == 1) return linked;
+  std::vector<double> weights;
+  for (const auto c : candidates) {
+    weights.push_back(c == peer ? 0.0 : static_cast<double>(o.degree(c)) + 1.0);
+  }
+  const std::size_t want = std::min(target_links, candidates.size() - 1);
+  std::size_t attempts = 0;
+  while (linked.size() < want && attempts < 20 * want + 40) {
+    ++attempts;
+    const std::size_t idx = rng.discrete(weights);
+    const std::uint32_t target = candidates[idx];
+    // add_edge refuses the joiner itself and a target already linked; the
+    // arenas here are roomy enough that it refuses nothing else.
+    if (target == peer ||
+        std::find(linked.begin(), linked.end(), target) != linked.end()) {
+      continue;
+    }
+    linked.push_back(target);
+    weights[idx] = 0.0;
+  }
+  return linked;
+}
+
+/// Random joins and leaves on an overlay bootstrapped from `g`; before
+/// each join the reference draws its targets on a copy of the RNG, and the
+/// joiner's row and the RNG state after the join must match it.
+void joins_match_discrete(const graph::Graph& g, std::size_t slots,
+                          std::size_t max_links, int steps,
+                          std::uint64_t seed) {
+  Overlay o(slots, slots * 256);
+  o.init_from_graph(g);
+  util::Rng rng(seed);
+  util::Rng driver(seed + 1);
+  std::size_t joins = 0;
+  for (int step = 0; step < steps; ++step) {
+    const auto free_slot = o.lowest_inactive_slot();
+    if (free_slot && (o.num_active() < 2 || driver.bernoulli(0.5))) {
+      const std::size_t links = 1 + driver.uniform_index(max_links);
+      util::Rng expected_rng = rng;
+      const auto expected =
+          reference_join_targets(o, *free_slot, links, expected_rng);
+      o.join(*free_slot, links, rng);
+      ASSERT_EQ(row_of(o, *free_slot), expected) << "step " << step;
+      ASSERT_EQ(rng.next_u64(), expected_rng.next_u64())
+          << "step " << step << ": join consumed a different number of draws";
+      ++joins;
+    } else {
+      const auto active = o.active_peers();
+      o.leave(active[driver.uniform_index(active.size())]);
+    }
+  }
+  EXPECT_GT(joins, static_cast<std::size_t>(steps) / 4);
+  EXPECT_EQ(o.edges_dropped(), 0u);
+}
+
+TEST(Overlay, JoinDrawsMatchDiscrete) {
+  util::Rng graph_rng(31);
+  graph::ScaleFreeParams sf;
+  sf.target_mean_degree = 6.0;
+  joins_match_discrete(graph::scale_free(150, sf, graph_rng), 200, 12, 1500,
+                       32);
+  ASSERT_FALSE(HasFatalFailure());
+  // The hub overlay: dense rows and joins of up to 70 links, so a join
+  // draws many targets from one set of weights.
+  sf.target_mean_degree = 40.0;
+  joins_match_discrete(graph::scale_free(300, sf, graph_rng), 340, 70, 400,
+                       33);
+}
+
 TEST(FixedSpending, BudgetIsRateTimesRound) {
   // The threshold is read only when the rule is dynamic.
   SpendingParams fixed;

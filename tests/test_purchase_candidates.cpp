@@ -12,6 +12,9 @@
 //  * the fill-weighted, cheapest-ask and limit-crossing seller rules on
 //    the hub overlay, hashed the same way, captured while the direct
 //    choice and the book crossing were still two separate switches;
+//  * shopping lists trimmed to the newest max_purchase_attempts chunks,
+//    hashed the same way, captured while the purchase phase still walked
+//    a reversed missing-chunk list;
 //  * the phase-width counters: a buyer with no candidates counts as a
 //    one-word phase when its window fits one word;
 //  * the ownership-row invariant: PeerTable::owned() is the buffer's own
@@ -303,9 +306,9 @@ TEST(PinnedMarkets, HubDegreesUnderChurn) {
   EXPECT_EQ(market_hash(cfg, 100.0), 0x07a681895c547595ULL);
 }
 
-TEST(PinnedMarkets, SupplyLimited) {
-  // The backlogged regime (capacity < stream rate): long shopping lists,
-  // drained sellers, reserve-credit caps.
+/// The backlogged regime (capacity < stream rate): long shopping lists,
+/// drained sellers, reserve-credit caps.
+ProtocolConfig supply_limited_config() {
   auto cfg = base_config(23);
   cfg.stream_rate = 2.4;
   cfg.upload_capacity = 2.0;
@@ -315,7 +318,31 @@ TEST(PinnedMarkets, SupplyLimited) {
   cfg.tax.enabled = true;
   cfg.tax.rate = 0.15;
   cfg.tax.threshold = 30.0;
-  EXPECT_EQ(market_hash(cfg, 80.0), 0x375376352e13e421ULL);
+  return cfg;
+}
+
+TEST(PinnedMarkets, SupplyLimited) {
+  EXPECT_EQ(market_hash(supply_limited_config(), 80.0),
+            0x375376352e13e421ULL);
+}
+
+TEST(PinnedMarkets, TruncatedShoppingList) {
+  // max_purchase_attempts below the window: a buyer shops only for its
+  // newest missing chunks. Each market must differ from the same market
+  // shopping the whole window, or the trim would pin nothing.
+  auto cfg = base_config(5);
+  cfg.max_purchase_attempts = 8;
+  const std::uint64_t short_list = market_hash(cfg, 60.0);
+  cfg.max_purchase_attempts = cfg.window_chunks;
+  EXPECT_NE(short_list, market_hash(cfg, 60.0));
+  EXPECT_EQ(short_list, 0x73e864e656d24fbfULL);
+
+  auto backlog = supply_limited_config();
+  backlog.max_purchase_attempts = 20;
+  const std::uint64_t short_backlog = market_hash(backlog, 80.0);
+  backlog.max_purchase_attempts = backlog.window_chunks;
+  EXPECT_NE(short_backlog, market_hash(backlog, 80.0));
+  EXPECT_EQ(short_backlog, 0x20c85ebd73601440ULL);
 }
 
 /// An order-book market in which "upload budget >= 1" and "has a resting
