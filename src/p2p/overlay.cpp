@@ -180,23 +180,53 @@ void Overlay::join(std::uint32_t peer, std::size_t target_links,
   list_insert(peer);
   if (active_list_.size() == 1) return;  // first peer has nobody to link to
 
-  // Preferential attachment: sample candidates with weight degree+1.
+  // Preferential attachment: draw targets with weight degree+1 from a
+  // Fenwick tree, join_tree_[i] summing candidates (i - lowbit(i), i]
+  // (1-based). The weights are integers far below 2^53, so every sum is
+  // exact, and the descent below returns the first candidate whose prefix
+  // sum reaches u = uniform() * total: the index Rng::discrete's scan
+  // returns for the same draw, u == 0 (candidate 0) included.
   const std::span<const std::uint32_t> candidates = active_list_;
-  join_weights_.clear();
-  for (auto c : candidates) {
-    join_weights_.push_back(
-        c == peer ? 0.0 : static_cast<double>(rows_[c].degree) + 1.0);
+  const std::size_t n = candidates.size();
+  join_tree_.clear();
+  join_tree_.push_back(0);
+  std::uint64_t total = 0;
+  for (const auto c : candidates) {
+    const std::uint64_t w = c == peer ? 0 : std::uint64_t{rows_[c].degree} + 1;
+    join_tree_.push_back(w);
+    total += w;
   }
-  const std::size_t want =
-      std::min(target_links, active_list_.size() - 1);
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::size_t parent = i + (i & (~i + 1));
+    if (parent <= n) join_tree_[parent] += join_tree_[i];
+  }
+  const std::size_t top = std::bit_floor(n);
+  const std::size_t want = std::min(target_links, n - 1);
   std::size_t added = 0;
   std::size_t attempts = 0;
   while (added < want && attempts < 20 * want + 40) {
     ++attempts;
-    const std::size_t idx = rng.discrete(join_weights_);
-    if (add_edge(peer, candidates[idx])) {
+    const double u = rng.uniform() * static_cast<double>(total);
+    std::size_t idx = 0;  // candidates before idx sum to `below` < u
+    std::uint64_t below = 0;
+    for (std::size_t step = top; step != 0; step >>= 1) {
+      const std::size_t next = idx + step;
+      if (next <= n && static_cast<double>(below + join_tree_[next]) < u) {
+        idx = next;
+        below += join_tree_[next];
+      }
+    }
+    CF_ENSURES(idx < n);  // u < total
+    const std::uint32_t target = candidates[idx];
+    // An unlinked target's weight is still its degree before the join.
+    const std::uint64_t w = std::uint64_t{rows_[target].degree} + 1;
+    if (add_edge(peer, target)) {
       ++added;
-      join_weights_[idx] = 0.0;  // at most one edge per target
+      // At most one edge per target: its weight leaves the tree.
+      for (std::size_t i = idx + 1; i <= n; i += i & (~i + 1)) {
+        join_tree_[i] -= w;
+      }
+      total -= w;
     }
   }
 }

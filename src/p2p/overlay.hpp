@@ -103,7 +103,11 @@ class Overlay {
 
   /// Activate a slot and attach `target_links` edges by preferential
   /// attachment over current degrees (degree+1 weighting so isolated peers
-  /// remain reachable). Requires the slot to be inactive.
+  /// remain reachable). Requires the slot to be inactive. Each attempt is
+  /// one uniform() draw, read from a Fenwick tree over the active peers'
+  /// weights in ascending id order (the joiner's is 0): the index
+  /// Rng::discrete would return over the same weights, in O(log n) instead
+  /// of two passes. A linked target's weight leaves the tree.
   void join(std::uint32_t peer, std::size_t target_links, util::Rng& rng);
 
   /// Deactivate a slot, removing all incident edges.
@@ -148,7 +152,7 @@ class Overlay {
   std::vector<std::uint32_t> pack_order_;     ///< scratch for pack()
   std::vector<std::uint64_t> active_words_;   ///< ceil(capacity/64) words
   std::vector<std::uint32_t> active_list_;    ///< active ids, ascending
-  std::vector<double> join_weights_;          ///< scratch for join()
+  std::vector<std::uint64_t> join_tree_;      ///< join()'s Fenwick tree
   /// Free-slot scan cursor: every word below it is fully active. Mutable
   /// because the scan (const) advances it past words it proves full.
   mutable std::size_t free_word_hint_ = 0;

@@ -737,21 +737,19 @@ bool StreamingProtocol::choose_seller(ChunkId chunk, PeerId& seller) {
 }
 
 template <std::size_t Words>
-void StreamingProtocol::buy_missing(PeerId buyer_id,
-                                    std::span<const ChunkId> missing,
-                                    std::size_t purchase_cap, double budget,
-                                    double now) {
+void StreamingProtocol::buy_missing(PeerId buyer_id, std::size_t purchase_cap,
+                                    double budget, double now) {
   const bool book_mode = book_ != nullptr;
   const bool limit =
       book_mode &&
       cfg_.book.cross == ProtocolConfig::OrderBookConfig::CrossStrategy::kLimit;
   BufferMap& buyer_buffer = peers_.buffer(buyer_id);
   std::size_t purchased = 0;
-  for (const ChunkId chunk : missing) {
-    if (purchased >= purchase_cap) break;
-    if (budget <= 0.0) break;
+  // Each visit returns whether to go on: only a purchase spends budget or
+  // fills the cap, so only a purchase can end the walk.
+  candidates_.for_each_reachable([&](ChunkId chunk) {
     PeerId seller_id = 0;
-    if (!choose_seller<Words>(chunk, seller_id)) continue;
+    if (!choose_seller<Words>(chunk, seller_id)) return true;
     const econ::Credits price =
         book_mode ? book_->ask_price(seller_id)
                   : econ::price(cfg_.pricing, seller_id, chunk);
@@ -760,13 +758,13 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
       // re-posting refreshes it) and wait for asks to come down.
       if (!book_->has_bid(buyer_id)) ++*book_bids_posted_;
       book_->post_bid(buyer_id, cfg_.book.limit_price);
-      continue;
+      return true;
     }
     // Cheaper chunks later in the window may still fit the budget.
-    if (static_cast<double>(price) > budget) continue;
+    if (static_cast<double>(price) > budget) return true;
     if (price > 0 && !ledger_.transfer(buyer_id, seller_id, price)) {
       ++*liquidity_failures_;
-      continue;
+      return true;
     }
 
     // Delivery.
@@ -790,7 +788,7 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
       }
     }
     // A drained seller (budget or ask used up) leaves every mask.
-    if (!sells(seller_id)) candidates_.remove(seller_id, missing);
+    if (!sells(seller_id)) candidates_.remove(seller_id);
     budget -= static_cast<double>(price);
     ++purchased;
 
@@ -812,7 +810,8 @@ void StreamingProtocol::buy_missing(PeerId buyer_id,
                        "tax engine asked for more than the balance");
       }
     }
-  }
+    return purchased < purchase_cap && budget > 0.0;
+  });
 }
 
 void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
@@ -824,26 +823,16 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
       ledger_.balance(buyer_id), cfg_.round_seconds);
   if (budget <= 0.0) return;
 
-  buyer_buffer.missing_into(missing_scratch_);
-  auto& missing = missing_scratch_;
-  if (missing.empty()) return;
+  const std::size_t missing = buyer_buffer.capacity() - buyer_buffer.count();
+  if (missing == 0) return;
   const std::span<const PeerId> neighbors = overlay_.neighbors(buyer_id);
   if (neighbors.empty()) return;
-
-  // Freshest-first: a fresh chunk stays sellable for the whole window while
-  // a chunk at the eviction edge is nearly worthless, so purchase order is
-  // newest to oldest (the standard mesh-pull priority once playback urgency
-  // is folded into the window itself).
-  std::reverse(missing.begin(), missing.end());
-  if (missing.size() > cfg_.max_purchase_attempts) {
-    missing.resize(cfg_.max_purchase_attempts);
-  }
 
   // Liquidity management: at or below the reserve, only keep pace with the
   // stream instead of catching up on backlog. The cap bounds successful
   // purchases (spending), not scan attempts — availability misses must not
   // eat the allowance or low-liquidity peers could never refill.
-  std::size_t purchase_cap = missing.size();
+  std::size_t purchase_cap = std::min(missing, cfg_.max_purchase_attempts);
   if (static_cast<double>(ledger_.balance(buyer_id)) <=
       cfg_.reserve_credits) {
     const auto keep_pace = static_cast<std::size_t>(
@@ -851,27 +840,33 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
     purchase_cap = std::max<std::size_t>(1, keep_pace);
   }
 
-  // Resolve each wanted chunk's sellers up front: one AND walk over the
-  // neighbors' ownership rows instead of a neighbor rescan per chunk. Sound
-  // within one buyer phase: sellers' ownership and aliveness cannot change
-  // until the phase ends (only this buyer gains chunks, and churn events
-  // never interleave with a round), and budgets and asks only shrink, on a
-  // sale to this buyer — after which a failing seller leaves every mask.
+  // Resolve the sellers of every wanted chunk up front: one OR and one AND
+  // walk over the neighbors' ownership rows instead of a neighbor rescan
+  // per chunk. Freshest-first: a fresh chunk stays sellable for the whole
+  // window while a chunk at the eviction edge is nearly worthless, so the
+  // buyer wants its newest max_purchase_attempts missing chunks and buys
+  // newest to oldest (the standard mesh-pull priority once playback urgency
+  // is folded into the window itself). Sound within one buyer phase:
+  // sellers' ownership and aliveness cannot change until the phase ends
+  // (only this buyer gains chunks, and churn events never interleave with
+  // a round), and budgets and asks only shrink, on a sale to this buyer —
+  // after which a failing seller leaves every mask.
   candidates_.build(
-      peers_, neighbors, [this](PeerId nbr) { return sells(nbr); }, missing,
+      peers_, neighbors, [this](PeerId nbr) { return sells(nbr); },
+      peers_.owned(buyer_id), missing, cfg_.max_purchase_attempts,
       buyer_buffer.base());
   candidates_hist_->add(candidates_.eligible().size());
   ++*phase_width_ct_[candidates_.width()];
   switch (candidates_.width()) {
     case 1:
-      buy_missing<1>(buyer_id, missing, purchase_cap, budget, now);
+      buy_missing<1>(buyer_id, purchase_cap, budget, now);
       break;
     case 2:
-      buy_missing<2>(buyer_id, missing, purchase_cap, budget, now);
+      buy_missing<2>(buyer_id, purchase_cap, budget, now);
       break;
     default:
-      buy_missing<PurchaseCandidates::kDynamicWords>(buyer_id, missing,
-                                                     purchase_cap, budget, now);
+      buy_missing<PurchaseCandidates::kDynamicWords>(buyer_id, purchase_cap,
+                                                     budget, now);
   }
 }
 

@@ -344,13 +344,14 @@ class StreamingProtocol : private sim::Simulator::Agent {
   [[nodiscard]] bool sells(PeerId id) const {
     return upload_budget_[id] >= 1.0 && (!book_ || book_->has_ask(id));
   }
-  /// One buyer's purchases over `missing`, sellers read from this phase's
-  /// candidates: choose, price (the resting ask's price in an order-book
-  /// market, the pricing rule's otherwise), settle. Words =
-  /// candidates_.width(), chosen once per buyer.
+  /// One buyer's purchases over this phase's reachable chunks, newest
+  /// first, until `purchase_cap` purchases or the budget is spent: choose,
+  /// price (the resting ask's price in an order-book market, the pricing
+  /// rule's otherwise), settle. Words = candidates_.width(), chosen once
+  /// per buyer.
   template <std::size_t Words>
-  void buy_missing(PeerId buyer_id, std::span<const ChunkId> missing,
-                   std::size_t purchase_cap, double budget, double now);
+  void buy_missing(PeerId buyer_id, std::size_t purchase_cap, double budget,
+                   double now);
   /// How choose_seller picks among a wanted chunk's candidates, fixed at
   /// construction from market_mode, seller_choice and book.cross:
   ///  * kUniform — uniform among them: the paper's availability-driven
@@ -364,8 +365,8 @@ class StreamingProtocol : private sim::Simulator::Agent {
   ///    priority (book.cross kBestAsk and kLimit; buy_missing rests a bid
   ///    when a kLimit buyer's cheapest ask is above book.limit_price).
   enum class SellerRule : std::uint8_t { kUniform, kWeighted, kCheapest };
-  /// Choose a seller for wanted chunk `chunk` among this phase's
-  /// candidates by seller_rule_; false when it has none.
+  /// Choose a seller for reachable chunk `chunk` among this phase's
+  /// candidates by seller_rule_; false when remove() took them all.
   template <std::size_t Words>
   bool choose_seller(ChunkId chunk, PeerId& seller);
   /// Order-book round opening: every participating seller posts (or
@@ -431,7 +432,6 @@ class StreamingProtocol : private sim::Simulator::Agent {
   std::vector<double> seller_weights_;  ///< kWeighted draw, in walk order
   /// The current buyer phase's seller candidates (rebuilt per buyer).
   PurchaseCandidates candidates_;
-  std::vector<ChunkId> missing_scratch_;
   /// Strategy-phase scratch (reserved to max_peers at construction when the
   /// corresponding population is configured, so the round loop stays
   /// allocation-free with strategies live).

@@ -2,20 +2,27 @@
 //
 // For each wanted chunk a buyer needs the neighbors that own it and can
 // still sell. PurchaseCandidates answers that for the whole shopping list
-// at once instead of rescanning the neighbor list per chunk: it keeps the
-// buyer's eligible neighbors (those that pass the caller's seller test, in
-// neighbor-list order) and, per wanted window slot, a bitmask over them,
-// built by ANDing each neighbor's ownership row (PeerTable::owned, the
-// BufferMap words) with the wanted-slot mask. Ascending bit position is
-// neighbor-list order, so Sellers walks a chunk's candidates in the order a
-// per-chunk neighbor scan would — the order the seller choice's RNG draws
-// and tie-breaks depend on.
+// at once instead of rescanning the neighbor list per chunk. The wanted
+// slots are the window slots the buyer's ownership row (PeerTable::owned)
+// lacks, trimmed to the newest max_wanted. It keeps the buyer's eligible
+// neighbors (those that pass the caller's seller test, in neighbor-list
+// order), ORs their rows into a `reach` mask of the wanted slots some
+// eligible neighbor owns, and, per reachable slot, keeps a bitmask over
+// the eligible neighbors, built by ANDing each one's row with `reach`.
+// Ascending bit position is neighbor-list order, so Sellers walks a
+// chunk's candidates in the order a per-chunk neighbor scan would — the
+// order the seller choice's RNG draws and tie-breaks depend on.
+//
+// for_each_reachable() walks the reachable chunks newest first, the
+// purchase order, so a buyer phase visits only chunks it can buy: a wanted
+// chunk no eligible neighbor owns would have no candidate, and choosing
+// among none draws nothing and changes nothing.
 //
 // Sellers is templated on the mask width, Words = 1, 2 or kDynamicWords.
 // width() fixes it once per phase by the rule the purchase.phase_one_word /
 // two_word / generic counters count (one word only when the window also
-// fits one word, so the wanted-slot mask is a single word too). Masks are
-// at least one word, so an empty eligible set takes the one-word width
+// fits one word, so the reach mask is a single word too). Masks are at
+// least one word, so an empty eligible set takes the one-word width
 // whenever the window fits one word.
 //
 // Slots identify chunks relative to build()'s window base. Every alive
@@ -34,19 +41,22 @@
 
 namespace creditflow::p2p {
 
-/// Per-buyer-phase candidate sets over one window's wanted chunks.
+/// Per-buyer-phase candidate sets over one window's reachable chunks.
 class PurchaseCandidates {
  public:
   /// Words template argument for masks wider than two words.
   static constexpr std::size_t kDynamicWords = 0;
 
-  /// Rebuild for one buyer phase: eligible() = the `neighbors` that pass
-  /// `is_seller(PeerId)` (in order), masks of max(1, ceil(eligible / 64))
-  /// words for the chunks of `wanted`, which must all lie in the window
-  /// that starts at `window_base`.
+  /// Rebuild for one buyer phase. The wanted chunks are the `missing`
+  /// window slots `owned` (the buyer's ownership row) lacks, trimmed to
+  /// the newest `max_wanted`; the window starts at `window_base`.
+  /// eligible() = the `neighbors` that pass `is_seller(PeerId)` (in
+  /// order); masks of max(1, ceil(eligible / 64)) words for every wanted
+  /// chunk some eligible neighbor owns.
   template <typename IsSeller>
   void build(const PeerTable& peers, std::span<const PeerId> neighbors,
-             IsSeller&& is_seller, std::span<const ChunkId> wanted,
+             IsSeller&& is_seller, std::span<const std::uint64_t> owned,
+             std::size_t missing, std::size_t max_wanted,
              ChunkId window_base) {
     window_ = peers.window();
     base_ = window_base;
@@ -64,16 +74,22 @@ class PurchaseCandidates {
              : words_ == 2                 ? 2
                                            : kDynamicWords;
     if (masks_.size() < window_ * words_) masks_.resize(window_ * words_);
-    wanted_.resize(row_words);
+    reach_.resize(row_words);
+    // Wanted: the window slots the buyer lacks (padding bits stay clear).
+    for (std::size_t w = 0; w < row_words; ++w) reach_[w] = ~owned[w];
+    if (window_ % 64 != 0) {
+      reach_[row_words - 1] &= ~std::uint64_t{0} >> (64 - window_ % 64);
+    }
+    if (missing > max_wanted) drop_oldest(missing - max_wanted);
     switch (width_) {
       case 1:
-        fill<1>(peers, wanted);
+        fill<1>(peers);
         break;
       case 2:
-        fill<2>(peers, wanted);
+        fill<2>(peers);
         break;
       default:
-        fill<kDynamicWords>(peers, wanted);
+        fill<kDynamicWords>(peers);
     }
   }
 
@@ -82,8 +98,18 @@ class PurchaseCandidates {
   /// Neighbors that passed the seller test, in order (bit j = eligible()[j]).
   [[nodiscard]] std::span<const PeerId> eligible() const { return eligible_; }
 
-  /// The candidates of one wanted chunk, in neighbor-list order: a view of
-  /// its slot's mask, valid until the next build() or remove().
+  /// Call f(ChunkId) for each reachable wanted chunk, newest first (slots
+  /// base_slot − 1 … 0, then window − 1 … base_slot), until f returns
+  /// false. The set is fixed at build(): a chunk whose candidates remove()
+  /// took away is still visited, with none.
+  template <typename F>
+  void for_each_reachable(F&& f) const {
+    if (!walk_down(0, base_slot_, base_ + (window_ - base_slot_), f)) return;
+    walk_down(base_slot_, window_, base_ - base_slot_, f);
+  }
+
+  /// The candidates of one reachable chunk, in neighbor-list order: a view
+  /// of its slot's mask, valid until the next build() or remove().
   template <std::size_t Words>
   class Sellers {
    public:
@@ -136,8 +162,8 @@ class PurchaseCandidates {
     std::size_t words_;
   };
 
-  /// Wanted chunk `c`'s candidates, walked as Words-word masks (Words must
-  /// be width(), or kDynamicWords).
+  /// Reachable chunk `c`'s candidates, walked as Words-word masks (Words
+  /// must be width(), or kDynamicWords).
   template <std::size_t Words>
   [[nodiscard]] Sellers<Words> sellers(ChunkId c) const {
     return {masks_.data() + slot(c) * stride<Words>(), eligible_.data(),
@@ -145,9 +171,9 @@ class PurchaseCandidates {
   }
 
   /// `seller` stopped passing the seller test mid-phase: clear its bit
-  /// from every slot of `wanted`, so later chunks skip it exactly as a
+  /// from every reachable slot, so later chunks skip it exactly as a
   /// per-chunk seller test would.
-  void remove(PeerId seller, std::span<const ChunkId> wanted) {
+  void remove(PeerId seller) {
     // Rare (a seller drains at most once per buyer phase), so a linear
     // scan for its bit position is fine.
     const auto it = std::find(eligible_.begin(), eligible_.end(), seller);
@@ -155,7 +181,13 @@ class PurchaseCandidates {
     const auto j = static_cast<std::size_t>(it - eligible_.begin());
     const std::uint64_t clear = ~(std::uint64_t{1} << (j & 63));
     std::uint64_t* column = masks_.data() + (j >> 6);
-    for (const ChunkId c : wanted) column[slot(c) * words_] &= clear;
+    for (std::size_t w = 0; w < reach_.size(); ++w) {
+      for (std::uint64_t m = reach_[w]; m != 0; m &= m - 1) {
+        const std::size_t s =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+        column[s * words_] &= clear;
+      }
+    }
   }
 
  private:
@@ -173,28 +205,81 @@ class PurchaseCandidates {
     return s;
   }
 
-  /// Mark the wanted slots, clear their masks, then set bit j of every
-  /// wanted slot that eligible()[j] owns.
+  /// Clear the `drop` oldest wanted slots: the lowest set bits of reach_
+  /// from base_slot_ up, wrapping to slot 0.
+  void drop_oldest(std::size_t drop) {
+    const std::size_t first = base_slot_ / 64;
+    const std::size_t offset = base_slot_ % 64;
+    const auto clear_lowest = [&](std::size_t w, std::uint64_t range) {
+      const std::uint64_t bits = reach_[w] & range;
+      const auto n = static_cast<std::size_t>(std::popcount(bits));
+      std::uint64_t kept = bits;
+      if (n <= drop) {
+        kept = 0;
+        drop -= n;
+      } else {
+        for (; drop > 0; --drop) kept &= kept - 1;
+      }
+      reach_[w] &= ~(bits ^ kept);
+    };
+    clear_lowest(first, ~std::uint64_t{0} << offset);
+    for (std::size_t w = first + 1; drop > 0 && w < reach_.size(); ++w) {
+      clear_lowest(w, ~std::uint64_t{0});
+    }
+    for (std::size_t w = 0; drop > 0 && w < first; ++w) {
+      clear_lowest(w, ~std::uint64_t{0});
+    }
+    if (drop > 0 && offset != 0) {
+      clear_lowest(first, (std::uint64_t{1} << offset) - 1);
+    }
+  }
+
+  /// Call f(chunk_at_slot0 + s) for each set slot s of reach_ in [lo, hi),
+  /// descending; false once f returned false.
+  template <typename F>
+  bool walk_down(std::size_t lo, std::size_t hi, ChunkId chunk_at_slot0,
+                 F& f) const {
+    if (lo >= hi) return true;
+    for (std::size_t w = (hi - 1) / 64 + 1; w-- > lo / 64;) {
+      std::uint64_t bits = reach_[w];
+      if ((w + 1) * 64 > hi) bits &= ~std::uint64_t{0} >> (64 - hi % 64);
+      if (w * 64 < lo) bits &= ~std::uint64_t{0} << (lo % 64);
+      while (bits != 0) {
+        const auto b = static_cast<std::size_t>(63 - std::countl_zero(bits));
+        bits &= ~(std::uint64_t{1} << b);
+        if (!f(chunk_at_slot0 + w * 64 + b)) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Narrow the wanted slots to those some eligible neighbor owns, clear
+  /// their masks, then set bit j of every reachable slot eligible()[j]
+  /// owns.
   template <std::size_t Words>
-  void fill(const PeerTable& peers, std::span<const ChunkId> wanted) {
+  void fill(const PeerTable& peers) {
     // Locals, not members, inside the loops: the mask stores could alias
     // any member of word type, which would force a reload per bit.
-    const std::size_t row_words = Words == 1 ? 1 : wanted_.size();
+    const std::size_t row_words = Words == 1 ? 1 : reach_.size();
     const std::size_t slot_stride = stride<Words>();
-    std::uint64_t* want = wanted_.data();
+    std::uint64_t* reach = reach_.data();
     std::uint64_t* masks = masks_.data();
-    std::fill_n(want, row_words, std::uint64_t{0});
-    for (const ChunkId c : wanted) {
-      const std::size_t s = slot(c);
-      want[s / 64] |= std::uint64_t{1} << (s % 64);
-      std::fill_n(masks + s * slot_stride, slot_stride, std::uint64_t{0});
+    for (std::size_t w = 0; w < row_words; ++w) {
+      std::uint64_t owned_by_any = 0;
+      for (const PeerId nbr : eligible_) owned_by_any |= peers.owned(nbr)[w];
+      reach[w] &= owned_by_any;
+      for (std::uint64_t m = reach[w]; m != 0; m &= m - 1) {
+        const std::size_t s =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+        std::fill_n(masks + s * slot_stride, slot_stride, std::uint64_t{0});
+      }
     }
     for (std::size_t j = 0; j < eligible_.size(); ++j) {
       const std::uint64_t* row = peers.owned(eligible_[j]).data();
       const std::uint64_t bit = std::uint64_t{1} << (j & 63);
       std::uint64_t* column = masks + (j >> 6);
       for (std::size_t w = 0; w < row_words; ++w) {
-        for (std::uint64_t m = row[w] & want[w]; m != 0; m &= m - 1) {
+        for (std::uint64_t m = row[w] & reach[w]; m != 0; m &= m - 1) {
           const std::size_t s =
               w * 64 + static_cast<std::size_t>(std::countr_zero(m));
           column[s * slot_stride] |= bit;
@@ -204,9 +289,9 @@ class PurchaseCandidates {
   }
 
   std::vector<PeerId> eligible_;
-  std::vector<std::uint64_t> wanted_;  ///< bit s set <=> slot s is wanted
-  std::vector<std::uint64_t> masks_;   ///< per-slot masks, slot-major
-  std::size_t words_ = 0;              ///< mask words per slot
+  std::vector<std::uint64_t> reach_;  ///< bit s set <=> slot s is reachable
+  std::vector<std::uint64_t> masks_;  ///< per-slot masks, slot-major
+  std::size_t words_ = 0;             ///< mask words per slot
   std::size_t width_ = kDynamicWords;
   std::size_t window_ = 0;
   ChunkId base_ = 0;

@@ -1,9 +1,11 @@
 // Tests for the purchase phase's seller candidates (p2p/purchase_candidates):
 //  * a differential test that drives PurchaseCandidates directly on random
 //    states — every mask width, empty candidate sets, windows on both
-//    sides of one word, the order-book seller test (upload budget and a
-//    resting ask) and mid-phase seller drains — against a per-chunk
-//    neighbor scan, the naive reference the production path replaced;
+//    sides of one word, wrapped window bases, trimmed shopping lists, the
+//    order-book seller test (upload budget and a resting ask) and
+//    mid-phase seller drains — against a per-chunk neighbor scan, the
+//    naive reference the production path replaced: the walk must visit
+//    exactly the wanted chunks the scan finds sellers for, newest first;
 //  * eight pinned markets: the FNV-1a hash of each one's full trace and
 //    final balances, captured while the naive per-chunk scan still ran in
 //    production and reproduced these markets transaction for transaction;
@@ -87,79 +89,150 @@ void expect_matches_scan(const PurchaseCandidates& candidates,
       candidates, peers, neighbors, is_seller, wanted);
 }
 
+/// The chunks a buyer phase must visit, newest first: the newest
+/// `max_wanted` of `wanted` (newest first) that some neighbor owns and can
+/// sell.
+template <typename IsSeller>
+std::vector<ChunkId> reachable_by_scan(const PeerTable& peers,
+                                       const std::vector<PeerId>& neighbors,
+                                       const IsSeller& is_seller,
+                                       const std::vector<ChunkId>& wanted,
+                                       std::size_t max_wanted) {
+  std::vector<ChunkId> reachable;
+  for (std::size_t k = 0; k < wanted.size() && k < max_wanted; ++k) {
+    if (!scan_owners(peers, neighbors, is_seller, wanted[k]).empty()) {
+      reachable.push_back(wanted[k]);
+    }
+  }
+  return reachable;
+}
+
+std::vector<ChunkId> walked(const PurchaseCandidates& candidates) {
+  std::vector<ChunkId> chunks;
+  candidates.for_each_reachable([&](ChunkId c) {
+    chunks.push_back(c);
+    return true;
+  });
+  return chunks;
+}
+
 TEST(PurchaseCandidates, MatchesPerChunkNeighborScan) {
   util::Rng rng(2012);
   PurchaseCandidates candidates;  // reused across phases, as in a market
   for (const std::size_t eligible : {0, 1, 63, 64, 65, 128, 129, 250}) {
     for (const std::size_t window : {4, 48, 64, 65, 96, 200}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "eligible " << eligible << " window " << window);
-      // The seller test is the order-book market's: upload budget >= 1 and
-      // a resting ask. Four more non-sellers than sellers (with budget but
-      // no ask, with an ask but no budget, or neither), plus a few peers
-      // outside the neighbor list; the window base makes the slots wrap.
-      const std::size_t num_neighbors = 2 * eligible + 4;
-      const std::size_t num_peers = num_neighbors + 8;
-      PeerTable peers(num_peers, window);
-      const ChunkId base = 1000 + rng.uniform_index(window);
-      for (PeerId id = 0; id < num_peers; ++id) {
-        BufferMap& buffer = peers.buffer(id);
-        buffer.reset(base);
-        const double fill = rng.uniform();  // empty to full rows
+      // One window base at slot 0 and one that wraps the ring.
+      for (const ChunkId base :
+           {ChunkId{64 * window}, ChunkId{1000 + rng.uniform_index(window)}}) {
+        SCOPED_TRACE(::testing::Message() << "eligible " << eligible
+                                          << " window " << window << " base "
+                                          << base);
+        // The seller test is the order-book market's: upload budget >= 1
+        // and a resting ask. Four more non-sellers than sellers (with
+        // budget but no ask, with an ask but no budget, or neither), a few
+        // peers outside the neighbor list, and the buyer, last.
+        const std::size_t num_neighbors = 2 * eligible + 4;
+        const std::size_t num_peers = num_neighbors + 8;
+        const auto buyer = static_cast<PeerId>(num_peers);
+        PeerTable peers(num_peers + 1, window);
+        for (PeerId id = 0; id < num_peers; ++id) {
+          BufferMap& buffer = peers.buffer(id);
+          buffer.reset(base);
+          const double fill = rng.uniform();  // empty to full rows
+          for (ChunkId c = base; c < base + window; ++c) {
+            if (rng.bernoulli(fill)) buffer.set(c);
+          }
+        }
+        std::vector<PeerId> ids(num_peers);
+        std::iota(ids.begin(), ids.end(), PeerId{0});
+        rng.shuffle(ids);
+        std::vector<double> budget(num_peers, 0.0);
+        std::vector<char> ask(num_peers, 0);
+        std::vector<PeerId> neighbors(ids.begin(),
+                                      ids.begin() + num_neighbors);
+        for (std::size_t k = 0; k < neighbors.size(); ++k) {
+          const PeerId id = neighbors[k];
+          // Bit 0: no upload budget, bit 1: no resting ask. Sellers lack
+          // neither; a non-seller lacks one or both.
+          const std::size_t lacks =
+              k < eligible ? 0 : 1 + rng.uniform_index(3);
+          budget[id] = (lacks & 1) != 0 ? 0.99 * rng.uniform()
+                                        : 1.0 + 3.0 * rng.uniform();
+          ask[id] = (lacks & 2) != 0 ? 0 : 1;
+        }
+        const auto is_seller = [&](PeerId id) {
+          return budget[id] >= 1.0 && ask[id] != 0;
+        };
+        rng.shuffle(neighbors);
+        // A random shopping list, freshest first as the protocol buys; the
+        // buyer holds every other chunk of the window.
+        std::vector<ChunkId> wanted;
+        for (ChunkId c = base + window; c-- > base;) {
+          if (rng.bernoulli(0.6)) wanted.push_back(c);
+        }
+        if (wanted.empty()) wanted.push_back(base);
+        BufferMap& own = peers.buffer(buyer);
+        own.reset(base);
         for (ChunkId c = base; c < base + window; ++c) {
-          if (rng.bernoulli(fill)) buffer.set(c);
+          if (std::find(wanted.begin(), wanted.end(), c) == wanted.end()) {
+            own.set(c);
+          }
         }
-      }
-      std::vector<PeerId> ids(num_peers);
-      std::iota(ids.begin(), ids.end(), PeerId{0});
-      rng.shuffle(ids);
-      std::vector<double> budget(num_peers, 0.0);
-      std::vector<char> ask(num_peers, 0);
-      std::vector<PeerId> neighbors(ids.begin(), ids.begin() + num_neighbors);
-      for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        const PeerId id = neighbors[k];
-        // Bit 0: no upload budget, bit 1: no resting ask. Sellers lack
-        // neither; a non-seller lacks one or both.
-        const std::size_t lacks = k < eligible ? 0 : 1 + rng.uniform_index(3);
-        budget[id] = (lacks & 1) != 0 ? 0.99 * rng.uniform()
-                                      : 1.0 + 3.0 * rng.uniform();
-        ask[id] = (lacks & 2) != 0 ? 0 : 1;
-      }
-      const auto is_seller = [&](PeerId id) {
-        return budget[id] >= 1.0 && ask[id] != 0;
-      };
-      rng.shuffle(neighbors);
-      // A random shopping list, freshest first as the protocol orders it.
-      std::vector<ChunkId> wanted;
-      for (ChunkId c = base + window; c-- > base;) {
-        if (rng.bernoulli(0.6)) wanted.push_back(c);
-      }
-      if (wanted.empty()) wanted.push_back(base);
+        ASSERT_EQ(window - own.count(), wanted.size());
+        const auto build = [&](std::size_t max_wanted) {
+          candidates.build(peers, neighbors, is_seller, peers.owned(buyer),
+                           wanted.size(), max_wanted, base);
+        };
 
-      candidates.build(peers, neighbors, is_seller, wanted, base);
-      ASSERT_EQ(candidates.eligible().size(), eligible);
-      // At least one mask word, so an empty set still fits one word.
-      const std::size_t words = std::max<std::size_t>(1, (eligible + 63) / 64);
-      const std::size_t width =
-          window <= 64 && words == 1 ? 1
-          : words == 2               ? 2
-                                     : PurchaseCandidates::kDynamicWords;
-      ASSERT_EQ(candidates.width(), width);
-      expect_matches_scan(candidates, peers, neighbors, is_seller, wanted);
+        build(window);
+        ASSERT_EQ(candidates.eligible().size(), eligible);
+        // At least one mask word, so an empty set still fits one word.
+        const std::size_t words =
+            std::max<std::size_t>(1, (eligible + 63) / 64);
+        const std::size_t width =
+            window <= 64 && words == 1 ? 1
+            : words == 2               ? 2
+                                       : PurchaseCandidates::kDynamicWords;
+        ASSERT_EQ(candidates.width(), width);
+        const std::vector<ChunkId> reachable = reachable_by_scan(
+            peers, neighbors, is_seller, wanted, wanted.size());
+        ASSERT_EQ(walked(candidates), reachable);
+        expect_matches_scan(candidates, peers, neighbors, is_seller,
+                            reachable);
+        // The walk stops when the visitor says so.
+        std::size_t visits = 0;
+        candidates.for_each_reachable([&](ChunkId) { return ++visits < 2; });
+        ASSERT_EQ(visits, std::min<std::size_t>(2, reachable.size()));
 
-      // Mid-phase drains: a seller's budget drops below 1 or its ask fills
-      // out, and it leaves every mask, exactly as the per-chunk seller test
-      // would skip it.
-      for (int drain = 0; eligible > 0 && drain < 4; ++drain) {
-        const PeerId seller =
-            candidates.eligible()[rng.uniform_index(eligible)];
-        if (drain % 2 == 0) {
-          budget[seller] = 0.0;
-        } else {
-          ask[seller] = 0;
+        // Mid-phase drains: a seller's budget drops below 1 or its ask
+        // fills out, and it leaves every mask, exactly as the per-chunk
+        // seller test would skip it. The walk still visits every chunk
+        // reachable at build time; a drained chunk has no candidates.
+        for (int drain = 0; eligible > 0 && drain < 4; ++drain) {
+          const PeerId seller =
+              candidates.eligible()[rng.uniform_index(eligible)];
+          if (drain % 2 == 0) {
+            budget[seller] = 0.0;
+          } else {
+            ask[seller] = 0;
+          }
+          candidates.remove(seller);
+          ASSERT_EQ(walked(candidates), reachable);
+          expect_matches_scan(candidates, peers, neighbors, is_seller,
+                              reachable);
         }
-        candidates.remove(seller, wanted);
-        expect_matches_scan(candidates, peers, neighbors, is_seller, wanted);
+
+        // A shorter list than the buyer misses keeps its newest chunks.
+        if (wanted.size() > 1) {
+          const std::size_t max_wanted =
+              1 + rng.uniform_index(wanted.size() - 1);
+          build(max_wanted);
+          const std::vector<ChunkId> newest = reachable_by_scan(
+              peers, neighbors, is_seller, wanted, max_wanted);
+          ASSERT_EQ(walked(candidates), newest) << "max " << max_wanted;
+          expect_matches_scan(candidates, peers, neighbors, is_seller,
+                              newest);
+        }
       }
     }
   }
