@@ -68,23 +68,6 @@ void BM_ScaleFreeGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_ScaleFreeGeneration)->Arg(500)->Arg(2000);
 
-// The purchase phase's call: missing_into() a vector reused across calls.
-void BM_BufferMapMissing(benchmark::State& state) {
-  std::uint64_t words[1];
-  p2p::BufferMap buffer(64, words);
-  util::Rng rng(4);
-  for (p2p::ChunkId c = 0; c < 64; ++c) {
-    if (rng.bernoulli(0.85)) buffer.set(c);
-  }
-  std::vector<p2p::ChunkId> missing;
-  for (auto _ : state) {
-    buffer.missing_into(missing);
-    benchmark::DoNotOptimize(missing.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_BufferMapMissing);
-
 void BM_BufferMapAdvance(benchmark::State& state) {
   std::uint64_t words[1];
   p2p::BufferMap buffer(64, words);

@@ -6,16 +6,15 @@
 // buffer so advancing the window is O(evicted), not O(window).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace creditflow::p2p {
 
 using ChunkId = std::uint64_t;
 
 /// Sliding-window chunk availability bitmap (64-bit words under the hood,
-/// so missing-chunk extraction and eviction are bit-walks, not per-slot
-/// branches).
+/// which the purchase phase reads whole through PeerTable::owned).
 ///
 /// A BufferMap is a view over words its caller owns: the market backs every
 /// peer's window with one contiguous arena sized at construction, so a
@@ -68,12 +67,6 @@ class BufferMap {
   /// chunks that fall out. Returns the number of held chunks evicted.
   std::size_t advance(ChunkId new_base);
 
-  /// Chunk ids in the window the peer is missing, ascending (most urgent
-  /// first for playback), capped at `max_results` (0 = no cap), written
-  /// into `out` (cleared first). Allocation-free once `out` has reached
-  /// its high-water capacity.
-  void missing_into(std::vector<ChunkId>& out, std::size_t max_results = 0) const;
-
   /// Reset to an empty window at the given base.
   void reset(ChunkId new_base);
 
@@ -87,13 +80,6 @@ class BufferMap {
   void clear_bit(std::size_t s) {
     words_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
   }
-  /// Append the chunks whose slots in [s_lo, s_hi) are unset, as
-  /// `chunk_at_lo + (s - s_lo)`, until `cap` results; returns false when
-  /// the cap was hit.
-  bool missing_in_slot_range(std::size_t s_lo, std::size_t s_hi,
-                             ChunkId chunk_at_lo,
-                             std::vector<ChunkId>& out,
-                             std::size_t cap) const;
 
   std::uint64_t* words_;  ///< words_for(capacity_) words, caller-owned
   std::size_t capacity_;

@@ -185,11 +185,14 @@ TEST(BufferMapFuzz, MatchesSetReference) {
       }
     }
   }
-  // Final cross-check of the missing list.
-  std::vector<p2p::ChunkId> missing;
-  buffer.missing_into(missing);
-  for (const auto c : missing) EXPECT_EQ(reference.count(c), 0u);
-  EXPECT_EQ(missing.size() + reference.size(), 24u);
+  // Final cross-check of the whole window.
+  std::size_t missing = 0;
+  for (p2p::ChunkId c = buffer.base(); c < buffer.end(); ++c) {
+    EXPECT_EQ(buffer.has(c), reference.count(c) == 1) << "chunk " << c;
+    if (!buffer.has(c)) ++missing;
+  }
+  EXPECT_EQ(missing + buffer.count(), 24u);
+  EXPECT_EQ(buffer.count(), reference.size());
 }
 
 }  // namespace
