@@ -24,6 +24,7 @@ enum class PricingKind {
   /// A Poisson(`poisson_mean`) price per (seller, chunk) pair, floored at
   /// `poisson_min` (0 keeps genuine free chunks, which transfer no
   /// credits) — the paper's Fig. 1 "condensed" configuration (mean 1).
+  /// The mean must keep exp(-mean) a normal double (at most about 708.4).
   kPoisson,
   /// Each seller charges one hashed personal price in
   /// [`per_seller_lo`, `per_seller_hi`] for every chunk — "a single price

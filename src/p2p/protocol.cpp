@@ -67,6 +67,12 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
     case econ::PricingKind::kPoisson:
       CF_EXPECTS_MSG(pricing.poisson_mean > 0.0,
                      "poisson mean must be positive");
+      // The inverse CDF starts at exp(-mean); once that is no longer a
+      // normal double (mean above about 708.4) the CDF stalls below the
+      // draw and prices pile up at the loop cap.
+      CF_EXPECTS_MSG(std::isnormal(std::exp(-pricing.poisson_mean)),
+                     "poisson mean too large: exp(-mean) underflows above "
+                     "about 708");
       break;
     case econ::PricingKind::kPerSeller:
       CF_EXPECTS(pricing.per_seller_lo >= 1 &&

@@ -267,9 +267,17 @@ std::vector<RunRecord> read_run_records(const std::string& path) {
   CF_EXPECTS_MSG(in.good(), "cannot read run records from " + path);
   std::vector<RunRecord> records;
   std::string line;
+  std::size_t line_number = 0;
   while (std::getline(in, line)) {
+    ++line_number;
     if (line.empty()) continue;
-    records.push_back(parse_run_record(line));
+    try {
+      records.push_back(parse_run_record(line));
+    } catch (const util::PreconditionError& e) {
+      // A merge reads many shard files: say which file and line is bad.
+      throw util::PreconditionError(path + ":" + std::to_string(line_number) +
+                                    ": " + e.what());
+    }
   }
   return records;
 }

@@ -46,7 +46,7 @@ struct RunRecord {
 
 /// Parse every record in a file (one per line, blank lines skipped).
 /// Throws util::PreconditionError if the file is unreadable or any line is
-/// malformed.
+/// malformed; a malformed line's message starts with `<path>:<line>: `.
 [[nodiscard]] std::vector<RunRecord> read_run_records(
     const std::string& path);
 

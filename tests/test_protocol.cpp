@@ -334,6 +334,15 @@ TEST(Protocol, RejectsBadConfigs) {
   EXPECT_NO_THROW(StreamingProtocol(cfg, sim));
   cfg.pricing.poisson_mean = 0.0;
   EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError);
+  // A mean whose exp(-mean) is not a normal double: the inverse CDF would
+  // stall and every price would be its loop cap.
+  cfg.pricing.poisson_mean = 708.0;
+  EXPECT_NO_THROW(StreamingProtocol(cfg, sim));
+  for (const double mean : {708.5, 746.0, 1000.0, 1e300}) {
+    cfg.pricing.poisson_mean = mean;
+    EXPECT_THROW(StreamingProtocol(cfg, sim), util::PreconditionError)
+        << "poisson mean " << mean;
+  }
 
   cfg = small_config();
   cfg.pricing.kind = econ::PricingKind::kPerSeller;

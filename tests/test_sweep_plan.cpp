@@ -295,6 +295,29 @@ TEST(RunRecord, ParseRejectsGarbage) {
             std::numeric_limits<std::size_t>::max());
 }
 
+TEST(RunRecord, ReadErrorsNameTheFileAndLine) {
+  // A merge reads many shard files, so a malformed line's error names its
+  // file and line, still as a PreconditionError (market_cli exits 64).
+  const auto path = scratch_dir("records_bad_line") / "shard.jsonl";
+  RunResult r;
+  r.run_index = 4;
+  const std::string good = serialize_run_record(RunKey{}, r);
+  std::string bad = good;
+  bad.replace(bad.find("\"run_index\":4"), 13, "\"run_index\":-1");
+  {
+    std::ofstream out(path);
+    out << good << "\n\n" << bad << "\n";  // the bad record is on line 3
+  }
+  try {
+    (void)read_run_records(path.string());
+    ADD_FAILURE() << "malformed record read without an error";
+  } catch (const util::PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(path.string() + ":3: ", 0), 0u) << what;
+    EXPECT_NE(what.find("expected an integer"), std::string::npos) << what;
+  }
+}
+
 // ---- RunStore ------------------------------------------------------------
 
 TEST(RunStore, PersistsAcrossInstances) {
