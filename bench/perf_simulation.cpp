@@ -217,7 +217,8 @@ void run_purchase_phase_benchmark(benchmark::State& state,
 }
 
 // The purchase-phase hot path across overlay degree: candidate masks built
-// from the neighbors' ownership rows, one seller pick per wanted chunk.
+// from the neighbors' ownership rows, one seller pick per wanted chunk a
+// neighbor can sell.
 void BM_PurchasePhase(benchmark::State& state) {
   p2p::ProtocolConfig cfg;
   cfg.initial_peers = 500;

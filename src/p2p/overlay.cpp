@@ -188,6 +188,7 @@ void Overlay::join(std::uint32_t peer, std::size_t target_links,
   // returns for the same draw, u == 0 (candidate 0) included.
   const std::span<const std::uint32_t> candidates = active_list_;
   const std::size_t n = candidates.size();
+  const auto lowbit = [](std::size_t i) { return i & (~i + 1); };
   join_tree_.clear();
   join_tree_.push_back(0);
   std::uint64_t total = 0;
@@ -197,7 +198,7 @@ void Overlay::join(std::uint32_t peer, std::size_t target_links,
     total += w;
   }
   for (std::size_t i = 1; i <= n; ++i) {
-    const std::size_t parent = i + (i & (~i + 1));
+    const std::size_t parent = i + lowbit(i);
     if (parent <= n) join_tree_[parent] += join_tree_[i];
   }
   const std::size_t top = std::bit_floor(n);
@@ -223,7 +224,7 @@ void Overlay::join(std::uint32_t peer, std::size_t target_links,
     if (add_edge(peer, target)) {
       ++added;
       // At most one edge per target: its weight leaves the tree.
-      for (std::size_t i = idx + 1; i <= n; i += i & (~i + 1)) {
+      for (std::size_t i = idx + 1; i <= n; i += lowbit(i)) {
         join_tree_[i] -= w;
       }
       total -= w;

@@ -50,7 +50,8 @@ class PeerTable {
   [[nodiscard]] std::size_t window() const { return window_; }
   /// Slot i's ownership bitmap: its BufferMap's words in the arena. Bit
   /// `chunk % window()` is set <=> the slot holds that chunk of its current
-  /// window. The purchase phase ANDs these rows against its wanted chunks.
+  /// window. The purchase phase takes a buyer's wanted slots from the
+  /// complement of its row and ANDs its neighbors' rows against them.
   [[nodiscard]] std::span<const std::uint64_t> owned(PeerId i) const {
     return {buffer_words_.data() + i * words_, words_};
   }

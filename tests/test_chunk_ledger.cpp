@@ -81,12 +81,17 @@ TEST(BufferMap, MissingListsAscending) {
   BufferMap b(6, words);
   b.set(1);
   b.set(4);
-  std::vector<ChunkId> m;
-  for (ChunkId c = b.base(); c < b.end(); ++c) {
-    if (!b.has(c)) m.push_back(c);
-  }
-  EXPECT_EQ(m, (std::vector<ChunkId>{0, 2, 3, 5}));
-  EXPECT_EQ(m.size(), b.capacity() - b.count());
+  const auto missing = [&b] {
+    std::vector<ChunkId> m;
+    for (ChunkId c = b.base(); c < b.end(); ++c) {
+      if (!b.has(c)) m.push_back(c);
+    }
+    EXPECT_EQ(m.size(), b.capacity() - b.count());
+    return m;
+  };
+  EXPECT_EQ(missing(), (std::vector<ChunkId>{0, 2, 3, 5}));
+  b.advance(2);  // the window [2, 8) wraps the ring
+  EXPECT_EQ(missing(), (std::vector<ChunkId>{2, 3, 5, 6, 7}));
 }
 
 TEST(BufferMap, FillRatio) {
