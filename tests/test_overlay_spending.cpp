@@ -236,7 +236,9 @@ TEST(Overlay, RemovalPreservesSwapWithBackOrder) {
 /// The retired vector<vector> engine, kept as the oracle for the overlay's
 /// rows: appends go to the back, a removal moves the back into the removed
 /// entry's place, and an edge is refused once in_use + 2 > capacity. join()
-/// repeats Overlay::join's preferential attachment draw for draw.
+/// draws each target by the definition Overlay::join's Fenwick tree must
+/// reproduce draw for draw: Rng::discrete over degree+1 weights, a linked
+/// target's weight zeroed.
 struct VectorEngine {
   std::vector<std::vector<std::uint32_t>> rows;
   std::vector<bool> active;
@@ -349,19 +351,27 @@ struct ChurnOutcome {
   std::uint64_t dropped = 0;   ///< edges refused for want of cells
 };
 
+/// The overlay a churn run starts from and how hard it churns.
+struct ChurnShape {
+  std::size_t slots = 96;
+  std::size_t bootstrap_peers = 48;
+  double mean_degree = 6.0;
+  std::size_t max_join_links = 10;
+  int steps = 2500;
+};
+
 /// Drives a seeded mix of join, leave and add_edge against both the
 /// overlay and the vector engine, comparing after every step. `edge_cells`
 /// sizes the overlay's pool (0 = the default).
-ChurnOutcome churn_against_vector_engine(std::size_t edge_cells) {
-  constexpr std::size_t kSlots = 96;
-  constexpr int kSteps = 2500;
+ChurnOutcome churn_against_vector_engine(std::size_t edge_cells,
+                                         const ChurnShape& shape = {}) {
   util::Rng graph_rng(21);
   graph::ScaleFreeParams sf;
-  sf.target_mean_degree = 6.0;
-  const auto g = graph::scale_free(48, sf, graph_rng);
+  sf.target_mean_degree = shape.mean_degree;
+  const auto g = graph::scale_free(shape.bootstrap_peers, sf, graph_rng);
 
-  Overlay o(kSlots, edge_cells);
-  VectorEngine m(kSlots, o.edge_cell_capacity());
+  Overlay o(shape.slots, edge_cells);
+  VectorEngine m(shape.slots, o.edge_cell_capacity());
   o.init_from_graph(g);
   m.init_from_graph(g);
   util::Rng overlay_rng(22);
@@ -369,19 +379,20 @@ ChurnOutcome churn_against_vector_engine(std::size_t edge_cells) {
   util::Rng driver(23);
   ChurnOutcome out{m.in_use, 0};
   expect_same_state(o, m, -1);
-  for (int step = 0; step < kSteps; ++step) {
+  for (int step = 0; step < shape.steps; ++step) {
     const double r = driver.uniform();
     const auto active = m.active_ids();
-    if (r < 0.45 && active.size() < kSlots) {
+    if (r < 0.45 && active.size() < shape.slots) {
       // Mostly the lowest free slot, as a protocol arrival takes; now and
       // then another free slot, so rows sit in varied places.
       std::uint32_t slot = *m.lowest_inactive_slot();
       if (driver.bernoulli(0.3)) {
         do {
-          slot = static_cast<std::uint32_t>(driver.uniform_index(kSlots));
+          slot = static_cast<std::uint32_t>(driver.uniform_index(shape.slots));
         } while (m.active[slot]);
       }
-      const std::size_t links = 1 + driver.uniform_index(10);
+      const std::size_t links =
+          1 + driver.uniform_index(shape.max_join_links);
       o.join(slot, links, overlay_rng);
       m.join(slot, links, model_rng);
     } else if (r < 0.8 && active.size() > 1) {
@@ -425,86 +436,19 @@ TEST(Overlay, RowsMatchVectorEngineUnderChurn) {
   EXPECT_GT(starved.dropped, 0u);
 }
 
-/// The join draws by their definition: weights degree+1 over the active
-/// peers in ascending order (0 for the joiner), one Rng::discrete per
-/// attempt, a linked target's weight zeroed. Returns the targets `o.join`
-/// must link, in order, advancing `rng` as the join must.
-std::vector<std::uint32_t> reference_join_targets(const Overlay& o,
-                                                  std::uint32_t peer,
-                                                  std::size_t target_links,
-                                                  util::Rng& rng) {
-  const auto active = o.active_peers();
-  std::vector<std::uint32_t> candidates(active.begin(), active.end());
-  candidates.insert(
-      std::lower_bound(candidates.begin(), candidates.end(), peer), peer);
-  std::vector<std::uint32_t> linked;
-  if (candidates.size() == 1) return linked;
-  std::vector<double> weights;
-  for (const auto c : candidates) {
-    weights.push_back(c == peer ? 0.0 : static_cast<double>(o.degree(c)) + 1.0);
-  }
-  const std::size_t want = std::min(target_links, candidates.size() - 1);
-  std::size_t attempts = 0;
-  while (linked.size() < want && attempts < 20 * want + 40) {
-    ++attempts;
-    const std::size_t idx = rng.discrete(weights);
-    const std::uint32_t target = candidates[idx];
-    // add_edge refuses the joiner itself and a target already linked; the
-    // arenas here are roomy enough that it refuses nothing else.
-    if (target == peer ||
-        std::find(linked.begin(), linked.end(), target) != linked.end()) {
-      continue;
-    }
-    linked.push_back(target);
-    weights[idx] = 0.0;
-  }
-  return linked;
-}
-
-/// Random joins and leaves on an overlay bootstrapped from `g`; before
-/// each join the reference draws its targets on a copy of the RNG, and the
-/// joiner's row and the RNG state after the join must match it.
-void joins_match_discrete(const graph::Graph& g, std::size_t slots,
-                          std::size_t max_links, int steps,
-                          std::uint64_t seed) {
-  Overlay o(slots, slots * 256);
-  o.init_from_graph(g);
-  util::Rng rng(seed);
-  util::Rng driver(seed + 1);
-  std::size_t joins = 0;
-  for (int step = 0; step < steps; ++step) {
-    const auto free_slot = o.lowest_inactive_slot();
-    if (free_slot && (o.num_active() < 2 || driver.bernoulli(0.5))) {
-      const std::size_t links = 1 + driver.uniform_index(max_links);
-      util::Rng expected_rng = rng;
-      const auto expected =
-          reference_join_targets(o, *free_slot, links, expected_rng);
-      o.join(*free_slot, links, rng);
-      ASSERT_EQ(row_of(o, *free_slot), expected) << "step " << step;
-      ASSERT_EQ(rng.next_u64(), expected_rng.next_u64())
-          << "step " << step << ": join consumed a different number of draws";
-      ++joins;
-    } else {
-      const auto active = o.active_peers();
-      o.leave(active[driver.uniform_index(active.size())]);
-    }
-  }
-  EXPECT_GT(joins, static_cast<std::size_t>(steps) / 4);
-  EXPECT_EQ(o.edges_dropped(), 0u);
-}
-
 TEST(Overlay, JoinDrawsMatchDiscrete) {
-  util::Rng graph_rng(31);
-  graph::ScaleFreeParams sf;
-  sf.target_mean_degree = 6.0;
-  joins_match_discrete(graph::scale_free(150, sf, graph_rng), 200, 12, 1500,
-                       32);
-  ASSERT_FALSE(HasFatalFailure());
-  // The hub overlay: dense rows and joins of up to 70 links, so a join
-  // draws many targets from one set of weights.
-  sf.target_mean_degree = 40.0;
-  joins_match_discrete(graph::scale_free(300, sf, graph_rng), 340, 70, 400,
-                       33);
+  // The vector engine draws each join's targets by their definition: one
+  // Rng::discrete over the degree+1 weights per attempt, a linked target's
+  // weight zeroed. On a hub overlay with joins of up to 70 links, one join
+  // draws many targets from the same weights.
+  ChurnShape hub;
+  hub.slots = 340;
+  hub.bootstrap_peers = 300;
+  hub.mean_degree = 40.0;
+  hub.max_join_links = 70;
+  hub.steps = 400;
+  const auto outcome = churn_against_vector_engine(hub.slots * 256, hub);
+  EXPECT_EQ(outcome.dropped, 0u);
 }
 
 TEST(FixedSpending, BudgetIsRateTimesRound) {
