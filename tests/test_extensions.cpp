@@ -4,6 +4,7 @@
 // implementations.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -147,52 +148,67 @@ TEST(LedgerFuzz, MatchesReferenceUnderRandomOperations) {
 
 TEST(BufferMapFuzz, MatchesSetReference) {
   util::Rng rng(777);
-  std::uint64_t words[1];
-  p2p::BufferMap buffer(24, words);
-  std::set<p2p::ChunkId> reference;
-  p2p::ChunkId base = 0;
+  // One- and two-word rows, full and partial last words; the window's base
+  // wraps each ring many times, and now and then jumps past the window.
+  for (const std::size_t capacity : {24, 48, 64, 65, 96}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+    std::uint64_t words[2];
+    p2p::BufferMap buffer(capacity, words);
+    std::set<p2p::ChunkId> reference;
+    p2p::ChunkId base = 0;
+    const auto held_bits = [&] {
+      std::size_t n = 0;
+      for (std::size_t w = 0; w < p2p::BufferMap::words_for(capacity); ++w) {
+        n += static_cast<std::size_t>(std::popcount(words[w]));
+      }
+      return n;
+    };
 
-  for (int op = 0; op < 30000; ++op) {
-    switch (rng.uniform_index(3)) {
-      case 0: {  // set a chunk near the window
-        const auto c = base + rng.uniform_index(30);
-        const bool in_window = c >= base && c < base + 24;
-        const bool fresh = in_window && reference.count(c) == 0;
-        EXPECT_EQ(buffer.set(c), fresh);
-        if (fresh) reference.insert(c);
-        break;
-      }
-      case 1: {  // advance by a small step
-        const auto step = rng.uniform_index(4);
-        base += step;
-        std::size_t evicted = 0;
-        for (auto it = reference.begin(); it != reference.end();) {
-          if (*it < base) {
-            it = reference.erase(it);
-            ++evicted;
-          } else {
-            ++it;
-          }
+    for (int op = 0; op < 30000; ++op) {
+      switch (rng.uniform_index(3)) {
+        case 0: {  // set a chunk near the window
+          const auto c = base + rng.uniform_index(capacity + 6);
+          const bool in_window = c >= base && c < base + capacity;
+          const bool fresh = in_window && reference.count(c) == 0;
+          ASSERT_EQ(buffer.set(c), fresh) << "op " << op;
+          if (fresh) reference.insert(c);
+          break;
         }
-        EXPECT_EQ(buffer.advance(base), evicted);
-        break;
+        case 1: {  // advance by a small step, or rarely past the window
+          const auto step = rng.uniform_index(16) == 0
+                                ? rng.uniform_index(2 * capacity)
+                                : rng.uniform_index(4);
+          base += step;
+          std::size_t evicted = 0;
+          for (auto it = reference.begin(); it != reference.end();) {
+            if (*it < base) {
+              it = reference.erase(it);
+              ++evicted;
+            } else {
+              ++it;
+            }
+          }
+          ASSERT_EQ(buffer.advance(base), evicted) << "op " << op;
+          break;
+        }
+        case 2: {  // query
+          const auto c = base + rng.uniform_index(capacity + 6);
+          ASSERT_EQ(buffer.has(c), reference.count(c) == 1) << "op " << op;
+          break;
+        }
       }
-      case 2: {  // query
-        const auto c = base + rng.uniform_index(30);
-        EXPECT_EQ(buffer.has(c), reference.count(c) == 1);
-        EXPECT_EQ(buffer.count(), reference.size());
-        break;
-      }
+      // The held count is the popcount of the backing words.
+      ASSERT_EQ(buffer.count(), reference.size()) << "op " << op;
+      ASSERT_EQ(held_bits(), reference.size()) << "op " << op;
     }
+    // Final cross-check of the whole window.
+    std::size_t missing = 0;
+    for (p2p::ChunkId c = buffer.base(); c < buffer.end(); ++c) {
+      EXPECT_EQ(buffer.has(c), reference.count(c) == 1) << "chunk " << c;
+      if (!buffer.has(c)) ++missing;
+    }
+    EXPECT_EQ(missing + buffer.count(), capacity);
   }
-  // Final cross-check of the whole window.
-  std::size_t missing = 0;
-  for (p2p::ChunkId c = buffer.base(); c < buffer.end(); ++c) {
-    EXPECT_EQ(buffer.has(c), reference.count(c) == 1) << "chunk " << c;
-    if (!buffer.has(c)) ++missing;
-  }
-  EXPECT_EQ(missing + buffer.count(), 24u);
-  EXPECT_EQ(buffer.count(), reference.size());
 }
 
 }  // namespace
