@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the simulation substrate: event
 // calendar throughput, protocol round cost (end-to-end and purchase-phase),
-// topology generation and buffer-map operations.
+// topology generation and window advance.
 //
 // The end-to-end readouts (round_us_per_round + peak_rss_bytes in
 // BM_SimulationCore*) are the simulation-core perf trajectory: CI exports
@@ -16,7 +16,7 @@
 #endif
 
 #include "graph/generators.hpp"
-#include "p2p/chunk.hpp"
+#include "p2p/peer.hpp"
 #include "p2p/protocol.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -68,17 +68,17 @@ void BM_ScaleFreeGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_ScaleFreeGeneration)->Arg(500)->Arg(2000);
 
-void BM_BufferMapAdvance(benchmark::State& state) {
-  std::uint64_t words[1];
-  p2p::BufferMap buffer(64, words);
+// One slot's window, as the round loop moves it: gain a chunk, advance by 2.
+void BM_PeerTableAdvance(benchmark::State& state) {
+  p2p::PeerTable peers(1, 64);
   p2p::ChunkId base = 0;
   for (auto _ : state) {
-    buffer.set(base + 60);
-    buffer.advance(base + 2);
+    peers.set(0, base + 60);
+    peers.advance(0, base + 2);
     base += 2;
   }
 }
-BENCHMARK(BM_BufferMapAdvance);
+BENCHMARK(BM_PeerTableAdvance);
 
 // One simulated round per benchmark iteration, measured end to end: window
 // advance, seeding, purchase phase, taxation/churn bookkeeping, and the

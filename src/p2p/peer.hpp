@@ -4,21 +4,28 @@
 // dense array indexed by slot, so the round loop's field sweeps (window
 // advance, budget refresh, snapshots) walk contiguous memory instead of
 // striding over interleaved structs. Membership lives in the Overlay.
+//
+// A live stream is an unbounded sequence of chunks 0,1,2,… emitted at a
+// fixed rate. Each peer holds a sliding playback window of the newest
+// chunks: its buffer map is one ownership row of bits, a ring indexed by
+// chunk % window, so advancing the window clears only the slots that leave.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "p2p/chunk.hpp"
 #include "p2p/ledger.hpp"
 #include "strategy/strategy.hpp"
 
 namespace creditflow::p2p {
 
+using ChunkId = std::uint64_t;
+
 /// Structure-of-arrays store of every peer slot's protocol state. One field
-/// = one dense array indexed by PeerId, allocated once at construction; all
-/// BufferMap windows share a single word arena packed in slot order, so a
+/// = one dense array indexed by PeerId, allocated once at construction; the
+/// ownership rows share a single word arena packed in slot order, so a
 /// million peers cost a handful of allocations and the hot phases touch
 /// only the arrays they need.
 class PeerTable {
@@ -43,18 +50,53 @@ class PeerTable {
   [[nodiscard]] double join_time(PeerId i) const { return join_time_[i]; }
   void set_join_time(PeerId i, double v) { join_time_[i] = v; }
 
-  [[nodiscard]] BufferMap& buffer(PeerId i) { return buffers_[i]; }
-  [[nodiscard]] const BufferMap& buffer(PeerId i) const { return buffers_[i]; }
-
-  /// Chunks per window (every slot's BufferMap capacity).
+  /// Chunks per window, the same for every slot.
   [[nodiscard]] std::size_t window() const { return window_; }
-  /// Slot i's ownership bitmap: its BufferMap's words in the arena. Bit
-  /// `chunk % window()` is set <=> the slot holds that chunk of its current
-  /// window. The purchase phase takes a buyer's wanted slots from the
-  /// complement of its row and ANDs its neighbors' rows against them.
+  /// First chunk of slot i's window [base(i), base(i) + window()).
+  [[nodiscard]] ChunkId base(PeerId i) const { return base_[i]; }
+  /// Slot i's ownership row, its buffer map: bit `chunk % window()` is set
+  /// <=> the slot holds that chunk of its current window. The purchase
+  /// phase takes a buyer's wanted slots from the complement of its row and
+  /// ANDs its neighbors' rows against them.
   [[nodiscard]] std::span<const std::uint64_t> owned(PeerId i) const {
-    return {buffer_words_.data() + i * words_, words_};
+    return {row_words_.data() + i * words_, words_};
   }
+  /// Number of chunks slot i holds: the popcount of its row.
+  [[nodiscard]] std::size_t count(PeerId i) const {
+    std::size_t n = 0;
+    for (const std::uint64_t w : owned(i)) {
+      n += static_cast<std::size_t>(std::popcount(w));
+    }
+    return n;
+  }
+  /// Fill ratio of slot i's window, in [0,1].
+  [[nodiscard]] double fill(PeerId i) const {
+    return static_cast<double>(count(i)) / static_cast<double>(window_);
+  }
+
+  /// True when slot i holds chunk c (false outside its window).
+  [[nodiscard]] bool has(PeerId i, ChunkId c) const {
+    if (c < base_[i] || c - base_[i] >= window_) return false;
+    const std::size_t s = slot(c);
+    return (owned(i)[s / 64] >> (s % 64)) & 1;
+  }
+  /// Mark chunk c as held by slot i; returns false if c is outside the
+  /// window or already held. Inline: it runs once per seeded or purchased
+  /// chunk, millions of times per simulated run.
+  bool set(PeerId i, ChunkId c) {
+    if (c < base_[i] || c - base_[i] >= window_) return false;
+    const std::size_t s = slot(c);
+    std::uint64_t& word = row_words_[i * words_ + s / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
+  }
+  /// Move slot i's window base to `new_base` (>= base(i)), dropping the
+  /// chunks that leave the window.
+  void advance(PeerId i, ChunkId new_base);
+  /// Empty slot i's window and start it at `new_base`.
+  void reset_window(PeerId i, ChunkId new_base);
 
   [[nodiscard]] std::uint64_t& credits_earned(PeerId i) {
     return credits_earned_[i];
@@ -126,15 +168,18 @@ class PeerTable {
   }
 
  private:
+  [[nodiscard]] std::size_t slot(ChunkId c) const {
+    return static_cast<std::size_t>(c % window_);
+  }
+
   std::vector<double> upload_capacity_;
   std::vector<double> base_spend_rate_;
   std::vector<double> join_time_;
   std::size_t window_;
   std::size_t words_;  ///< arena words per slot
-  /// One arena of BufferMap words for the whole table, packed in slot
-  /// order; sized once and never resized (buffers_ hold raw pointers in).
-  std::vector<std::uint64_t> buffer_words_;
-  std::vector<BufferMap> buffers_;  ///< arena-backed views, one per slot
+  /// One arena of ownership rows for the whole table, packed in slot order.
+  std::vector<std::uint64_t> row_words_;
+  std::vector<ChunkId> base_;  ///< each slot's window base
   std::vector<std::uint64_t> credits_earned_;
   std::vector<std::uint64_t> credits_spent_;
   std::vector<std::uint64_t> chunks_downloaded_;

@@ -250,13 +250,12 @@ Credits StreamingProtocol::activate_peer(PeerId id, double now) {
               : cfg_.base_spend_rate);
   const ChunkId head = head_at(now);
   const ChunkId base = head - cfg_.window_chunks;
-  BufferMap& buffer = peers_.buffer(id);
-  buffer.reset(base);
+  peers_.reset_window(id, base);
   // Warm start: join holding most of the current window, as a peer that has
   // been streaming for a while (or bootstrapped quickly) would.
   if (cfg_.warm_start_fill > 0.0) {
     for (ChunkId c = base; c < head; ++c) {
-      if (rng_.bernoulli(cfg_.warm_start_fill)) buffer.set(c);
+      if (rng_.bernoulli(cfg_.warm_start_fill)) peers_.set(id, c);
     }
   }
   const Credits grant = rejoin_grant(activation);
@@ -357,7 +356,7 @@ void StreamingProtocol::handle_departure(PeerId id) {
   overlay_.leave(id);
   // Nothing reads a dead slot's window, but an empty ownership row keeps a
   // stale neighbor-list entry from ever yielding a purchase candidate.
-  peers_.buffer(id).reset(peers_.buffer(id).base());
+  peers_.reset_window(id, peers_.base(id));
   if (book_ != nullptr) {
     // Seller churn expires its resting ask immediately — no ghost supply.
     if (book_->cancel_ask(id)) ++*book_asks_expired_;
@@ -368,8 +367,9 @@ void StreamingProtocol::handle_departure(PeerId id) {
 void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
   // Chunks created since the previous round get pushed to seed_fanout
   // random alive peers each, free of charge (the source is the provider).
-  // Only the newest window_chunks of them can land: every alive buffer
-  // starts at head - window_chunks by now, and set() refuses older chunks.
+  // Only the newest window_chunks of them can land: every alive window
+  // starts at head - window_chunks by now, and PeerTable::set refuses older
+  // chunks.
   const ChunkId first =
       std::max(head_at(std::max(now - cfg_.round_seconds, 0.0)),
                head - cfg_.window_chunks);
@@ -395,7 +395,7 @@ void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
       if (k == 0 && staked_priority && !staked_scratch_.empty()) {
         const PeerId bonded =
             staked_scratch_[rng_.uniform_index(staked_scratch_.size())];
-        if (peers_.buffer(bonded).set(c)) ++peers_.chunks_seeded(bonded);
+        if (peers_.set(bonded, c)) ++peers_.chunks_seeded(bonded);
         continue;
       }
       // Deficit-based seeding: the source prefers starving peers — sample a
@@ -407,13 +407,10 @@ void StreamingProtocol::seed_new_chunks(double now, ChunkId head) {
       if (cfg_.deficit_seeding) {
         for (std::size_t probe = 0; probe < 3; ++probe) {
           const PeerId other = alive[rng_.uniform_index(alive.size())];
-          if (peers_.buffer(other).count() <
-              peers_.buffer(target).count()) {
-            target = other;
-          }
+          if (peers_.count(other) < peers_.count(target)) target = other;
         }
       }
-      if (peers_.buffer(target).set(c)) ++peers_.chunks_seeded(target);
+      if (peers_.set(target, c)) ++peers_.chunks_seeded(target);
     }
   }
 }
@@ -429,7 +426,7 @@ void StreamingProtocol::run_round(double now) {
   const auto active = overlay_.active_peers();
   round_order_.assign(active.begin(), active.end());
   for (PeerId id : round_order_) {
-    peers_.buffer(id).advance(window_base);
+    peers_.advance(id, window_base);
     upload_budget_[id] = peers_.upload_capacity(id) * cfg_.round_seconds;
   }
 
@@ -601,7 +598,7 @@ strategy::Breakdown StreamingProtocol::strategy_breakdown() const {
     const auto s = static_cast<std::size_t>(peers_.strategy(id));
     ++b.population[s];
     b.credits[s] += static_cast<double>(ledger_.balance(id));
-    b.buffer_fill[s] += peers_.buffer(id).fill();
+    b.buffer_fill[s] += peers_.fill(id);
   }
   b.staked_total = static_cast<double>(ledger_.total_staked());
   return b;
@@ -712,8 +709,7 @@ bool StreamingProtocol::choose_seller(ChunkId chunk, PeerId& seller) {
         seller_weights_.push_back(
             book != nullptr
                 ? static_cast<double>(book->ask_quantity(candidate))
-                : static_cast<double>(peers_.buffer(candidate).count()) +
-                      1.0);
+                : static_cast<double>(peers_.count(candidate)) + 1.0);
       });
       if (seller_weights_.empty()) return false;
       seller = sellers.nth(rng_.discrete(seller_weights_));
@@ -749,7 +745,6 @@ void StreamingProtocol::buy_missing(PeerId buyer_id, std::size_t purchase_cap,
   const bool limit =
       book_mode &&
       cfg_.book.cross == ProtocolConfig::OrderBookConfig::CrossStrategy::kLimit;
-  BufferMap& buyer_buffer = peers_.buffer(buyer_id);
   std::size_t purchased = 0;
   // Each visit returns whether to go on: only a purchase spends budget or
   // fills the cap, so only a purchase can end the walk.
@@ -774,7 +769,7 @@ void StreamingProtocol::buy_missing(PeerId buyer_id, std::size_t purchase_cap,
     }
 
     // Delivery.
-    const bool fresh = buyer_buffer.set(chunk);
+    const bool fresh = peers_.set(buyer_id, chunk);
     CF_ENSURES_MSG(fresh, "purchased a chunk already held");
     upload_budget_[seller_id] -= 1.0;
     if (book_mode) {
@@ -822,14 +817,13 @@ void StreamingProtocol::buy_missing(PeerId buyer_id, std::size_t purchase_cap,
 
 void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   if (!overlay_.is_active(buyer_id)) return;  // departed mid-round
-  const BufferMap& buyer_buffer = peers_.buffer(buyer_id);
 
   const double budget = round_budget(
       cfg_.spending, peers_.base_spend_rate(buyer_id),
       ledger_.balance(buyer_id), cfg_.round_seconds);
   if (budget <= 0.0) return;
 
-  const std::size_t missing = buyer_buffer.capacity() - buyer_buffer.count();
+  const std::size_t missing = peers_.window() - peers_.count(buyer_id);
   if (missing == 0) return;
   const std::span<const PeerId> neighbors = overlay_.neighbors(buyer_id);
   if (neighbors.empty()) return;
@@ -858,9 +852,8 @@ void StreamingProtocol::peer_purchase_phase(PeerId buyer_id, double now) {
   // a round), and budgets and asks only shrink, on a sale to this buyer —
   // after which a failing seller leaves every mask.
   candidates_.build(
-      peers_, neighbors, [this](PeerId nbr) { return sells(nbr); },
-      peers_.owned(buyer_id), missing, cfg_.max_purchase_attempts,
-      buyer_buffer.base());
+      peers_, buyer_id, neighbors, [this](PeerId nbr) { return sells(nbr); },
+      cfg_.max_purchase_attempts);
   candidates_hist_->add(candidates_.eligible().size());
   ++*phase_width_ct_[candidates_.width()];
   switch (candidates_.width()) {
@@ -962,7 +955,7 @@ double StreamingProtocol::mean_buffer_fill() const {
   const auto alive = overlay_.active_peers();
   if (alive.empty()) return 0.0;
   double total = 0.0;
-  for (PeerId id : alive) total += peers_.buffer(id).fill();
+  for (PeerId id : alive) total += peers_.fill(id);
   return total / static_cast<double>(alive.size());
 }
 

@@ -408,7 +408,7 @@ class StreamingProtocol : private sim::Simulator::Agent {
   util::Rng rng_;
   CreditLedger ledger_;
   Overlay overlay_;
-  PeerTable peers_;  ///< SoA per-peer state, arena-backed buffers
+  PeerTable peers_;  ///< SoA per-peer state, ownership rows included
   SellerRule seller_rule_ = SellerRule::kUniform;
   econ::TaxationEngine tax_;
   TransactionTrace trace_;

@@ -25,7 +25,7 @@
 // least one word, so an empty eligible set takes the one-word width
 // whenever the window fits one word.
 //
-// Slots identify chunks relative to build()'s window base. Every alive
+// Slots identify chunks relative to the buyer's window base. Every alive
 // peer shares that base during a purchase phase: windows advance in
 // lockstep, and churn never interleaves with a round.
 #pragma once
@@ -47,20 +47,18 @@ class PurchaseCandidates {
   /// Words template argument for masks wider than two words.
   static constexpr std::size_t kDynamicWords = 0;
 
-  /// Rebuild for one buyer phase. The wanted chunks are the `missing`
-  /// window slots `owned` (the buyer's ownership row) lacks, trimmed to
-  /// the newest `max_wanted`; the window starts at `window_base`.
+  /// Rebuild for `buyer`'s phase. The wanted chunks are the window slots
+  /// its ownership row lacks, trimmed to the newest `max_wanted`.
   /// eligible() = the `neighbors` that pass `is_seller(PeerId)` (in
   /// order); masks of max(1, ceil(eligible / 64)) words for every wanted
   /// chunk some eligible neighbor owns.
   template <typename IsSeller>
-  void build(const PeerTable& peers, std::span<const PeerId> neighbors,
-             IsSeller&& is_seller, std::span<const std::uint64_t> owned,
-             std::size_t missing, std::size_t max_wanted,
-             ChunkId window_base) {
+  void build(const PeerTable& peers, PeerId buyer,
+             std::span<const PeerId> neighbors, IsSeller&& is_seller,
+             std::size_t max_wanted) {
     window_ = peers.window();
-    base_ = window_base;
-    base_slot_ = static_cast<std::size_t>(window_base % window_);
+    base_ = peers.base(buyer);
+    base_slot_ = static_cast<std::size_t>(base_ % window_);
     // No aliveness check: a departed peer holds no overlay edges, so it
     // never appears in a neighbor list, and its ownership row is cleared
     // on departure.
@@ -69,7 +67,8 @@ class PurchaseCandidates {
       if (is_seller(nbr)) eligible_.push_back(nbr);
     }
     words_ = std::max<std::size_t>(1, (eligible_.size() + 63) / 64);
-    const std::size_t row_words = BufferMap::words_for(window_);
+    const std::span<const std::uint64_t> owned = peers.owned(buyer);
+    const std::size_t row_words = owned.size();
     width_ = row_words == 1 && words_ == 1 ? 1
              : words_ == 2                 ? 2
                                            : kDynamicWords;
@@ -80,6 +79,7 @@ class PurchaseCandidates {
     if (window_ % 64 != 0) {
       reach_[row_words - 1] &= ~std::uint64_t{0} >> (64 - window_ % 64);
     }
+    const std::size_t missing = window_ - peers.count(buyer);
     if (missing > max_wanted) drop_oldest(missing - max_wanted);
     switch (width_) {
       case 1:

@@ -1,114 +1,105 @@
-// Tests for p2p/chunk (BufferMap) and p2p/ledger (CreditLedger). A
-// standalone BufferMap of up to 64 chunks views one word of storage.
+// Tests for a PeerTable slot's window (p2p/peer) and p2p/ledger
+// (CreditLedger). A window of up to 64 chunks is one word of its row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "p2p/chunk.hpp"
-#include "util/assert.hpp"
 #include "p2p/ledger.hpp"
+#include "p2p/peer.hpp"
+#include "util/assert.hpp"
 
 namespace creditflow::p2p {
 namespace {
 
-TEST(BufferMap, SetHasWithinWindow) {
-  std::uint64_t words[1];
-  BufferMap b(8, words);
-  EXPECT_TRUE(b.in_window(0));
-  EXPECT_TRUE(b.in_window(7));
-  EXPECT_FALSE(b.in_window(8));
-  EXPECT_TRUE(b.set(3));
-  EXPECT_FALSE(b.set(3));  // duplicate
-  EXPECT_TRUE(b.has(3));
-  EXPECT_FALSE(b.has(4));
-  EXPECT_EQ(b.count(), 1u);
+TEST(PeerWindow, SetHasWithinWindow) {
+  PeerTable peers(1, 8);
+  EXPECT_TRUE(peers.set(0, 0));
+  EXPECT_TRUE(peers.set(0, 7));
+  EXPECT_FALSE(peers.set(0, 8));
+  EXPECT_TRUE(peers.set(0, 3));
+  EXPECT_FALSE(peers.set(0, 3));  // duplicate
+  EXPECT_TRUE(peers.has(0, 3));
+  EXPECT_FALSE(peers.has(0, 4));
+  EXPECT_EQ(peers.count(0), 3u);
 }
 
-TEST(BufferMap, OutOfWindowSetRejected) {
-  std::uint64_t words[1];
-  BufferMap b(4, words);
-  EXPECT_FALSE(b.set(10));
-  EXPECT_EQ(b.count(), 0u);
+TEST(PeerWindow, OutOfWindowSetRejected) {
+  PeerTable peers(1, 4);
+  EXPECT_FALSE(peers.set(0, 10));
+  EXPECT_EQ(peers.count(0), 0u);
 }
 
-TEST(BufferMap, AdvanceEvicts) {
-  std::uint64_t words[1];
-  BufferMap b(4, words);
-  b.set(0);
-  b.set(1);
-  b.set(3);
-  const auto evicted = b.advance(2);
-  EXPECT_EQ(evicted, 2u);  // chunks 0 and 1 left the window
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_FALSE(b.has(0));
-  EXPECT_TRUE(b.has(3));
-  EXPECT_TRUE(b.in_window(5));
-  EXPECT_TRUE(b.set(5));
+TEST(PeerWindow, AdvanceEvicts) {
+  PeerTable peers(1, 4);
+  peers.set(0, 0);
+  peers.set(0, 1);
+  peers.set(0, 3);
+  EXPECT_EQ(peers.count(0), 3u);
+  peers.advance(0, 2);
+  EXPECT_EQ(peers.count(0), 1u);  // chunks 0 and 1 left the window
+  EXPECT_FALSE(peers.has(0, 0));
+  EXPECT_TRUE(peers.has(0, 3));
+  EXPECT_TRUE(peers.set(0, 5));
 }
 
-TEST(BufferMap, AdvanceBeyondCapacityClearsAll) {
-  std::uint64_t words[1];
-  BufferMap b(4, words);
-  b.set(0);
-  b.set(1);
-  const auto evicted = b.advance(100);
-  EXPECT_EQ(evicted, 2u);
-  EXPECT_EQ(b.count(), 0u);
-  EXPECT_EQ(b.base(), 100u);
+TEST(PeerWindow, AdvanceBeyondCapacityClearsAll) {
+  PeerTable peers(1, 4);
+  peers.set(0, 0);
+  peers.set(0, 1);
+  EXPECT_EQ(peers.count(0), 2u);
+  peers.advance(0, 100);
+  EXPECT_EQ(peers.count(0), 0u);
+  EXPECT_EQ(peers.base(0), 100u);
 }
 
-TEST(BufferMap, AdvanceBackwardsThrows) {
-  std::uint64_t words[1];
-  BufferMap b(4, words);
-  b.advance(10);
-  EXPECT_THROW(b.advance(5), util::PreconditionError);
+TEST(PeerWindow, AdvanceBackwardsThrows) {
+  PeerTable peers(1, 4);
+  peers.advance(0, 10);
+  EXPECT_THROW(peers.advance(0, 5), util::PreconditionError);
 }
 
-TEST(BufferMap, RingReuseAfterManyAdvances) {
-  std::uint64_t words[1];
-  BufferMap b(4, words);
+TEST(PeerWindow, RingReuseAfterManyAdvances) {
+  PeerTable peers(1, 4);
   for (ChunkId base = 0; base < 100; ++base) {
-    b.advance(base);
-    EXPECT_TRUE(b.set(base + 3));
+    peers.advance(0, base);
+    EXPECT_TRUE(peers.set(0, base + 3));
   }
   // Held chunks: the last 4 bases' +3 offsets still in window.
-  EXPECT_EQ(b.count(), 4u);
+  EXPECT_EQ(peers.count(0), 4u);
 }
 
-TEST(BufferMap, MissingListsAscending) {
-  std::uint64_t words[1];
-  BufferMap b(6, words);
-  b.set(1);
-  b.set(4);
-  const auto missing = [&b] {
+TEST(PeerWindow, MissingListsAscending) {
+  PeerTable peers(1, 6);
+  peers.set(0, 1);
+  peers.set(0, 4);
+  const auto missing = [&peers] {
     std::vector<ChunkId> m;
-    for (ChunkId c = b.base(); c < b.end(); ++c) {
-      if (!b.has(c)) m.push_back(c);
+    for (ChunkId c = peers.base(0); c < peers.base(0) + peers.window();
+         ++c) {
+      if (!peers.has(0, c)) m.push_back(c);
     }
-    EXPECT_EQ(m.size(), b.capacity() - b.count());
+    EXPECT_EQ(m.size(), peers.window() - peers.count(0));
     return m;
   };
   EXPECT_EQ(missing(), (std::vector<ChunkId>{0, 2, 3, 5}));
-  b.advance(2);  // the window [2, 8) wraps the ring
+  peers.advance(0, 2);  // the window [2, 8) wraps the ring
   EXPECT_EQ(missing(), (std::vector<ChunkId>{2, 3, 5, 6, 7}));
 }
 
-TEST(BufferMap, FillRatio) {
-  std::uint64_t words[1];
-  BufferMap b(10, words);
-  for (ChunkId c = 0; c < 5; ++c) b.set(c);
-  EXPECT_DOUBLE_EQ(b.fill(), 0.5);
+TEST(PeerWindow, FillRatio) {
+  PeerTable peers(1, 10);
+  for (ChunkId c = 0; c < 5; ++c) peers.set(0, c);
+  EXPECT_DOUBLE_EQ(peers.fill(0), 0.5);
 }
 
-TEST(BufferMap, ResetClears) {
-  std::uint64_t words[1];
-  BufferMap b(4, words);
-  b.set(0);
-  b.reset(50);
-  EXPECT_EQ(b.count(), 0u);
-  EXPECT_EQ(b.base(), 50u);
-  EXPECT_TRUE(b.set(51));
+TEST(PeerWindow, ResetClears) {
+  PeerTable peers(1, 4);
+  peers.set(0, 0);
+  peers.reset_window(0, 50);
+  EXPECT_EQ(peers.count(0), 0u);
+  EXPECT_EQ(peers.base(0), 50u);
+  EXPECT_TRUE(peers.set(0, 51));
 }
 
 TEST(CreditLedger, MintAndBalances) {

@@ -1,7 +1,7 @@
 // Tests for the extension features: auction seller choice (paper future
 // work) and periodic credit injection (the inflation remedy), plus
-// randomized fuzz checks of the ledger and buffer map against reference
-// implementations.
+// randomized fuzz checks of the ledger and a peer's buffer window against
+// reference implementations.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "core/market.hpp"
-#include "p2p/chunk.hpp"
 #include "p2p/ledger.hpp"
+#include "p2p/peer.hpp"
 #include "util/rng.hpp"
 
 namespace creditflow {
@@ -144,22 +144,24 @@ TEST(LedgerFuzz, MatchesReferenceUnderRandomOperations) {
   EXPECT_EQ(ledger.total_burned(), ref_burned);
 }
 
-// ---- Fuzz: BufferMap against a std::set reference ------------------------
+// ---- Fuzz: a PeerTable window against a std::set reference ---------------
 
 TEST(BufferMapFuzz, MatchesSetReference) {
   util::Rng rng(777);
   // One- and two-word rows, full and partial last words; the window's base
   // wraps each ring many times, and now and then jumps past the window.
+  // Slot 1 of three is fuzzed, so a row that spills into a neighbor's
+  // words shows in theirs.
   for (const std::size_t capacity : {24, 48, 64, 65, 96}) {
     SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
-    std::uint64_t words[2];
-    p2p::BufferMap buffer(capacity, words);
+    p2p::PeerTable peers(3, capacity);
+    constexpr p2p::PeerId kSlot = 1;
     std::set<p2p::ChunkId> reference;
     p2p::ChunkId base = 0;
-    const auto held_bits = [&] {
+    const auto held_bits = [&](p2p::PeerId slot) {
       std::size_t n = 0;
-      for (std::size_t w = 0; w < p2p::BufferMap::words_for(capacity); ++w) {
-        n += static_cast<std::size_t>(std::popcount(words[w]));
+      for (const std::uint64_t w : peers.owned(slot)) {
+        n += static_cast<std::size_t>(std::popcount(w));
       }
       return n;
     };
@@ -170,7 +172,7 @@ TEST(BufferMapFuzz, MatchesSetReference) {
           const auto c = base + rng.uniform_index(capacity + 6);
           const bool in_window = c >= base && c < base + capacity;
           const bool fresh = in_window && reference.count(c) == 0;
-          ASSERT_EQ(buffer.set(c), fresh) << "op " << op;
+          ASSERT_EQ(peers.set(kSlot, c), fresh) << "op " << op;
           if (fresh) reference.insert(c);
           break;
         }
@@ -179,35 +181,32 @@ TEST(BufferMapFuzz, MatchesSetReference) {
                                 ? rng.uniform_index(2 * capacity)
                                 : rng.uniform_index(4);
           base += step;
-          std::size_t evicted = 0;
-          for (auto it = reference.begin(); it != reference.end();) {
-            if (*it < base) {
-              it = reference.erase(it);
-              ++evicted;
-            } else {
-              ++it;
-            }
-          }
-          ASSERT_EQ(buffer.advance(base), evicted) << "op " << op;
+          std::erase_if(reference, [&](p2p::ChunkId c) { return c < base; });
+          peers.advance(kSlot, base);
           break;
         }
         case 2: {  // query
           const auto c = base + rng.uniform_index(capacity + 6);
-          ASSERT_EQ(buffer.has(c), reference.count(c) == 1) << "op " << op;
+          ASSERT_EQ(peers.has(kSlot, c), reference.count(c) == 1)
+              << "op " << op;
           break;
         }
       }
-      // The held count is the popcount of the backing words.
-      ASSERT_EQ(buffer.count(), reference.size()) << "op " << op;
-      ASSERT_EQ(held_bits(), reference.size()) << "op " << op;
+      // The held count is the popcount of the slot's row, and the other
+      // slots' rows stay empty.
+      ASSERT_EQ(peers.count(kSlot), reference.size()) << "op " << op;
+      ASSERT_EQ(held_bits(kSlot), reference.size()) << "op " << op;
+      ASSERT_EQ(held_bits(0) + held_bits(2), 0u) << "op " << op;
     }
     // Final cross-check of the whole window.
+    ASSERT_EQ(peers.base(kSlot), base);
     std::size_t missing = 0;
-    for (p2p::ChunkId c = buffer.base(); c < buffer.end(); ++c) {
-      EXPECT_EQ(buffer.has(c), reference.count(c) == 1) << "chunk " << c;
-      if (!buffer.has(c)) ++missing;
+    for (p2p::ChunkId c = base; c < base + capacity; ++c) {
+      EXPECT_EQ(peers.has(kSlot, c), reference.count(c) == 1)
+          << "chunk " << c;
+      if (!peers.has(kSlot, c)) ++missing;
     }
-    EXPECT_EQ(missing + buffer.count(), capacity);
+    EXPECT_EQ(missing + peers.count(kSlot), capacity);
   }
 }
 

@@ -19,8 +19,8 @@
 //    a reversed missing-chunk list;
 //  * the phase-width counters: a buyer with no candidates counts as a
 //    one-word phase when its window fits one word;
-//  * the ownership-row invariant: PeerTable::owned() is the buffer's own
-//    words, and every departed or unused slot's row is zero.
+//  * the ownership-row invariant: PeerTable::owned() holds exactly the
+//    chunks has() reports, and every departed or unused slot's row is zero.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,7 +46,7 @@ std::vector<PeerId> scan_owners(const PeerTable& peers,
                                 const IsSeller& is_seller, ChunkId chunk) {
   std::vector<PeerId> owners;
   for (const PeerId nbr : neighbors) {
-    if (is_seller(nbr) && peers.buffer(nbr).has(chunk)) {
+    if (is_seller(nbr) && peers.has(nbr, chunk)) {
       owners.push_back(nbr);
     }
   }
@@ -136,11 +136,10 @@ TEST(PurchaseCandidates, MatchesPerChunkNeighborScan) {
         const auto buyer = static_cast<PeerId>(num_peers);
         PeerTable peers(num_peers + 1, window);
         for (PeerId id = 0; id < num_peers; ++id) {
-          BufferMap& buffer = peers.buffer(id);
-          buffer.reset(base);
+          peers.reset_window(id, base);
           const double fill = rng.uniform();  // empty to full rows
           for (ChunkId c = base; c < base + window; ++c) {
-            if (rng.bernoulli(fill)) buffer.set(c);
+            if (rng.bernoulli(fill)) peers.set(id, c);
           }
         }
         std::vector<PeerId> ids(num_peers);
@@ -171,17 +170,15 @@ TEST(PurchaseCandidates, MatchesPerChunkNeighborScan) {
           if (rng.bernoulli(0.6)) wanted.push_back(c);
         }
         if (wanted.empty()) wanted.push_back(base);
-        BufferMap& own = peers.buffer(buyer);
-        own.reset(base);
+        peers.reset_window(buyer, base);
         for (ChunkId c = base; c < base + window; ++c) {
           if (std::find(wanted.begin(), wanted.end(), c) == wanted.end()) {
-            own.set(c);
+            peers.set(buyer, c);
           }
         }
-        ASSERT_EQ(window - own.count(), wanted.size());
+        ASSERT_EQ(window - peers.count(buyer), wanted.size());
         const auto build = [&](std::size_t max_wanted) {
-          candidates.build(peers, neighbors, is_seller, peers.owned(buyer),
-                           wanted.size(), max_wanted, base);
+          candidates.build(peers, buyer, neighbors, is_seller, max_wanted);
         };
 
         build(window);
@@ -602,10 +599,12 @@ TEST(OwnedRows, AreBufferWordsAndZeroForDepartedSlots) {
   for (PeerId id = 0; id < cfg.max_peers; ++id) {
     const auto row = peers.owned(id);
     if (proto.overlay().is_active(id)) {
-      const BufferMap& buffer = peers.buffer(id);
-      for (ChunkId c = buffer.base(); c < buffer.end(); ++c) {
+      // Every alive window starts where the stream's window does.
+      const ChunkId base = peers.base(id);
+      ASSERT_EQ(base, proto.stream_head() - peers.window());
+      for (ChunkId c = base; c < base + peers.window(); ++c) {
         const std::size_t s = c % peers.window();
-        EXPECT_EQ(((row[s / 64] >> (s % 64)) & 1) != 0, buffer.has(c))
+        EXPECT_EQ(((row[s / 64] >> (s % 64)) & 1) != 0, peers.has(id, c))
             << "peer " << id << " chunk " << c;
       }
       ++alive_checked;
