@@ -234,7 +234,7 @@ std::string ResultSink::aggregate_json() const {
     out << "  {\"point_index\": " << row.point_index << ", \"params\": {";
     for (std::size_t k = 0; k < row.params.size(); ++k) {
       if (k > 0) out << ", ";
-      out << '"' << row.params[k].first
+      out << '"' << json_escape(row.params[k].first)
           << "\": " << format_double(row.params[k].second);
     }
     out << "}, \"seeds\": " << row.seeds
@@ -252,7 +252,8 @@ std::string ResultSink::aggregate_json() const {
         const std::string s = format_double(v);
         return s == "nan" ? std::string("null") : s;
       };
-      out << '"' << name << "\": {\"mean\": " << number(stat.mean)
+      out << '"' << json_escape(name)
+          << "\": {\"mean\": " << number(stat.mean)
           << ", \"sd\": " << number(stat.stddev)
           << ", \"ci95\": " << number(stat.ci95) << '}';
     }

@@ -1,6 +1,7 @@
 // ResultSink tests: aggregation and rendering are independent of arrival
 // order (shard-merge interleaving), failed runs and NaN metrics render
-// pinned bytes, and a duplicate run or an over-full grid point is rejected.
+// pinned bytes, the aggregate JSON escapes every name it quotes, and a
+// duplicate run or an over-full grid point is rejected.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -172,6 +173,22 @@ TEST(ResultSinkStreaming, FailuresAndNanRenderPinnedBytes) {
       << std::hex << "0x" << csv << "ULL, 0x" << json << "ULL, 0x" << runs
       << "ULL\n"
       << sink.aggregate_csv() << sink.aggregate_json() << sink.runs_csv();
+}
+
+// A merged run record may name a parameter or a metric with any string:
+// the aggregate JSON escapes those names as it escapes error strings.
+TEST(ResultSinkStreaming, JsonEscapesParamAndMetricNames) {
+  RunResult r;
+  r.run_index = 0;
+  r.point_index = 0;
+  r.params = {{"tax\"rate", 0.5}};
+  r.metrics = {{"back\\slash\n", 1.0}};
+  ResultSink sink;
+  sink.add(r);
+  const std::string json = sink.aggregate_json();
+  EXPECT_NE(json.find(R"({"tax\"rate": 0.5})"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"({"back\\slash\n": {"mean": )"), std::string::npos)
+      << json;
 }
 
 TEST(ResultSinkStreaming, OverfullPointWithDeclaredReplicationsThrows) {
