@@ -387,9 +387,8 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
 
   scenario::SweepRunner runner(spec, std::move(sweep), std::move(options));
   scenario::ResultSink sink;
-  // Every grid point receives exactly `seeds` runs, so the sink can stream:
-  // each point folds down to its statistics (and frees its per-run buffer)
-  // the moment its last replication lands.
+  // Every grid point receives exactly `seeds` runs, and the sink refuses a
+  // run past that count. It keeps every run and aggregates at the end.
   sink.set_expected_replications(runner.sweep().seeds);
   auto results = runner.run();
 
@@ -724,7 +723,11 @@ int main(int argc, char** argv) {
       parse_host_port(next(), worker_host, worker_port, argv[0]);
     } else if (arg == "--lease-timeout") {
       cli.lease_timeout = number_or_usage(next(), argv[0]);
-      if (cli.lease_timeout <= 0.0) usage(argv[0]);
+      if (!scenario::lease_timeout_ms(cli.lease_timeout)) {
+        std::cerr << "--lease-timeout: must round to at least 1 ms and "
+                     "below 2^63 ms\n";
+        return 64;
+      }
     } else if (arg == "--journal") {
       cli.journal = next();
     } else if (arg == "--resume") {
@@ -902,6 +905,15 @@ int main(int argc, char** argv) {
   }
 
   // ---- Single-run mode (the original market_cli behavior). --------------
+  // The sweep output flags write sweep results, which one run does not
+  // produce; dropping them silently would leave their files unwritten.
+  if (!cli.out.out_path.empty() || !cli.out.runs_out_path.empty() ||
+      cli.out.json || !cli.cache_dir.empty() || cli.eta) {
+    std::cerr << "a single run takes no --out/--runs-out/--json/--cache-dir/"
+                 "--eta (they write sweep results: add --sweep or --seeds "
+                 "N)\n";
+    return 64;
+  }
   // A configuration the market rejects (CF_EXPECTS in the constructors) is
   // a failed run: one diagnostic line and exit 2, not an uncaught throw.
   try {

@@ -119,6 +119,12 @@ std::string metrics_text(const SweepStatus& s) {
 
 }  // namespace
 
+std::optional<long long> lease_timeout_ms(double seconds) {
+  const double ms = seconds * 1000.0 + 0.5;
+  if (!(ms >= 1.0 && ms < 0x1p63)) return std::nullopt;  // NaN and ±inf too
+  return static_cast<long long>(ms);
+}
+
 struct Coordinator::Impl {
   SweepPlan plan;
   Options options;
@@ -175,6 +181,11 @@ struct Coordinator::Impl {
         options(std::move(opts)),
         scheduler(plan.size(), options.lease_timeout_seconds,
                   options.lease_batch_max) {
+    const std::optional<long long> lease_ms =
+        lease_timeout_ms(options.lease_timeout_seconds);
+    CF_EXPECTS_MSG(lease_ms.has_value(),
+                   "lease timeout must round to at least 1 ms and below "
+                   "2^63 ms");
     CF_EXPECTS_MSG(options.journal_path.empty() || !options.cache_dir.empty(),
                    "--journal requires a run cache (results must be as "
                    "durable as the scheduling state)");
@@ -183,9 +194,7 @@ struct Coordinator::Impl {
     // Binds journal state to this exact plan (spec ‖ sweep ‖ size).
     const std::string fingerprint =
         RunKey::of(spec_text + sweep_text, plan.size()).hex();
-    const auto lease_ms = static_cast<long long>(
-        options.lease_timeout_seconds * 1000.0 + 0.5);
-    plan_header_prefix = "PLAN " + std::to_string(lease_ms) + " " +
+    plan_header_prefix = "PLAN " + std::to_string(*lease_ms) + " " +
                          std::to_string(spec_text.size()) + " " +
                          std::to_string(sweep_text.size()) + " " +
                          std::to_string(options.series_every) + " ";

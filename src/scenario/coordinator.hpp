@@ -84,6 +84,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,11 @@ namespace creditflow::scenario {
 /// format changes incompatibly. v2: RESUME, batched RUN, series payloads.
 inline constexpr const char* kSweepProtocolVersion = "creditflow-sweep-2";
 
+/// The lease timeout announced in PLAN: `seconds` in milliseconds, rounded
+/// to nearest. nullopt when that is below 1 ms, at or above 2^63 ms, or not
+/// a number: no worker accepts a PLAN header without a positive lease.
+[[nodiscard]] std::optional<long long> lease_timeout_ms(double seconds);
+
 /// Serves a SweepPlan to socket workers and merges their results.
 class Coordinator {
  public:
@@ -112,7 +118,8 @@ class Coordinator {
     /// A lease not refreshed by any traffic from its worker within this
     /// window is revoked and re-queued for the next NEXT request. Workers
     /// heartbeat at a quarter of this (announced in PLAN), so only a
-    /// dead, wedged, or partitioned worker ever times out.
+    /// dead, wedged, or partitioned worker ever times out. Must pass
+    /// lease_timeout_ms.
     double lease_timeout_seconds = 30.0;
 
     /// After the last run completes, keep answering stragglers (NEXT →
@@ -164,9 +171,10 @@ class Coordinator {
 
   /// Binds and listens immediately (so workers can connect before run()),
   /// but serves nothing until run() is called. Throws util::SocketError
-  /// when the address cannot be bound, util::PreconditionError on option
-  /// conflicts (journal without cache, stale journal without resume, or a
-  /// journal written by a different plan).
+  /// when the address cannot be bound, util::PreconditionError on a lease
+  /// timeout no worker can use (before anything is opened or bound) or on
+  /// option conflicts (journal without cache, stale journal without
+  /// resume, or a journal written by a different plan).
   Coordinator(ScenarioSpec base, SweepSpec sweep, Options options);
   ~Coordinator();
 

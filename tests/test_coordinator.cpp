@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -1008,6 +1010,30 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
   EXPECT_EQ(util::fnv1a64(sink.aggregate_csv()), 0xbd9622db89f1920bULL);
   EXPECT_EQ(util::fnv1a64(sink.aggregate_json()), 0x1d7620dbf7cda782ULL);
   EXPECT_EQ(util::fnv1a64(sink.runs_csv()), 0xc27d93ece3617262ULL);
+}
+
+TEST(Coordinator, RejectsLeaseTimeoutsNoWorkerCanUse) {
+  // PLAN announces the timeout in whole milliseconds, and a worker rejects
+  // a header whose count is not positive. inf and 1e300 have no such
+  // count; 1e-9 rounds to 0. Each is refused before the journal opens or
+  // the port binds.
+  EXPECT_EQ(lease_timeout_ms(30.0), 30000);
+  EXPECT_EQ(lease_timeout_ms(0.0005), 1);
+  for (const double bad : {std::numeric_limits<double>::infinity(), 1e300,
+                           1e-9, 0.0, -1.0, std::nan("")}) {
+    EXPECT_FALSE(lease_timeout_ms(bad).has_value()) << bad;
+  }
+  const auto dir = scratch_dir("lease_timeout");
+  for (const double bad : {std::numeric_limits<double>::infinity(), 1e-9}) {
+    Coordinator::Options options;
+    options.lease_timeout_seconds = bad;
+    options.cache_dir = (dir / "cache").string();
+    options.journal_path = (dir / "journal.jsonl").string();
+    EXPECT_THROW(Coordinator(tiny_base(), tiny_sweep(), options),
+                 util::PreconditionError)
+        << bad;
+    EXPECT_FALSE(std::filesystem::exists(options.journal_path)) << bad;
+  }
 }
 
 // ---- Remote series streaming ---------------------------------------------
