@@ -79,8 +79,12 @@ class PurchaseCandidates {
     if (window_ % 64 != 0) {
       reach_[row_words - 1] &= ~std::uint64_t{0} >> (64 - window_ % 64);
     }
-    const std::size_t missing = window_ - peers.count(buyer);
-    if (missing > max_wanted) drop_oldest(missing - max_wanted);
+    // A buyer misses at most window_ chunks, so only a shorter list drops
+    // any (and only then is the row's popcount needed).
+    if (max_wanted < window_) {
+      const std::size_t missing = window_ - peers.count(buyer);
+      if (missing > max_wanted) drop_oldest(missing - max_wanted);
+    }
     switch (width_) {
       case 1:
         fill<1>(peers);
