@@ -28,7 +28,8 @@ namespace creditflow::scenario {
 
 /// Escape a string for embedding in a JSON double-quoted literal. Shared
 /// by the run-record format and ResultSink::aggregate_json, so error
-/// messages render with identical bytes in both.
+/// messages and parameter and metric names render with identical bytes
+/// in both.
 [[nodiscard]] std::string json_escape(const std::string& s);
 
 /// One persisted run: its content address plus the (report-free) result.
