@@ -237,6 +237,17 @@ struct SweepOutputOptions {
   bool timing_columns = false;
 };
 
+/// The outcome part of a progress line — " FAILED: <error>", " cached
+/// gini=<g>" or " gini=<g>" — alike for local sweeps, the coordinator and
+/// workers.
+std::string outcome(const creditflow::scenario::RunResult& r) {
+  if (!r.error.empty()) return " FAILED: " + r.error;
+  std::ostringstream out;
+  out << (r.telemetry.from_cache ? " cached gini=" : " gini=")
+      << r.metric("converged_gini");
+  return out.str();
+}
+
 /// Print the first few failed-run errors (the rest are in the JSON/CSV
 /// outputs), returning the failure count.
 std::size_t report_failures(const creditflow::scenario::ResultSink& sink) {
@@ -365,14 +376,8 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
         ++executed;
         executed_wall += r.telemetry.wall_seconds;
       }
-      std::cerr << "[" << done << "/" << total << "] run " << r.run_index;
-      if (!r.error.empty()) {
-        std::cerr << " FAILED: " << r.error;
-      } else if (r.telemetry.from_cache) {
-        std::cerr << " cached gini=" << r.metric("converged_gini");
-      } else {
-        std::cerr << " gini=" << r.metric("converged_gini");
-      }
+      std::cerr << "[" << done << "/" << total << "] run " << r.run_index
+                << outcome(r);
       if (cli.eta && executed > 0) {
         // Remaining runs are almost all uncached (hits resolve first), so
         // the mean executed wall time is the right per-run estimate.
@@ -455,16 +460,8 @@ int run_coordinator_sweep(const creditflow::scenario::ScenarioSpec& spec,
   std::size_t done = 0;
   if (!cli.quiet) {
     options.on_result = [&](const scenario::RunResult& r) {
-      ++done;
-      std::cerr << "[" << done << "/" << total << "] run " << r.run_index;
-      if (!r.error.empty()) {
-        std::cerr << " FAILED: " << r.error;
-      } else if (r.telemetry.from_cache) {
-        std::cerr << " cached gini=" << r.metric("converged_gini");
-      } else {
-        std::cerr << " gini=" << r.metric("converged_gini");
-      }
-      std::cerr << "\n";
+      std::cerr << "[" << ++done << "/" << total << "] run " << r.run_index
+                << outcome(r) << "\n";
     };
   }
 
@@ -504,13 +501,7 @@ int run_worker_mode(const std::string& host, std::uint16_t port,
   options.sessions = jobs;
   if (!quiet) {
     options.on_result = [](const scenario::RunResult& r) {
-      std::cerr << "[worker] run " << r.run_index;
-      if (!r.error.empty()) {
-        std::cerr << " FAILED: " << r.error;
-      } else {
-        std::cerr << " gini=" << r.metric("converged_gini");
-      }
-      std::cerr << "\n";
+      std::cerr << "[worker] run " << r.run_index << outcome(r) << "\n";
     };
   }
   std::cerr << "[worker] joining sweep at " << host << ":" << port << "\n";
@@ -616,6 +607,7 @@ int main(int argc, char** argv) {
   std::uint16_t worker_port = 0;
   bool want_chart = false;
   bool print_spec = false;
+  std::string lease_flag;  ///< a --lease-* flag given: coordinator only
 
   bool spec_overridden = false;
   for (int i = 1; i < argc; ++i) {
@@ -722,6 +714,7 @@ int main(int argc, char** argv) {
       worker_mode = true;
       parse_host_port(next(), worker_host, worker_port, argv[0]);
     } else if (arg == "--lease-timeout") {
+      lease_flag = arg;
       cli.lease_timeout = number_or_usage(next(), argv[0]);
       if (!scenario::lease_timeout_ms(cli.lease_timeout)) {
         std::cerr << "--lease-timeout: must round to at least 1 ms and "
@@ -733,6 +726,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       cli.resume = true;
     } else if (arg == "--lease-batch") {
+      lease_flag = arg;
       cli.lease_batch = count_or_usage(next(), argv[0]);
       if (cli.lease_batch == 0) usage(argv[0]);
     } else if (arg == "--fsync") {
@@ -836,6 +830,17 @@ int main(int argc, char** argv) {
     std::cerr << "--fsync requires --serve/--coordinator\n";
     return 64;
   }
+  if (!lease_flag.empty() && !cli.coordinate) {
+    std::cerr << lease_flag << " requires --serve/--coordinator\n";
+    return 64;
+  }
+  const bool sweep_mode = !sweep.axes.empty() || sweep.seeds > 1 || cli.sharded;
+  if (want_chart && (sweep_mode || cli.coordinate || worker_mode ||
+                     !merge_files.empty())) {
+    std::cerr << "--chart draws one run's Gini chart (no --sweep, --seeds N, "
+                 "--shard, --merge, --serve/--coordinator or --worker)\n";
+    return 64;
+  }
 
   // Tracing switches on before any simulation and is dumped by the guard on
   // every exit path below. It records wall-clock spans only — no RNG, no
@@ -893,7 +898,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!sweep.axes.empty() || sweep.seeds > 1 || cli.sharded) {
+  if (sweep_mode) {
     try {
       return run_sweep(spec, std::move(sweep), cli);
     } catch (const util::PreconditionError& e) {

@@ -28,7 +28,6 @@ std::uint64_t TaxationEngine::on_income(std::uint32_t peer,
   // Never collect more than the peer can pay right now.
   if (due > wealth_after_income) due = wealth_after_income;
   debt -= static_cast<double>(due);
-  treasury_ += due;
   collected_ += due;
   return due;
 }
@@ -36,8 +35,7 @@ std::uint64_t TaxationEngine::on_income(std::uint32_t peer,
 bool TaxationEngine::try_redistribute(std::uint64_t population_size) {
   CF_EXPECTS(population_size > 0);
   if (!policy_.enabled) return false;
-  if (treasury_ < population_size) return false;
-  treasury_ -= population_size;
+  if (treasury() < population_size) return false;
   redistributed_ += population_size;
   return true;
 }

@@ -41,7 +41,9 @@ class TaxationEngine {
                                         std::uint64_t wealth_after_income);
 
   /// Credits collected into the treasury and not yet redistributed.
-  [[nodiscard]] std::uint64_t treasury() const { return treasury_; }
+  [[nodiscard]] std::uint64_t treasury() const {
+    return collected_ - redistributed_;
+  }
   /// Lifetime totals for reporting.
   [[nodiscard]] std::uint64_t total_collected() const { return collected_; }
   [[nodiscard]] std::uint64_t total_redistributed() const {
@@ -59,7 +61,6 @@ class TaxationEngine {
 
  private:
   TaxPolicy policy_;
-  std::uint64_t treasury_ = 0;
   std::uint64_t collected_ = 0;
   std::uint64_t redistributed_ = 0;
   std::vector<double> fractional_debt_;  ///< indexed by peer id

@@ -17,7 +17,6 @@ PeerTable::PeerTable(std::size_t max_peers, std::size_t window_chunks)
       credits_earned_(max_peers, 0),
       credits_spent_(max_peers, 0),
       chunks_downloaded_(max_peers, 0),
-      chunks_uploaded_(max_peers, 0),
       chunks_seeded_(max_peers, 0),
       strategy_(max_peers, 0),
       activations_(max_peers, 0) {
@@ -51,7 +50,6 @@ void PeerTable::reset_slot(PeerId i, double now) {
   credits_earned_[i] = 0;
   credits_spent_[i] = 0;
   chunks_downloaded_[i] = 0;
-  chunks_uploaded_[i] = 0;
   chunks_seeded_[i] = 0;
 }
 

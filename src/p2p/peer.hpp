@@ -116,12 +116,6 @@ class PeerTable {
   [[nodiscard]] std::uint64_t chunks_downloaded(PeerId i) const {
     return chunks_downloaded_[i];
   }
-  [[nodiscard]] std::uint64_t& chunks_uploaded(PeerId i) {
-    return chunks_uploaded_[i];
-  }
-  [[nodiscard]] std::uint64_t chunks_uploaded(PeerId i) const {
-    return chunks_uploaded_[i];
-  }
   [[nodiscard]] std::uint64_t& chunks_seeded(PeerId i) {
     return chunks_seeded_[i];
   }
@@ -183,7 +177,6 @@ class PeerTable {
   std::vector<std::uint64_t> credits_earned_;
   std::vector<std::uint64_t> credits_spent_;
   std::vector<std::uint64_t> chunks_downloaded_;
-  std::vector<std::uint64_t> chunks_uploaded_;
   std::vector<std::uint64_t> chunks_seeded_;
   std::vector<std::uint8_t> strategy_;
   std::vector<std::uint32_t> activations_;

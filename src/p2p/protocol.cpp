@@ -796,7 +796,6 @@ void StreamingProtocol::buy_missing(PeerId buyer_id, std::size_t purchase_cap,
     peers_.credits_spent(buyer_id) += price;
     peers_.credits_earned(seller_id) += price;
     ++peers_.chunks_downloaded(buyer_id);
-    ++peers_.chunks_uploaded(seller_id);
     trace_.record(now, buyer_id, seller_id, chunk, price);
     ++*tx_count_;
     *tx_volume_ += price;

@@ -14,7 +14,6 @@
 #include "scenario/journal.hpp"
 #include "scenario/store.hpp"
 #include "util/assert.hpp"
-#include "util/fsio.hpp"
 #include "util/logging.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -47,25 +46,22 @@ std::string status_json(const SweepStatus& s) {
       << ",\"leases_resumed\":" << s.leases_resumed
       << ",\"journal_orphans\":" << s.journal_orphans
       << ",\"done\":" << (s.done ? "true" : "false")
-      << ",\"elapsed_seconds\":" << util::format_double(s.elapsed_seconds)
+      << ",\"elapsed_seconds\":" << json_number(s.elapsed_seconds)
       << ",\"eta_seconds\":"
-      << (s.eta_seconds ? util::format_double(*s.eta_seconds) : "null")
+      << (s.eta_seconds ? json_number(*s.eta_seconds) : "null")
       << ",\"lease_wall_ms\":{\"count\":" << s.lease_wall_ms.count()
-      << ",\"mean\":" << util::format_double(s.lease_wall_ms.mean())
-      << ",\"p50\":"
-      << util::format_double(s.lease_wall_ms.approx_quantile(0.5))
-      << ",\"p90\":"
-      << util::format_double(s.lease_wall_ms.approx_quantile(0.9))
+      << ",\"mean\":" << json_number(s.lease_wall_ms.mean())
+      << ",\"p50\":" << json_number(s.lease_wall_ms.approx_quantile(0.5))
+      << ",\"p90\":" << json_number(s.lease_wall_ms.approx_quantile(0.9))
       << ",\"max\":" << s.lease_wall_ms.max() << "},\"workers\":[";
   for (std::size_t k = 0; k < s.workers.size(); ++k) {
     const SweepStatus::Worker& w = s.workers[k];
     if (k > 0) out << ',';
     out << "{\"fd\":" << w.id << ",\"completed\":" << w.completed
         << ",\"active_leases\":" << w.active_leases
-        << ",\"throughput_runs_per_s\":"
-        << util::format_double(w.throughput_runs_per_s)
+        << ",\"throughput_runs_per_s\":" << json_number(w.throughput_runs_per_s)
         << ",\"last_heartbeat_age_seconds\":"
-        << util::format_double(w.last_heartbeat_age_seconds) << '}';
+        << json_number(w.last_heartbeat_age_seconds) << '}';
   }
   out << "]}";
   return out.str();
@@ -298,15 +294,8 @@ struct Coordinator::Impl {
     // answers) and corrupts nothing.
     if (store) store->put(keys[idx], merged);
     if (journal) journal->record_done(idx, keys[idx]);
-    if (payload.size() > record_bytes && options.series_every > 0 &&
-        !options.series_out_prefix.empty()) {
-      const std::string path =
-          options.series_out_prefix + ".run" + std::to_string(idx) + ".csv";
-      if (!util::atomic_write_file(
-              path, std::string_view(payload).substr(record_bytes))) {
-        CF_LOG_WARN("coordinator: failed writing series CSV " << path);
-      }
-    }
+    write_series_csv(options.series_out_prefix, idx,
+                     std::string_view(payload).substr(record_bytes));
     if (options.on_result) options.on_result(merged);
     results[idx] = std::move(merged);
     return conn.socket.send_all("OK\n");

@@ -42,9 +42,9 @@
 // I/O; run() is the poll loop that feeds it protocol events and writes the
 // store, the journal and the replies around it.
 //
-// Wire protocol v2 (newline-delimited ASCII; payloads length-prefixed):
+// Wire protocol v3 (newline-delimited ASCII; payloads length-prefixed):
 //
-//   worker → HELLO creditflow-sweep-2
+//   worker → HELLO creditflow-sweep-3
 //   coord  → PLAN <lease_timeout_ms> <spec_bytes> <sweep_bytes>
 //                 <series_every> <session_token>
 //            followed by exactly spec_bytes + sweep_bytes of raw text
@@ -98,7 +98,8 @@ namespace creditflow::scenario {
 
 /// The protocol version token exchanged in HELLO; bumped whenever the wire
 /// format changes incompatibly. v2: RESUME, batched RUN, series payloads.
-inline constexpr const char* kSweepProtocolVersion = "creditflow-sweep-2";
+/// v3: a NaN number in a run record is `null`, not `nan`.
+inline constexpr const char* kSweepProtocolVersion = "creditflow-sweep-3";
 
 /// The lease timeout announced in PLAN: `seconds` in milliseconds, rounded
 /// to nearest. nullopt when that is below 1 ms, at or above 2^63 ms, or not
@@ -147,9 +148,9 @@ class Coordinator {
     bool fsync = false;
 
     /// Per-run series collection cadence announced to workers; 0 off.
-    /// When > 0 and series_out_prefix is set, delivered series blobs are
-    /// written to "<series_out_prefix>.run<idx>.csv" — byte-identical to
-    /// the files a local ThreadPoolExecutor sweep would write.
+    /// Delivered series blobs are written by write_series_csv under
+    /// series_out_prefix — byte-identical to the files a local sweep
+    /// writes.
     std::size_t series_every = 0;
     std::string series_out_prefix;
 

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <fstream>
+#include <exception>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -200,6 +200,16 @@ void execute_spec_into(const ScenarioSpec& spec, RunResult& result,
       rss_after > rss_before ? rss_after - rss_before : 0;
 }
 
+void write_series_csv(const std::string& prefix, std::size_t run_index,
+                      std::string_view csv) {
+  if (prefix.empty() || csv.empty()) return;
+  const std::string path =
+      prefix + ".run" + std::to_string(run_index) + ".csv";
+  if (!util::atomic_write_file(path, csv)) {
+    CF_LOG_WARN("failed writing series CSV " << path);
+  }
+}
+
 std::vector<RunResult> ThreadPoolExecutor::execute(
     const SweepPlan& plan, std::span<const std::size_t> run_indices,
     const ExecuteOptions& options) {
@@ -214,6 +224,7 @@ std::vector<RunResult> ThreadPoolExecutor::execute(
 
   std::atomic<std::size_t> next{0};
   std::mutex progress_mutex;
+  std::exception_ptr callback_error;  // the first on_result throw
   auto worker = [&] {
     while (true) {
       const std::size_t slot = next.fetch_add(1);
@@ -221,35 +232,23 @@ std::vector<RunResult> ThreadPoolExecutor::execute(
       const std::size_t run_index = run_indices[slot];
       RunResult& result = results[slot];
       result = plan.labelled_result(run_index);
-      const bool want_series =
-          options.series_every > 0 &&
-          (!options.series_out_prefix.empty() || options.series_sink);
       std::string series_csv;
       try {
         execute_spec_into(plan.spec(run_index), result, options.keep_reports,
-                          want_series ? options.series_every : 0,
-                          want_series ? &series_csv : nullptr);
+                          options.series_every, &series_csv);
       } catch (const std::exception& e) {
         result.error = e.what();  // instantiate() itself rejected the point
       }
-      if (want_series && !series_csv.empty()) {
-        if (!options.series_out_prefix.empty()) {
-          // Atomic replace: a reader (or a crash) never sees a torn
-          // series file.
-          const std::string path = options.series_out_prefix + ".run" +
-                                   std::to_string(run_index) + ".csv";
-          if (!util::atomic_write_file(path, series_csv)) {
-            CF_LOG_WARN("failed writing series CSV " << path);
-          }
-        }
-        if (options.series_sink) {
-          const std::lock_guard<std::mutex> lock(progress_mutex);
-          options.series_sink(run_index, series_csv);
-        }
-      }
-      if (options.on_result) {
-        const std::lock_guard<std::mutex> lock(progress_mutex);
-        options.on_result(result);
+      if (!options.on_result) continue;
+      const std::lock_guard<std::mutex> lock(progress_mutex);
+      if (callback_error) return;
+      try {
+        options.on_result(result, series_csv);
+      } catch (...) {
+        // Thrown on a pool thread it would terminate the process: hand it
+        // to the caller instead, and start no further run.
+        callback_error = std::current_exception();
+        next = total;
       }
     }
   };
@@ -262,6 +261,7 @@ std::vector<RunResult> ThreadPoolExecutor::execute(
     for (std::size_t i = 0; i < jobs; ++i) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
+  if (callback_error) std::rethrow_exception(callback_error);
   return results;
 }
 

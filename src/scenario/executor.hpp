@@ -91,32 +91,29 @@ struct ExecuteOptions {
   /// Keep each run's full MarketReport (time series + final vectors).
   /// Disable for huge grids where only the scalar metrics matter.
   bool keep_reports = true;
-  /// Called after each run completes (from worker threads, serialized —
-  /// safe to print from). Progress reporting only; results are final.
-  std::function<void(const RunResult&)> on_result;
-
   /// Per-round time-series collection (observability — deliberately off
-  /// the RunKey, so it never invalidates caches). When series_every > 0
-  /// and series_out_prefix is non-empty, every freshly-executed run
-  /// samples its market every N rounds and the executor writes one CSV
-  /// per run to "<series_out_prefix>.run<run_index>.csv". Cache hits
-  /// produce no series — they never simulate.
+  /// the RunKey, so it never invalidates caches): when > 0, every run
+  /// samples its market every N rounds and hands the CSV to on_result.
   std::size_t series_every = 0;
-  std::string series_out_prefix;
-  /// When set (and series_every > 0), the rendered per-run series CSV is
-  /// handed to this callback instead of / in addition to the file path
-  /// above — how sweep workers ship series bytes to the coordinator over
-  /// the wire instead of writing local files. Called with the run index
-  /// and the exact bytes a local run would have written (empty series
-  /// produce no call, matching the no-file behaviour). Serialized with
-  /// on_result.
-  std::function<void(std::size_t run_index, const std::string& series_csv)>
-      series_sink;
+  /// Called once per completed run with its series CSV ("" when
+  /// series_every is 0 or the run threw), serialized across worker threads
+  /// — safe to print from or to append to a store. The result is final.
+  /// An exception thrown here ends execute(), which rethrows it.
+  std::function<void(const RunResult&, const std::string& series_csv)>
+      on_result;
 };
 
+/// Write one run's series CSV to "<prefix>.run<run_index>.csv" by atomic
+/// replace (a reader, or a crash, never sees a torn file); one warning on
+/// failure. No-op when `prefix` or `csv` is empty: cache hits never
+/// simulate, so they have no series.
+void write_series_csv(const std::string& prefix, std::size_t run_index,
+                      std::string_view csv);
+
 /// Computes plan entries. Implementations must be safe to reuse across
-/// execute() calls and must return results positionally aligned with the
-/// requested indices.
+/// execute() calls, must call options.on_result once per completed run
+/// (the sweep runner stores runs from it), and must return results
+/// positionally aligned with the requested indices.
 class Executor {
  public:
   virtual ~Executor() = default;

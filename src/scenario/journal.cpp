@@ -1,10 +1,10 @@
 #include "scenario/journal.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 
+#include "scenario/store.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
@@ -12,30 +12,42 @@ namespace creditflow::scenario {
 
 namespace {
 
-/// Extract the value of `"field":` from one flat journal line. Returns
-/// false when the field is absent. Values are either unsigned integers or
-/// double-quoted strings with no escapes — exactly what Journal emits.
-bool extract_string(const std::string& line, const std::string& field,
-                    std::string& out) {
-  const std::string needle = "\"" + field + "\":\"";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const auto begin = at + needle.size();
-  const auto end = line.find('"', begin);
-  if (end == std::string::npos) return false;
-  out = line.substr(begin, end - begin);
-  return true;
-}
+/// One journal line's members; a member the line lacks stays empty.
+struct Event {
+  std::string ev;
+  std::string fingerprint;
+  std::string session;
+  std::string key;
+  std::optional<std::uint64_t> run;
+  std::optional<std::uint64_t> runs;
+};
 
-bool extract_u64(const std::string& line, const std::string& field,
-                 std::uint64_t& out) {
-  const std::string needle = "\"" + field + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const char* begin = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  out = std::strtoull(begin, &end, 10);
-  return end != begin;
+/// Parse one journal line; throws util::PreconditionError unless it is one
+/// complete event object. A line torn anywhere before its closing brace
+/// fails here even when every member survived (a run index cut from 12 to
+/// 1 would read as run 1), so it is dropped whole.
+Event parse_event(const std::string& line) {
+  Event e;
+  RecordParser p(line);
+  p.members([&](const std::string& field) {
+    if (field == "run") {
+      e.run = p.parse_u64();
+    } else if (field == "runs") {
+      e.runs = p.parse_u64();
+    } else if (field == "ev") {
+      e.ev = p.parse_string();
+    } else if (field == "fingerprint") {
+      e.fingerprint = p.parse_string();
+    } else if (field == "session") {
+      e.session = p.parse_string();
+    } else if (field == "key") {
+      e.key = p.parse_string();
+    } else {
+      CF_EXPECTS_MSG(false, "unknown journal field " + field);
+    }
+  });
+  p.finish();
+  return e;
 }
 
 }  // namespace
@@ -48,7 +60,7 @@ JournalReplay replay_journal(const std::string& path) {
 
   std::string line;
   std::size_t line_number = 0;
-  auto drop = [&](const char* why) {
+  auto drop = [&](std::string_view why) {
     ++replay.skipped;
     CF_LOG_WARN("journal " << path << ": dropping line " << line_number
                            << " (" << why << ")");
@@ -56,23 +68,15 @@ JournalReplay replay_journal(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty()) continue;
-    // Every event Journal writes ends in '}'. A line torn anywhere before
-    // that may still hold every field a search finds (a run index cut
-    // from 12 to 1 reads as run 1), so it is dropped whole.
-    if (line.back() != '}') {
-      drop("no closing brace — torn");
+    Event e;
+    try {
+      e = parse_event(line);
+    } catch (const util::PreconditionError& err) {
+      drop(err.what());
       continue;
     }
-    std::string ev;
-    if (!extract_string(line, "ev", ev)) {
-      drop("no event type — torn or malformed");
-      continue;
-    }
-    if (ev == "plan") {
-      std::string fingerprint;
-      std::uint64_t runs = 0;
-      if (!extract_string(line, "fingerprint", fingerprint) ||
-          !extract_u64(line, "runs", runs)) {
+    if (e.ev == "plan") {
+      if (e.fingerprint.empty() || !e.runs) {
         drop("incomplete plan event");
         continue;
       }
@@ -80,44 +84,39 @@ JournalReplay replay_journal(const std::string& path) {
         // Re-opened journals re-log the plan; identical fingerprints are
         // the expected idempotent case, a different one means someone
         // pointed two different sweeps at the same journal file.
-        CF_EXPECTS_MSG(fingerprint == replay.fingerprint,
+        CF_EXPECTS_MSG(e.fingerprint == replay.fingerprint,
                        "journal " + path +
                            " holds events for a different plan "
                            "(fingerprint mismatch)");
       } else {
         replay.has_plan = true;
-        replay.fingerprint = fingerprint;
-        replay.plan_runs = runs;
+        replay.fingerprint = e.fingerprint;
+        replay.plan_runs = *e.runs;
       }
       ++replay.events;
       continue;
     }
-    std::uint64_t run = 0;
-    if (!extract_u64(line, "run", run)) {
+    if (!e.run) {
       drop("event without a run index");
       continue;
     }
-    if (replay.has_plan && run >= replay.plan_runs) {
+    if (replay.has_plan && *e.run >= replay.plan_runs) {
       drop("run index outside the journalled plan");
       continue;
     }
-    const auto idx = static_cast<std::size_t>(run);
-    if (ev == "grant") {
-      std::string session;
-      if (!extract_string(line, "session", session)) {
+    const auto idx = static_cast<std::size_t>(*e.run);
+    if (e.ev == "grant") {
+      if (e.session.empty()) {
         drop("grant without a session token");
         continue;
       }
       if (replay.open_leases.count(idx) != 0) ++replay.duplicate_grants;
       if (replay.completed.count(idx) == 0) {
-        replay.open_leases[idx] = session;  // last grant wins
+        replay.open_leases[idx] = e.session;  // last grant wins
       }
       ++replay.events;
-    } else if (ev == "done") {
-      std::string key_hex;
-      const auto key = extract_string(line, "key", key_hex)
-                           ? RunKey::from_hex(key_hex)
-                           : std::nullopt;
+    } else if (e.ev == "done") {
+      const auto key = RunKey::from_hex(e.key);
       if (!key.has_value()) {
         drop("done without a valid run key");
         continue;
@@ -125,7 +124,7 @@ JournalReplay replay_journal(const std::string& path) {
       replay.completed.emplace(idx, *key);  // first completion wins
       replay.open_leases.erase(idx);
       ++replay.events;
-    } else if (ev == "requeue") {
+    } else if (e.ev == "requeue") {
       replay.open_leases.erase(idx);
       ++replay.events;
     } else {

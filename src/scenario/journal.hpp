@@ -21,10 +21,12 @@
 //   {"ev":"done","run":I,"key":"<32 hex>"}
 //   {"ev":"requeue","run":I}
 //
-// Replay is lenient the way the RunStore load is lenient: a torn line (one
-// that does not end in '}') or a malformed one is skipped with a warning
-// (it costs at most one re-executed run), duplicate grants overwrite (last session wins), and
-// events that contradict the plan (unknown run index) are dropped.
+// Replay reads each line with the run records' parser (RecordParser) and is
+// lenient the way the RunStore load is lenient: a line that does not parse
+// as one complete event — a torn tail among them — is skipped with a
+// warning (it costs at most one re-executed run), duplicate grants
+// overwrite (last session wins), and events that contradict the plan
+// (unknown run index) are dropped.
 // Conflicting plan fingerprints, by contrast, are a hard error.
 #pragma once
 

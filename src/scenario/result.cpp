@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "scenario/store.hpp"  // json_escape
+#include "scenario/store.hpp"  // json_escape, json_number
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -235,7 +235,7 @@ std::string ResultSink::aggregate_json() const {
     for (std::size_t k = 0; k < row.params.size(); ++k) {
       if (k > 0) out << ", ";
       out << '"' << json_escape(row.params[k].first)
-          << "\": " << format_double(row.params[k].second);
+          << "\": " << json_number(row.params[k].second);
     }
     out << "}, \"seeds\": " << row.seeds
         << ", \"failures\": " << row.failures << ", \"errors\": [";
@@ -247,15 +247,10 @@ std::string ResultSink::aggregate_json() const {
     for (std::size_t k = 0; k < row.metrics.size(); ++k) {
       const auto& [name, stat] = row.metrics[k];
       if (k > 0) out << ", ";
-      // NaN (e.g. a windowed metric with no rate window) → JSON null.
-      const auto number = [](double v) {
-        const std::string s = format_double(v);
-        return s == "nan" ? std::string("null") : s;
-      };
       out << '"' << json_escape(name)
-          << "\": {\"mean\": " << number(stat.mean)
-          << ", \"sd\": " << number(stat.stddev)
-          << ", \"ci95\": " << number(stat.ci95) << '}';
+          << "\": {\"mean\": " << json_number(stat.mean)
+          << ", \"sd\": " << json_number(stat.stddev)
+          << ", \"ci95\": " << json_number(stat.ci95) << '}';
     }
     out << "}}" << (i + 1 < rows.size() ? "," : "") << '\n';
   }

@@ -45,14 +45,9 @@ std::vector<RunResult> SweepRunner::run() {
   results.reserve(indices.size());
   std::vector<std::size_t> misses;
   std::vector<std::size_t> miss_slots;  // position of each miss in results
-  std::vector<RunKey> miss_keys;        // their keys, for the post-run put
   for (const std::size_t run_index : indices) {
-    RunKey key;
-    const RunResult* cached = nullptr;
-    if (store) {
-      key = plan.key(run_index);
-      cached = store->find(key);
-    }
+    const RunResult* cached =
+        store ? store->find(plan.key(run_index)) : nullptr;
     if (cached != nullptr) {
       // Re-label with the *current* plan's metadata: after a grid widens,
       // the cached run's indices may no longer match, but its key — and
@@ -65,7 +60,6 @@ std::vector<RunResult> SweepRunner::run() {
     } else {
       misses.push_back(run_index);
       miss_slots.push_back(results.size());
-      if (store) miss_keys.push_back(key);
       results.emplace_back();  // placeholder, filled below
     }
   }
@@ -73,9 +67,16 @@ std::vector<RunResult> SweepRunner::run() {
   ExecuteOptions exec_options;
   exec_options.jobs = options_.jobs;
   exec_options.keep_reports = options_.keep_reports;
-  exec_options.on_result = options_.on_result;
   exec_options.series_every = options_.series_every;
-  exec_options.series_out_prefix = options_.series_out_prefix;
+  // The coordinator's order for each fresh run: the store first, so a
+  // sweep killed after this run keeps it; then its series file; then the
+  // caller.
+  exec_options.on_result = [&](const RunResult& r,
+                               const std::string& series_csv) {
+    if (store) store->put(plan.key(r.run_index), r);
+    write_series_csv(options_.series_out_prefix, r.run_index, series_csv);
+    if (options_.on_result) options_.on_result(r);
+  };
 
   ThreadPoolExecutor default_executor;
   Executor& executor =
@@ -87,7 +88,6 @@ std::vector<RunResult> SweepRunner::run() {
   executed_ = fresh.size();
 
   for (std::size_t k = 0; k < fresh.size(); ++k) {
-    if (store) store->put(miss_keys[k], fresh[k]);
     results[miss_slots[k]] = std::move(fresh[k]);
   }
   return results;

@@ -5,16 +5,18 @@
 // pure enumerable run list with content-addressed RunKeys; Executor
 // (executor.hpp) — how runs get computed (in-process thread pool by
 // default); and RunStore (store.hpp) — the on-disk cache consulted before
-// executing and appended to after. SweepRunner wires them together:
+// executing and appended to as each run completes. SweepRunner wires them
+// together:
 //
 //   plan runs → partition (optional shard i/N) → cache lookup →
-//   execute the misses → persist fresh results → merge by run_index
+//   execute the misses, storing each as it completes → merge by run_index
 //
-// so re-running a grid after adding axes or seeds only computes the keys
-// the store has not seen, and a run list split across processes merges
-// back into byte-identical output. Existing callers keep compiling: the
-// (base, sweep[, options]) constructor and run() behave exactly as the
-// pre-split monolithic runner did when no cache/shard option is set.
+// so a sweep killed midway keeps every run it finished, re-running a grid
+// after adding axes or seeds only computes the keys the store has not
+// seen, and a run list split across processes merges back into
+// byte-identical output. Existing callers keep compiling: the (base,
+// sweep[, options]) constructor and run() behave exactly as the pre-split
+// monolithic runner did when no cache/shard option is set.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +39,9 @@ class SweepRunner {
     /// Keep each run's full MarketReport (time series + final vectors).
     /// Disable for huge grids where only the scalar metrics matter.
     bool keep_reports = true;
-    /// Called after each run completes (from worker threads, serialized —
-    /// safe to print from) and for each cache hit (telemetry.from_cache).
-    /// Progress reporting only; results are final.
+    /// Called for each cache hit (telemetry.from_cache), then after each
+    /// fresh run is stored (from worker threads, serialized — safe to print
+    /// from). Progress reporting only; results are final.
     std::function<void(const RunResult&)> on_result;
 
     /// Content-addressed run cache directory; empty disables caching.
@@ -59,9 +61,9 @@ class SweepRunner {
     /// the built-in in-process ThreadPoolExecutor.
     Executor* executor = nullptr;
 
-    /// Per-round time-series collection, forwarded to ExecuteOptions: each
-    /// freshly-executed run writes "<series_out_prefix>.run<idx>.csv" when
-    /// both are set. Off the RunKey — cache hits skip the simulation and
+    /// Per-round time-series collection: each freshly-executed run writes
+    /// "<series_out_prefix>.run<idx>.csv" (write_series_csv) when both are
+    /// set. Off the RunKey — cache hits skip the simulation and
     /// therefore produce no series.
     std::size_t series_every = 0;
     std::string series_out_prefix;

@@ -1,10 +1,12 @@
 #include "scenario/store.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -37,120 +39,104 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-namespace {
+std::string json_number(double v) {
+  return std::isnan(v) ? "null" : util::format_double(v);
+}
 
-/// Minimal cursor parser for the record grammar this file emits: objects
-/// of string keys mapping to numbers, strings, or nested objects. Not a
-/// general JSON parser — exactly the subset serialize_run_record writes.
-class RecordParser {
- public:
-  explicit RecordParser(const std::string& text) : text_(text) {}
+void RecordParser::expect(char c) {
+  skip_ws();
+  CF_EXPECTS_MSG(pos_ < text_.size() && text_[pos_] == c,
+                 "expected '" + std::string(1, c) + "' at offset " +
+                     std::to_string(pos_));
+  ++pos_;
+}
 
-  void expect(char c) {
-    skip_ws();
-    CF_EXPECTS_MSG(pos_ < text_.size() && text_[pos_] == c,
-                   "run record: expected '" + std::string(1, c) +
-                       "' at offset " + std::to_string(pos_));
+bool RecordParser::consume(char c) {
+  skip_ws();
+  if (pos_ < text_.size() && text_[pos_] == c) {
+    ++pos_;
+    return true;
+  }
+  return false;
+}
+
+std::string RecordParser::parse_string() {
+  expect('"');
+  std::string out;
+  while (true) {
+    CF_EXPECTS_MSG(pos_ < text_.size(), "unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return out;
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    CF_EXPECTS_MSG(pos_ < text_.size(), "dangling escape");
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        CF_EXPECTS_MSG(pos_ + 4 <= text_.size(), "short \\u escape");
+        const std::string hex = text_.substr(pos_, 4);
+        CF_EXPECTS_MSG(hex.find_first_not_of("0123456789abcdefABCDEF") ==
+                           std::string::npos,
+                       "non-hex \\u escape");
+        pos_ += 4;
+        out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));
+        break;
+      }
+      default:
+        CF_EXPECTS_MSG(false, "unknown escape");
+    }
+  }
+}
+
+double RecordParser::parse_number() {
+  skip_ws();
+  if (text_.compare(pos_, 4, "null") == 0) {
+    pos_ += 4;
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  const char* begin = text_.c_str() + pos_;
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  CF_EXPECTS_MSG(end != begin,
+                 "expected a number at offset " + std::to_string(pos_));
+  pos_ += static_cast<std::size_t>(end - begin);
+  return v;
+}
+
+std::uint64_t RecordParser::parse_u64() {
+  skip_ws();
+  const char* begin = text_.c_str() + pos_;
+  char* end = nullptr;
+  // Digits only, and no ERANGE saturation: strtoull silently wraps a
+  // leading minus and clamps overflow to 2^64 - 1.
+  errno = 0;
+  const std::uint64_t v = std::strtoull(begin, &end, 10);
+  CF_EXPECTS_MSG(*begin >= '0' && *begin <= '9' && errno != ERANGE,
+                 "expected an integer at offset " + std::to_string(pos_));
+  pos_ += static_cast<std::size_t>(end - begin);
+  return v;
+}
+
+void RecordParser::finish() {
+  skip_ws();
+  CF_EXPECTS_MSG(pos_ == text_.size(),
+                 "trailing bytes at offset " + std::to_string(pos_));
+}
+
+void RecordParser::skip_ws() {
+  while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t')) {
     ++pos_;
   }
+}
 
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      CF_EXPECTS_MSG(pos_ < text_.size(), "run record: unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      CF_EXPECTS_MSG(pos_ < text_.size(), "run record: dangling escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          CF_EXPECTS_MSG(pos_ + 4 <= text_.size(),
-                         "run record: short \\u escape");
-          const std::string hex = text_.substr(pos_, 4);
-          CF_EXPECTS_MSG(hex.find_first_not_of("0123456789abcdefABCDEF") ==
-                             std::string::npos,
-                         "run record: non-hex \\u escape");
-          pos_ += 4;
-          out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));
-          break;
-        }
-        default:
-          CF_EXPECTS_MSG(false, "run record: unknown escape");
-      }
-    }
-  }
-
-  [[nodiscard]] double parse_number() {
-    skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    CF_EXPECTS_MSG(end != begin, "run record: expected a number at offset " +
-                                     std::to_string(pos_));
-    pos_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t parse_u64() {
-    skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    // Digits only, and no ERANGE saturation: strtoull silently wraps a
-    // leading minus and clamps overflow to 2^64 - 1.
-    errno = 0;
-    const std::uint64_t v = std::strtoull(begin, &end, 10);
-    CF_EXPECTS_MSG(*begin >= '0' && *begin <= '9' && errno != ERANGE,
-                   "run record: expected an integer at offset " +
-                       std::to_string(pos_));
-    pos_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
-  /// {"k": number, ...} in emission order.
-  [[nodiscard]] std::vector<std::pair<std::string, double>>
-  parse_number_object() {
-    std::vector<std::pair<std::string, double>> out;
-    expect('{');
-    if (consume('}')) return out;
-    do {
-      std::string key = parse_string();
-      expect(':');
-      out.emplace_back(std::move(key), parse_number());
-    } while (consume(','));
-    expect('}');
-    return out;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+namespace {
 
 void append_number_object(
     std::ostringstream& out,
@@ -159,7 +145,7 @@ void append_number_object(
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i > 0) out << ',';
     out << '"' << json_escape(entries[i].first)
-        << "\":" << util::format_double(entries[i].second);
+        << "\":" << json_number(entries[i].second);
   }
   out << '}';
 }
@@ -176,13 +162,13 @@ std::string serialize_run_record(const RunKey& key, const RunResult& r) {
   out << ",\"metrics\":";
   append_number_object(out, r.metrics);
   out << ",\"telemetry\":{\"wall_seconds\":"
-      << util::format_double(r.telemetry.wall_seconds)
+      << json_number(r.telemetry.wall_seconds)
       << ",\"purchase_phase_seconds\":"
-      << util::format_double(r.telemetry.purchase_phase_seconds)
+      << json_number(r.telemetry.purchase_phase_seconds)
       << ",\"seed_phase_seconds\":"
-      << util::format_double(r.telemetry.seed_phase_seconds)
+      << json_number(r.telemetry.seed_phase_seconds)
       << ",\"tax_phase_seconds\":"
-      << util::format_double(r.telemetry.tax_phase_seconds)
+      << json_number(r.telemetry.tax_phase_seconds)
       << ",\"rounds\":" << r.telemetry.rounds
       << ",\"peak_rss_bytes\":" << r.telemetry.peak_rss_bytes
       << ",\"overlay_edges_dropped\":" << r.telemetry.overlay_edges_dropped
@@ -194,71 +180,61 @@ std::string serialize_run_record(const RunKey& key, const RunResult& r) {
 RunRecord parse_run_record(const std::string& line) {
   RecordParser p(line);
   RunRecord record;
-  p.expect('{');
-  bool first = true;
-  while (true) {
-    if (first ? p.consume('}') : !p.consume(',')) break;
-    first = false;
-    const std::string field = p.parse_string();
-    p.expect(':');
+  RunResult& r = record.result;
+  RunTelemetry& t = r.telemetry;
+  const auto numbers = [&p](std::vector<std::pair<std::string, double>>& out) {
+    p.members([&](const std::string& name) {
+      out.emplace_back(name, p.parse_number());
+    });
+  };
+  p.members([&](const std::string& field) {
     if (field == "key") {
       const auto key = RunKey::from_hex(p.parse_string());
       CF_EXPECTS_MSG(key.has_value(), "run record: malformed key");
       record.key = *key;
     } else if (field == "run_index") {
-      record.result.run_index = static_cast<std::size_t>(p.parse_u64());
+      r.run_index = static_cast<std::size_t>(p.parse_u64());
     } else if (field == "point_index") {
-      record.result.point_index = static_cast<std::size_t>(p.parse_u64());
+      r.point_index = static_cast<std::size_t>(p.parse_u64());
     } else if (field == "seed_index") {
-      record.result.seed_index = static_cast<std::size_t>(p.parse_u64());
+      r.seed_index = static_cast<std::size_t>(p.parse_u64());
     } else if (field == "seed") {
-      record.result.seed = p.parse_u64();
+      r.seed = p.parse_u64();
     } else if (field == "params") {
-      record.result.params = p.parse_number_object();
+      numbers(r.params);
     } else if (field == "metrics") {
-      record.result.metrics = p.parse_number_object();
+      numbers(r.metrics);
     } else if (field == "telemetry") {
-      p.expect('{');
-      bool t_first = true;
-      while (true) {
-        if (t_first ? p.consume('}') : !p.consume(',')) break;
-        t_first = false;
-        const std::string t_field = p.parse_string();
-        p.expect(':');
-        if (t_field == "wall_seconds") {
-          record.result.telemetry.wall_seconds = p.parse_number();
-        } else if (t_field == "purchase_phase_seconds") {
-          record.result.telemetry.purchase_phase_seconds = p.parse_number();
-        } else if (t_field == "seed_phase_seconds") {
-          // The per-phase breakdown fields are absent from records written
-          // before it existed; such runs read back with the zero default.
-          record.result.telemetry.seed_phase_seconds = p.parse_number();
-        } else if (t_field == "tax_phase_seconds") {
-          record.result.telemetry.tax_phase_seconds = p.parse_number();
-        } else if (t_field == "rounds") {
-          record.result.telemetry.rounds = p.parse_u64();
-        } else if (t_field == "peak_rss_bytes") {
-          // Absent from records written before peak-RSS telemetry existed;
-          // such runs read back with the field's zero default.
-          record.result.telemetry.peak_rss_bytes = p.parse_u64();
-        } else if (t_field == "overlay_edges_dropped") {
-          // Pool-exhaustion counters (absent pre-PR-8, read back as 0).
-          record.result.telemetry.overlay_edges_dropped = p.parse_u64();
-        } else if (t_field == "churn_arrivals_dropped") {
-          record.result.telemetry.churn_arrivals_dropped = p.parse_u64();
+      // Records written before a field existed lack it; it reads back as
+      // its zero default.
+      p.members([&](const std::string& name) {
+        if (name == "wall_seconds") {
+          t.wall_seconds = p.parse_number();
+        } else if (name == "purchase_phase_seconds") {
+          t.purchase_phase_seconds = p.parse_number();
+        } else if (name == "seed_phase_seconds") {
+          t.seed_phase_seconds = p.parse_number();
+        } else if (name == "tax_phase_seconds") {
+          t.tax_phase_seconds = p.parse_number();
+        } else if (name == "rounds") {
+          t.rounds = p.parse_u64();
+        } else if (name == "peak_rss_bytes") {
+          t.peak_rss_bytes = p.parse_u64();
+        } else if (name == "overlay_edges_dropped") {
+          t.overlay_edges_dropped = p.parse_u64();
+        } else if (name == "churn_arrivals_dropped") {
+          t.churn_arrivals_dropped = p.parse_u64();
         } else {
-          CF_EXPECTS_MSG(false, "run record: unknown telemetry field " +
-                                    t_field);
+          CF_EXPECTS_MSG(false, "run record: unknown telemetry field " + name);
         }
-      }
-      if (!t_first) p.expect('}');
+      });
     } else if (field == "error") {
-      record.result.error = p.parse_string();
+      r.error = p.parse_string();
     } else {
       CF_EXPECTS_MSG(false, "run record: unknown field " + field);
     }
-  }
-  if (!first) p.expect('}');
+  });
+  p.finish();
   return record;
 }
 

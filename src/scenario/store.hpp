@@ -6,9 +6,9 @@
 // its RunKey, plan metadata, scalar metrics, and telemetry (full
 // MarketReports are deliberately not stored — the cache is for
 // metrics-only sweeps). Doubles are rendered in the engine's shortest
-// round-trip form, so a metric read back from disk is bit-identical to the
-// one computed — the warm-cache and shard-merge byte-identical-output
-// guarantees rest on that.
+// round-trip form (NaN as null), so a metric read back from disk is
+// bit-identical to the one computed — the warm-cache and shard-merge
+// byte-identical-output guarantees rest on that.
 //
 // The same record format is the interchange for distributed sweeps: a
 // shard writes its partial result set as records, and a later merge
@@ -31,6 +31,53 @@ namespace creditflow::scenario {
 /// messages and parameter and metric names render with identical bytes
 /// in both.
 [[nodiscard]] std::string json_escape(const std::string& s);
+
+/// A double as a JSON number: the engine's shortest round-trip form, and
+/// `null` for NaN (`nan` is not JSON). Shared by the run-record, status and
+/// aggregate writers.
+[[nodiscard]] std::string json_number(double v);
+
+/// The one reader of the engine's JSONL lines — run records and journal
+/// events: a cursor over one line of objects whose members are strings,
+/// numbers or nested objects. Not a general JSON parser, exactly the subset
+/// the writers emit. Every error throws util::PreconditionError; `text`
+/// must outlive the parser.
+class RecordParser {
+ public:
+  explicit RecordParser(const std::string& text) : text_(text) {}
+
+  /// Walk one object: f(name) runs with the cursor on each member's value
+  /// and must consume it (a parse_* call or a nested members()).
+  template <typename F>
+  void members(F&& f) {
+    expect('{');
+    if (consume('}')) return;
+    do {
+      const std::string name = parse_string();
+      expect(':');
+      f(name);
+    } while (consume(','));
+    expect('}');
+  }
+
+  [[nodiscard]] std::string parse_string();
+  /// A number; `null`, and the `nan` of records written before NaN was
+  /// `null`, read as NaN.
+  [[nodiscard]] double parse_number();
+  /// Digits only, within 64 bits.
+  [[nodiscard]] std::uint64_t parse_u64();
+  /// Throws unless nothing but blanks is left: a line holds one object, so
+  /// a torn or run-together line never parses.
+  void finish();
+
+ private:
+  void expect(char c);
+  [[nodiscard]] bool consume(char c);
+  void skip_ws();
+
+  const std::string& text_;
+  std::size_t pos_ = 0;
+};
 
 /// One persisted run: its content address plus the (report-free) result.
 struct RunRecord {

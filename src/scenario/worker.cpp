@@ -365,14 +365,12 @@ void Session::execute_front_lease() {
   ExecuteOptions exec_options;
   exec_options.jobs = 1;  // one run at a time; sessions are the fan-out
   exec_options.keep_reports = false;
+  exec_options.series_every = series_every_;
   std::string series;
-  if (series_every_ > 0) {
-    exec_options.series_every = series_every_;
-    exec_options.series_sink = [&series](std::size_t,
-                                         const std::string& csv) {
-      series = csv;
-    };
-  }
+  exec_options.on_result = [&series](const RunResult&,
+                                     const std::string& csv) {
+    series = csv;
+  };
   const std::size_t indices[1] = {run_index};
   std::vector<RunResult> computed =
       executor_.execute(*plan_, indices, exec_options);

@@ -1,6 +1,6 @@
 // CreditFlow scenario engine: the sweep worker — the client half of the
 // work-stealing coordinator protocol (coordinator.hpp documents the wire
-// format, v2).
+// format, v3).
 //
 // A worker process runs `sessions` parallel lease loops, each over its own
 // TCP connection: HELLO → receive the plan (spec + sweep text, from which

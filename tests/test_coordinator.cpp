@@ -1042,17 +1042,14 @@ TEST(Coordinator, RemoteSeriesFilesAreByteIdenticalToLocalExecution) {
   const auto dir = scratch_dir("remote_series");
   const SweepPlan plan(tiny_base(), tiny_sweep());
 
-  // Reference: the local thread-pool executor writing its own files.
+  // Reference: a local sweep writing its own files.
   {
-    ThreadPoolExecutor executor;
-    ExecuteOptions exec;
-    exec.jobs = 1;
-    exec.keep_reports = false;
-    exec.series_every = 2;
-    exec.series_out_prefix = (dir / "local").string();
-    std::vector<std::size_t> all(plan.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    (void)executor.execute(plan, all, exec);
+    SweepRunner::Options local;
+    local.jobs = 1;
+    local.keep_reports = false;
+    local.series_every = 2;
+    local.series_out_prefix = (dir / "local").string();
+    (void)SweepRunner(tiny_base(), tiny_sweep(), local).run();
   }
 
   // Distributed: workers collect the series and stream it back with each

@@ -83,22 +83,26 @@ TEST(StrategyLayer, FreeRidersNeverUploadOrEarn) {
   cfg.seed = 21;
   cfg.strat.free_rider_fraction = 0.25;
   p2p::StreamingProtocol proto(cfg, sim);
+  proto.trace().set_keep_records(true);
   proto.start();
   sim.run_until(150.0);
   std::size_t free_riders = 0;
-  std::uint64_t honest_uploads = 0;
   const p2p::PeerTable& peers = proto.peer_table();
   for (const auto id : proto.alive_peers()) {
     if (proto.strategy_of(id) == Strategy::kFreeRider) {
       ++free_riders;
-      EXPECT_EQ(peers.chunks_uploaded(id), 0u) << "peer " << id;
       EXPECT_EQ(peers.credits_earned(id), 0u) << "peer " << id;
-    } else {
-      honest_uploads += peers.chunks_uploaded(id);
     }
   }
+  // Closed market: ids never change hands, so a trade's seller is still
+  // the peer its id names.
+  const auto& trades = proto.trace().records();
+  for (const p2p::TransactionRecord& tx : trades) {
+    EXPECT_NE(proto.strategy_of(tx.seller), Strategy::kFreeRider)
+        << "seller " << tx.seller;
+  }
   EXPECT_GT(free_riders, 0u);
-  EXPECT_GT(honest_uploads, 0u);
+  EXPECT_GT(trades.size(), 0u);
   // Closed market: free-riding shifts credit, never creates or destroys it.
   EXPECT_EQ(proto.ledger().circulating(), 80u * 50u);
   EXPECT_TRUE(proto.ledger().audit());

@@ -226,7 +226,11 @@ TEST(RunRecord, SerializeParseRoundTrip) {
   r.telemetry.rounds = 200;
 
   const RunKey key{1, 2};
-  const RunRecord back = parse_run_record(serialize_run_record(key, r));
+  const std::string line = serialize_run_record(key, r);
+  // NaN is JSON null; `nan` is not JSON.
+  EXPECT_NE(line.find("\"gini_windowed_spend\":null,"), std::string::npos)
+      << line;
+  const RunRecord back = parse_run_record(line);
   EXPECT_EQ(back.key, key);
   EXPECT_EQ(back.result.run_index, r.run_index);
   EXPECT_EQ(back.result.point_index, r.point_index);
@@ -249,6 +253,12 @@ TEST(RunRecord, SerializeParseRoundTrip) {
             r.telemetry.purchase_phase_seconds);
   EXPECT_EQ(back.result.telemetry.rounds, r.telemetry.rounds);
   EXPECT_TRUE(back.result.error.empty());
+
+  // Records written before NaN became null hold `nan`; they still load.
+  std::string old = line;
+  old.replace(old.find(":null,"), 6, ":nan,");
+  EXPECT_TRUE(
+      std::isnan(parse_run_record(old).result.metric("gini_windowed_spend")));
 }
 
 TEST(RunRecord, ErrorStringsSurviveEscaping) {
@@ -586,6 +596,26 @@ TEST(SweepRunnerCache, WideningAnAxisOnlyComputesTheNewRuns) {
       }
     }
   }
+}
+
+TEST(SweepRunnerCache, EachFreshRunIsStoredBeforeTheCallerHearsOfIt) {
+  // A sweep killed midway keeps every run it finished: when the progress
+  // callback sees a fresh run, a second store on the directory finds it.
+  const auto dir = scratch_dir("cache_per_run");
+  const SweepPlan plan(tiny_base(), tiny_sweep());
+  SweepRunner::Options options;
+  options.jobs = 2;
+  options.keep_reports = false;
+  options.cache_dir = dir.string();
+  std::size_t seen = 0;
+  options.on_result = [&](const RunResult& r) {
+    ++seen;
+    EXPECT_FALSE(r.telemetry.from_cache);
+    const RunStore reader(dir.string());
+    EXPECT_NE(reader.find(plan.key(r.run_index)), nullptr) << r.run_index;
+  };
+  (void)SweepRunner(tiny_base(), tiny_sweep(), options).run();
+  EXPECT_EQ(seen, plan.size());
 }
 
 TEST(SweepRunnerCache, CacheRequiresMetricsOnlyRuns) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "scenario/scenario.hpp"
 
@@ -189,6 +190,22 @@ TEST(SweepRunner, ProgressCallbackSeesEveryRun) {
   SweepRunner runner(tiny_base(), tiny_sweep(), options);
   (void)runner.run();
   EXPECT_EQ(seen.size(), 8u);
+}
+
+TEST(SweepRunner, ProgressCallbackThrowReachesTheCaller) {
+  // The callback runs on pool threads, where an escaping exception would
+  // end the process; run() rethrows it instead, and the callback hears of
+  // no later run.
+  std::size_t calls = 0;
+  SweepRunner::Options options;
+  options.jobs = 3;
+  options.on_result = [&](const RunResult&) {
+    ++calls;
+    throw std::runtime_error("progress sink failed");
+  };
+  SweepRunner runner(tiny_base(), tiny_sweep(), options);
+  EXPECT_THROW((void)runner.run(), std::runtime_error);
+  EXPECT_EQ(calls, 1u);
 }
 
 TEST(ResultSink, JsonMapsNanToNull) {
