@@ -34,8 +34,8 @@
 //   --coordinator H:P    same, binding an explicit address (e.g.
 //                        127.0.0.1:9000 to keep a sweep loopback-only)
 //   --worker HOST:PORT   join the sweep served at HOST:PORT as a worker
-//                        (--jobs parallel sessions; no sweep flags needed
-//                        — the plan arrives over the wire)
+//                        (--jobs parallel sessions; it takes no spec or
+//                        sweep flags — the plan arrives over the wire)
 //   --lease-timeout S    revoke + re-queue a silent worker's leases after
 //                        S seconds (coordinator side; default 30)
 //   --journal FILE       crash-safe write-ahead journal: every grant /
@@ -50,16 +50,23 @@
 // Prints the market report (single-run mode), optionally the Gini chart,
 // and (with --trace) the sustainability analyzer's verdict on the
 // empirical Table I mapping. Exit code 0 on success/conserved ledger, 2 on
-// a conservation violation or failed sweep runs.
+// a conservation violation or failed sweep runs, 64 on a usage error —
+// among them a flag the command's mode does not read (kFlagModes).
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -146,16 +153,6 @@ namespace {
       << "stdout stays machine-clean: pass `-` to --out/--runs-out to pipe\n"
       << "the payload; all progress chatter goes to stderr.\n";
   std::exit(64);
-}
-
-/// The text of a precondition failure without its assertion preamble: one
-/// clean diagnostic line.
-std::string diagnostic(const creditflow::util::PreconditionError& e) {
-  std::string msg = e.what();
-  if (const auto dash = msg.rfind(" — "); dash != std::string::npos) {
-    msg = msg.substr(dash + std::string(" — ").size());
-  }
-  return msg;
 }
 
 double number_or_usage(const char* text, const char* argv0) {
@@ -332,6 +329,10 @@ struct SweepCliOptions {
   SweepOutputOptions out;
 };
 
+/// Sweep mode, shard mode and coordinator mode: one SweepRunner, whose
+/// executor is a Coordinator under --serve/--coordinator — it leases runs
+/// to socket workers dynamically (work-stealing), and the outputs match a
+/// single-process sweep byte for byte.
 int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
               creditflow::scenario::SweepSpec sweep,
               const SweepCliOptions& cli) {
@@ -351,9 +352,13 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
   options.jobs = cli.jobs;
   options.keep_reports = false;
   options.cache_dir = cli.cache_dir;
+  options.fsync = cli.fsync;
   options.shard_index = cli.shard_index;
   options.shard_count = cli.shard_count;
   if (!cli.series_out.empty()) {
+    // Under a coordinator the workers collect each run's series and stream
+    // it back with the result; the files match a local sweep's byte for
+    // byte.
     options.series_every = cli.series_every;
     options.series_out_prefix = cli.series_out;
     if (!cli.cache_dir.empty()) {
@@ -361,6 +366,34 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
                    "write no series CSV\n";
     }
   }
+
+  std::optional<scenario::Coordinator> coordinator;
+  if (cli.coordinate) {
+    scenario::Coordinator::Options co;
+    co.host = cli.bind_host;
+    co.port = cli.bind_port;
+    co.lease_timeout_seconds = cli.lease_timeout;
+    co.journal_path = cli.journal;
+    co.resume = cli.resume;
+    co.lease_batch_max = cli.lease_batch;
+    co.fsync = cli.fsync;
+    co.status_port = cli.status_port;
+    if (cli.status_port >= 0) {
+      // Give scrapers a real window to observe the drained terminal state
+      // (completed == plan_runs) before the process exits.
+      co.drain_seconds = std::max(co.drain_seconds, 5.0);
+    }
+    coordinator.emplace(std::move(co));
+    std::cerr << "[coordinator] listening on " << cli.bind_host << ":"
+              << coordinator->port() << " (lease timeout " << cli.lease_timeout
+              << "s)\n";
+    if (coordinator->status_port() != 0) {
+      std::cerr << "[status] GET http://" << cli.bind_host << ":"
+                << coordinator->status_port() << "/status\n";
+    }
+    options.executor = &*coordinator;
+  }
+
   std::size_t done = 0;
   std::size_t executed = 0;
   double executed_wall = 0.0;
@@ -368,8 +401,10 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
       cli.jobs != 0 ? cli.jobs
                     : std::max(1u, std::thread::hardware_concurrency()));
   // --eta overrides --quiet: a requested ETA needs the progress lines that
-  // carry it.
-  if (!cli.quiet || cli.eta) {
+  // carry it. A coordinator's pace is its fleet's, which --jobs does not
+  // describe, so it prints no ETA.
+  const bool show_eta = cli.eta && !cli.coordinate;
+  if (!cli.quiet || show_eta) {
     options.on_result = [&](const scenario::RunResult& r) {
       ++done;
       if (!r.telemetry.from_cache) {
@@ -378,7 +413,7 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
       }
       std::cerr << "[" << done << "/" << total << "] run " << r.run_index
                 << outcome(r);
-      if (cli.eta && executed > 0) {
+      if (show_eta && executed > 0) {
         // Remaining runs are almost all uncached (hits resolve first), so
         // the mean executed wall time is the right per-run estimate.
         const double mean_wall = executed_wall / static_cast<double>(executed);
@@ -401,6 +436,16 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
     std::cerr << "[cache] hits=" << runner.cache_hits()
               << " executed=" << runner.executed() << "\n";
   }
+  if (coordinator) {
+    const scenario::SweepStatus status = coordinator->status();
+    std::cerr << "[coordinator] executed=" << status.executed
+              << " cache_hits=" << status.cache_hits
+              << " requeued=" << status.requeued
+              << " duplicates=" << status.duplicates
+              << " resumed=" << status.leases_resumed
+              << " orphans=" << status.journal_orphans
+              << " workers=" << status.workers_seen << "\n";
+  }
 
   if (cli.sharded) {
     // A shard emits its partial result set as run records — the merge
@@ -414,79 +459,6 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
     sink.add_all(std::move(results));
     return emit_sweep_outputs(sink, "", cli.out, &payload);
   }
-
-  sink.add_all(std::move(results));
-  return emit_sweep_outputs(sink, "sweep results — " + spec.name, cli.out);
-}
-
-/// --serve/--coordinator mode: own the plan, lease runs to socket workers
-/// dynamically (work-stealing), merge the streamed-back records, and emit
-/// the same outputs — byte for byte — a single-process sweep would.
-int run_coordinator_sweep(const creditflow::scenario::ScenarioSpec& spec,
-                          creditflow::scenario::SweepSpec sweep,
-                          const SweepCliOptions& cli) {
-  using namespace creditflow;
-  const std::size_t total = sweep.num_runs();
-  std::cerr << "sweep: " << sweep.num_points() << " grid points x "
-            << sweep.seeds << " seeds = " << total
-            << " runs (base scenario " << spec.name << ")\n";
-
-  scenario::Coordinator::Options options;
-  options.host = cli.bind_host;
-  options.port = cli.bind_port;
-  options.lease_timeout_seconds = cli.lease_timeout;
-  options.cache_dir = cli.cache_dir;
-  options.journal_path = cli.journal;
-  options.resume = cli.resume;
-  options.lease_batch_max = cli.lease_batch;
-  options.fsync = cli.fsync;
-  options.status_port = cli.status_port;
-  if (cli.status_port >= 0) {
-    // Give scrapers a real window to observe the drained terminal state
-    // (completed == plan_runs) before the process exits.
-    options.drain_seconds = std::max(options.drain_seconds, 5.0);
-  }
-  if (!cli.series_out.empty()) {
-    // Workers collect the per-run series alongside each result and stream
-    // it back; the coordinator writes the same FILE.run<idx>.csv files a
-    // local sweep would, byte for byte.
-    options.series_every = cli.series_every;
-    options.series_out_prefix = cli.series_out;
-    if (!cli.cache_dir.empty()) {
-      std::cerr << "[series] note: cache hits skip the simulation and "
-                   "write no series CSV\n";
-    }
-  }
-  std::size_t done = 0;
-  if (!cli.quiet) {
-    options.on_result = [&](const scenario::RunResult& r) {
-      std::cerr << "[" << ++done << "/" << total << "] run " << r.run_index
-                << outcome(r) << "\n";
-    };
-  }
-
-  const std::size_t seeds = sweep.seeds;
-  scenario::Coordinator coordinator(spec, std::move(sweep),
-                                    std::move(options));
-  std::cerr << "[coordinator] listening on " << cli.bind_host << ":"
-            << coordinator.port() << " (lease timeout " << cli.lease_timeout
-            << "s)\n";
-  if (coordinator.status_port() != 0) {
-    std::cerr << "[status] GET http://" << cli.bind_host << ":"
-              << coordinator.status_port() << "/status\n";
-  }
-
-  scenario::ResultSink sink;
-  sink.set_expected_replications(seeds);
-  auto results = coordinator.run();
-  const scenario::SweepStatus status = coordinator.status();
-  std::cerr << "[coordinator] executed=" << status.executed
-            << " cache_hits=" << status.cache_hits
-            << " requeued=" << status.requeued
-            << " duplicates=" << status.duplicates
-            << " resumed=" << status.leases_resumed
-            << " orphans=" << status.journal_orphans
-            << " workers=" << status.workers_seen << "\n";
 
   sink.add_all(std::move(results));
   return emit_sweep_outputs(sink, "sweep results — " + spec.name, cli.out);
@@ -578,6 +550,80 @@ void parse_shard(const std::string& text, SweepCliOptions& cli,
   cli.sharded = true;
 }
 
+/// The modes market_cli runs in. One applies to a command line: --worker,
+/// else --merge, else --serve/--coordinator, else --shard, else a sweep
+/// (--sweep or --seeds N > 1), else a single run.
+enum Mode : unsigned {
+  kSingle = 1u << 0,
+  kSweep = 1u << 1,
+  kShard = 1u << 2,
+  kServe = 1u << 3,
+  kWorker = 1u << 4,
+  kMerge = 1u << 5,
+};
+constexpr const char* kModeNames[] = {"single-run", "sweep",  "shard",
+                                      "coordinator", "worker", "merge"};
+
+/// The flags that only some modes read, with those modes. A flag given in
+/// a mode that does not read it would be ignored silently, so it is a usage
+/// error. Flags not listed (--quiet, --jobs, --trace-out, ...) apply
+/// everywhere. A worker takes its plan over the wire and a merge reads run
+/// records, so neither reads a spec flag.
+constexpr std::pair<std::string_view, unsigned> kFlagModes[] = {
+    {"--scenario --set --peers --credits --horizon --seed --pricing "
+     "--spend-cv --upload-cv --tax --dynamic --churn --inject --condensed "
+     "--trace --series-out --series-every --seeds",
+     kSingle | kSweep | kShard | kServe},
+    {"--chart", kSingle},
+    {"--sweep --cache-dir", kSweep | kShard | kServe},
+    {"--out --runs-out --eta", kSweep | kShard | kServe | kMerge},
+    {"--json", kSweep | kServe | kMerge},  // a shard writes JSONL records
+    {"--shard", kShard},
+    {"--serve --coordinator --lease-timeout --lease-batch --journal "
+     "--resume --fsync --status-port",
+     kServe},
+    {"--worker", kWorker},
+    {"--merge", kMerge},
+};
+
+/// Flags that do nothing without another one. A journal needs a run cache
+/// because results must be as durable as the scheduling state it records.
+constexpr std::pair<std::string_view, std::string_view> kFlagNeeds[] = {
+    {"--journal", "--cache-dir"},
+    {"--resume", "--journal"},
+    {"--series-every", "--series-out"},
+    {"--json", "--out"},
+};
+
+/// 0 when `mode` reads every flag in `given` and each flag's dependency is
+/// given too; otherwise one line naming the flag, and 64.
+int check_flags(const std::vector<std::string>& given, Mode mode) {
+  std::map<std::string, unsigned, std::less<>> modes_of;
+  for (const auto& [flags, modes] : kFlagModes) {
+    std::istringstream words{std::string(flags)};
+    for (std::string flag; words >> flag;) modes_of[flag] = modes;
+  }
+  for (const std::string& flag : given) {
+    const auto it = modes_of.find(flag);
+    if (it != modes_of.end() && (it->second & mode) == 0) {
+      std::cerr << flag << " is not used in "
+                << kModeNames[std::countr_zero(static_cast<unsigned>(mode))]
+                << " mode\n";
+      return 64;
+    }
+  }
+  const auto has = [&given](std::string_view flag) {
+    return std::find(given.begin(), given.end(), flag) != given.end();
+  };
+  for (const auto& [flag, needed] : kFlagNeeds) {
+    if (has(flag) && !has(needed)) {
+      std::cerr << flag << " requires " << needed << "\n";
+      return 64;
+    }
+  }
+  return 0;
+}
+
 /// Single-run mode (defined after main for readability); throws on a
 /// configuration the market constructors reject.
 int run_single(const creditflow::scenario::ScenarioSpec& spec,
@@ -607,11 +653,12 @@ int main(int argc, char** argv) {
   std::uint16_t worker_port = 0;
   bool want_chart = false;
   bool print_spec = false;
-  std::string lease_flag;  ///< a --lease-* flag given: coordinator only
+  std::vector<std::string> given;  ///< every flag, for check_flags
 
   bool spec_overridden = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    given.push_back(arg);
     auto next = [&](int more = 1) {
       if (i + more >= argc) usage(argv[0]);
       return argv[++i];
@@ -680,7 +727,7 @@ int main(int argc, char** argv) {
       } catch (const util::PreconditionError& e) {
         // Same contract as --set: one clean diagnostic line, exit 2 for
         // malformed values, 64 for an unknown key (a usage error).
-        const std::string msg = diagnostic(e);
+        const std::string msg = e.what();
         std::cerr << "--sweep: " << msg << "\n";
         return msg.rfind("unknown sweep parameter", 0) == 0 ? 64 : 2;
       }
@@ -714,7 +761,6 @@ int main(int argc, char** argv) {
       worker_mode = true;
       parse_host_port(next(), worker_host, worker_port, argv[0]);
     } else if (arg == "--lease-timeout") {
-      lease_flag = arg;
       cli.lease_timeout = number_or_usage(next(), argv[0]);
       if (!scenario::lease_timeout_ms(cli.lease_timeout)) {
         std::cerr << "--lease-timeout: must round to at least 1 ms and "
@@ -726,7 +772,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       cli.resume = true;
     } else if (arg == "--lease-batch") {
-      lease_flag = arg;
       cli.lease_batch = count_or_usage(next(), argv[0]);
       if (cli.lease_batch == 0) usage(argv[0]);
     } else if (arg == "--fsync") {
@@ -808,39 +853,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (cli.status_port >= 0 && !cli.coordinate) {
-    std::cerr << "--status-port requires --serve/--coordinator\n";
-    return 64;
-  }
-  if (!cli.journal.empty() && !cli.coordinate) {
-    std::cerr << "--journal requires --serve/--coordinator (the journal "
-                 "records coordinator scheduling state)\n";
-    return 64;
-  }
-  if (!cli.journal.empty() && cli.cache_dir.empty()) {
-    std::cerr << "--journal requires --cache-dir (results must be as "
-                 "durable as the scheduling state they journal)\n";
-    return 64;
-  }
-  if (cli.resume && cli.journal.empty()) {
-    std::cerr << "--resume requires --journal\n";
-    return 64;
-  }
-  if (cli.fsync && !cli.coordinate) {
-    std::cerr << "--fsync requires --serve/--coordinator\n";
-    return 64;
-  }
-  if (!lease_flag.empty() && !cli.coordinate) {
-    std::cerr << lease_flag << " requires --serve/--coordinator\n";
-    return 64;
-  }
-  const bool sweep_mode = !sweep.axes.empty() || sweep.seeds > 1 || cli.sharded;
-  if (want_chart && (sweep_mode || cli.coordinate || worker_mode ||
-                     !merge_files.empty())) {
-    std::cerr << "--chart draws one run's Gini chart (no --sweep, --seeds N, "
-                 "--shard, --merge, --serve/--coordinator or --worker)\n";
-    return 64;
-  }
+  const bool sweeping = !sweep.axes.empty() || sweep.seeds > 1;
+  const Mode mode = worker_mode            ? kWorker
+                    : !merge_files.empty() ? kMerge
+                    : cli.coordinate       ? kServe
+                    : cli.sharded          ? kShard
+                    : sweeping             ? kSweep
+                                           : kSingle;
+  if (const int rc = check_flags(given, mode); rc != 0) return rc;
 
   // Tracing switches on before any simulation and is dumped by the guard on
   // every exit path below. It records wall-clock spans only — no RNG, no
@@ -851,26 +871,11 @@ int main(int argc, char** argv) {
     trace_dump.path = trace_out;
   }
 
-  if (worker_mode) {
-    if (cli.coordinate || cli.sharded || !merge_files.empty()) {
-      std::cerr << "--worker excludes --serve/--coordinator/--shard/"
-                   "--merge\n";
-      return 64;
-    }
-    // Sweep definition and output flags belong on the coordinator side; a
-    // worker silently dropping them would surprise whoever expected the
-    // files — reject loudly instead.
-    if (!sweep.axes.empty() || sweep.seeds > 1 ||
-        !cli.out.out_path.empty() || !cli.out.runs_out_path.empty() ||
-        !cli.cache_dir.empty() || cli.eta || !cli.series_out.empty()) {
-      std::cerr << "--worker takes no sweep/output flags (the plan and the "
-                   "outputs live on the coordinator)\n";
-      return 64;
-    }
+  if (mode == kWorker) {
     return run_worker_mode(worker_host, worker_port, cli.jobs, cli.quiet);
   }
 
-  if (!merge_files.empty()) {
+  if (mode == kMerge) {
     try {
       return run_merge(merge_files, cli.out);
     } catch (const util::PreconditionError& e) {
@@ -879,46 +884,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cli.coordinate) {
-    if (cli.sharded) {
-      std::cerr << "--serve/--coordinator replaces --shard (the "
-                   "coordinator partitions dynamically)\n";
-      return 64;
-    }
+  if (mode != kSingle) {
     try {
-      return run_coordinator_sweep(spec, std::move(sweep), cli);
+      return run_sweep(spec, std::move(sweep), cli);
     } catch (const util::SocketError& e) {
       std::cerr << e.what() << "\n";
       return 1;
     } catch (const util::PreconditionError& e) {
-      // Journal/option conflicts: stale journal without --resume, plan
-      // mismatch, unwritable journal path.
+      // A coordinator's is a usage error: a lease timeout no worker can
+      // use, a stale journal without --resume, another sweep's journal. A
+      // local sweep's is a failed sweep, exit 2 as for a bad --sweep value:
+      // a grid with more runs than size_t counts, for one.
       std::cerr << e.what() << "\n";
-      return 64;
-    }
-  }
-
-  if (sweep_mode) {
-    try {
-      return run_sweep(spec, std::move(sweep), cli);
-    } catch (const util::PreconditionError& e) {
-      // A grid with more runs than size_t counts, for one: exit 2 with one
-      // line, as a bad --sweep value does.
-      std::cerr << diagnostic(e) << "\n";
-      return 2;
+      return mode == kServe ? 64 : 2;
     }
   }
 
   // ---- Single-run mode (the original market_cli behavior). --------------
-  // The sweep output flags write sweep results, which one run does not
-  // produce; dropping them silently would leave their files unwritten.
-  if (!cli.out.out_path.empty() || !cli.out.runs_out_path.empty() ||
-      cli.out.json || !cli.cache_dir.empty() || cli.eta) {
-    std::cerr << "a single run takes no --out/--runs-out/--json/--cache-dir/"
-                 "--eta (they write sweep results: add --sweep or --seeds "
-                 "N)\n";
-    return 64;
-  }
   // A configuration the market rejects (CF_EXPECTS in the constructors) is
   // a failed run: one diagnostic line and exit 2, not an uncaught throw.
   try {

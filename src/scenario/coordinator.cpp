@@ -122,20 +122,24 @@ std::optional<long long> lease_timeout_ms(double seconds) {
 }
 
 struct Coordinator::Impl {
-  SweepPlan plan;
   Options options;
+  std::optional<Journal> journal;
+  util::Listener listener;
+  util::Listener status_listener;  ///< invalid unless status_port >= 0
+  const Clock::time_point started = Clock::now();
+
+  /// The sweep execute() serves; empty before it.
+  const SweepPlan* plan = nullptr;
+  std::function<void(const RunResult&, const std::string&)> on_result;
   /// "PLAN <lease_ms> <spec_len> <sweep_len> <series_every> " — the
   /// per-session token is appended at handshake time.
   std::string plan_header_prefix;
   /// spec text ‖ sweep text, sent verbatim after the PLAN header.
   std::string plan_payload;
-  std::vector<RunKey> keys;  ///< keys[i] = plan.key(i), for validation
-  std::optional<RunStore> store;
-  std::optional<Journal> journal;
-  util::Listener listener;
-  util::Listener status_listener;  ///< invalid unless status_port >= 0
-  LeaseScheduler scheduler;
-  const Clock::time_point started = Clock::now();
+  std::vector<RunKey> keys;  ///< keys[i] = plan->key(i), for validation
+  std::optional<LeaseScheduler> scheduler;
+  std::vector<RunResult> results;  ///< by run index
+  bool ran = false;
 
   /// A worker session (its descriptor is its scheduler id), or a status
   /// client served and closed per request.
@@ -150,9 +154,6 @@ struct Coordinator::Impl {
     std::string payload;
   };
   std::map<int, Conn> conns;  ///< keyed by descriptor
-
-  std::vector<RunResult> results;
-  bool ran = false;
 
   /// Session-token stream: unique across restarts (wall-clock seeded) and
   /// across sessions (counter mixed in); purely an identifier, no secrecy.
@@ -172,52 +173,19 @@ struct Coordinator::Impl {
     return std::string(buf);
   }
 
-  Impl(ScenarioSpec base, SweepSpec sweep, Options opts)
-      : plan(std::move(base), std::move(sweep)),
-        options(std::move(opts)),
-        scheduler(plan.size(), options.lease_timeout_seconds,
-                  options.lease_batch_max) {
-    const std::optional<long long> lease_ms =
-        lease_timeout_ms(options.lease_timeout_seconds);
-    CF_EXPECTS_MSG(lease_ms.has_value(),
+  explicit Impl(Options opts) : options(std::move(opts)) {
+    CF_EXPECTS_MSG(lease_timeout_ms(options.lease_timeout_seconds),
                    "lease timeout must round to at least 1 ms and below "
                    "2^63 ms");
-    CF_EXPECTS_MSG(options.journal_path.empty() || !options.cache_dir.empty(),
-                   "--journal requires a run cache (results must be as "
-                   "durable as the scheduling state)");
-    const std::string spec_text = plan.base().serialize();
-    const std::string sweep_text = plan.sweep().serialize();
-    // Binds journal state to this exact plan (spec ‖ sweep ‖ size).
-    const std::string fingerprint =
-        RunKey::of(spec_text + sweep_text, plan.size()).hex();
-    plan_header_prefix = "PLAN " + std::to_string(*lease_ms) + " " +
-                         std::to_string(spec_text.size()) + " " +
-                         std::to_string(sweep_text.size()) + " " +
-                         std::to_string(options.series_every) + " ";
-    plan_payload = spec_text + sweep_text;
-    keys.reserve(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i) keys.push_back(plan.key(i));
-    results.resize(plan.size());
     token_state = static_cast<std::uint64_t>(
         std::chrono::system_clock::now().time_since_epoch().count());
-    if (!options.cache_dir.empty()) {
-      store.emplace(options.cache_dir, RunStore::Options{options.fsync});
-    }
     if (!options.journal_path.empty()) {
       journal.emplace(options.journal_path,
                       Journal::Options{options.fsync});
-      const JournalReplay& replay = journal->replayed();
-      CF_EXPECTS_MSG(options.resume || replay.events == 0,
+      CF_EXPECTS_MSG(options.resume || journal->replayed().events == 0,
                      "journal " + options.journal_path +
                          " already holds a sweep; pass --resume to "
                          "continue it (or point at a fresh journal)");
-      if (replay.has_plan) {
-        CF_EXPECTS_MSG(replay.fingerprint == fingerprint,
-                       "journal " + options.journal_path +
-                           " belongs to a different sweep (plan "
-                           "fingerprint mismatch)");
-      }
-      journal->record_plan(fingerprint, plan.size());
     }
     listener = util::Listener::bind(options.host, options.port);
     if (options.status_port >= 0) {
@@ -226,24 +194,53 @@ struct Coordinator::Impl {
     }
   }
 
-  /// Seed the scheduler: the store answers what it holds (the SweepRunner
-  /// recall path, so warm-store output is byte-identical to the uncached
-  /// sweep), and a resumed journal's open grants become orphans of their
-  /// original sessions, which may have outlived the old coordinator.
-  void seed(double now) {
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      const RunResult* cached = store ? store->find(keys[i]) : nullptr;
-      if (cached == nullptr) continue;
-      RunResult hit = plan.labelled_result(i, *cached);
-      hit.telemetry.from_cache = true;
-      scheduler.recall(i);
-      if (options.on_result) options.on_result(hit);
-      results[i] = std::move(hit);
+  /// Bind the serving state to `sweep`: the PLAN header, the journal's
+  /// plan line, and a scheduler in which every run not in `requested` is
+  /// already complete and a resumed journal's open grants are orphans of
+  /// their original sessions, which may have outlived the old coordinator.
+  void start(const SweepPlan& sweep, std::span<const std::size_t> requested,
+             std::size_t series_every, double now) {
+    plan = &sweep;
+    const std::string spec_text = sweep.base().serialize();
+    const std::string sweep_text = sweep.sweep().serialize();
+    plan_header_prefix =
+        "PLAN " +
+        std::to_string(*lease_timeout_ms(options.lease_timeout_seconds)) +
+        " " + std::to_string(spec_text.size()) + " " +
+        std::to_string(sweep_text.size()) + " " +
+        std::to_string(series_every) + " ";
+    plan_payload = spec_text + sweep_text;
+    keys.reserve(sweep.size());
+    for (std::size_t i = 0; i < sweep.size(); ++i) keys.push_back(sweep.key(i));
+    results.resize(sweep.size());
+
+    if (journal) {
+      // Binds journal state to this exact plan (spec ‖ sweep ‖ size).
+      const std::string fingerprint =
+          RunKey::of(plan_payload, sweep.size()).hex();
+      const JournalReplay& replay = journal->replayed();
+      CF_EXPECTS_MSG(!replay.has_plan || replay.fingerprint == fingerprint,
+                     "journal " + options.journal_path +
+                         " belongs to a different sweep (plan fingerprint "
+                         "mismatch)");
+      journal->record_plan(fingerprint, sweep.size());
+    }
+
+    std::vector<char> asked(sweep.size(), 0);
+    for (const std::size_t idx : requested) {
+      CF_EXPECTS_MSG(idx < sweep.size() && asked[idx] == 0,
+                     "requested runs must be distinct entries of the plan");
+      asked[idx] = 1;
+    }
+    scheduler.emplace(sweep.size(), options.lease_timeout_seconds,
+                      options.lease_batch_max);
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      if (asked[i] == 0) scheduler->recall(i);
     }
     if (!journal) return;  // an unresumed journal replays nothing
     const JournalReplay& replay = journal->replayed();
     for (const auto& [idx, key] : replay.completed) {
-      if (idx < plan.size() && store->find(keys[idx]) == nullptr) {
+      if (idx < sweep.size() && asked[idx] != 0) {
         CF_LOG_WARN("coordinator: journal says run "
                     << idx << " completed but the store has no record ("
                     << (key == keys[idx] ? "lost append" : "foreign run key")
@@ -251,9 +248,9 @@ struct Coordinator::Impl {
       }
     }
     for (const auto& [idx, session] : replay.open_leases) {
-      scheduler.adopt_orphan(idx, session, now);
+      scheduler->adopt_orphan(idx, session, now);
     }
-    const std::size_t orphans = scheduler.status(now).journal_orphans;
+    const std::size_t orphans = scheduler->status(now).journal_orphans;
     if (orphans > 0) {
       CF_LOG_INFO("coordinator: resumed " << orphans
                                           << " orphaned lease(s) from "
@@ -275,7 +272,7 @@ struct Coordinator::Impl {
       return false;
     }
     const std::size_t idx = record.result.run_index;
-    if (idx >= plan.size() || !(record.key == keys[idx])) {
+    if (idx >= keys.size() || !(record.key == keys[idx])) {
       // A worker on a different plan (other spec text, other binary) can
       // never corrupt the result set: its keys cannot match ours.
       CF_LOG_WARN("coordinator: rejecting record with mismatched key for run "
@@ -285,18 +282,15 @@ struct Coordinator::Impl {
     }
     // First completion wins, whoever delivers it — including a worker
     // whose lease was already revoked.
-    if (!scheduler.complete(idx, fd, now)) {
+    if (!scheduler->complete(idx, fd, now)) {
       return conn.socket.send_all("DUP\n");
     }
-    RunResult merged = plan.labelled_result(idx, std::move(record.result));
-    // Durability order: result bytes first (store), then the journal's
-    // done event — a crash between the two re-executes nothing (the store
-    // answers) and corrupts nothing.
-    if (store) store->put(keys[idx], merged);
+    RunResult merged = plan->labelled_result(idx, std::move(record.result));
+    // Durability order: the caller stores the result first, then the
+    // journal's done event — a crash between the two re-executes nothing
+    // (the store answers) and corrupts nothing.
+    if (on_result) on_result(merged, payload.substr(record_bytes));
     if (journal) journal->record_done(idx, keys[idx]);
-    write_series_csv(options.series_out_prefix, idx,
-                     std::string_view(payload).substr(record_bytes));
-    if (options.on_result) options.on_result(merged);
     results[idx] = std::move(merged);
     return conn.socket.send_all("OK\n");
   }
@@ -308,7 +302,7 @@ struct Coordinator::Impl {
     if (conn.session.empty()) {
       if (line == std::string("HELLO ") + kSweepProtocolVersion) {
         conn.session = next_token();
-        scheduler.join(fd, now);
+        scheduler->join(fd, now);
         return conn.socket.send_all(plan_header_prefix + conn.session + "\n" +
                                     plan_payload);
       }
@@ -321,7 +315,7 @@ struct Coordinator::Impl {
       // An unknown or expired token resumes nothing — the worker simply
       // starts fresh; otherwise it carries on under the resumed identity.
       const std::string token = line.substr(7);
-      const auto reclaimed = scheduler.resume(fd, token, now);
+      const auto reclaimed = scheduler->resume(fd, token, now);
       if (!reclaimed.empty()) conn.session = token;
       std::string reply = "RESUMED " + std::to_string(reclaimed.size());
       for (const std::size_t idx : reclaimed) {
@@ -330,12 +324,12 @@ struct Coordinator::Impl {
       return conn.socket.send_all(reply + "\n");
     }
     if (line == "NEXT") {
-      if (scheduler.done()) {
+      if (scheduler->done()) {
         // Orderly completion: the worker disconnects after reading DONE.
         (void)conn.socket.send_all("DONE\n");
         return false;
       }
-      const auto granted = scheduler.grant(fd, conn.session, now);
+      const auto granted = scheduler->grant(fd, conn.session, now);
       if (granted.empty()) return conn.socket.send_all("WAIT\n");
       std::string reply = "RUN";
       for (const std::size_t idx : granted) {
@@ -408,10 +402,10 @@ struct Coordinator::Impl {
     std::string content_type = "application/json";
     if (method == "GET" &&
         (path == "/status" || path.rfind("/status?", 0) == 0)) {
-      body = status_json(scheduler.status(elapsed()));
+      body = status_json(scheduler->status(elapsed()));
     } else if (method == "GET" &&
                (path == "/metrics" || path.rfind("/metrics?", 0) == 0)) {
-      body = metrics_text(scheduler.status(elapsed()));
+      body = metrics_text(scheduler->status(elapsed()));
       content_type = "text/plain; version=0.0.4";
     } else {
       status_line = "HTTP/1.0 404 Not Found";
@@ -426,9 +420,8 @@ struct Coordinator::Impl {
   }
 };
 
-Coordinator::Coordinator(ScenarioSpec base, SweepSpec sweep, Options options)
-    : impl_(std::make_unique<Impl>(std::move(base), std::move(sweep),
-                                   std::move(options))) {}
+Coordinator::Coordinator(Options options)
+    : impl_(std::make_unique<Impl>(std::move(options))) {}
 
 Coordinator::~Coordinator() = default;
 
@@ -439,15 +432,21 @@ std::uint16_t Coordinator::status_port() const {
 }
 
 SweepStatus Coordinator::status() const {
-  return impl_->scheduler.status(impl_->elapsed());
+  return impl_->scheduler ? impl_->scheduler->status(impl_->elapsed())
+                          : SweepStatus{};
 }
 
-std::vector<RunResult> Coordinator::run() {
+std::vector<RunResult> Coordinator::execute(
+    const SweepPlan& plan, std::span<const std::size_t> run_indices,
+    const ExecuteOptions& options) {
   Impl& im = *impl_;
-  CF_EXPECTS_MSG(!im.ran, "Coordinator::run may only be called once");
+  CF_EXPECTS_MSG(!im.ran, "Coordinator::execute may only be called once");
+  CF_EXPECTS_MSG(!options.keep_reports,
+                 "a coordinator keeps no reports: a run record carries none");
   im.ran = true;
-  // Every exit, an exception from on_result or the store included, closes
-  // every socket: no worker waits out its reply timeout on a dead loop.
+  // Every exit, an exception from on_result or a foreign journal included,
+  // closes every socket: no worker waits out its reply timeout on a dead
+  // loop.
   struct CloseOnExit {
     Impl& im;
     ~CloseOnExit() {
@@ -457,11 +456,13 @@ std::vector<RunResult> Coordinator::run() {
     }
   } const close_on_exit{im};
 
-  im.seed(im.elapsed());
+  im.on_result = options.on_result;
+  im.start(plan, run_indices, options.series_every, im.elapsed());
+  LeaseScheduler& scheduler = *im.scheduler;
   std::optional<double> drain_deadline;
   while (true) {
     const double now = im.elapsed();
-    if (im.scheduler.done() && !drain_deadline) {
+    if (scheduler.done() && !drain_deadline) {
       drain_deadline = now + im.options.drain_seconds;
     }
     // With the status endpoint enabled the early exit is off: scrapers must
@@ -469,16 +470,16 @@ std::vector<RunResult> Coordinator::run() {
     if (drain_deadline &&
         (now >= *drain_deadline ||
          (!im.status_listener.valid() && im.conns.empty() &&
-          im.scheduler.status(now).workers_seen > 0))) {
+          scheduler.status(now).workers_seen > 0))) {
       break;
     }
-    for (const std::size_t idx : im.scheduler.expire(now)) {
+    for (const std::size_t idx : scheduler.expire(now)) {
       if (im.journal) im.journal->record_requeue(idx);
     }
 
     // Sleep until traffic, the nearest lease deadline, or the drain
     // deadline — whichever comes first.
-    std::optional<double> wake = im.scheduler.next_deadline();
+    std::optional<double> wake = scheduler.next_deadline();
     if (drain_deadline && (!wake || *drain_deadline < *wake)) {
       wake = drain_deadline;
     }
@@ -527,18 +528,23 @@ std::vector<RunResult> Coordinator::run() {
       // Any traffic from a worker proves it alive: refresh its leases. A
       // vanished worker's leases orphan for the resume grace.
       const double heard = im.elapsed();
-      if (status == util::IoStatus::kOk) im.scheduler.heard_from(fd, heard);
+      if (status == util::IoStatus::kOk) scheduler.heard_from(fd, heard);
       if (status != util::IoStatus::kOk ||
           !im.process_buffer(fd, conn, heard)) {
-        im.scheduler.leave(fd, heard);
+        scheduler.leave(fd, heard);
         im.conns.erase(fd);
       }
     }
   }
 
-  CF_ENSURES_MSG(im.scheduler.done(),
+  CF_ENSURES_MSG(scheduler.done(),
                  "coordinator exited with incomplete results");
-  return std::move(im.results);
+  std::vector<RunResult> results;
+  results.reserve(run_indices.size());
+  for (const std::size_t idx : run_indices) {
+    results.push_back(std::move(im.results[idx]));
+  }
+  return results;
 }
 
 }  // namespace creditflow::scenario

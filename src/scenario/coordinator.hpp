@@ -1,12 +1,15 @@
 // CreditFlow scenario engine: the fault-tolerant work-stealing sweep
 // coordinator.
 //
-// A Coordinator owns a SweepPlan and hands out its run indices dynamically
-// to any number of remote workers over a minimal line-based TCP protocol,
+// A Coordinator is an Executor (executor.hpp): SweepRunner hands it the
+// runs its store cannot answer, and it leases them dynamically to any
+// number of remote workers over a minimal line-based TCP protocol,
 // replacing static `--shard I/N` partitioning: a slow or dead worker's
 // outstanding leases flow back into the queue (heartbeat + lease timeout),
 // so fast machines steal the stragglers' work and the sweep finishes at
-// the speed of the aggregate fleet, not its slowest member.
+// the speed of the aggregate fleet, not its slowest member. The runner
+// stores each run, writes its series file and reports progress, as it does
+// for a local sweep; the coordinator sees no store.
 //
 // Determinism contract — identical to shard-and-merge: a run is a pure
 // function of the plan entry, results are merged by run_index, and
@@ -22,11 +25,11 @@
 //
 //   * Crash-safe journal — with Options::journal_path set, every grant,
 //     completion, and requeue is written ahead to an append-only JSONL
-//     journal (journal.hpp) next to the RunStore. A coordinator killed
-//     mid-sweep and restarted with Options::resume replays journal +
-//     store, recalls every completed run, re-creates orphaned leases
-//     under their original session tokens, and executes only the missing
-//     runs — output byte-identical to an uninterrupted sweep.
+//     journal (journal.hpp) next to the runner's run store. A coordinator
+//     killed mid-sweep and restarted with Options::resume is asked only
+//     for the runs the store lacks, re-creates orphaned leases under their
+//     original session tokens, and executes only the missing runs —
+//     output byte-identical to an uninterrupted sweep.
 //   * RESUME handshake — each session is issued a token in PLAN; a worker
 //     whose TCP connection drops reconnects and sends RESUME <token> to
 //     reclaim its outstanding leases (and deliver results computed while
@@ -39,8 +42,8 @@
 //     shrink toward one run so their failure forfeits little.
 //
 // The lease policy is LeaseScheduler (lease_scheduler.hpp), which does no
-// I/O; run() is the poll loop that feeds it protocol events and writes the
-// store, the journal and the replies around it.
+// I/O; execute() is the poll loop that feeds it protocol events and writes
+// the journal and the replies around it.
 //
 // Wire protocol v3 (newline-delimited ASCII; payloads length-prefixed):
 //
@@ -73,26 +76,23 @@
 // handed a different spec cannot corrupt the result set — its delivery is
 // rejected and the connection dropped.
 //
-// The shared content-addressed RunStore (store.hpp) plugs in underneath:
-// keys already stored never get leased (they are recalled as cache hits,
-// exactly like SweepRunner), and every fresh record is appended as it
-// streams in, so a killed *coordinator* restarted on the same cache
-// directory re-executes only what the store has not yet seen — and with
-// the journal, resumes exact lease/session state too.
+// Runs of the plan that execute() was not asked for count as complete
+// from the start (cache hits in status()): workers never lease them. A
+// journalled completion the caller asks for again is re-executed — only
+// the store vouches for result bytes — so a journal without a store is
+// still correct, merely slower to resume.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "scenario/executor.hpp"
 #include "scenario/lease_scheduler.hpp"
 #include "scenario/plan.hpp"
-#include "scenario/spec.hpp"
-#include "scenario/sweep.hpp"
 
 namespace creditflow::scenario {
 
@@ -106,8 +106,8 @@ inline constexpr const char* kSweepProtocolVersion = "creditflow-sweep-3";
 /// a number: no worker accepts a PLAN header without a positive lease.
 [[nodiscard]] std::optional<long long> lease_timeout_ms(double seconds);
 
-/// Serves a SweepPlan to socket workers and merges their results.
-class Coordinator {
+/// Serves a sweep's runs to socket workers and merges their results.
+class Coordinator final : public Executor {
  public:
   struct Options {
     /// Bind address. The loopback default keeps a laptop sweep private;
@@ -132,33 +132,15 @@ class Coordinator {
     /// get 1); 1 disables batching entirely.
     std::size_t lease_batch_max = 4;
 
-    /// Shared content-addressed run cache; empty disables it. Stored keys
-    /// are never leased; fresh records are appended as they arrive.
-    std::string cache_dir;
-
-    /// Write-ahead journal path; empty disables journalling. Requires
-    /// cache_dir (results must be as durable as the scheduling state).
-    /// With an existing non-empty journal, construction throws unless
-    /// `resume` is set.
+    /// Write-ahead journal path; empty disables journalling. With an
+    /// existing non-empty journal, construction throws unless `resume` is
+    /// set.
     std::string journal_path;
-    /// Resume an interrupted sweep from journal_path: recall completed
-    /// runs, re-create orphaned leases, execute only what is missing.
+    /// Resume an interrupted sweep from journal_path: re-create orphaned
+    /// leases, execute only what is asked for.
     bool resume = false;
-    /// fsync store and journal appends (power-cut durability).
+    /// fsync journal appends (power-cut durability).
     bool fsync = false;
-
-    /// Per-run series collection cadence announced to workers; 0 off.
-    /// Delivered series blobs are written by write_series_csv under
-    /// series_out_prefix — byte-identical to the files a local sweep
-    /// writes.
-    std::size_t series_every = 0;
-    std::string series_out_prefix;
-
-    /// Called for each completed run — cache hits first (telemetry
-    /// .from_cache set), then fresh completions in arrival order, stored
-    /// and journalled but not yet acknowledged. Runs on the coordinator's
-    /// serving thread; progress reporting only (an exception ends run()).
-    std::function<void(const RunResult&)> on_result;
 
     /// Live status endpoint: when >= 0, bind a second listener on the same
     /// host (0 picks a free port — read it back via status_port()) that
@@ -170,14 +152,13 @@ class Coordinator {
     int status_port = -1;
   };
 
-  /// Binds and listens immediately (so workers can connect before run()),
-  /// but serves nothing until run() is called. Throws util::SocketError
-  /// when the address cannot be bound, util::PreconditionError on a lease
-  /// timeout no worker can use (before anything is opened or bound) or on
-  /// option conflicts (journal without cache, stale journal without
-  /// resume, or a journal written by a different plan).
-  Coordinator(ScenarioSpec base, SweepSpec sweep, Options options);
-  ~Coordinator();
+  /// Binds and listens immediately (so workers can connect before
+  /// execute()), but serves nothing until execute() is called. Throws
+  /// util::PreconditionError on a lease timeout no worker can use or on a
+  /// stale journal without `resume` (both before binding), and
+  /// util::SocketError when the address cannot be bound.
+  explicit Coordinator(Options options);
+  ~Coordinator() override;
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -187,13 +168,21 @@ class Coordinator {
   /// The bound status-endpoint port; 0 when the endpoint is disabled.
   [[nodiscard]] std::uint16_t status_port() const;
 
-  /// Serve until every run of the plan has exactly one result, then drain
-  /// and return the results ordered by run_index — the same vector a
-  /// ThreadPoolExecutor run of the plan would produce. Callable once.
-  [[nodiscard]] std::vector<RunResult> run();
+  /// Serve `run_indices` of `plan` until each has exactly one result, then
+  /// drain and return them in request order. Every first completion goes
+  /// to options.on_result(result, series_csv) before it is journalled
+  /// done; options.series_every is the cadence PLAN asks workers to
+  /// sample at, and options.jobs does not apply. Throws
+  /// util::PreconditionError when options.keep_reports is set (a run
+  /// record carries no report) or the journal belongs to another plan.
+  /// Callable once.
+  [[nodiscard]] std::vector<RunResult> execute(
+      const SweepPlan& plan, std::span<const std::size_t> run_indices,
+      const ExecuteOptions& options) override;
 
-  /// The sweep's progress and counters now: the snapshot /status serves.
-  /// Not synchronized with run(); call it before run() or after it returns.
+  /// The sweep's progress and counters now: the snapshot /status serves;
+  /// an empty plan before execute(). Not synchronized with execute(); call
+  /// it before execute() or after it returns.
   [[nodiscard]] SweepStatus status() const;
 
  private:

@@ -17,8 +17,6 @@
 #include "core/market.hpp"
 #include "econ/gini.hpp"
 #include "util/assert.hpp"
-#include "util/fsio.hpp"
-#include "util/logging.hpp"
 #include "util/trace.hpp"
 
 namespace creditflow::scenario {
@@ -198,16 +196,6 @@ void execute_spec_into(const ScenarioSpec& spec, RunResult& result,
   const std::uint64_t rss_after = peak_rss_now();
   result.telemetry.peak_rss_bytes =
       rss_after > rss_before ? rss_after - rss_before : 0;
-}
-
-void write_series_csv(const std::string& prefix, std::size_t run_index,
-                      std::string_view csv) {
-  if (prefix.empty() || csv.empty()) return;
-  const std::string path =
-      prefix + ".run" + std::to_string(run_index) + ".csv";
-  if (!util::atomic_write_file(path, csv)) {
-    CF_LOG_WARN("failed writing series CSV " << path);
-  }
 }
 
 std::vector<RunResult> ThreadPoolExecutor::execute(

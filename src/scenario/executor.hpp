@@ -5,9 +5,11 @@
 // ThreadPoolExecutor preserves the engine's determinism contract: results
 // land in slots keyed by position, so the output — and everything
 // aggregated from it — is identical whether a run list executes on 1
-// thread or N, in one process or as shards merged later. Alternative
-// executors (remote workers, a work-stealing coordinator) implement the
-// same interface without the plan or store knowing.
+// thread or N, in one process or as shards merged later. The other
+// Executor is the work-stealing Coordinator (coordinator.hpp), which leases
+// the runs to socket workers. SweepRunner (runner.hpp) drives either one:
+// it recalls cache hits, hands the executor only the misses, and stores
+// each run the executor passes to on_result.
 #pragma once
 
 #include <cstdint>
@@ -103,17 +105,11 @@ struct ExecuteOptions {
       on_result;
 };
 
-/// Write one run's series CSV to "<prefix>.run<run_index>.csv" by atomic
-/// replace (a reader, or a crash, never sees a torn file); one warning on
-/// failure. No-op when `prefix` or `csv` is empty: cache hits never
-/// simulate, so they have no series.
-void write_series_csv(const std::string& prefix, std::size_t run_index,
-                      std::string_view csv);
-
-/// Computes plan entries. Implementations must be safe to reuse across
-/// execute() calls, must call options.on_result once per completed run
-/// (the sweep runner stores runs from it), and must return results
-/// positionally aligned with the requested indices.
+/// Computes plan entries. Implementations must call options.on_result once
+/// per completed run (the sweep runner stores runs from it) and must return
+/// results positionally aligned with the requested indices. execute() may
+/// be single-use: a Coordinator serves one sweep and refuses a second call,
+/// while a ThreadPoolExecutor runs any number.
 class Executor {
  public:
   virtual ~Executor() = default;

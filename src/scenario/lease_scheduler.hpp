@@ -61,7 +61,8 @@ class LeaseScheduler {
   LeaseScheduler(std::size_t runs, double lease_timeout_seconds,
                  std::size_t batch_max);
 
-  /// Seeding, before the first grant: the run store answered `run`.
+  /// Seeding, before the first grant: `run` is not the coordinator's to
+  /// lease (the run store answered it).
   void recall(std::size_t run);
   /// Seeding: re-create a lease journalled for `session` and never closed
   /// as an orphan awaiting its RESUME; ignores unknown or complete runs.

@@ -6,8 +6,28 @@
 
 #include "scenario/store.hpp"
 #include "util/assert.hpp"
+#include "util/fsio.hpp"
+#include "util/logging.hpp"
 
 namespace creditflow::scenario {
+
+namespace {
+
+/// Write one run's series CSV to "<prefix>.run<run_index>.csv" by atomic
+/// replace (a reader, or a crash, never sees a torn file); one warning on
+/// failure. No-op when `prefix` or `csv` is empty: cache hits never
+/// simulate, so they have no series.
+void write_series_csv(const std::string& prefix, std::size_t run_index,
+                      std::string_view csv) {
+  if (prefix.empty() || csv.empty()) return;
+  const std::string path =
+      prefix + ".run" + std::to_string(run_index) + ".csv";
+  if (!util::atomic_write_file(path, csv)) {
+    CF_LOG_WARN("failed writing series CSV " << path);
+  }
+}
+
+}  // namespace
 
 SweepRunner::SweepRunner(ScenarioSpec base, SweepSpec sweep)
     : SweepRunner(std::move(base), std::move(sweep), Options()) {}
@@ -36,7 +56,9 @@ std::vector<RunResult> SweepRunner::run() {
           : plan.all_runs();
 
   std::optional<RunStore> store;
-  if (!options_.cache_dir.empty()) store.emplace(options_.cache_dir);
+  if (!options_.cache_dir.empty()) {
+    store.emplace(options_.cache_dir, RunStore::Options{options_.fsync});
+  }
 
   // Resolve cache hits first (they complete "instantly" — the progress
   // callback sees them before any fresh run), collecting the misses for
@@ -68,8 +90,9 @@ std::vector<RunResult> SweepRunner::run() {
   exec_options.jobs = options_.jobs;
   exec_options.keep_reports = options_.keep_reports;
   exec_options.series_every = options_.series_every;
-  // The coordinator's order for each fresh run: the store first, so a
-  // sweep killed after this run keeps it; then its series file; then the
+  // Each fresh run, whichever executor computed it: the store first, so a
+  // sweep killed after this run keeps it (and a coordinator journals the
+  // run done only after this returns); then its series file; then the
   // caller.
   exec_options.on_result = [&](const RunResult& r,
                                const std::string& series_csv) {

@@ -3,20 +3,21 @@
 //
 // The API splits into three composable pieces: SweepPlan (plan.hpp) — the
 // pure enumerable run list with content-addressed RunKeys; Executor
-// (executor.hpp) — how runs get computed (in-process thread pool by
-// default); and RunStore (store.hpp) — the on-disk cache consulted before
+// (executor.hpp) — how runs get computed: the in-process thread pool by
+// default, or a Coordinator (coordinator.hpp) leasing them to socket
+// workers; and RunStore (store.hpp) — the on-disk cache consulted before
 // executing and appended to as each run completes. SweepRunner wires them
-// together:
+// together, and is the one sweep driver for local, sharded and distributed
+// sweeps alike:
 //
 //   plan runs → partition (optional shard i/N) → cache lookup →
-//   execute the misses, storing each as it completes → merge by run_index
+//   execute the misses, storing each as it completes (then its series
+//   file, then the progress callback) → merge by run_index
 //
 // so a sweep killed midway keeps every run it finished, re-running a grid
 // after adding axes or seeds only computes the keys the store has not
 // seen, and a run list split across processes merges back into
-// byte-identical output. Existing callers keep compiling: the (base,
-// sweep[, options]) constructor and run() behave exactly as the pre-split
-// monolithic runner did when no cache/shard option is set.
+// byte-identical output.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,8 @@ class SweepRunner {
     /// keep_reports == false: the store holds scalar metrics + telemetry,
     /// never full reports.
     std::string cache_dir;
+    /// fsync every store append (power-cut durability).
+    bool fsync = false;
 
     /// Execute only shard shard_index of shard_count (strided partition of
     /// the run list; see SweepPlan::shard). The returned results cover just
@@ -57,8 +60,8 @@ class SweepRunner {
     std::size_t shard_index = 0;
     std::size_t shard_count = 1;
 
-    /// Executor override (not owned; must outlive the runner). nullptr →
-    /// the built-in in-process ThreadPoolExecutor.
+    /// Executor override (not owned; must outlive the runner), e.g. a
+    /// Coordinator. nullptr → the built-in in-process ThreadPoolExecutor.
     Executor* executor = nullptr;
 
     /// Per-round time-series collection: each freshly-executed run writes

@@ -18,11 +18,17 @@ class InvariantError : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
+/// A precondition without a message names its expression and location.
 [[noreturn]] inline void fail_precondition(const char* expr, const char* file,
-                                           int line, const std::string& msg) {
+                                           int line) {
   throw PreconditionError(std::string("precondition failed: ") + expr + " at " +
-                          file + ":" + std::to_string(line) +
-                          (msg.empty() ? "" : (" — " + msg)));
+                          file + ":" + std::to_string(line));
+}
+
+/// A precondition with a message: the message alone explains the caller's
+/// error to the user, without the expression or the source path.
+[[noreturn]] inline void fail_precondition(const std::string& msg) {
+  throw PreconditionError(msg);
 }
 
 [[noreturn]] inline void fail_invariant(const char* expr, const char* file,
@@ -38,14 +44,15 @@ class InvariantError : public std::logic_error {
 #define CF_EXPECTS(cond)                                                     \
   do {                                                                       \
     if (!(cond))                                                             \
-      ::creditflow::util::fail_precondition(#cond, __FILE__, __LINE__, {});  \
+      ::creditflow::util::fail_precondition(#cond, __FILE__, __LINE__);      \
   } while (false)
 
-/// Check a caller-facing precondition with an explanatory message.
+/// Check a caller-facing precondition; the PreconditionError's message is
+/// `msg` alone.
 #define CF_EXPECTS_MSG(cond, msg)                                            \
   do {                                                                       \
     if (!(cond))                                                             \
-      ::creditflow::util::fail_precondition(#cond, __FILE__, __LINE__, msg); \
+      ::creditflow::util::fail_precondition(msg);                            \
   } while (false)
 
 /// Check an internal invariant; throws InvariantError on violation.

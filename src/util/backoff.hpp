@@ -50,21 +50,12 @@ class Backoff {
 
   /// Forget the history: the next delay starts from initial_seconds again.
   /// Call after a successful attempt.
-  void reset() {
-    lifetime_ += retries_;
-    retries_ = 0;
-  }
-
-  /// Delays handed out since construction (never reset — this is the
-  /// retry counter surfaced in WorkerReport).
-  [[nodiscard]] std::uint64_t total_retries() const { return total(); }
-  [[nodiscard]] std::uint64_t total() const { return lifetime_ + retries_; }
+  void reset() { retries_ = 0; }
 
  private:
   Options options_;
   Rng rng_;
   std::uint64_t retries_ = 0;
-  std::uint64_t lifetime_ = 0;
 };
 
 }  // namespace creditflow::util

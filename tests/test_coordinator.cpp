@@ -1,11 +1,12 @@
 // Tests for the work-stealing sweep coordinator and its socket workers:
-// the determinism-under-chaos contract. An in-process coordinator serves a
-// plan to worker threads over loopback TCP, and in every scenario — clean
-// multi-worker execution, a warm RunStore, a connection dropped holding a
-// lease, duplicate and corrupt deliveries, a coordinator crash and resume
-// — the merged run-record set and the aggregate CSV/JSON must be
-// byte-identical to a single-process ThreadPoolExecutor run of the same
-// spec, with exactly one record per RunKey. The lease policy itself (dead
+// the determinism-under-chaos contract. An in-process coordinator, the
+// executor of a SweepRunner, serves a plan to worker threads over loopback
+// TCP, and in every scenario — clean multi-worker execution, a warm
+// RunStore, a connection dropped holding a lease, duplicate and corrupt
+// deliveries, a coordinator crash and resume — the merged run-record set
+// and the aggregate CSV/JSON must be byte-identical to a single-process
+// ThreadPoolExecutor run of the same spec, with exactly one record per
+// RunKey. The lease policy itself (dead
 // and stalled workers, the resume grace, batching) is tested on virtual
 // time in test_lease_scheduler.cpp.
 #include <gtest/gtest.h>
@@ -111,14 +112,21 @@ std::vector<RunResult> reference_results(const ScenarioSpec& base,
   return runner.run();
 }
 
-/// Runs Coordinator::run() on its own thread, capturing the results (or
-/// the error) for the test body to join on.
+/// Runs a sweep through a SweepRunner whose executor is `coordinator`, on
+/// its own thread, capturing the results (or the error) for the test body
+/// to join on. Cache, series and progress settings go in `options`, as for
+/// a local sweep.
 class ServeThread {
  public:
-  explicit ServeThread(Coordinator& coordinator)
-      : thread_([this, &coordinator] {
+  explicit ServeThread(Coordinator& coordinator,
+                       const ScenarioSpec& base = tiny_base(),
+                       const SweepSpec& sweep = tiny_sweep(),
+                       SweepRunner::Options options = {})
+      : thread_([this, &coordinator, base, sweep, options]() mutable {
+          options.keep_reports = false;
+          options.executor = &coordinator;
           try {
-            results_ = coordinator.run();
+            results_ = SweepRunner(base, sweep, std::move(options)).run();
           } catch (const std::exception& e) {
             error_ = e.what();
           }
@@ -130,7 +138,7 @@ class ServeThread {
     return std::move(results_);
   }
 
-  /// Join a run() expected to throw (crash injection); returns the error.
+  /// Join a sweep expected to throw (crash injection); returns the error.
   std::string join_error() {
     thread_.join();
     return error_;
@@ -339,7 +347,8 @@ TEST(Coordinator, MultiWorkerRunIsByteIdenticalToThreadPool) {
 
   Coordinator::Options options;
   options.lease_timeout_seconds = 30.0;
-  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
+  Coordinator coordinator(options);
+  EXPECT_EQ(coordinator.status().plan_runs, 0u);  // no plan before execute()
   ServeThread serve(coordinator);
 
   // An asymmetric fleet: one two-session worker and one single-session
@@ -375,6 +384,11 @@ TEST(Coordinator, MultiWorkerRunIsByteIdenticalToThreadPool) {
   }
   expect_identical(render(tiny_base(), tiny_sweep(), results),
                    render(tiny_base(), tiny_sweep(), reference));
+
+  // A coordinator serves one sweep.
+  EXPECT_THROW((void)coordinator.execute(SweepPlan(tiny_base(), tiny_sweep()),
+                                         {}, ExecuteOptions{}),
+               util::PreconditionError);
 }
 
 TEST(Coordinator, Fig11ChurnSweepMatchesThePinnedGoldenHashes) {
@@ -393,8 +407,8 @@ TEST(Coordinator, Fig11ChurnSweepMatchesThePinnedGoldenHashes) {
   sweep.axes.push_back(SweepAxis::parse("churn.mean_lifespan=100,200"));
   sweep.seeds = 2;
 
-  Coordinator coordinator(spec, sweep, Coordinator::Options{});
-  ServeThread serve(coordinator);
+  Coordinator coordinator(Coordinator::Options{});
+  ServeThread serve(coordinator, spec, sweep);
   WorkerOptions worker_options;
   worker_options.sessions = 1;
   std::vector<std::thread> workers;
@@ -421,18 +435,19 @@ TEST(Coordinator, WireAndJournalTranscriptArePinned) {
   // Every reply line of a scripted session, the journal it writes, and the
   // shape of /status and /metrics, byte for byte (session tokens, clock
   // readings and descriptors masked). One-run leases keep the grants
-  // independent of timing; a zero drain lets run() return the moment the
-  // last result lands.
+  // independent of timing; a zero drain lets execute() return the moment
+  // the last result lands.
   const auto dir = scratch_dir("transcript");
   const std::string journal = (dir / "sweep.journal").string();
   Coordinator::Options options;
   options.lease_batch_max = 1;
-  options.cache_dir = (dir / "cache").string();
   options.journal_path = journal;
   options.status_port = 0;
   options.drain_seconds = 0.0;
-  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
-  ServeThread serve(coordinator);
+  Coordinator coordinator(options);
+  SweepRunner::Options runner;
+  runner.cache_dir = (dir / "cache").string();
+  ServeThread serve(coordinator, tiny_base(), tiny_sweep(), runner);
 
   const std::string spec_text = tiny_base().serialize();
   const std::string sweep_text = tiny_sweep().serialize();
@@ -609,7 +624,7 @@ TEST(Coordinator, StatusEndpointServesLiveAndDrainedState) {
   // The final scrape follows the worker's DONE by milliseconds; the
   // window only has to outlast that.
   options.drain_seconds = 0.5;
-  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
+  Coordinator coordinator(options);
   ASSERT_NE(coordinator.status_port(), 0);
   ASSERT_NE(coordinator.status_port(), coordinator.port());
   ServeThread serve(coordinator);
@@ -671,10 +686,11 @@ TEST(Coordinator, WarmRunStoreExecutesZeroRuns) {
 
   auto distributed_run = [&](std::size_t& executed, std::size_t& hits) {
     Coordinator::Options options;
-    options.cache_dir = dir.string();
     options.drain_seconds = 5.0;  // generous: the worker must reach DONE
-    Coordinator coordinator(tiny_base(), tiny_sweep(), options);
-    ServeThread serve(coordinator);
+    Coordinator coordinator(options);
+    SweepRunner::Options runner;
+    runner.cache_dir = dir.string();
+    ServeThread serve(coordinator, tiny_base(), tiny_sweep(), runner);
     WorkerReport report;
     std::thread worker([&] {
       report = run_worker("127.0.0.1", coordinator.port(), WorkerOptions{});
@@ -694,7 +710,8 @@ TEST(Coordinator, WarmRunStoreExecutesZeroRuns) {
   EXPECT_EQ(cold_hits, 0u);
 
   // Second sweep over the now-warm shared store: zero runs execute, every
-  // result is recalled, and the output bytes do not move.
+  // result is recalled, and the output bytes do not move. The coordinator
+  // is asked for no run, and still serves PLAN and DONE.
   std::size_t warm_executed = 0;
   std::size_t warm_hits = 0;
   const auto warm = distributed_run(warm_executed, warm_hits);
@@ -735,7 +752,7 @@ class SlowExecutor final : public Executor {
 TEST(CoordinatorFaults, DuplicateDeliveryOfAStoredKeyIsDiscarded) {
   const auto reference = reference_results(tiny_base(), tiny_sweep());
 
-  Coordinator coordinator(tiny_base(), tiny_sweep(), Coordinator::Options{});
+  Coordinator coordinator(Coordinator::Options{});
   ServeThread serve(coordinator);
 
   {
@@ -770,7 +787,7 @@ TEST(CoordinatorFaults, MismatchedRunKeyIsRejectedNotRecorded) {
   // (which also caps the resume grace) that run requeues within 0.5 s.
   Coordinator::Options options;
   options.lease_timeout_seconds = 0.5;
-  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
+  Coordinator coordinator(options);
   ServeThread serve(coordinator);
 
   {
@@ -807,7 +824,7 @@ TEST(CoordinatorFaults, MismatchedRunKeyIsRejectedNotRecorded) {
 TEST(CoordinatorResume, VanishedSessionReclaimsItsLeaseViaResume) {
   const auto reference = reference_results(tiny_base(), tiny_sweep());
 
-  Coordinator coordinator(tiny_base(), tiny_sweep(), Coordinator::Options{});
+  Coordinator coordinator(Coordinator::Options{});
   ServeThread serve(coordinator);
 
   // A session takes a lease, computes the run, and loses its connection
@@ -853,7 +870,7 @@ TEST(CoordinatorResume, VanishedSessionReclaimsItsLeaseViaResume) {
 }
 
 TEST(CoordinatorResume, UnknownTokenResumesNothing) {
-  Coordinator coordinator(tiny_base(), tiny_sweep(), Coordinator::Options{});
+  Coordinator coordinator(Coordinator::Options{});
   ServeThread serve(coordinator);
   {
     RawClient client(coordinator.port());
@@ -875,7 +892,7 @@ TEST(CoordinatorResume, UnknownTokenResumesNothing) {
 TEST(Coordinator, AdaptiveLeaseBatchGrowsWithMeasuredThroughput) {
   Coordinator::Options options;
   options.lease_batch_max = 4;
-  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
+  Coordinator coordinator(options);
   ServeThread serve(coordinator);
 
   {
@@ -926,24 +943,25 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
   const std::string journal = (dir / "sweep.journal").string();
   const std::string cache = (dir / "cache").string();
 
-  // Phase 1: a session holds four leases and the coordinator dies on its
-  // third completion — after the store and journal writes, before the
-  // ack, exactly the window a SIGKILL leaves.
+  // Phase 1: a session holds four leases and the sweep dies on its third
+  // completion — after the store write, before the journal's done event
+  // and the ack, exactly the window a SIGKILL leaves.
   std::string token;
   std::size_t orphan = 0;
   std::string orphan_record;
   {
     Coordinator::Options options;
-    options.cache_dir = cache;
     options.journal_path = journal;
+    SweepRunner::Options runner;
+    runner.cache_dir = cache;
     std::size_t fresh = 0;
-    options.on_result = [&fresh](const RunResult&) {
+    runner.on_result = [&fresh](const RunResult&) {
       if (++fresh == 3) {
         throw std::runtime_error("injected crash after 3 executed runs");
       }
     };
-    Coordinator coordinator(spec, sweep, options);
-    ServeThread serve(coordinator);
+    Coordinator coordinator(options);
+    ServeThread serve(coordinator, spec, sweep, runner);
     RawClient client(coordinator.port());
     const SweepPlan plan = client.handshake();
     token = client.token();
@@ -966,20 +984,21 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
   // A *fresh* coordinator must refuse the stale journal loudly...
   {
     Coordinator::Options options;
-    options.cache_dir = cache;
     options.journal_path = journal;
-    EXPECT_THROW(Coordinator(spec, sweep, options), util::PreconditionError);
+    EXPECT_THROW(Coordinator{options}, util::PreconditionError);
   }
 
-  // ...and a resumed one recalls the 3 completed runs, re-creates the
+  // ...and a resumed sweep recalls the 3 stored runs (the store vouches
+  // for the third, which the journal never saw done), re-creates the
   // orphaned lease under its original session, and executes exactly the 5
   // missing runs.
   Coordinator::Options options;
-  options.cache_dir = cache;
   options.journal_path = journal;
   options.resume = true;
-  Coordinator coordinator(spec, sweep, options);
-  ServeThread serve(coordinator);
+  Coordinator coordinator(options);
+  SweepRunner::Options runner;
+  runner.cache_dir = cache;
+  ServeThread serve(coordinator, spec, sweep, runner);
   {
     // Phase 1's session outlived its coordinator: it reclaims the lease it
     // still holds and delivers the run.
@@ -1027,13 +1046,20 @@ TEST(Coordinator, RejectsLeaseTimeoutsNoWorkerCanUse) {
   for (const double bad : {std::numeric_limits<double>::infinity(), 1e-9}) {
     Coordinator::Options options;
     options.lease_timeout_seconds = bad;
-    options.cache_dir = (dir / "cache").string();
     options.journal_path = (dir / "journal.jsonl").string();
-    EXPECT_THROW(Coordinator(tiny_base(), tiny_sweep(), options),
-                 util::PreconditionError)
-        << bad;
+    EXPECT_THROW(Coordinator{options}, util::PreconditionError) << bad;
     EXPECT_FALSE(std::filesystem::exists(options.journal_path)) << bad;
   }
+}
+
+TEST(Coordinator, RefusesToKeepReports) {
+  // A run record carries no report: a sweep that keeps reports fails
+  // loudly rather than returning empty ones.
+  Coordinator coordinator(Coordinator::Options{});
+  SweepRunner::Options options;
+  options.executor = &coordinator;  // keep_reports stays at its default
+  EXPECT_THROW((void)SweepRunner(tiny_base(), tiny_sweep(), options).run(),
+               util::PreconditionError);
 }
 
 // ---- Remote series streaming ---------------------------------------------
@@ -1053,12 +1079,12 @@ TEST(Coordinator, RemoteSeriesFilesAreByteIdenticalToLocalExecution) {
   }
 
   // Distributed: workers collect the series and stream it back with each
-  // RESULT; the coordinator writes the files.
-  Coordinator::Options options;
-  options.series_every = 2;
-  options.series_out_prefix = (dir / "dist").string();
-  Coordinator coordinator(tiny_base(), tiny_sweep(), options);
-  ServeThread serve(coordinator);
+  // RESULT; the runner writes the files, as it does for a local sweep.
+  Coordinator coordinator(Coordinator::Options{});
+  SweepRunner::Options runner;
+  runner.series_every = 2;
+  runner.series_out_prefix = (dir / "dist").string();
+  ServeThread serve(coordinator, tiny_base(), tiny_sweep(), runner);
   WorkerReport report;
   std::thread worker([&] {
     report = run_worker("127.0.0.1", coordinator.port(), WorkerOptions{});
@@ -1088,8 +1114,8 @@ TEST(Coordinator, StarvedSessionsReportWaitRetries) {
   one_run.seeds = 1;
   Coordinator::Options coordinator_options;
   coordinator_options.lease_timeout_seconds = 0.3;
-  Coordinator coordinator(tiny_base(), one_run, coordinator_options);
-  ServeThread serve(coordinator);
+  Coordinator coordinator(coordinator_options);
+  ServeThread serve(coordinator, tiny_base(), one_run);
 
   SlowExecutor slow(0.5);
   WorkerOptions options;

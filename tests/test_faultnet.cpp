@@ -158,16 +158,19 @@ struct SweepThroughProxy {
 };
 
 SweepThroughProxy run_sweep_through(util::FaultProxy::Options fault_options) {
-  scenario::Coordinator coordinator(tiny_base(), tiny_sweep(),
-                                    scenario::Coordinator::Options{});
+  scenario::Coordinator coordinator(scenario::Coordinator::Options{});
   fault_options.target_port = coordinator.port();
   util::FaultProxy proxy(fault_options);
 
   SweepThroughProxy out;
   std::string serve_error;
   std::thread serve([&] {
+    scenario::SweepRunner::Options options;
+    options.keep_reports = false;
+    options.executor = &coordinator;
     try {
-      out.results = coordinator.run();
+      out.results =
+          scenario::SweepRunner(tiny_base(), tiny_sweep(), options).run();
     } catch (const std::exception& e) {
       serve_error = e.what();
     }

@@ -211,6 +211,8 @@ SweepSpec tiny_sweep() {
 }
 
 TEST(Journal, CoordinatorRejectsAJournalFromADifferentSweep) {
+  // The coordinator learns its plan from the sweep that executes it, so the
+  // fingerprint check fires when serving starts, before any worker joins.
   const auto dir = scratch_dir("foreign_plan");
   const std::string journal_path = (dir / "sweep.journal").string();
   {
@@ -218,19 +220,15 @@ TEST(Journal, CoordinatorRejectsAJournalFromADifferentSweep) {
     journal.record_plan(kFingerprint, 4);  // some other sweep's fingerprint
   }
   Coordinator::Options options;
-  options.cache_dir = (dir / "cache").string();
   options.journal_path = journal_path;
   options.resume = true;
-  EXPECT_THROW(Coordinator(tiny_base(), tiny_sweep(), options),
-               util::PreconditionError);
-}
-
-TEST(Journal, CoordinatorRequiresACacheNextToTheJournal) {
-  Coordinator::Options options;
-  options.journal_path =
-      (scratch_dir("no_cache") / "sweep.journal").string();
-  EXPECT_THROW(Coordinator(tiny_base(), tiny_sweep(), options),
-               util::PreconditionError);
+  Coordinator coordinator(options);
+  SweepRunner::Options runner_options;
+  runner_options.keep_reports = false;
+  runner_options.cache_dir = (dir / "cache").string();
+  runner_options.executor = &coordinator;
+  SweepRunner runner(tiny_base(), tiny_sweep(), runner_options);
+  EXPECT_THROW((void)runner.run(), util::PreconditionError);
 }
 
 TEST(Journal, DoneEventWithoutAStoreRecordIsReExecuted) {
@@ -251,12 +249,17 @@ TEST(Journal, DoneEventWithoutAStoreRecordIsReExecuted) {
   }
 
   Coordinator::Options options;
-  options.cache_dir = (dir / "cache").string();
   options.journal_path = journal_path;
   options.resume = true;
-  Coordinator coordinator(base, sweep, options);
+  Coordinator coordinator(options);
+  SweepRunner::Options runner_options;
+  runner_options.keep_reports = false;
+  runner_options.cache_dir = (dir / "cache").string();
+  runner_options.executor = &coordinator;
   std::vector<RunResult> results;
-  std::thread serve([&] { results = coordinator.run(); });
+  std::thread serve([&] {
+    results = SweepRunner(base, sweep, runner_options).run();
+  });
   WorkerReport report;
   std::thread worker([&] {
     report = run_worker("127.0.0.1", coordinator.port(), WorkerOptions{});
