@@ -18,6 +18,7 @@
 // Sweep execution API v2 extras:
 //   --cache-dir DIR   content-addressed run cache: re-running a grid after
 //                     adding axes/seeds only computes the missing runs
+//   --fsync           fsync each cache append (power-cut durability)
 //   --shard I/N       execute only the i-th strided shard of the run list;
 //                     --out then writes the partial set as run records
 //   --merge FILE      (repeatable, own mode) merge shard record files back
@@ -38,14 +39,12 @@
 //                        sweep flags — the plan arrives over the wire)
 //   --lease-timeout S    revoke + re-queue a silent worker's leases after
 //                        S seconds (coordinator side; default 30)
-//   --journal FILE       crash-safe write-ahead journal: every grant /
-//                        completion / requeue is logged so a killed
-//                        coordinator restarted with --resume executes
-//                        only the missing runs (needs --cache-dir)
-//   --resume             resume an interrupted sweep from --journal
 //   --lease-batch K      grant up to K runs per NEXT, sized per worker
 //                        from measured throughput (default 4)
-//   --fsync              fsync cache and journal appends
+//
+// A coordinator killed mid-sweep restarts with the same command on the
+// same --cache-dir: the stored runs are recalled, and only the rest are
+// leased again.
 //
 // Prints the market report (single-run mode), optionally the Gini chart,
 // and (with --trace) the sustainability analyzer's verdict on the
@@ -103,6 +102,8 @@ namespace {
       << "  --quiet              suppress per-run progress lines\n"
       << "  --cache-dir DIR      skip runs already in the content-addressed\n"
       << "                       run cache at DIR; append fresh ones\n"
+      << "  --fsync              fsync run-cache appends (power-cut\n"
+      << "                       durability; needs --cache-dir)\n"
       << "  --shard I/N          execute only shard I of N (strided run-\n"
       << "                       list partition, 0-based)\n"
       << "  --merge FILE         merge shard record files (repeatable) and\n"
@@ -112,21 +113,15 @@ namespace {
       << "                       in --runs-out\n"
       << "distributed sweep mode (work-stealing over TCP):\n"
       << "  --serve PORT         coordinate this sweep on 0.0.0.0:PORT\n"
-      << "  --coordinator H:P    coordinate, binding host H port P\n"
+      << "  --coordinator H:P    coordinate, binding host H port P (a\n"
+      << "                       killed coordinator restarts with the same\n"
+      << "                       command on the same --cache-dir)\n"
       << "  --worker HOST:PORT   join the sweep served at HOST:PORT\n"
       << "                       (--jobs = parallel worker sessions)\n"
       << "  --lease-timeout S    re-queue a silent worker's runs after S\n"
       << "                       seconds (coordinator side; default 30)\n"
-      << "  --journal FILE       coordinator write-ahead journal: grants,\n"
-      << "                       completions and requeues are logged so a\n"
-      << "                       killed coordinator can --resume; requires\n"
-      << "                       --cache-dir\n"
-      << "  --resume             resume an interrupted sweep from the\n"
-      << "                       --journal (recalls completed runs, holds\n"
-      << "                       orphaned leases for their workers)\n"
       << "  --lease-batch K      grant up to K runs per NEXT, adaptively\n"
       << "                       sized per worker (default 4; 1 disables)\n"
-      << "  --fsync              fsync run-cache and journal appends\n"
       << "single-run convenience flags (aliases of --set):\n"
       << "  --peers N --credits C --horizon S --seed K\n"
       << "  --pricing uniform|poisson|perseller|linear\n"
@@ -319,10 +314,8 @@ struct SweepCliOptions {
   std::string bind_host = "0.0.0.0";
   std::uint16_t bind_port = 0;
   double lease_timeout = 30.0;
-  std::string journal;       ///< --journal (coordinator mode); empty off
-  bool resume = false;       ///< --resume: continue from --journal
   std::size_t lease_batch = 4;  ///< --lease-batch ceiling per NEXT
-  bool fsync = false;        ///< --fsync cache + journal appends
+  bool fsync = false;           ///< --fsync run-cache appends
   int status_port = -1;  ///< --status-port (coordinator mode); -1 off
   std::string series_out;
   std::size_t series_every = 1;
@@ -373,10 +366,7 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
     co.host = cli.bind_host;
     co.port = cli.bind_port;
     co.lease_timeout_seconds = cli.lease_timeout;
-    co.journal_path = cli.journal;
-    co.resume = cli.resume;
     co.lease_batch_max = cli.lease_batch;
-    co.fsync = cli.fsync;
     co.status_port = cli.status_port;
     if (cli.status_port >= 0) {
       // Give scrapers a real window to observe the drained terminal state
@@ -443,7 +433,6 @@ int run_sweep(const creditflow::scenario::ScenarioSpec& spec,
               << " requeued=" << status.requeued
               << " duplicates=" << status.duplicates
               << " resumed=" << status.leases_resumed
-              << " orphans=" << status.journal_orphans
               << " workers=" << status.workers_seen << "\n";
   }
 
@@ -566,31 +555,30 @@ constexpr const char* kModeNames[] = {"single-run", "sweep",  "shard",
 
 /// The flags that only some modes read, with those modes. A flag given in
 /// a mode that does not read it would be ignored silently, so it is a usage
-/// error. Flags not listed (--quiet, --jobs, --trace-out, ...) apply
-/// everywhere. A worker takes its plan over the wire and a merge reads run
-/// records, so neither reads a spec flag.
+/// error. Flags not listed (--quiet, --trace-out, ...) apply everywhere. A
+/// worker takes its plan over the wire and a merge reads run records, so
+/// neither reads a spec flag; --jobs sizes a local pool or a worker's
+/// sessions, which neither a single run, a coordinator nor a merge has.
 constexpr std::pair<std::string_view, unsigned> kFlagModes[] = {
     {"--scenario --set --peers --credits --horizon --seed --pricing "
      "--spend-cv --upload-cv --tax --dynamic --churn --inject --condensed "
      "--trace --series-out --series-every --seeds",
      kSingle | kSweep | kShard | kServe},
     {"--chart", kSingle},
-    {"--sweep --cache-dir", kSweep | kShard | kServe},
+    {"--jobs", kSweep | kShard | kWorker},
+    {"--sweep --cache-dir --fsync", kSweep | kShard | kServe},
     {"--out --runs-out --eta", kSweep | kShard | kServe | kMerge},
     {"--json", kSweep | kServe | kMerge},  // a shard writes JSONL records
     {"--shard", kShard},
-    {"--serve --coordinator --lease-timeout --lease-batch --journal "
-     "--resume --fsync --status-port",
+    {"--serve --coordinator --lease-timeout --lease-batch --status-port",
      kServe},
     {"--worker", kWorker},
     {"--merge", kMerge},
 };
 
-/// Flags that do nothing without another one. A journal needs a run cache
-/// because results must be as durable as the scheduling state it records.
+/// Flags that do nothing without another one.
 constexpr std::pair<std::string_view, std::string_view> kFlagNeeds[] = {
-    {"--journal", "--cache-dir"},
-    {"--resume", "--journal"},
+    {"--fsync", "--cache-dir"},
     {"--series-every", "--series-out"},
     {"--json", "--out"},
 };
@@ -767,10 +755,6 @@ int main(int argc, char** argv) {
                      "below 2^63 ms\n";
         return 64;
       }
-    } else if (arg == "--journal") {
-      cli.journal = next();
-    } else if (arg == "--resume") {
-      cli.resume = true;
     } else if (arg == "--lease-batch") {
       cli.lease_batch = count_or_usage(next(), argv[0]);
       if (cli.lease_batch == 0) usage(argv[0]);
@@ -892,9 +876,8 @@ int main(int argc, char** argv) {
       return 1;
     } catch (const util::PreconditionError& e) {
       // A coordinator's is a usage error: a lease timeout no worker can
-      // use, a stale journal without --resume, another sweep's journal. A
-      // local sweep's is a failed sweep, exit 2 as for a bad --sweep value:
-      // a grid with more runs than size_t counts, for one.
+      // use. A local sweep's is a failed sweep, exit 2 as for a bad --sweep
+      // value: a grid with more runs than size_t counts, for one.
       std::cerr << e.what() << "\n";
       return mode == kServe ? 64 : 2;
     }

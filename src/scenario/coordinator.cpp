@@ -11,7 +11,6 @@
 #include <optional>
 #include <sstream>
 
-#include "scenario/journal.hpp"
 #include "scenario/store.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -44,7 +43,6 @@ std::string status_json(const SweepStatus& s) {
       << ",\"duplicates\":" << s.duplicates
       << ",\"workers_seen\":" << s.workers_seen
       << ",\"leases_resumed\":" << s.leases_resumed
-      << ",\"journal_orphans\":" << s.journal_orphans
       << ",\"done\":" << (s.done ? "true" : "false")
       << ",\"elapsed_seconds\":" << json_number(s.elapsed_seconds)
       << ",\"eta_seconds\":"
@@ -93,8 +91,6 @@ std::string metrics_text(const SweepStatus& s) {
         s.workers_seen);
   gauge("leases_resumed", "Leases reclaimed via the RESUME handshake.",
         s.leases_resumed);
-  gauge("journal_orphans", "Orphaned leases re-created from the journal.",
-        s.journal_orphans);
   gauge("done", "1 when every planned run is complete.",
         s.done ? 1 : 0);
   gauge("elapsed_seconds", "Wall time since the coordinator started.",
@@ -123,7 +119,6 @@ std::optional<long long> lease_timeout_ms(double seconds) {
 
 struct Coordinator::Impl {
   Options options;
-  std::optional<Journal> journal;
   util::Listener listener;
   util::Listener status_listener;  ///< invalid unless status_port >= 0
   const Clock::time_point started = Clock::now();
@@ -179,14 +174,6 @@ struct Coordinator::Impl {
                    "2^63 ms");
     token_state = static_cast<std::uint64_t>(
         std::chrono::system_clock::now().time_since_epoch().count());
-    if (!options.journal_path.empty()) {
-      journal.emplace(options.journal_path,
-                      Journal::Options{options.fsync});
-      CF_EXPECTS_MSG(options.resume || journal->replayed().events == 0,
-                     "journal " + options.journal_path +
-                         " already holds a sweep; pass --resume to "
-                         "continue it (or point at a fresh journal)");
-    }
     listener = util::Listener::bind(options.host, options.port);
     if (options.status_port >= 0) {
       status_listener = util::Listener::bind(
@@ -194,12 +181,10 @@ struct Coordinator::Impl {
     }
   }
 
-  /// Bind the serving state to `sweep`: the PLAN header, the journal's
-  /// plan line, and a scheduler in which every run not in `requested` is
-  /// already complete and a resumed journal's open grants are orphans of
-  /// their original sessions, which may have outlived the old coordinator.
+  /// Bind the serving state to `sweep`: the PLAN header and a scheduler in
+  /// which every run not in `requested` is already complete.
   void start(const SweepPlan& sweep, std::span<const std::size_t> requested,
-             std::size_t series_every, double now) {
+             std::size_t series_every) {
     plan = &sweep;
     const std::string spec_text = sweep.base().serialize();
     const std::string sweep_text = sweep.sweep().serialize();
@@ -214,18 +199,6 @@ struct Coordinator::Impl {
     for (std::size_t i = 0; i < sweep.size(); ++i) keys.push_back(sweep.key(i));
     results.resize(sweep.size());
 
-    if (journal) {
-      // Binds journal state to this exact plan (spec ‖ sweep ‖ size).
-      const std::string fingerprint =
-          RunKey::of(plan_payload, sweep.size()).hex();
-      const JournalReplay& replay = journal->replayed();
-      CF_EXPECTS_MSG(!replay.has_plan || replay.fingerprint == fingerprint,
-                     "journal " + options.journal_path +
-                         " belongs to a different sweep (plan fingerprint "
-                         "mismatch)");
-      journal->record_plan(fingerprint, sweep.size());
-    }
-
     std::vector<char> asked(sweep.size(), 0);
     for (const std::size_t idx : requested) {
       CF_EXPECTS_MSG(idx < sweep.size() && asked[idx] == 0,
@@ -236,25 +209,6 @@ struct Coordinator::Impl {
                       options.lease_batch_max);
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       if (asked[i] == 0) scheduler->recall(i);
-    }
-    if (!journal) return;  // an unresumed journal replays nothing
-    const JournalReplay& replay = journal->replayed();
-    for (const auto& [idx, key] : replay.completed) {
-      if (idx < sweep.size() && asked[idx] != 0) {
-        CF_LOG_WARN("coordinator: journal says run "
-                    << idx << " completed but the store has no record ("
-                    << (key == keys[idx] ? "lost append" : "foreign run key")
-                    << "); re-executing");
-      }
-    }
-    for (const auto& [idx, session] : replay.open_leases) {
-      scheduler->adopt_orphan(idx, session, now);
-    }
-    const std::size_t orphans = scheduler->status(now).journal_orphans;
-    if (orphans > 0) {
-      CF_LOG_INFO("coordinator: resumed " << orphans
-                                          << " orphaned lease(s) from "
-                                          << journal->path());
     }
   }
 
@@ -286,11 +240,10 @@ struct Coordinator::Impl {
       return conn.socket.send_all("DUP\n");
     }
     RunResult merged = plan->labelled_result(idx, std::move(record.result));
-    // Durability order: the caller stores the result first, then the
-    // journal's done event — a crash between the two re-executes nothing
-    // (the store answers) and corrupts nothing.
+    // Durability order: the caller stores the result before the worker
+    // hears OK, so a coordinator that crashes after the store write is not
+    // asked for the run again; the worker's redelivery is a DUP.
     if (on_result) on_result(merged, payload.substr(record_bytes));
-    if (journal) journal->record_done(idx, keys[idx]);
     results[idx] = std::move(merged);
     return conn.socket.send_all("OK\n");
   }
@@ -333,7 +286,6 @@ struct Coordinator::Impl {
       if (granted.empty()) return conn.socket.send_all("WAIT\n");
       std::string reply = "RUN";
       for (const std::size_t idx : granted) {
-        if (journal) journal->record_grant(idx, conn.session);
         reply += " " + std::to_string(idx);
       }
       return conn.socket.send_all(reply + "\n");
@@ -444,9 +396,8 @@ std::vector<RunResult> Coordinator::execute(
   CF_EXPECTS_MSG(!options.keep_reports,
                  "a coordinator keeps no reports: a run record carries none");
   im.ran = true;
-  // Every exit, an exception from on_result or a foreign journal included,
-  // closes every socket: no worker waits out its reply timeout on a dead
-  // loop.
+  // Every exit, an exception from on_result included, closes every socket:
+  // no worker waits out its reply timeout on a dead loop.
   struct CloseOnExit {
     Impl& im;
     ~CloseOnExit() {
@@ -457,7 +408,7 @@ std::vector<RunResult> Coordinator::execute(
   } const close_on_exit{im};
 
   im.on_result = options.on_result;
-  im.start(plan, run_indices, options.series_every, im.elapsed());
+  im.start(plan, run_indices, options.series_every);
   LeaseScheduler& scheduler = *im.scheduler;
   std::optional<double> drain_deadline;
   while (true) {
@@ -473,9 +424,7 @@ std::vector<RunResult> Coordinator::execute(
           scheduler.status(now).workers_seen > 0))) {
       break;
     }
-    for (const std::size_t idx : scheduler.expire(now)) {
-      if (im.journal) im.journal->record_requeue(idx);
-    }
+    scheduler.expire(now);
 
     // Sleep until traffic, the nearest lease deadline, or the drain
     // deadline — whichever comes first.

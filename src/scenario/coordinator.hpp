@@ -23,13 +23,14 @@
 //
 // Fault tolerance (protocol v2):
 //
-//   * Crash-safe journal — with Options::journal_path set, every grant,
-//     completion, and requeue is written ahead to an append-only JSONL
-//     journal (journal.hpp) next to the runner's run store. A coordinator
-//     killed mid-sweep and restarted with Options::resume is asked only
-//     for the runs the store lacks, re-creates orphaned leases under their
-//     original session tokens, and executes only the missing runs —
-//     output byte-identical to an uninterrupted sweep.
+//   * Crash recovery through the run store — the runner stores each run
+//     before its worker hears OK, so the store is the only state a crash
+//     leaves behind. A coordinator killed mid-sweep and restarted the same
+//     way on the same store is asked only for the runs the store lacks. A
+//     surviving worker's RESUME gets RESUMED 0 from it; the worker delivers
+//     what it finished (first completion wins) and carries on, so the
+//     crash costs at most one re-run per surviving worker session. Output
+//     is byte-identical to an uninterrupted sweep.
 //   * RESUME handshake — each session is issued a token in PLAN; a worker
 //     whose TCP connection drops reconnects and sends RESUME <token> to
 //     reclaim its outstanding leases (and deliver results computed while
@@ -43,7 +44,7 @@
 //
 // The lease policy is LeaseScheduler (lease_scheduler.hpp), which does no
 // I/O; execute() is the poll loop that feeds it protocol events and writes
-// the journal and the replies around it.
+// the replies around it.
 //
 // Wire protocol v3 (newline-delimited ASCII; payloads length-prefixed):
 //
@@ -77,10 +78,7 @@
 // rejected and the connection dropped.
 //
 // Runs of the plan that execute() was not asked for count as complete
-// from the start (cache hits in status()): workers never lease them. A
-// journalled completion the caller asks for again is re-executed — only
-// the store vouches for result bytes — so a journal without a store is
-// still correct, merely slower to resume.
+// from the start (cache hits in status()): workers never lease them.
 #pragma once
 
 #include <cstdint>
@@ -132,16 +130,6 @@ class Coordinator final : public Executor {
     /// get 1); 1 disables batching entirely.
     std::size_t lease_batch_max = 4;
 
-    /// Write-ahead journal path; empty disables journalling. With an
-    /// existing non-empty journal, construction throws unless `resume` is
-    /// set.
-    std::string journal_path;
-    /// Resume an interrupted sweep from journal_path: re-create orphaned
-    /// leases, execute only what is asked for.
-    bool resume = false;
-    /// fsync journal appends (power-cut durability).
-    bool fsync = false;
-
     /// Live status endpoint: when >= 0, bind a second listener on the same
     /// host (0 picks a free port — read it back via status_port()) that
     /// answers `GET /status` with a JSON progress snapshot from the serving
@@ -154,9 +142,8 @@ class Coordinator final : public Executor {
 
   /// Binds and listens immediately (so workers can connect before
   /// execute()), but serves nothing until execute() is called. Throws
-  /// util::PreconditionError on a lease timeout no worker can use or on a
-  /// stale journal without `resume` (both before binding), and
-  /// util::SocketError when the address cannot be bound.
+  /// util::PreconditionError on a lease timeout no worker can use (before
+  /// binding), and util::SocketError when the address cannot be bound.
   explicit Coordinator(Options options);
   ~Coordinator() override;
 
@@ -170,11 +157,10 @@ class Coordinator final : public Executor {
 
   /// Serve `run_indices` of `plan` until each has exactly one result, then
   /// drain and return them in request order. Every first completion goes
-  /// to options.on_result(result, series_csv) before it is journalled
-  /// done; options.series_every is the cadence PLAN asks workers to
-  /// sample at, and options.jobs does not apply. Throws
-  /// util::PreconditionError when options.keep_reports is set (a run
-  /// record carries no report) or the journal belongs to another plan.
+  /// to options.on_result(result, series_csv) before its worker hears OK;
+  /// options.series_every is the cadence PLAN asks workers to sample at,
+  /// and options.jobs does not apply. Throws util::PreconditionError when
+  /// options.keep_reports is set (a run record carries no report).
   /// Callable once.
   [[nodiscard]] std::vector<RunResult> execute(
       const SweepPlan& plan, std::span<const std::size_t> run_indices,

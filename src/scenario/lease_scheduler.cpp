@@ -36,16 +36,6 @@ void LeaseScheduler::recall(std::size_t run) {
   ++totals_.cache_hits;
 }
 
-void LeaseScheduler::adopt_orphan(std::size_t run, std::string session,
-                                  double now) {
-  if (run >= complete_.size() || complete_[run] != 0) return;
-  // Its worker either outlived the old coordinator (it resumes well within
-  // the grace) or died with it (requeue soon, don't stall the fleet).
-  std::erase(pending_, run);
-  leases_[run] = Lease{kOrphan, std::move(session), now + resume_grace_, now};
-  ++totals_.journal_orphans;
-}
-
 void LeaseScheduler::join(int worker, double now) {
   workers_[worker] = Worker{0, now, now};
   ++totals_.workers_seen;

@@ -41,7 +41,6 @@ struct SweepStatus {
   std::size_t duplicates = 0;       ///< deliveries of complete runs
   std::size_t workers_seen = 0;
   std::size_t leases_resumed = 0;
-  std::size_t journal_orphans = 0;  ///< orphans adopted from a journal
   bool done = false;
   double elapsed_seconds = 0.0;
   /// Remaining runs at the fresh-completion pace; nullopt before the first.
@@ -64,9 +63,6 @@ class LeaseScheduler {
   /// Seeding, before the first grant: `run` is not the coordinator's to
   /// lease (the run store answered it).
   void recall(std::size_t run);
-  /// Seeding: re-create a lease journalled for `session` and never closed
-  /// as an orphan awaiting its RESUME; ignores unknown or complete runs.
-  void adopt_orphan(std::size_t run, std::string session, double now);
 
   /// `worker` (an id unique among connected workers) said HELLO.
   void join(int worker, double now);
@@ -90,7 +86,7 @@ class LeaseScheduler {
   [[nodiscard]] bool complete(std::size_t run, int worker, double now);
   /// Revoke every lease past its deadline and requeue its run at the
   /// queue head; returns the runs in index order.
-  [[nodiscard]] std::vector<std::size_t> expire(double now);
+  std::vector<std::size_t> expire(double now);
 
   [[nodiscard]] bool done() const {
     return totals_.completed == totals_.plan_runs;

@@ -91,9 +91,9 @@ std::vector<RunResult> SweepRunner::run() {
   exec_options.keep_reports = options_.keep_reports;
   exec_options.series_every = options_.series_every;
   // Each fresh run, whichever executor computed it: the store first, so a
-  // sweep killed after this run keeps it (and a coordinator journals the
-  // run done only after this returns); then its series file; then the
-  // caller.
+  // sweep killed after this run keeps it (a restarted coordinator is
+  // asked only for the runs the store lacks); then its series file; then
+  // the caller.
   exec_options.on_result = [&](const RunResult& r,
                                const std::string& series_csv) {
     if (store) store->put(plan.key(r.run_index), r);

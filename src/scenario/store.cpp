@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -42,6 +43,49 @@ std::string json_escape(const std::string& s) {
 std::string json_number(double v) {
   return std::isnan(v) ? "null" : util::format_double(v);
 }
+
+namespace {
+
+/// The reader of a run-record line: a cursor over one line of objects
+/// whose members are strings, numbers or nested objects. Not a general
+/// JSON parser, exactly the subset the writer emits. Every error throws
+/// util::PreconditionError; `text` must outlive the parser.
+class RecordParser {
+ public:
+  explicit RecordParser(const std::string& text) : text_(text) {}
+
+  /// Walk one object: f(name) runs with the cursor on each member's value
+  /// and must consume it (a parse_* call or a nested members()).
+  template <typename F>
+  void members(F&& f) {
+    expect('{');
+    if (consume('}')) return;
+    do {
+      const std::string name = parse_string();
+      expect(':');
+      f(name);
+    } while (consume(','));
+    expect('}');
+  }
+
+  [[nodiscard]] std::string parse_string();
+  /// A number; `null`, and the `nan` of records written before NaN was
+  /// `null`, read as NaN.
+  [[nodiscard]] double parse_number();
+  /// Digits only, within 64 bits.
+  [[nodiscard]] std::uint64_t parse_u64();
+  /// Throws unless nothing but blanks is left: a line holds one object, so
+  /// a torn or run-together line never parses.
+  void finish();
+
+ private:
+  void expect(char c);
+  [[nodiscard]] bool consume(char c);
+  void skip_ws();
+
+  const std::string& text_;
+  std::size_t pos_ = 0;
+};
 
 void RecordParser::expect(char c) {
   skip_ws();
@@ -135,8 +179,6 @@ void RecordParser::skip_ws() {
     ++pos_;
   }
 }
-
-namespace {
 
 void append_number_object(
     std::ostringstream& out,

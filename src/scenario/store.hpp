@@ -15,7 +15,6 @@
 // invocation parses any number of record files back into RunResults.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,48 +35,6 @@ namespace creditflow::scenario {
 /// `null` for NaN (`nan` is not JSON). Shared by the run-record, status and
 /// aggregate writers.
 [[nodiscard]] std::string json_number(double v);
-
-/// The one reader of the engine's JSONL lines — run records and journal
-/// events: a cursor over one line of objects whose members are strings,
-/// numbers or nested objects. Not a general JSON parser, exactly the subset
-/// the writers emit. Every error throws util::PreconditionError; `text`
-/// must outlive the parser.
-class RecordParser {
- public:
-  explicit RecordParser(const std::string& text) : text_(text) {}
-
-  /// Walk one object: f(name) runs with the cursor on each member's value
-  /// and must consume it (a parse_* call or a nested members()).
-  template <typename F>
-  void members(F&& f) {
-    expect('{');
-    if (consume('}')) return;
-    do {
-      const std::string name = parse_string();
-      expect(':');
-      f(name);
-    } while (consume(','));
-    expect('}');
-  }
-
-  [[nodiscard]] std::string parse_string();
-  /// A number; `null`, and the `nan` of records written before NaN was
-  /// `null`, read as NaN.
-  [[nodiscard]] double parse_number();
-  /// Digits only, within 64 bits.
-  [[nodiscard]] std::uint64_t parse_u64();
-  /// Throws unless nothing but blanks is left: a line holds one object, so
-  /// a torn or run-together line never parses.
-  void finish();
-
- private:
-  void expect(char c);
-  [[nodiscard]] bool consume(char c);
-  void skip_ws();
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 /// One persisted run: its content address plus the (report-free) result.
 struct RunRecord {
@@ -117,8 +74,8 @@ class RunStore {
     /// fsync(2) after every appended record. Off by default — a flushed
     /// O_APPEND write already survives any process kill; fsync upgrades
     /// that to surviving a machine crash, at per-record fsync cost.
-    /// Sweep-farm deployments that rely on the cache + journal for
-    /// crash recovery turn this on via --fsync.
+    /// Sweep-farm deployments that rely on the cache for crash recovery
+    /// turn this on via --fsync.
     bool fsync = false;
   };
 

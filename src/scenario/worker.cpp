@@ -184,7 +184,7 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
   }
 
   // Reconnect: the coordinator answering this port must still be serving
-  // the same plan (a restarted coordinator on the same journal is; some
+  // the same plan (a coordinator restarted with the same command is; some
   // unrelated sweep on a recycled port is not).
   if (spec_text + sweep_text != plan_text_) {
     hard_error = "coordinator now serves a different plan; not resuming";
@@ -214,7 +214,12 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
       hard_error = "bad reclaimed lease in: " + resumed;
       return false;
     }
-    leased_.push_back(idx);
+    // A reclaimed run whose result is waiting to go out is delivered, not
+    // computed again.
+    if (std::none_of(undelivered_.begin(), undelivered_.end(),
+                     [idx](const Delivery& d) { return d.run_index == idx; })) {
+      leased_.push_back(idx);
+    }
   }
   if (reclaimed > 0) {
     outcome_.leases_resumed += static_cast<std::size_t>(reclaimed);

@@ -15,7 +15,9 @@
 // jitter), replays the handshake, verifies it is still the same plan, and
 // sends RESUME <token> to reclaim the leases (and redeliver any result
 // computed while disconnected) that the coordinator held in its orphan
-// grace window. Only when the coordinator stays gone past the 30 s
+// grace window. A restarted coordinator knows no token: it answers
+// RESUMED 0, and the session delivers what it finished and carries on
+// under its fresh token. Only when the coordinator stays gone past the 30 s
 // reconnect window does the session report failure; the coordinator's
 // lease timeout then requeues its runs for the surviving fleet.
 //

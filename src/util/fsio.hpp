@@ -1,6 +1,5 @@
 // CreditFlow: durable file primitives for the sweep farm's persistent
-// state — the RunStore cache, the coordinator's write-ahead journal, and
-// the aggregate output files.
+// state — the RunStore cache and the aggregate output files.
 //
 // Two primitives, both POSIX-fd based so durability is a real property and
 // not a stdio buffering accident:

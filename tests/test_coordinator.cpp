@@ -3,7 +3,7 @@
 // executor of a SweepRunner, serves a plan to worker threads over loopback
 // TCP, and in every scenario — clean multi-worker execution, a warm
 // RunStore, a connection dropped holding a lease, duplicate and corrupt
-// deliveries, a coordinator crash and resume — the merged run-record set
+// deliveries, a coordinator crash and restart — the merged run-record set
 // and the aggregate CSV/JSON must be byte-identical to a single-process
 // ThreadPoolExecutor run of the same spec, with exactly one record per
 // RunKey. The lease policy itself (dead
@@ -318,16 +318,6 @@ std::string mask_after(std::string text, const std::string& prefix) {
   return text;
 }
 
-/// Replace every occurrence of `from` in `text` with `to`.
-std::string replace_all(std::string text, const std::string& from,
-                        const std::string& to) {
-  for (auto at = text.find(from); at != std::string::npos;
-       at = text.find(from, at + to.size())) {
-    text.replace(at, from.size(), to);
-  }
-  return text;
-}
-
 /// Compute the honest run record a correct worker would deliver for
 /// `run_index` of `plan`.
 std::string honest_record(const SweepPlan& plan, std::size_t run_index) {
@@ -429,25 +419,20 @@ TEST(Coordinator, Fig11ChurnSweepMatchesThePinnedGoldenHashes) {
   EXPECT_EQ(util::fnv1a64(sink.runs_csv()), 0xc27d93ece3617262ULL);
 }
 
-// ---- Wire and journal transcript -----------------------------------------
+// ---- Wire transcript -----------------------------------------------------
 
-TEST(Coordinator, WireAndJournalTranscriptArePinned) {
-  // Every reply line of a scripted session, the journal it writes, and the
-  // shape of /status and /metrics, byte for byte (session tokens, clock
-  // readings and descriptors masked). One-run leases keep the grants
-  // independent of timing; a zero drain lets execute() return the moment
-  // the last result lands.
-  const auto dir = scratch_dir("transcript");
-  const std::string journal = (dir / "sweep.journal").string();
+TEST(Coordinator, WireTranscriptIsPinned) {
+  // Every reply line of a scripted session and the shape of /status and
+  // /metrics, byte for byte (session tokens, clock readings and
+  // descriptors masked). One-run leases keep the grants independent of
+  // timing; a zero drain lets execute() return the moment the last result
+  // lands.
   Coordinator::Options options;
   options.lease_batch_max = 1;
-  options.journal_path = journal;
   options.status_port = 0;
   options.drain_seconds = 0.0;
   Coordinator coordinator(options);
-  SweepRunner::Options runner;
-  runner.cache_dir = (dir / "cache").string();
-  ServeThread serve(coordinator, tiny_base(), tiny_sweep(), runner);
+  ServeThread serve(coordinator);
 
   const std::string spec_text = tiny_base().serialize();
   const std::string sweep_text = tiny_sweep().serialize();
@@ -485,7 +470,7 @@ TEST(Coordinator, WireAndJournalTranscriptArePinned) {
       "{\"plan_runs\":8,\"completed\":0,\"pending\":7,\"leased\":1,"
       "\"orphaned_leases\":0,\"executed\":0,\"cache_hits\":0,"
       "\"requeued\":0,\"duplicates\":0,\"workers_seen\":1,"
-      "\"leases_resumed\":0,\"journal_orphans\":0,\"done\":false,"
+      "\"leases_resumed\":0,\"done\":false,"
       "\"elapsed_seconds\":#,\"eta_seconds\":null,"
       "\"lease_wall_ms\":{\"count\":0,\"mean\":0,\"p50\":0,\"p90\":0,"
       "\"max\":0},\"workers\":[{\"fd\":#,\"completed\":0,"
@@ -535,9 +520,6 @@ creditflow_sweep_workers_seen 1
 # HELP creditflow_sweep_leases_resumed Leases reclaimed via the RESUME handshake.
 # TYPE creditflow_sweep_leases_resumed gauge
 creditflow_sweep_leases_resumed 0
-# HELP creditflow_sweep_journal_orphans Orphaned leases re-created from the journal.
-# TYPE creditflow_sweep_journal_orphans gauge
-creditflow_sweep_journal_orphans 0
 # HELP creditflow_sweep_done 1 when every planned run is complete.
 # TYPE creditflow_sweep_done gauge
 creditflow_sweep_done 0
@@ -599,21 +581,6 @@ creditflow_sweep_worker_completed_runs{fd="#"} 0
   expect_identical(render(tiny_base(), tiny_sweep(), results),
                    render(tiny_base(), tiny_sweep(),
                           reference_results(tiny_base(), tiny_sweep())));
-
-  std::string expected_journal =
-      "{\"ev\":\"plan\",\"fingerprint\":\"" +
-      RunKey::of(spec_text + sweep_text, plan.size()).hex() +
-      "\",\"runs\":8}\n";
-  for (std::size_t idx = 0; idx < plan.size(); ++idx) {
-    expected_journal += "{\"ev\":\"grant\",\"run\":" + std::to_string(idx) +
-                        ",\"session\":\"" + (idx == 0 ? "A" : "B") +
-                        "\"}\n{\"ev\":\"done\",\"run\":" +
-                        std::to_string(idx) + ",\"key\":\"" +
-                        plan.key(idx).hex() + "\"}\n";
-  }
-  EXPECT_EQ(replace_all(replace_all(read_file(journal), a.token(), "A"),
-                        b.token(), "B"),
-            expected_journal);
 }
 
 // ---- Live status endpoint ------------------------------------------------
@@ -923,11 +890,11 @@ TEST(Coordinator, AdaptiveLeaseBatchGrowsWithMeasuredThroughput) {
 }
 
 TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
-  // The tentpole contract end to end: a coordinator that dies after 3
-  // completions, restarted with --resume on the same journal + cache, must
-  // finish the sweep executing only the missing runs — and land on the
-  // *same pinned golden hashes* the single-process engine and the
-  // uninterrupted distributed sweep do.
+  // A coordinator that dies after 3 completions, restarted the same way on
+  // the same cache, must finish the sweep executing only the missing runs
+  // — and land on the *same pinned golden hashes* the single-process
+  // engine and the uninterrupted distributed sweep do. The store is the
+  // only state the crash leaves behind.
   const ScenarioSpec* preset =
       ScenarioRegistry::builtin().find("fig11_churn");
   ASSERT_NE(preset, nullptr);
@@ -939,29 +906,26 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
   sweep.axes.push_back(SweepAxis::parse("churn.mean_lifespan=100,200"));
   sweep.seeds = 2;
 
-  const auto dir = scratch_dir("journal_resume");
-  const std::string journal = (dir / "sweep.journal").string();
-  const std::string cache = (dir / "cache").string();
+  const auto dir = scratch_dir("crash_restart");
+  SweepRunner::Options runner;
+  runner.cache_dir = (dir / "cache").string();
 
   // Phase 1: a session holds four leases and the sweep dies on its third
-  // completion — after the store write, before the journal's done event
-  // and the ack, exactly the window a SIGKILL leaves.
+  // completion — after the store write, before the ack, exactly the
+  // window a SIGKILL leaves.
   std::string token;
-  std::size_t orphan = 0;
-  std::string orphan_record;
+  std::size_t held_run = 0;
+  std::string held_record;
   {
-    Coordinator::Options options;
-    options.journal_path = journal;
-    SweepRunner::Options runner;
-    runner.cache_dir = cache;
+    SweepRunner::Options dying = runner;
     std::size_t fresh = 0;
-    runner.on_result = [&fresh](const RunResult&) {
+    dying.on_result = [&fresh](const RunResult&) {
       if (++fresh == 3) {
         throw std::runtime_error("injected crash after 3 executed runs");
       }
     };
-    Coordinator coordinator(options);
-    ServeThread serve(coordinator, spec, sweep, runner);
+    Coordinator coordinator(Coordinator::Options{});
+    ServeThread serve(coordinator, spec, sweep, dying);
     RawClient client(coordinator.port());
     const SweepPlan plan = client.handshake();
     token = client.token();
@@ -977,35 +941,22 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
     const std::string error = serve.join_error();
     EXPECT_NE(error.find("injected crash"), std::string::npos) << error;
     EXPECT_EQ(coordinator.status().executed, 3u);
-    orphan = held[3];
-    orphan_record = honest_record(plan, orphan);
+    held_run = held[3];
+    held_record = honest_record(plan, held_run);
   }
 
-  // A *fresh* coordinator must refuse the stale journal loudly...
-  {
-    Coordinator::Options options;
-    options.journal_path = journal;
-    EXPECT_THROW(Coordinator{options}, util::PreconditionError);
-  }
-
-  // ...and a resumed sweep recalls the 3 stored runs (the store vouches
-  // for the third, which the journal never saw done), re-creates the
-  // orphaned lease under its original session, and executes exactly the 5
-  // missing runs.
-  Coordinator::Options options;
-  options.journal_path = journal;
-  options.resume = true;
-  Coordinator coordinator(options);
-  SweepRunner::Options runner;
-  runner.cache_dir = cache;
+  // Phase 2: a fresh coordinator on the same cache recalls the 3 stored
+  // runs and is asked for the other 5.
+  Coordinator coordinator(Coordinator::Options{});
   ServeThread serve(coordinator, spec, sweep, runner);
   {
-    // Phase 1's session outlived its coordinator: it reclaims the lease it
-    // still holds and delivers the run.
+    // Phase 1's session outlived its coordinator. The new one does not
+    // know its token, so it resumes nothing, and the run it still holds
+    // is a first completion.
     RawClient returned(coordinator.port());
     (void)returned.handshake();
-    EXPECT_EQ(returned.resume(token), std::vector<std::size_t>{orphan});
-    EXPECT_EQ(returned.deliver(orphan_record), "OK");
+    EXPECT_TRUE(returned.resume(token).empty());
+    EXPECT_EQ(returned.deliver(held_record), "OK");
     returned.vanish();
   }
   WorkerReport report;
@@ -1020,8 +971,8 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
   const SweepStatus status = coordinator.status();
   EXPECT_EQ(status.cache_hits, 3u);
   EXPECT_EQ(status.executed, 5u);
-  EXPECT_EQ(status.journal_orphans, 1u);  // phase 1's undelivered lease
-  EXPECT_EQ(status.leases_resumed, 1u);
+  EXPECT_EQ(status.leases_resumed, 0u);
+  EXPECT_EQ(status.duplicates, 0u);
   ASSERT_EQ(results.size(), 8u);
 
   ResultSink sink;
@@ -1034,21 +985,17 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
 TEST(Coordinator, RejectsLeaseTimeoutsNoWorkerCanUse) {
   // PLAN announces the timeout in whole milliseconds, and a worker rejects
   // a header whose count is not positive. inf and 1e300 have no such
-  // count; 1e-9 rounds to 0. Each is refused before the journal opens or
-  // the port binds.
+  // count; 1e-9 rounds to 0. Each is refused before the port binds.
   EXPECT_EQ(lease_timeout_ms(30.0), 30000);
   EXPECT_EQ(lease_timeout_ms(0.0005), 1);
   for (const double bad : {std::numeric_limits<double>::infinity(), 1e300,
                            1e-9, 0.0, -1.0, std::nan("")}) {
     EXPECT_FALSE(lease_timeout_ms(bad).has_value()) << bad;
   }
-  const auto dir = scratch_dir("lease_timeout");
   for (const double bad : {std::numeric_limits<double>::infinity(), 1e-9}) {
     Coordinator::Options options;
     options.lease_timeout_seconds = bad;
-    options.journal_path = (dir / "journal.jsonl").string();
     EXPECT_THROW(Coordinator{options}, util::PreconditionError) << bad;
-    EXPECT_FALSE(std::filesystem::exists(options.journal_path)) << bad;
   }
 }
 

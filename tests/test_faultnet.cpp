@@ -215,6 +215,9 @@ TEST(FaultProxySweep, MidSweepDisconnectIsAbsorbedByResumeByteIdentical) {
   EXPECT_EQ(sweep.counters.disconnects, 1u);
   EXPECT_GE(sweep.report.reconnects, 1u);
   EXPECT_GE(sweep.counters.connections, 2u);  // the original + the resume
+  // The run the cut caught undelivered is delivered once, not computed
+  // again after the RESUME hands its lease back.
+  EXPECT_EQ(sweep.report.duplicates, 0u);
   scenario::ResultSink sink;
   sink.add_all(sweep.results);
   EXPECT_EQ(sink.runs_csv(), reference_runs_csv());

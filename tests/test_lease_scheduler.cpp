@@ -196,34 +196,6 @@ TEST(LeaseScheduler, CompleteRunsAreNeverGranted) {
   EXPECT_EQ(status.duplicates, 0u);
 }
 
-TEST(LeaseScheduler, JournalOrphansWaitTheGraceCappedAtTheLease) {
-  // A 30 s lease: adopted orphans wait the 2 s grace for their session.
-  LeaseScheduler wide(3, 30.0, 1);
-  wide.recall(2);
-  wide.adopt_orphan(0, "old", 0.0);
-  wide.adopt_orphan(1, "old", 0.0);
-  wide.adopt_orphan(2, "old", 0.0);  // complete: ignored
-  wide.adopt_orphan(7, "old", 0.0);  // not in the plan: ignored
-  SweepStatus status = wide.status(0.0);
-  EXPECT_EQ(status.journal_orphans, 2u);
-  EXPECT_EQ(status.orphaned_leases, 2u);
-  EXPECT_EQ(status.pending, 0u);
-  EXPECT_EQ(wide.next_deadline(), 2.0);
-  // Their session comes back within the grace and reclaims both.
-  wide.join(1, 1.0);
-  EXPECT_EQ(wide.resume(1, "old", 1.0), (Runs{0, 1}));
-  EXPECT_TRUE(wide.expire(2.0).empty());
-
-  // A 0.5 s lease caps the grace: nobody returns, and the orphan requeues
-  // after the lease timeout.
-  LeaseScheduler narrow(2, 0.5, 1);
-  narrow.adopt_orphan(1, "old", 0.0);
-  EXPECT_TRUE(narrow.expire(0.499).empty());
-  EXPECT_EQ(narrow.expire(0.5), Runs{1});
-  narrow.join(1, 1.0);
-  EXPECT_EQ(narrow.grant(1, "new", 1.0), Runs{1});
-}
-
 TEST(LeaseScheduler, SnapshotReportsProgressEtaAndWorkers) {
   LeaseScheduler s(10, 30.0, 1);
   s.recall(9);
