@@ -17,6 +17,9 @@
 //  * shopping lists trimmed to the newest max_purchase_attempts chunks,
 //    hashed the same way, captured while the purchase phase still walked
 //    a reversed missing-chunk list;
+//  * fractional per-peer upload budgets (lognormal capacities) in direct
+//    and order-book markets, hashed the same way, captured while a budget
+//    was still a double that each sale lowered by 1.0;
 //  * the phase-width counters: a buyer with no candidates counts as a
 //    one-word phase when its window fits one word;
 //  * the ownership-row invariant: PeerTable::owned() holds exactly the
@@ -24,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <numeric>
@@ -555,6 +559,97 @@ TEST(PinnedMarkets, HubSellerRules) {
       }
     };
     EXPECT_EQ(market_hash(cfg, 60.0, kHashBasis, inspect), row.hash);
+  }
+}
+
+TEST(PinnedMarkets, FractionalUploadBudgets) {
+  // Lognormal upload capacities (CV 0.5) give every peer its own
+  // fractional budget capacity × round_seconds, so a seller's last sale,
+  // its ask's quantity and the drain that expires the ask all fall at the
+  // floor of a non-integer. Direct markets choose availability-uniform and
+  // cheapest-ask; book markets cross at the best ask under both ask
+  // pricings (adaptive with spending rates spread too, so buyers' budgets
+  // meet several resting price levels) and by limit. The last row's short
+  // rounds leave some peers a budget just under one chunk.
+  using Book = ProtocolConfig::OrderBookConfig;
+  enum class Market {
+    kDirectUniform,
+    kDirectCheapest,
+    kBookFixedBestAsk,
+    kBookAdaptiveBestAsk,
+    kBookAdaptiveLimit,
+    kDirectShortRounds,
+  };
+  struct Row {
+    Market market;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {Market::kDirectUniform, 0x3028ba611833a048ULL},
+      {Market::kDirectCheapest, 0x1bb0f239d8b2658dULL},
+      {Market::kBookFixedBestAsk, 0x5e083385ac979484ULL},
+      {Market::kBookAdaptiveBestAsk, 0xb6a1a6d488e5a6f8ULL},
+      {Market::kBookAdaptiveLimit, 0x367cf11a56d807bbULL},
+      {Market::kDirectShortRounds, 0x4ec3444475afab83ULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << "market " << static_cast<int>(row.market));
+    const bool book = row.market == Market::kBookFixedBestAsk ||
+                      row.market == Market::kBookAdaptiveBestAsk ||
+                      row.market == Market::kBookAdaptiveLimit;
+    auto cfg = book ? book_config(3) : base_config(13);
+    cfg.heterogeneity.upload_capacity_cv = 0.5;
+    switch (row.market) {
+      case Market::kDirectUniform:
+        break;
+      case Market::kDirectCheapest:
+        cfg.seller_choice = ProtocolConfig::SellerChoice::kCheapestAsk;
+        cfg.pricing.kind = econ::PricingKind::kPerSeller;
+        break;
+      case Market::kBookFixedBestAsk:
+        cfg.book.ask_pricing = Book::AskPricing::kFixedMarkup;
+        cfg.book.cross = Book::CrossStrategy::kBestAsk;
+        break;
+      case Market::kBookAdaptiveBestAsk:
+        cfg.book.ask_pricing = Book::AskPricing::kAdaptive;
+        cfg.book.cross = Book::CrossStrategy::kBestAsk;
+        cfg.heterogeneity.spend_rate_cv = 0.3;
+        break;
+      case Market::kBookAdaptiveLimit:
+        cfg.book.ask_pricing = Book::AskPricing::kAdaptive;
+        cfg.book.cross = Book::CrossStrategy::kLimit;
+        break;
+      case Market::kDirectShortRounds:
+        cfg.round_seconds = 0.45;  // mean budget 1.125 chunks
+        break;
+    }
+    const auto inspect = [&](const StreamingProtocol& proto) {
+      const auto& m = proto.metrics();
+      EXPECT_GT(m.counter("market.transactions"), 1000u);
+      // Fractional budgets on both sides of one chunk among the alive.
+      std::size_t under_one = 0;
+      std::size_t fractional = 0;
+      for (const PeerId id : proto.alive_span()) {
+        const double budget =
+            proto.peer_table().upload_capacity(id) * cfg.round_seconds;
+        if (budget < 1.0) ++under_one;
+        if (budget > 1.0 && budget != std::floor(budget)) ++fractional;
+      }
+      EXPECT_GT(fractional, 0u);
+      if (row.market == Market::kDirectShortRounds) {
+        EXPECT_GT(under_one, 0u);
+      }
+      if (book) {
+        EXPECT_GT(m.counter("book.asks_expired"), 0u);
+      }
+      if (row.market == Market::kBookAdaptiveLimit) {
+        EXPECT_GT(m.counter("book.bids_posted"), 0u);
+        EXPECT_GT(m.counter("book.bids_matched"), 0u);
+      }
+    };
+    EXPECT_EQ(market_hash(cfg, book ? 120.0 : 60.0, kHashBasis, inspect),
+              row.hash);
   }
 }
 
