@@ -69,9 +69,13 @@ bool OrderBook::cancel_bid(PeerId buyer) {
   return true;
 }
 
+Credits OrderBook::best_price(Credits from) const {
+  while (from <= max_price_ && level_count_[from] == 0) ++from;
+  return from;
+}
+
 Credits OrderBook::spread() const {
-  Credits lo = 1;
-  while (lo <= max_price_ && level_count_[lo] == 0) ++lo;
+  const Credits lo = best_price();
   if (lo > max_price_) return 0;
   Credits hi = max_price_;
   while (level_count_[hi] == 0) --hi;

@@ -11,11 +11,12 @@
 // Every resting order lives in a fixed-capacity cell indexed by its owner:
 // asks by seller (one ask per seller, the protocol's natural shape: a
 // seller's ask is its current upload capacity at its current price), bids
-// by buyer. A count of resting asks per integer price level backs spread().
-// Insert, cancel, reprice and fill are O(1) and allocation-free after
-// construction. Price-time priority is (price, seq): every ask post stamps
-// a strictly increasing sequence number, and a crossing strategy compares
-// (price, seq) across whatever candidate set it scans.
+// by buyer. A count of resting asks per integer price level backs spread()
+// and best_price(). Insert, cancel, reprice and fill are O(1) and
+// allocation-free after construction. Price-time priority is (price, seq):
+// every ask post stamps a strictly increasing sequence number, and a
+// crossing strategy compares (price, seq) across whatever candidate set it
+// scans.
 #pragma once
 
 #include <cstdint>
@@ -93,6 +94,13 @@ class OrderBook {
 
   /// Resting asks (distinct sellers with open quantity).
   [[nodiscard]] std::size_t depth() const { return depth_; }
+  /// The lowest price level at or above `from` (0..max_price + 1) with a
+  /// resting ask, read from the per-level counts; max_price + 1 when none
+  /// rests there. With every level below `from` empty this is the book's
+  /// floor, the least price any resting ask has. Fills and cancels only
+  /// raise the floor, so a caller that posts nothing in between re-reads
+  /// it from its last value instead of from level 1.
+  [[nodiscard]] Credits best_price(Credits from = 1) const;
   /// Highest minus lowest resting ask price; 0 when fewer than two price
   /// levels rest.
   [[nodiscard]] Credits spread() const;

@@ -34,6 +34,14 @@ std::size_t protocol_edge_cells(std::size_t max_peers, double mean_degree,
   return static_cast<std::size_t>(cells);
 }
 
+/// An upload budget of `chunks` (>= 0) in whole chunks: floored, and
+/// saturating at UINT32_MAX, where a bare cast would be undefined. A
+/// budget that large outlasts any round's demand.
+std::uint32_t whole_chunks(double chunks) {
+  return static_cast<std::uint32_t>(std::min(
+      chunks, static_cast<double>(std::numeric_limits<std::uint32_t>::max())));
+}
+
 }  // namespace
 
 StreamingProtocol::StreamingProtocol(ProtocolConfig config,
@@ -137,7 +145,8 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   } else if (book_ != nullptr || cfg_.seller_choice == Choice::kCheapestAsk) {
     seller_rule_ = SellerRule::kCheapest;
   }
-  upload_budget_.assign(cfg_.max_peers, 0.0);
+  floor_stops_ = book_ != nullptr && cfg_.book.cross == Cross::kBestAsk;
+  upload_budget_.assign(cfg_.max_peers, 0);
   round_order_.reserve(cfg_.max_peers);  // churn may fill every slot
   tx_count_ = metrics_.counter_cell("market.transactions");
   tx_volume_ = metrics_.counter_cell("market.volume");
@@ -149,6 +158,7 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
       metrics_.counter_cell("purchase.phase_generic");
   phase_width_ct_[1] = metrics_.counter_cell("purchase.phase_one_word");
   phase_width_ct_[2] = metrics_.counter_cell("purchase.phase_two_word");
+  best_ask_stops_ = metrics_.counter_cell("purchase.best_ask_stops");
   whitewash_resets_ = metrics_.counter_cell("strat.whitewash_resets");
   whitewash_minted_ = metrics_.counter_cell("strat.whitewash_minted");
   whitewash_burned_ = metrics_.counter_cell("strat.whitewash_burned");
@@ -427,7 +437,8 @@ void StreamingProtocol::run_round(double now) {
   round_order_.assign(active.begin(), active.end());
   for (PeerId id : round_order_) {
     peers_.advance(id, window_base);
-    upload_budget_[id] = peers_.upload_capacity(id) * cfg_.round_seconds;
+    upload_budget_[id] =
+        whole_chunks(peers_.upload_capacity(id) * cfg_.round_seconds);
   }
 
   // 1a. Strategy layer: free-riders contribute nothing (budget zeroed
@@ -443,7 +454,8 @@ void StreamingProtocol::run_round(double now) {
   }
 
   // 1b. Order-book market: sellers post this round's asks before anyone
-  // buys (quantity = fresh upload budget, price per the ask policy).
+  // buys (quantity = fresh upload budget, price per the ask policy); a
+  // peer that posts none sells nothing this round.
   if (book_ != nullptr) {
     book_round_fills_base_ = *book_fills_;
     book_round_volume_base_ = *book_volume_;
@@ -522,7 +534,7 @@ void StreamingProtocol::run_round(double now) {
 void StreamingProtocol::strategy_zero_free_rider_budgets() {
   for (const PeerId id : round_order_) {
     if (peers_.strategy(id) == strategy::Strategy::kFreeRider) {
-      upload_budget_[id] = 0.0;
+      upload_budget_[id] = 0;
     }
   }
 }
@@ -622,11 +634,17 @@ void StreamingProtocol::book_post_asks() {
         static_cast<double>(bc.base_price) * (1.0 + bc.ask_markup)));
     fixed_price = std::clamp(marked, bc.min_price, bc.max_price);
   }
+  // The seller test reads only the upload budget, so every peer that posts
+  // no ask leaves here with none; a posted ask's quantity is the budget,
+  // and a sale takes one unit off both.
   for (const PeerId id : overlay_.active_peers()) {
-    if (!is_book_seller(id)) continue;
+    if (!is_book_seller(id)) {
+      upload_budget_[id] = 0;
+      continue;
+    }
     if (strat_enabled_) {
       const auto s = peers_.strategy(id);
-      if (s == strategy::Strategy::kFreeRider) continue;
+      if (s == strategy::Strategy::kFreeRider) continue;  // budget zeroed
       if (s == strategy::Strategy::kStakedSeeder &&
           cfg_.strat.stake_amount > 0 &&
           ledger_.staked(id) < cfg_.strat.stake_amount) {
@@ -634,14 +652,11 @@ void StreamingProtocol::book_post_asks() {
         // seeder's resting ask expires rather than standing as supply it
         // has not bonded for.
         if (book_->cancel_ask(id)) ++*book_asks_expired_;
+        upload_budget_[id] = 0;
         continue;
       }
     }
-    // The budget floored into the ask's 32-bit quantity, saturating: a
-    // budget of 2^32 or more outlasts any round's demand anyway.
-    const auto qty = static_cast<std::uint32_t>(std::min(
-        upload_budget_[id],
-        static_cast<double>(std::numeric_limits<std::uint32_t>::max())));
+    const std::uint32_t qty = upload_budget_[id];
     if (qty == 0) {
       // No capacity to offer this round: an ask left resting would be
       // ghost supply, so it expires (drain expiry).
@@ -668,6 +683,7 @@ void StreamingProtocol::book_post_asks() {
     ++*book_asks_posted_;
     *book_posted_qty_ += qty;
   }
+  ask_floor_ = book_->best_price();
 }
 
 bool StreamingProtocol::is_book_seller(PeerId id) const {
@@ -745,9 +761,21 @@ void StreamingProtocol::buy_missing(PeerId buyer_id, std::size_t purchase_cap,
   const bool limit =
       book_mode &&
       cfg_.book.cross == ProtocolConfig::OrderBookConfig::CrossStrategy::kLimit;
+  // Under best-ask crossing no candidate asks less than the book's floor,
+  // and a visit draws nothing: once the budget is under the floor, every
+  // visit left would skip at price > budget and change nothing.
+  const auto under_floor = [&] {
+    if (!floor_stops_ || budget >= static_cast<double>(ask_floor_)) {
+      return false;
+    }
+    ++*best_ask_stops_;
+    return true;
+  };
+  if (under_floor()) return;
   std::size_t purchased = 0;
-  // Each visit returns whether to go on: only a purchase spends budget or
-  // fills the cap, so only a purchase can end the walk.
+  // Each visit returns whether to go on: only a purchase spends budget,
+  // fills the cap or raises the floor, so only a purchase can end the
+  // walk.
   candidates_.for_each_reachable([&](ChunkId chunk) {
     PeerId seller_id = 0;
     if (!choose_seller<Words>(chunk, seller_id)) return true;
@@ -771,24 +799,22 @@ void StreamingProtocol::buy_missing(PeerId buyer_id, std::size_t purchase_cap,
     // Delivery.
     const bool fresh = peers_.set(buyer_id, chunk);
     CF_ENSURES_MSG(fresh, "purchased a chunk already held");
-    upload_budget_[seller_id] -= 1.0;
+    --upload_budget_[seller_id];
     if (book_mode) {
-      // Partial fill: one unit off the resting ask (it expires in place
-      // when it drains). A seller whose upload budget ran out mid-round
-      // loses its whole ask — no capacity left to back it.
+      // Partial fill: one unit off the resting ask and the budget alike,
+      // so the ask expires in place when the budget runs out.
       ++*book_fills_;
       *book_volume_ += price;
       ++book_sold_[seller_id];
-      (void)book_->fill_one(seller_id);
-      if (upload_budget_[seller_id] < 1.0 && book_->cancel_ask(seller_id)) {
-        ++*book_asks_expired_;
+      if (book_->fill_one(seller_id) == 0) {
+        ask_floor_ = book_->best_price(ask_floor_);
       }
       if (book_->has_bid(buyer_id) && price <= book_->bid_limit(buyer_id)) {
         book_->cancel_bid(buyer_id);
         ++*book_bids_matched_;
       }
     }
-    // A drained seller (budget or ask used up) leaves every mask.
+    // A drained seller leaves every mask.
     if (!sells(seller_id)) candidates_.remove(seller_id);
     budget -= static_cast<double>(price);
     ++purchased;
@@ -810,7 +836,7 @@ void StreamingProtocol::buy_missing(PeerId buyer_id, std::size_t purchase_cap,
                        "tax engine asked for more than the balance");
       }
     }
-    return purchased < purchase_cap && budget > 0.0;
+    return purchased < purchase_cap && budget > 0.0 && !under_floor();
   });
 }
 

@@ -339,16 +339,16 @@ class StreamingProtocol : private sim::Simulator::Agent {
   [[nodiscard]] ChunkId head_at(double t) const;
   void seed_new_chunks(double now, ChunkId head);
   void peer_purchase_phase(PeerId buyer_id, double now);
-  /// The purchase phase's seller test: upload budget >= 1 and, in an
-  /// order-book market, a resting ask.
-  [[nodiscard]] bool sells(PeerId id) const {
-    return upload_budget_[id] >= 1.0 && (!book_ || book_->has_ask(id));
-  }
+  /// The purchase phase's seller test: a whole chunk of upload budget
+  /// left. In an order-book market the budget is the resting ask's
+  /// quantity (book_post_asks), so it is a resting ask too.
+  [[nodiscard]] bool sells(PeerId id) const { return upload_budget_[id] != 0; }
   /// One buyer's purchases over this phase's reachable chunks, newest
   /// first, until `purchase_cap` purchases or the budget is spent: choose,
   /// price (the resting ask's price in an order-book market, the pricing
-  /// rule's otherwise), settle. Words = candidates_.width(), chosen once
-  /// per buyer.
+  /// rule's otherwise), settle. A best-ask walk also ends once the budget
+  /// is under the book's floor (ask_floor_). Words = candidates_.width(),
+  /// chosen once per buyer.
   template <std::size_t Words>
   void buy_missing(PeerId buyer_id, std::size_t purchase_cap, double budget,
                    double now);
@@ -371,7 +371,9 @@ class StreamingProtocol : private sim::Simulator::Agent {
   bool choose_seller(ChunkId chunk, PeerId& seller);
   /// Order-book round opening: every participating seller posts (or
   /// replaces) its ask — quantity from this round's upload budget, price
-  /// from the ask-pricing policy (adaptive repricing on its cadence).
+  /// from the ask-pricing policy (adaptive repricing on its cadence). A
+  /// peer that posts no ask gets no budget, so the seller test needs no
+  /// look at the book.
   void book_post_asks();
   /// Whether `id` participates as an ask-posting seller (deterministic
   /// per-id hash against book.seller_fraction — stable under churn).
@@ -426,8 +428,23 @@ class StreamingProtocol : private sim::Simulator::Agent {
   std::uint64_t book_round_volume_base_ = 0;
   std::uint64_t book_round_posted_base_ = 0;
 
+  /// Best-ask crossing: the cheapest resting ask bounds every candidate's
+  /// price from below, so a buyer whose budget is under it can buy
+  /// nothing more (book.cross kBestAsk; limit crossing rests bids on
+  /// over-limit visits and fill-weighted crossing draws per visit).
+  bool floor_stops_ = false;
+  /// The book's floor (OrderBook::best_price) during a purchase phase:
+  /// read at round opening, and again from its last value after each
+  /// drain, since no ask is posted until the next round.
+  econ::Credits ask_floor_ = 0;
+
   // Per-round scratch (kept across rounds to avoid reallocation).
-  std::vector<double> upload_budget_;   ///< chunks a peer may still serve
+  /// Whole chunks a peer may still sell this round: ⌊capacity ×
+  /// round_seconds⌋, saturating at UINT32_MAX; in an order-book market,
+  /// the resting ask's quantity. For 1 <= b < 2^53, b - k >= 1 exactly
+  /// when ⌊b⌋ - k >= 1, so a whole count decides every sale the
+  /// fractional budget would.
+  std::vector<std::uint32_t> upload_budget_;
   std::vector<PeerId> round_order_;
   std::vector<double> seller_weights_;  ///< kWeighted draw, in walk order
   /// The current buyer phase's seller candidates (rebuilt per buyer).
@@ -460,6 +477,8 @@ class StreamingProtocol : private sim::Simulator::Agent {
   // how many buyer phases resolved through each candidate-mask width
   // (purchase.phase_generic / phase_one_word / phase_two_word).
   std::array<std::uint64_t*, 3> phase_width_ct_{};
+  // Best-ask walks the book's floor ended (purchase.best_ask_stops).
+  std::uint64_t* best_ask_stops_ = nullptr;
   // Strategy-layer accounting (incremented only when strat is enabled).
   std::uint64_t* whitewash_resets_ = nullptr;
   std::uint64_t* whitewash_minted_ = nullptr;

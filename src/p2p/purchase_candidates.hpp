@@ -61,12 +61,20 @@ class PurchaseCandidates {
     base_slot_ = static_cast<std::size_t>(base_ % window_);
     // No aliveness check: a departed peer holds no overlay edges, so it
     // never appears in a neighbor list, and its ownership row is cleared
-    // on departure.
-    eligible_.clear();
-    for (const PeerId nbr : neighbors) {
-      if (is_seller(nbr)) eligible_.push_back(nbr);
+    // on departure. The compaction has no branch: every neighbor is
+    // stored, and the count advances by the seller test, whose outcome a
+    // branch could not predict.
+    if (eligible_.size() < neighbors.size()) {
+      eligible_.resize(neighbors.size());
     }
-    words_ = std::max<std::size_t>(1, (eligible_.size() + 63) / 64);
+    PeerId* out = eligible_.data();
+    std::size_t kept = 0;
+    for (const PeerId nbr : neighbors) {
+      out[kept] = nbr;
+      kept += static_cast<std::size_t>(is_seller(nbr));
+    }
+    num_eligible_ = kept;
+    words_ = std::max<std::size_t>(1, (num_eligible_ + 63) / 64);
     const std::span<const std::uint64_t> owned = peers.owned(buyer);
     const std::size_t row_words = owned.size();
     width_ = row_words == 1 && words_ == 1 ? 1
@@ -100,7 +108,9 @@ class PurchaseCandidates {
   /// This phase's Sellers width: 1, 2 or kDynamicWords.
   [[nodiscard]] std::size_t width() const { return width_; }
   /// Neighbors that passed the seller test, in order (bit j = eligible()[j]).
-  [[nodiscard]] std::span<const PeerId> eligible() const { return eligible_; }
+  [[nodiscard]] std::span<const PeerId> eligible() const {
+    return {eligible_.data(), num_eligible_};
+  }
 
   /// Call f(ChunkId) for each reachable wanted chunk, newest first (slots
   /// base_slot − 1 … 0, then window − 1 … base_slot), until f returns
@@ -180,9 +190,10 @@ class PurchaseCandidates {
   void remove(PeerId seller) {
     // Rare (a seller drains at most once per buyer phase), so a linear
     // scan for its bit position is fine.
-    const auto it = std::find(eligible_.begin(), eligible_.end(), seller);
-    if (it == eligible_.end()) return;
-    const auto j = static_cast<std::size_t>(it - eligible_.begin());
+    const std::span<const PeerId> eligible = this->eligible();
+    const auto it = std::find(eligible.begin(), eligible.end(), seller);
+    if (it == eligible.end()) return;
+    const auto j = static_cast<std::size_t>(it - eligible.begin());
     const std::uint64_t clear = ~(std::uint64_t{1} << (j & 63));
     std::uint64_t* column = masks_.data() + (j >> 6);
     for (std::size_t w = 0; w < reach_.size(); ++w) {
@@ -268,9 +279,10 @@ class PurchaseCandidates {
     const std::size_t slot_stride = stride<Words>();
     std::uint64_t* reach = reach_.data();
     std::uint64_t* masks = masks_.data();
+    const std::span<const PeerId> eligible = this->eligible();
     for (std::size_t w = 0; w < row_words; ++w) {
       std::uint64_t owned_by_any = 0;
-      for (const PeerId nbr : eligible_) owned_by_any |= peers.owned(nbr)[w];
+      for (const PeerId nbr : eligible) owned_by_any |= peers.owned(nbr)[w];
       reach[w] &= owned_by_any;
       for (std::uint64_t m = reach[w]; m != 0; m &= m - 1) {
         const std::size_t s =
@@ -278,8 +290,8 @@ class PurchaseCandidates {
         std::fill_n(masks + s * slot_stride, slot_stride, std::uint64_t{0});
       }
     }
-    for (std::size_t j = 0; j < eligible_.size(); ++j) {
-      const std::uint64_t* row = peers.owned(eligible_[j]).data();
+    for (std::size_t j = 0; j < eligible.size(); ++j) {
+      const std::uint64_t* row = peers.owned(eligible[j]).data();
       const std::uint64_t bit = std::uint64_t{1} << (j & 63);
       std::uint64_t* column = masks + (j >> 6);
       for (std::size_t w = 0; w < row_words; ++w) {
@@ -292,7 +304,8 @@ class PurchaseCandidates {
     }
   }
 
-  std::vector<PeerId> eligible_;
+  std::vector<PeerId> eligible_;  ///< first num_eligible_: the sellers
+  std::size_t num_eligible_ = 0;
   std::vector<std::uint64_t> reach_;  ///< bit s set <=> slot s is reachable
   std::vector<std::uint64_t> masks_;  ///< per-slot masks, slot-major
   std::size_t words_ = 0;             ///< mask words per slot

@@ -1,7 +1,8 @@
 // Tests for market/order_book and its protocol wiring: price-time
 // priority under interleaved insert/cancel, partial-fill conservation,
-// resting bids, ask expiry on seller death, and a mirror-model fuzz of
-// every readout the protocol takes from the book.
+// resting bids, ask expiry on seller death, the book's floor and the
+// best-ask walks it ends, and a mirror-model fuzz of every readout the
+// protocol takes from the book.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "market/order_book.hpp"
 #include "p2p/protocol.hpp"
+#include "scenario/registry.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -103,6 +105,37 @@ TEST(OrderBook, PartialFillConservation) {
   EXPECT_EQ(book.depth(), 0u);
 }
 
+TEST(OrderBook, BestPriceFollowsLevels) {
+  // The floor is the lowest level whose count is non-zero: an empty book
+  // reads max_price + 1, and each post, reprice, cancel and drain moves it
+  // as the level counts say. A scan from a level at or below the floor
+  // reads the floor; from above it, the next resting level up.
+  OrderBook book(8, 10);
+  EXPECT_EQ(book.best_price(), 11u);
+  book.post_ask(1, 6, 2);
+  EXPECT_EQ(book.best_price(), 6u);
+  book.post_ask(2, 4, 1);
+  EXPECT_EQ(book.best_price(), 4u);
+  book.post_ask(3, 4, 1);  // a second ask at the floor
+  book.post_ask(2, 9, 1);  // reprice one of them up: level 4 keeps the other
+  EXPECT_EQ(book.best_price(), 4u);
+  EXPECT_EQ(book.best_price(0), 4u);
+  EXPECT_EQ(book.best_price(5), 6u);
+  EXPECT_EQ(book.fill_one(3), 0u);  // drain the floor's last ask
+  EXPECT_EQ(book.best_price(), 6u);
+  EXPECT_EQ(book.best_price(4), 6u);  // up from the old floor
+  EXPECT_EQ(book.fill_one(1), 1u);    // a partial fill leaves its level
+  EXPECT_EQ(book.best_price(), 6u);
+  EXPECT_TRUE(book.cancel_ask(1));
+  EXPECT_EQ(book.best_price(), 9u);
+  EXPECT_EQ(book.best_price(10), 11u);
+  book.post_ask(2, 1, 1);  // reprice down to level 1
+  EXPECT_EQ(book.best_price(), 1u);
+  book.post_ask(2, 3, 0);  // quantity 0 cancels
+  EXPECT_EQ(book.best_price(), 11u);
+  EXPECT_EQ(book.depth(), 0u);
+}
+
 TEST(OrderBook, RestingBidsReplaceAndClearOnMatch) {
   OrderBook book(8, 10);
   EXPECT_FALSE(book.has_bid(1));
@@ -126,8 +159,8 @@ TEST(OrderBook, MirrorModelFuzz) {
   // Random interleaved ask posts, cancels and fills and bid posts and
   // cancels against a plain per-owner model. After every operation each
   // readout the protocol takes must agree with the model: ask presence,
-  // price, quantity and seq order, bid presence and limit, depth and
-  // spread.
+  // price, quantity and seq order, bid presence and limit, depth, spread
+  // and the floor scanned from every level.
   constexpr std::size_t kPeers = 24;
   constexpr Credits kMaxPrice = 6;
   struct Ask {
@@ -200,6 +233,15 @@ TEST(OrderBook, MirrorModelFuzz) {
     }
     EXPECT_EQ(book.depth(), depth) << "step " << step;
     EXPECT_EQ(book.spread(), depth == 0 ? 0 : hi - lo) << "step " << step;
+    EXPECT_EQ(book.best_price(), lo) << "step " << step;
+    for (Credits from = 0; from <= kMaxPrice + 1; ++from) {
+      Credits floor = kMaxPrice + 1;
+      for (const Ask& a : asks) {
+        if (a.quantity > 0 && a.price >= from) floor = std::min(floor, a.price);
+      }
+      EXPECT_EQ(book.best_price(from), floor)
+          << "step " << step << " from " << from;
+    }
   }
 }
 
@@ -314,6 +356,32 @@ TEST(OrderBookProtocol, HugeUploadBudgetsSaturateTheAsk) {
   }
 }
 
+TEST(OrderBookProtocol, BestAskWalksEndAtTheFloor) {
+  // The adv03_stake market (fixed-markup asks, churn, whitewashers and
+  // staked seeders) at a tenth of its horizon: best-ask buyers whose
+  // budget falls under the cheapest resting ask end their walk there.
+  // Limit crossing rests bids on over-limit visits, so it walks on.
+  using Cross = p2p::ProtocolConfig::OrderBookConfig::CrossStrategy;
+  p2p::ProtocolConfig cfg =
+      scenario::ScenarioRegistry::builtin().get("adv03_stake").config.protocol;
+  ASSERT_EQ(cfg.book.cross, Cross::kBestAsk);
+  for (const Cross cross : {Cross::kBestAsk, Cross::kLimit}) {
+    SCOPED_TRACE(::testing::Message() << "cross " << static_cast<int>(cross));
+    cfg.book.cross = cross;
+    sim::Simulator sim;
+    p2p::StreamingProtocol proto(cfg, sim);
+    proto.start();
+    sim.run_until(800.0);
+    const auto& metrics = proto.metrics();
+    EXPECT_GT(metrics.counter("book.fills"), 0u);
+    if (cross == Cross::kBestAsk) {
+      EXPECT_GT(metrics.counter("purchase.best_ask_stops"), 0u);
+    } else {
+      EXPECT_EQ(metrics.counter("purchase.best_ask_stops"), 0u);
+    }
+  }
+}
+
 TEST(OrderBookProtocol, DirectModeCarriesNoBook) {
   sim::Simulator sim;
   p2p::ProtocolConfig cfg;
@@ -326,6 +394,7 @@ TEST(OrderBookProtocol, DirectModeCarriesNoBook) {
   sim.run_until(100.0);
   EXPECT_EQ(proto.order_book(), nullptr);
   EXPECT_EQ(proto.metrics().counter("book.fills"), 0u);
+  EXPECT_EQ(proto.metrics().counter("purchase.best_ask_stops"), 0u);
 }
 
 }  // namespace

@@ -271,6 +271,11 @@ std::uint64_t market_hash(
   proto.start();
   sim.run_until(horizon);
   if (inspect) inspect(proto);
+  // Only a best-ask walk ends at the book's floor.
+  if (cfg.market_mode != ProtocolConfig::MarketMode::kOrderBook ||
+      cfg.book.cross != ProtocolConfig::OrderBookConfig::CrossStrategy::kBestAsk) {
+    EXPECT_EQ(proto.metrics().counter("purchase.best_ask_stops"), 0u);
+  }
   for (const TransactionRecord& r : proto.trace().records()) {
     h = mix(h, r.time);
     h = mix(h, r.buyer);
@@ -642,6 +647,9 @@ TEST(PinnedMarkets, FractionalUploadBudgets) {
       }
       if (book) {
         EXPECT_GT(m.counter("book.asks_expired"), 0u);
+      }
+      if (row.market == Market::kBookAdaptiveBestAsk) {
+        EXPECT_GT(m.counter("purchase.best_ask_stops"), 0u);
       }
       if (row.market == Market::kBookAdaptiveLimit) {
         EXPECT_GT(m.counter("book.bids_posted"), 0u);
