@@ -44,12 +44,14 @@ struct SessionOutcome {
 };
 
 /// One computed result awaiting acknowledgement — survives reconnects, so
-/// a run finished while the link was down is delivered, not recomputed.
+/// a run finished while the link was down is delivered, not recomputed
+/// (unless the coordinator now asks for another series cadence).
 struct Delivery {
   std::size_t run_index = 0;
   RunResult result;
   std::string record;  ///< serialized run-record JSONL
   std::string series;  ///< per-run series CSV ("" when not collected)
+  std::size_t series_every = 0;  ///< the cadence `series` was taken at
 };
 
 void sleep_seconds(double seconds) {
@@ -106,7 +108,9 @@ class Session {
 
   std::optional<SweepPlan> plan_;
   std::string plan_text_;  ///< spec ‖ sweep, for identity checks on resume
-  long long lease_ms_ = 0;
+  // The current PLAN header's lease timeout and series cadence. A restarted
+  // coordinator may announce others; the heartbeat thread reads the lease.
+  std::atomic<long long> lease_ms_{0};
   std::size_t series_every_ = 0;
   std::string token_;  ///< current session identity at the coordinator
 
@@ -177,7 +181,7 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
       return false;
     }
     plan_text_ = spec_text + sweep_text;
-    lease_ms_ = lease_ms;
+    lease_ms_.store(lease_ms);
     series_every_ = series_every;
     token_ = token;
     return true;
@@ -227,6 +231,20 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
   } else {
     token_ = token;  // old session expired — continue under the fresh one
   }
+  // A restarted coordinator may run with another lease timeout and series
+  // cadence. The heartbeat follows the lease; a held result taken at
+  // another cadence is computed again rather than delivered with the
+  // wrong series.
+  lease_ms_.store(lease_ms);
+  series_every_ = series_every;
+  for (auto it = undelivered_.begin(); it != undelivered_.end();) {
+    if (it->series_every == series_every_) {
+      ++it;
+      continue;
+    }
+    leased_.push_front(it->run_index);
+    it = undelivered_.erase(it);
+  }
   return true;
 }
 
@@ -262,21 +280,22 @@ bool Session::establish(bool resuming) {
 }
 
 void Session::start_heartbeat() {
-  const double heartbeat =
-      std::clamp(static_cast<double>(lease_ms_) / 4000.0, 0.05, 5.0);
-  heartbeat_thread_ = std::thread([this, heartbeat] {
-    auto next_beat =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(heartbeat));
+  heartbeat_thread_ = std::thread([this] {
+    // A quarter of the current lease timeout, read at every tick, so a
+    // shorter lease announced on reconnect takes effect at once.
+    const auto interval = [this] {
+      return std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double>(std::clamp(
+              static_cast<double>(lease_ms_.load()) / 4000.0, 0.05, 5.0)));
+    };
+    auto last_beat = Clock::now();
     while (!stop_.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       // A broken link is the main loop's to fix: pinging a dead socket
       // adds nothing, and pinging a fresh one mid-reconnect would race
       // the handshake.
-      if (broken_.load() || Clock::now() < next_beat) continue;
-      next_beat = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                     std::chrono::duration<double>(
-                                         heartbeat));
+      if (broken_.load() || Clock::now() < last_beat + interval()) continue;
+      last_beat = Clock::now();
       const std::lock_guard<std::mutex> lock(io_mutex_);
       if (stop_.load() || broken_.load()) continue;
       std::string pong;
@@ -384,6 +403,7 @@ void Session::execute_front_lease() {
   d.result = std::move(computed.at(0));
   d.record = serialize_run_record(plan_->key(run_index), d.result);
   d.series = std::move(series);
+  d.series_every = series_every_;
   undelivered_.push_back(std::move(d));
 }
 

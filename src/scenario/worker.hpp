@@ -17,9 +17,11 @@
 // computed while disconnected) that the coordinator held in its orphan
 // grace window. A restarted coordinator knows no token: it answers
 // RESUMED 0, and the session delivers what it finished and carries on
-// under its fresh token. Only when the coordinator stays gone past the 30 s
-// reconnect window does the session report failure; the coordinator's
-// lease timeout then requeues its runs for the surviving fleet.
+// under its fresh token, with the lease timeout and series cadence of the
+// new PLAN (a result held from the old cadence is computed again). Only
+// when the coordinator stays gone past the 30 s reconnect window does the
+// session report failure; the coordinator's lease timeout then requeues
+// its runs for the surviving fleet.
 //
 // Workers carry no sweep-specific state of their own — any machine with
 // the binary joins a sweep knowing only HOST:PORT, and the coordinator's

@@ -982,6 +982,80 @@ TEST(CoordinatorResume, CrashedCoordinatorResumesByteIdenticalToGolden) {
   EXPECT_EQ(util::fnv1a64(sink.runs_csv()), 0xc27d93ece3617262ULL);
 }
 
+TEST(CoordinatorResume, SurvivingWorkerAdoptsTheRestartedPlansCadence) {
+  // A worker session outlives a coordinator that collected no series and
+  // ran 30 s leases. The coordinator comes back on the same port and cache
+  // with series_every 1, a series prefix and 0.3 s leases. The surviving
+  // session must take both from the new PLAN: every run it computes after
+  // the restart writes the series file a local sweep writes, and its
+  // heartbeat keeps runs slower than the lease from being requeued.
+  const auto dir = scratch_dir("restart_cadence");
+  const SweepPlan plan(tiny_base(), tiny_sweep());
+  SweepRunner::Options runner;
+  runner.cache_dir = (dir / "cache").string();
+
+  SlowExecutor slow(0.5);
+  WorkerOptions worker_options;
+  worker_options.executor = &slow;
+  WorkerReport report;
+  std::thread worker;
+  std::uint16_t port = 0;
+  {
+    // Phase 1 dies on its second stored completion, before the ack.
+    SweepRunner::Options dying = runner;
+    std::size_t fresh = 0;
+    dying.on_result = [&fresh](const RunResult&) {
+      if (++fresh == 2) {
+        throw std::runtime_error("injected crash after 2 executed runs");
+      }
+    };
+    Coordinator coordinator(Coordinator::Options{});
+    port = coordinator.port();
+    ServeThread serve(coordinator, tiny_base(), tiny_sweep(), dying);
+    worker = std::thread([&] {
+      report = run_worker("127.0.0.1", port, worker_options);
+    });
+    const std::string error = serve.join_error();
+    EXPECT_NE(error.find("injected crash"), std::string::npos) << error;
+  }
+
+  Coordinator::Options restarted_options;
+  restarted_options.port = port;
+  restarted_options.lease_timeout_seconds = 0.3;
+  Coordinator coordinator(restarted_options);
+  SweepRunner::Options restarted = runner;
+  restarted.series_every = 1;
+  restarted.series_out_prefix = (dir / "dist").string();
+  ServeThread serve(coordinator, tiny_base(), tiny_sweep(), restarted);
+  worker.join();
+  (void)serve.join();
+  EXPECT_TRUE(report.completed) << report.error;
+  EXPECT_GE(report.reconnects, 1u);
+  const SweepStatus status = coordinator.status();
+  EXPECT_EQ(status.cache_hits, 2u);
+  EXPECT_EQ(status.executed, plan.size() - 2);
+  EXPECT_EQ(status.requeued, 0u);
+
+  SweepRunner::Options local;
+  local.jobs = 1;
+  local.keep_reports = false;
+  local.series_every = 1;
+  local.series_out_prefix = (dir / "local").string();
+  (void)SweepRunner(tiny_base(), tiny_sweep(), local).run();
+  std::size_t written = 0;
+  for (std::size_t idx = 0; idx < plan.size(); ++idx) {
+    const std::string suffix = ".run" + std::to_string(idx) + ".csv";
+    if (!std::filesystem::exists(dir / ("dist" + suffix))) continue;
+    ++written;
+    const std::string expected = read_file(dir / ("local" + suffix));
+    EXPECT_FALSE(expected.empty()) << idx;
+    EXPECT_EQ(read_file(dir / ("dist" + suffix)), expected) << idx;
+  }
+  // A recalled run has no series; every run executed after the restart
+  // has one.
+  EXPECT_EQ(written, status.executed);
+}
+
 TEST(Coordinator, RejectsLeaseTimeoutsNoWorkerCanUse) {
   // PLAN announces the timeout in whole milliseconds, and a worker rejects
   // a header whose count is not positive. inf and 1e300 have no such
