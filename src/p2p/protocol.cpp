@@ -145,7 +145,6 @@ StreamingProtocol::StreamingProtocol(ProtocolConfig config,
   } else if (book_ != nullptr || cfg_.seller_choice == Choice::kCheapestAsk) {
     seller_rule_ = SellerRule::kCheapest;
   }
-  floor_stops_ = book_ != nullptr && cfg_.book.cross == Cross::kBestAsk;
   upload_budget_.assign(cfg_.max_peers, 0);
   round_order_.reserve(cfg_.max_peers);  // churn may fill every slot
   tx_count_ = metrics_.counter_cell("market.transactions");
@@ -757,15 +756,17 @@ bool StreamingProtocol::choose_seller(ChunkId chunk, PeerId& seller) {
 template <std::size_t Words>
 void StreamingProtocol::buy_missing(PeerId buyer_id, std::size_t purchase_cap,
                                     double budget, double now) {
+  using Cross = ProtocolConfig::OrderBookConfig::CrossStrategy;
   const bool book_mode = book_ != nullptr;
-  const bool limit =
-      book_mode &&
-      cfg_.book.cross == ProtocolConfig::OrderBookConfig::CrossStrategy::kLimit;
+  const bool limit = book_mode && cfg_.book.cross == Cross::kLimit;
   // Under best-ask crossing no candidate asks less than the book's floor,
   // and a visit draws nothing: once the budget is under the floor, every
-  // visit left would skip at price > budget and change nothing.
+  // visit left would skip at price > budget and change nothing. Limit
+  // crossing rests bids on over-limit visits, and fill-weighted crossing
+  // draws per visit, so both walk on.
+  const bool floor_stops = book_mode && cfg_.book.cross == Cross::kBestAsk;
   const auto under_floor = [&] {
-    if (!floor_stops_ || budget >= static_cast<double>(ask_floor_)) {
+    if (!floor_stops || budget >= static_cast<double>(ask_floor_)) {
       return false;
     }
     ++*best_ask_stops_;

@@ -428,11 +428,6 @@ class StreamingProtocol : private sim::Simulator::Agent {
   std::uint64_t book_round_volume_base_ = 0;
   std::uint64_t book_round_posted_base_ = 0;
 
-  /// Best-ask crossing: the cheapest resting ask bounds every candidate's
-  /// price from below, so a buyer whose budget is under it can buy
-  /// nothing more (book.cross kBestAsk; limit crossing rests bids on
-  /// over-limit visits and fill-weighted crossing draws per visit).
-  bool floor_stops_ = false;
   /// The book's floor (OrderBook::best_price) during a purchase phase:
   /// read at round opening, and again from its last value after each
   /// drain, since no ask is posted until the next round.
