@@ -90,8 +90,7 @@ BENCHMARK(BM_PeerTableAdvance);
 // phase_us_per_round its purchase-phase share. setup_s is the market's
 // construction plus start(), the overlay bootstrap included. The overlay's
 // edge_cells_in_use and edge_cell_capacity, read at the end, show the edge
-// arena's share of the memory. An order-book market also reports
-// best_ask_stops: the buyer walks its book's floor ended, warm-up included.
+// arena's share of the memory.
 void run_round_benchmark(benchmark::State& state, p2p::ProtocolConfig cfg,
                          double warm_seconds = 50.0) {
   const auto setup_start = std::chrono::steady_clock::now();
@@ -126,10 +125,6 @@ void run_round_benchmark(benchmark::State& state, p2p::ProtocolConfig cfg,
       static_cast<double>(proto.overlay().edge_cells_in_use());
   state.counters["edge_cell_capacity"] =
       static_cast<double>(proto.overlay().edge_cell_capacity());
-  if (proto.order_book() != nullptr) {
-    state.counters["best_ask_stops"] = static_cast<double>(
-        proto.metrics().counter("purchase.best_ask_stops"));
-  }
 }
 
 void BM_ProtocolRound(benchmark::State& state) {

@@ -34,10 +34,12 @@ std::size_t protocol_edge_cells(std::size_t max_peers, double mean_degree,
   return static_cast<std::size_t>(cells);
 }
 
-/// An upload budget of `chunks` (>= 0) in whole chunks: floored, and
-/// saturating at UINT32_MAX, where a bare cast would be undefined. A
-/// budget that large outlasts any round's demand.
+/// An upload budget of `chunks` in whole chunks: floored, and saturating at
+/// UINT32_MAX, where a bare cast would be undefined. A budget that large
+/// outlasts any round's demand. A NaN budget (a lognormal capacity whose
+/// CV overflows its sigma) sells nothing, as `NaN >= 1.0` never held.
 std::uint32_t whole_chunks(double chunks) {
+  if (!(chunks >= 1.0)) return 0;
   return static_cast<std::uint32_t>(std::min(
       chunks, static_cast<double>(std::numeric_limits<std::uint32_t>::max())));
 }

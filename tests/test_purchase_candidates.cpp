@@ -661,6 +661,31 @@ TEST(PinnedMarkets, FractionalUploadBudgets) {
   }
 }
 
+TEST(UploadBudgets, NaNCapacitiesSellNothing) {
+  // A capacity CV of 1e200 overflows the lognormal's sigma, so each peer's
+  // upload capacity comes out NaN or 0 and no budget reaches one chunk.
+  // A NaN budget floors to 0 before the saturating cast, where it would
+  // be undefined (the sanitizer build's float-cast-overflow check), in a
+  // direct market and in a book alike.
+  for (const bool book : {false, true}) {
+    SCOPED_TRACE(book ? "order book" : "direct");
+    auto cfg = book ? book_config(3) : base_config(13);
+    cfg.heterogeneity.upload_capacity_cv = 1e200;
+    sim::Simulator sim;
+    StreamingProtocol proto(cfg, sim);
+    proto.start();
+    sim.run_until(60.0);
+    std::size_t nan_capacities = 0;
+    for (const PeerId id : proto.alive_span()) {
+      if (std::isnan(proto.peer_table().upload_capacity(id))) {
+        ++nan_capacities;
+      }
+    }
+    EXPECT_GT(nan_capacities, 0u);
+    EXPECT_EQ(proto.metrics().counter("market.transactions"), 0u);
+  }
+}
+
 TEST(PurchaseCandidates, EmptySetsTakeTheOneWordPath) {
   // Every neighbor list and the window fit one word here, so every buyer
   // phase resolves through the one-word masks, including those where no
