@@ -44,14 +44,14 @@ struct SessionOutcome {
 };
 
 /// One computed result awaiting acknowledgement — survives reconnects, so
-/// a run finished while the link was down is delivered, not recomputed
-/// (unless the coordinator now asks for another series cadence).
+/// a run finished while the link was down is delivered, not recomputed.
+/// One taken at a series cadence the coordinator no longer asks for is
+/// dropped.
 struct Delivery {
   std::size_t run_index = 0;
   RunResult result;
   std::string record;  ///< serialized run-record JSONL
   std::string series;  ///< per-run series CSV ("" when not collected)
-  std::size_t series_every = 0;  ///< the cadence `series` was taken at
 };
 
 void sleep_seconds(double seconds) {
@@ -194,6 +194,13 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
     hard_error = "coordinator now serves a different plan; not resuming";
     return false;
   }
+  // A restarted coordinator may run with another lease timeout and series
+  // cadence. The heartbeat follows the lease. A held result taken at
+  // another cadence carries the wrong series: it is dropped, and the
+  // coordinator leases the run again if its store does not hold it.
+  if (series_every != series_every_) undelivered_.clear();
+  lease_ms_.store(lease_ms);
+  series_every_ = series_every;
   std::string resumed;
   if (!socket_.send_all("RESUME " + token_ + "\n") ||
       reader_->read_line(resumed, kIoTimeoutSeconds) != util::IoStatus::kOk) {
@@ -230,20 +237,6 @@ bool Session::attempt(bool /*resuming*/, std::string& hard_error) {
     // The coordinator adopted our old identity; keep using it.
   } else {
     token_ = token;  // old session expired — continue under the fresh one
-  }
-  // A restarted coordinator may run with another lease timeout and series
-  // cadence. The heartbeat follows the lease; a held result taken at
-  // another cadence is computed again rather than delivered with the
-  // wrong series.
-  lease_ms_.store(lease_ms);
-  series_every_ = series_every;
-  for (auto it = undelivered_.begin(); it != undelivered_.end();) {
-    if (it->series_every == series_every_) {
-      ++it;
-      continue;
-    }
-    leased_.push_front(it->run_index);
-    it = undelivered_.erase(it);
   }
   return true;
 }
@@ -403,7 +396,6 @@ void Session::execute_front_lease() {
   d.result = std::move(computed.at(0));
   d.record = serialize_run_record(plan_->key(run_index), d.result);
   d.series = std::move(series);
-  d.series_every = series_every_;
   undelivered_.push_back(std::move(d));
 }
 

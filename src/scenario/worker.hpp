@@ -18,7 +18,8 @@
 // grace window. A restarted coordinator knows no token: it answers
 // RESUMED 0, and the session delivers what it finished and carries on
 // under its fresh token, with the lease timeout and series cadence of the
-// new PLAN (a result held from the old cadence is computed again). Only
+// new PLAN (a result held from another cadence is dropped, and the new
+// coordinator leases that run again unless its store holds it). Only
 // when the coordinator stays gone past the 30 s reconnect window does the
 // session report failure; the coordinator's lease timeout then requeues
 // its runs for the surviving fleet.

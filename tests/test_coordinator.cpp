@@ -988,7 +988,9 @@ TEST(CoordinatorResume, SurvivingWorkerAdoptsTheRestartedPlansCadence) {
   // with series_every 1, a series prefix and 0.3 s leases. The surviving
   // session must take both from the new PLAN: every run it computes after
   // the restart writes the series file a local sweep writes, and its
-  // heartbeat keeps runs slower than the lease from being requeued.
+  // heartbeat keeps runs slower than the lease from being requeued. The
+  // result it held from the old cadence, a run the new coordinator
+  // recalls from its store, is dropped rather than computed again.
   const auto dir = scratch_dir("restart_cadence");
   const SweepPlan plan(tiny_base(), tiny_sweep());
   SweepRunner::Options runner;
@@ -1035,6 +1037,8 @@ TEST(CoordinatorResume, SurvivingWorkerAdoptsTheRestartedPlansCadence) {
   EXPECT_EQ(status.cache_hits, 2u);
   EXPECT_EQ(status.executed, plan.size() - 2);
   EXPECT_EQ(status.requeued, 0u);
+  EXPECT_EQ(status.duplicates, 0u);
+  EXPECT_EQ(report.duplicates, 0u);
 
   SweepRunner::Options local;
   local.jobs = 1;
