@@ -934,6 +934,14 @@ int run_single(const creditflow::scenario::ScenarioSpec& spec,
     human << "churn: arrivals=" << report.counter("churn.arrivals")
           << " departures=" << report.counter("churn.departures") << "\n";
   }
+  if (cfg.protocol.market_mode ==
+      p2p::ProtocolConfig::MarketMode::kOrderBook) {
+    // best_ask_stops: buyer walks that ended at the book's cheapest ask.
+    human << "order book: fills=" << report.counter("book.fills")
+          << " asks_expired=" << report.counter("book.asks_expired")
+          << " best_ask_stops=" << report.counter("purchase.best_ask_stops")
+          << "\n";
+  }
 
   if (want_chart && !report.gini_balances.empty()) {
     util::ChartOptions opts;
