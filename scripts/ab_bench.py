@@ -2,17 +2,20 @@
 """A/B one perfbench workload between two revisions in alternating pairs.
 
     scripts/ab_bench.py --parent REV --change REV --workload W \\
-        --pairs N --seconds S [--seed 1] [--work-dir DIR]
+        [--pairs 10] [--seed 1] [--work-dir DIR]
     scripts/ab_bench.py --self-test
 
 Each revision is `git archive`d into its own directory and its perfbench is
 built there (a one-second warm-up run through perfbench/run.py builds it and
 must already be correct). Then N pairs of `perfbench/run.py --workload W
 --seed SEED --seconds S --trace 0` run, the two sides alternating which goes
-first. A run whose result line is not `"correct": true` stops the A/B.
+first, S being BENCHMARK.json's run_seconds: a shorter run averages fewer
+benchmark processes than the benchmark does. N is at least 10, the pairs a
+claimed gain is judged on. A run whose result line is not
+`"correct": true` stops the A/B.
 
-For each end-to-end metric BENCHMARK.json names (read from the parent's
-tree, whose bounds the change is judged against) the table gives both
+BENCHMARK.json is read from the parent's tree, whose bounds the change is
+judged against. For each end-to-end metric it names, the table gives both
 medians, the parent's interquartile range, the change in percent, in how
 many pairs the change was better, whether the median gain exceeds the
 parent's IQR, and whether a loss stays within the metric's bound.
@@ -30,6 +33,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
+
+
+MIN_PAIRS = 10
 
 
 class Refused(Exception):
@@ -56,8 +62,6 @@ def parse_run(returncode, stdout):
 
 def quartiles(values):
     """(q1, median, q3); the spread perfbench/spread.py reports."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4)
     return q1, statistics.median(values), q3
 
@@ -146,7 +150,9 @@ def ab(args):
         sides = [archive(args.parent, work_dir, "parent"),
                  archive(args.change, work_dir, "change")]
         with open(os.path.join(sides[0][1], "BENCHMARK.json")) as f:
-            end_to_end = json.load(f)["end_to_end"]
+            bench = json.load(f)
+        end_to_end = bench["end_to_end"]
+        seconds = bench["run_seconds"]
         digests = []
         for commit, tree in sides:
             print("ab_bench: building %s in %s" % (commit[:12], tree),
@@ -157,7 +163,7 @@ def ab(args):
             order = [0, 1] if k % 2 == 0 else [1, 0]
             got = {}
             for side in order:
-                digest, metrics = run(sides[side][1], args, args.seconds)
+                digest, metrics = run(sides[side][1], args, seconds)
                 if digest != digests[side]:
                     sys.exit("ab_bench: %s changed its digest: %s, then %s"
                              % (sides[side][0][:12], digests[side], digest))
@@ -166,7 +172,7 @@ def ab(args):
             print("ab_bench: pair %d/%d done" % (k + 1, args.pairs),
                   file=sys.stderr)
         print("%s, seed %d: %d alternating pairs of %d s runs" % (
-            args.workload, args.seed, args.pairs, args.seconds))
+            args.workload, args.seed, args.pairs, seconds))
         print("parent %s digest %s" % (sides[0][0][:12], digests[0]))
         print("change %s digest %s" % (sides[1][0][:12], digests[1]))
         print(render(fold(end_to_end, pairs)))
@@ -253,8 +259,7 @@ def main():
                         "against")
     parser.add_argument("--change", help="revision under test")
     parser.add_argument("--workload", help="a BENCHMARK.json workload")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--work-dir", help="keep the archives and builds "
                         "here (default: a temporary directory)")
@@ -266,8 +271,8 @@ def main():
     if not (args.parent and args.change and args.workload):
         parser.error("--parent, --change and --workload are required "
                      "(or --self-test)")
-    if args.pairs < 1 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be at least 1")
+    if args.pairs < MIN_PAIRS:
+        parser.error("--pairs must be at least %d" % MIN_PAIRS)
     return ab(args)
 
 
